@@ -2,13 +2,15 @@
 Navier-Stokes flow, written against a Gaussian reference measure.
 
 The building blocks, bottom up: ``spectral`` (frames, fields, transforms,
-the Ornstein-Uhlenbeck operator), ``calculus`` (twisted operators and
-capillarity identities), ``fokker_planck`` (semigroup density updates and
-positivity envelopes), ``galerkin`` (mass operator, weak forces, coupled
-stepping), ``diagnostics`` (energies, entropies, moments, inequality
-audits), ``continuation`` (mollified data and vanishing-drag sweeps),
-``rescaled`` (self-similar variables for the unconfined flow) and ``cli``
-(run orchestration).
+the Ornstein-Uhlenbeck operator), ``calculus`` (twisted operators,
+capillarity identities and ``StateBundle``, the nodal quantities of one
+state that forces and diagnostics share), ``fokker_planck`` (semigroup
+density updates and positivity envelopes), ``galerkin`` (mass operator,
+weak forces and the joint fixed-point step), ``diagnostics`` (energies,
+entropies, moments, inequality audits), ``continuation`` (mollified data
+and vanishing-drag sweeps), ``rescaled`` (self-similar variables for the
+unconfined flow, stepped through the same joint fixed point), ``driver``
+(the march loop) and ``cli`` (run orchestration).
 
 Frames and fields are immutable values; every public operation is a pure
 function of them, so states can be shared or snapshotted freely.
@@ -16,11 +18,9 @@ function of them, so states can be shared or snapshotted freely.
 
 from .calculus import (
     ModelParams,
+    StateBundle,
     bohm_residual,
     div_m,
-    grad_parts,
-    hessian_log,
-    korteweg_tensor,
     q_of_rho,
     rho_of_q,
 )
@@ -55,16 +55,13 @@ from .galerkin import (
     make_initial_state,
     momentum_rhs,
     project_initial_velocity,
-    recenter,
 )
 from .rescaled import TauState, rescale_map, inverse_rescale_map, rescaled_energy, rescaled_step, tau_solve
 from .spectral import (
     GaussianFrame,
     ScalarField,
-    TensorField,
     VectorField,
     build_frame,
-    derivative,
     integrate,
     inverse_transform,
     multiply,

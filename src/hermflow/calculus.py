@@ -37,24 +37,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalConsistencyError, InvalidParameterError, PositivityError
-from .spectral import GaussianFrame, ScalarField, TensorField, VectorField, derivative
+from .errors import InvalidParameterError, PositivityError
+from .spectral import GaussianFrame, ScalarField, VectorField, multiply
 
 __all__ = [
     "ModelParams",
     "POSITIVITY_FLOOR",
+    "StateBundle",
     "div_m",
-    "div_m_tensor",
-    "grad",
-    "grad_parts",
-    "korteweg_tensor",
     "korteweg_consistency",
-    "hessian_log",
     "bohm_residual",
     "rho_of_q",
     "q_of_rho",
     "gradient_nodal",
     "hessian_nodal",
+    "velocity_gradient_nodal",
     "require_positive",
     "masked_inverses",
 ]
@@ -150,6 +147,120 @@ def hessian_nodal(f: ScalarField) -> np.ndarray:
     return out
 
 
+def velocity_gradient_nodal(u: VectorField) -> np.ndarray:
+    """Exact nodal velocity gradient du[i, k] = d_k u_i, shape (dim, dim, n_nodes)."""
+    dV = u.frame.dV
+    return np.stack([np.stack([dv @ c.coeffs for dv in dV]) for c in u.components])
+
+
+class _cached:
+    """Form an attribute on first access and keep it in the instance dict.
+
+    ``functools.cached_property`` takes a lock on every first access before
+    Python 3.12, a measurable share of each force assembly in 1D."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.fn.__name__] = self.fn(obj)
+        return value
+
+
+class StateBundle:
+    """Nodal quantities of one (q, u) pair, each formed on first use and then kept.
+
+    The weak forces, every diagnostic and the dilated energies read a state's
+    derivatives from here, so each is formed at most once per state.
+    Positivity of q is checked on construction.  Rational quantities
+    (anything divided by a power of q) vanish on the frame's untrusted tail
+    nodes; polynomial ones keep raw values so their quadrature sums stay
+    exact.  Without a velocity the bundle describes (q, 0).
+    """
+
+    def __init__(self, q: ScalarField, u: VectorField | None = None,
+                 floor: float = POSITIVITY_FLOOR):
+        self.frame = q.frame
+        self.q = q
+        self.u = VectorField.zero(q.frame) if u is None else u
+        self.floor = floor
+        self.qn = require_positive(q, floor)
+        self.inv_q, self.inv_sq = masked_inverses(self.frame, self.qn, floor)
+
+    def quad(self, vals) -> float:
+        return self.frame.quad(vals)
+
+    @_cached
+    def mask(self) -> np.ndarray:
+        return self.frame.trusted.astype(float)
+
+    @_cached
+    def q_safe(self) -> np.ndarray:
+        return np.maximum(self.qn, self.floor)
+
+    @_cached
+    def qlnq(self) -> np.ndarray:
+        return self.mask * self.q_safe * np.log(self.q_safe)
+
+    @_cached
+    def gq(self) -> np.ndarray:
+        return gradient_nodal(self.q)
+
+    @_cached
+    def hq(self) -> np.ndarray:
+        return hessian_nodal(self.q)
+
+    @_cached
+    def fisher_integrand(self) -> np.ndarray:
+        """|grad q|^2 / q."""
+        return np.einsum("in,in->n", self.gq, self.gq) * self.inv_q
+
+    @_cached
+    def glog(self) -> np.ndarray:
+        """sqrt(q) D^2(ln q), through the square-root form."""
+        outer = np.einsum("in,jn->ijn", self.gq, self.gq)
+        return self.hq * self.inv_sq - outer * self.inv_q * self.inv_sq
+
+    @_cached
+    def stress(self) -> np.ndarray:
+        """Capillarity stress sqrt(q) D^2 sqrt(q) - grad sqrt(q) (x) grad sqrt(q).
+
+        The Hessian part stays raw (exact quadrature against polynomial
+        test functions); only the rational part is masked.
+        """
+        return 0.5 * self.hq - 0.5 * np.einsum("in,jn->ijn", self.gq, self.gq) * self.inv_q
+
+    @_cached
+    def un(self) -> np.ndarray:
+        return self.u.nodal
+
+    @_cached
+    def raw2(self) -> np.ndarray:
+        return np.einsum("in,in->n", self.un, self.un)
+
+    @_cached
+    def s2(self) -> np.ndarray:
+        """|u|^2 projected back to degree N before entering quartic forms."""
+        s2c = np.zeros(self.frame.n_basis)
+        for c in self.u.components:
+            s2c += multiply(c, c).coeffs
+        return self.frame.V @ s2c
+
+    @_cached
+    def du(self) -> np.ndarray:
+        return velocity_gradient_nodal(self.u)
+
+    @_cached
+    def dsym(self) -> np.ndarray:
+        return 0.5 * (self.du + self.du.transpose(1, 0, 2))
+
+    @_cached
+    def askew(self) -> np.ndarray:
+        return 0.5 * (self.du - self.du.transpose(1, 0, 2))
+
+
 def div_m(v: VectorField) -> ScalarField:
     """Twisted divergence div(v) - (x/sigma^2).v, truncated to degree N.
 
@@ -164,122 +275,45 @@ def div_m(v: VectorField) -> ScalarField:
     return ScalarField(frame, coeffs=coeffs)
 
 
-def div_m_tensor(t: TensorField) -> VectorField:
-    """Row-wise twisted divergence of a tensor field, truncated to degree N."""
-    frame = t.frame
-    comps = []
-    for i in range(frame.dim):
-        coeffs = np.zeros(frame.n_basis)
-        for j in range(frame.dim):
-            coeffs += frame.divm_mats[j] @ t.components[i][j].coeffs
-        comps.append(ScalarField(frame, coeffs=coeffs))
-    return VectorField(comps)
-
-
-def grad(q: ScalarField) -> VectorField:
-    return VectorField([derivative(q, ax) for ax in range(q.frame.dim)])
-
-
-def grad_parts(u: VectorField) -> tuple[TensorField, TensorField]:
-    """Symmetric/skew split of the velocity gradient: D + A = grad u."""
-    frame = u.frame
-    d = frame.dim
-    g = [[derivative(u.components[i], j) for j in range(d)] for i in range(d)]
-    sym = [[0.5 * (g[i][j] + g[j][i]) for j in range(d)] for i in range(d)]
-    skw = [[0.5 * (g[i][j] - g[j][i]) for j in range(d)] for i in range(d)]
-    return TensorField(sym, symmetry="symmetric"), TensorField(skw, symmetry="skew")
-
-
-def _capillarity_nodal(q: ScalarField, floor: float) -> np.ndarray:
+def _capillarity_nodal(b: StateBundle) -> np.ndarray:
     """Nodal sqrt(q) D^2 sqrt(q) - grad sqrt(q) x grad sqrt(q), shape (d, d, n).
 
     Zero on untrusted nodes (rational quantity)."""
-    qn = require_positive(q, floor)
-    inv_q, _ = masked_inverses(q.frame, qn, floor)
-    g = gradient_nodal(q)
-    h = hessian_nodal(q)
-    mask = q.frame.trusted.astype(float)
-    return 0.5 * h * mask - 0.5 * np.einsum("in,jn->ijn", g, g) * inv_q
+    return 0.5 * b.hq * b.mask - 0.5 * np.einsum("in,jn->ijn", b.gq, b.gq) * b.inv_q
 
 
-def _capillarity_rho_form_nodal(q: ScalarField, floor: float) -> np.ndarray:
+def _capillarity_rho_form_nodal(b: StateBundle) -> np.ndarray:
     """Same stress assembled through rho = q rho_m on the flat measure.
 
     Computes (1/rho_m)[sqrt(rho) D^2 sqrt(rho) - grad sqrt(rho) (x) grad
     sqrt(rho) + rho I / (2 sigma^2)] from exact nodal derivatives of rho.
     """
-    frame = q.frame
-    qn = require_positive(q, floor)
-    inv_q, _ = masked_inverses(frame, qn, floor)
-    mask = frame.trusted.astype(float)
+    frame = b.frame
+    qn, gq = b.qn, b.gq
     sig2 = frame.sigma**2
     x = frame.nodes.T  # (d, n)
-    gq = gradient_nodal(q)
-    hq = hessian_nodal(q)
     # grad rho / rho_m and D^2 rho / rho_m by the Gaussian product rule
     grho = gq - x * qn / sig2
     hrho = (
-        hq
+        b.hq
         - (np.einsum("in,jn->ijn", x, gq) + np.einsum("in,jn->ijn", gq, x)) / sig2
         + qn * (np.einsum("in,jn->ijn", x, x) / sig2**2 - np.eye(frame.dim)[:, :, None] / sig2)
     )
     eye = np.eye(frame.dim)[:, :, None]
-    return (0.5 * hrho + 0.5 * qn * eye / sig2) * mask - 0.5 * np.einsum(
+    return (0.5 * hrho + 0.5 * qn * eye / sig2) * b.mask - 0.5 * np.einsum(
         "in,jn->ijn", grho, grho
-    ) * inv_q
-
-
-def korteweg_tensor(q: ScalarField, floor: float = POSITIVITY_FLOOR) -> TensorField:
-    """Capillarity stress of a strictly positive relative density.
-
-    Evaluated nodally; the equivalent flat-measure form (through rho = q
-    rho_m) is assembled independently and the two are required to agree in
-    the quadrature L^2_mu norm before the tensor is returned.
-    """
-    frame = q.frame
-    s_q = _capillarity_nodal(q, floor)
-    s_rho = _capillarity_rho_form_nodal(q, floor)
-    mismatch = max(
-        frame.norm_l2mu(s_q[i, j] - s_rho[i, j]) for i in range(frame.dim) for j in range(frame.dim)
-    )
-    scale = max(frame.norm_l2mu(s_q[i, j]) for i in range(frame.dim) for j in range(frame.dim))
-    if mismatch > 1e-9 * max(scale, 1.0):
-        raise InternalConsistencyError(
-            f"capillarity stress q-form and rho-form disagree: {mismatch:.3e}"
-        )
-    comps = [
-        [ScalarField(frame, nodal=s_q[i, j]) for j in range(frame.dim)] for i in range(frame.dim)
-    ]
-    return TensorField(comps, symmetry="symmetric")
+    ) * b.inv_q
 
 
 def korteweg_consistency(q: ScalarField, floor: float = POSITIVITY_FLOOR) -> float:
     """Worst quadrature-L^2_mu distance between the two stress assemblies."""
     frame = q.frame
-    s_q = _capillarity_nodal(q, floor)
-    s_rho = _capillarity_rho_form_nodal(q, floor)
+    b = StateBundle(q, floor=floor)
+    s_q = _capillarity_nodal(b)
+    s_rho = _capillarity_rho_form_nodal(b)
     return max(
         frame.norm_l2mu(s_q[i, j] - s_rho[i, j]) for i in range(frame.dim) for j in range(frame.dim)
     )
-
-
-def hessian_log(q: ScalarField, floor: float = POSITIVITY_FLOOR) -> TensorField:
-    """sqrt(q) D^2(ln q), computed through square roots only."""
-    frame = q.frame
-    vals = hessian_log_nodal(q, floor)
-    comps = [
-        [ScalarField(frame, nodal=vals[i, j]) for j in range(frame.dim)] for i in range(frame.dim)
-    ]
-    return TensorField(comps, symmetry="symmetric")
-
-
-def hessian_log_nodal(q: ScalarField, floor: float = POSITIVITY_FLOOR) -> np.ndarray:
-    """Nodal sqrt(q) D^2(ln q); zero on untrusted nodes (rational quantity)."""
-    qn = require_positive(q, floor)
-    inv_q, inv_sq = masked_inverses(q.frame, qn, floor)
-    g = gradient_nodal(q)
-    h = hessian_nodal(q)
-    return h * inv_sq - np.einsum("in,jn->ijn", g, g) * inv_q * inv_sq
 
 
 def _third_derivs_nodal(q: ScalarField) -> np.ndarray:
@@ -315,13 +349,12 @@ def bohm_residual(q: ScalarField, floor: float = POSITIVITY_FLOOR) -> float:
     frame = q.frame
     d = frame.dim
     sig2 = frame.sigma**2
-    qn = require_positive(q, floor)
-    mask = frame.trusted.astype(float)
+    b = StateBundle(q, floor=floor)
+    qn, mask = b.qn, b.mask
     x = frame.nodes.T
 
     # --- left side via P = projection of sqrt(q) ------------------------
-    qs = np.maximum(qn, floor)
-    p_field = ScalarField(frame, coeffs=frame.project_nodal(np.sqrt(qs)))
+    p_field = ScalarField(frame, coeffs=frame.project_nodal(np.sqrt(b.q_safe)))
     pn = p_field.nodal
     if np.min(np.abs(pn[frame.trusted])) < floor:
         raise PositivityError("projected square root vanishes at a trusted node")
@@ -345,9 +378,7 @@ def bohm_residual(q: ScalarField, floor: float = POSITIVITY_FLOOR) -> float:
     lhs = 2.0 * qn * (grad_a * inv_p - a_vals * gp * inv_p**2)
 
     # --- right side via L = ln rho = ln rho_m + ln q ---------------------
-    inv_q, _ = masked_inverses(frame, qn, floor)
-    gq = gradient_nodal(q)
-    hq = hessian_nodal(q)
+    inv_q, gq, hq = b.inv_q, b.gq, b.hq
     tq = _third_derivs_nodal(q)
     grad_l = -x / sig2 * mask + gq * inv_q
     hess_l = (

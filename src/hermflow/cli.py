@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -27,13 +28,8 @@ from . import diagnostics
 from .calculus import ModelParams, bohm_residual, korteweg_consistency
 from .config import RunConfig, load_config
 from .continuation import mollify_initial_data, vanishing_drag_sweep
-from .driver import simulate
-from .errors import (
-    ConfigError,
-    InternalConsistencyError,
-    PositivityError,
-    StepFailureError,
-)
+from .driver import simulate, step_count
+from .errors import SOLVER_FAILURES, ConfigError, DimensionError, InvalidParameterError
 from .galerkin import project_initial_velocity
 from .rescaled import (
     combined_identity_residual,
@@ -50,6 +46,15 @@ MARGIN_TOL = -1e-8
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+@contextmanager
+def _config_values():
+    """Report a config value that the solver's own checks reject as a config error."""
+    try:
+        yield
+    except (InvalidParameterError, DimensionError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _make_frame(cfg: RunConfig, force_unit_sigma: bool = False) -> GaussianFrame:
@@ -100,14 +105,16 @@ def run(cfg: RunConfig) -> int:
     """Simulate mode: march the confined system and audit the trajectory."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    frame = _make_frame(cfg)
-    params = ModelParams(a=cfg.a, kappa=cfg.kappa, nu=cfg.nu, lam=cfg.lam,
-                         r0=cfg.r0, r1=cfg.r1, r4=cfg.r4, delta1=cfg.delta1)
-    q0, u0 = _initial_state(cfg, frame)
+    with _config_values():
+        frame = _make_frame(cfg)
+        params = ModelParams(a=cfg.a, kappa=cfg.kappa, nu=cfg.nu, lam=cfg.lam,
+                             r0=cfg.r0, r1=cfg.r1, r4=cfg.r4, delta1=cfg.delta1)
+        q0, u0 = _initial_state(cfg, frame)
+        step_count(cfg.dt, cfg.t_final)
     try:
         result = simulate(frame, params, q0, u0, dt=cfg.dt, t_final=cfg.t_final,
                           record_every=cfg.record_every)
-    except (PositivityError, StepFailureError, InternalConsistencyError) as exc:
+    except SOLVER_FAILURES as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
     records = result.records
@@ -151,7 +158,8 @@ def verify(cfg: RunConfig) -> int:
     """Verify mode: inequality suite over seeded random fields."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    frame = _make_frame(cfg)
+    with _config_values():
+        frame = _make_frame(cfg)
     rng = np.random.default_rng(cfg.seed)
     rows = []
     for k in range(cfg.n_samples):
@@ -213,9 +221,11 @@ def sweep(cfg: RunConfig) -> int:
     """Sweep mode: vanishing-drag continuation study."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    frame = _make_frame(cfg)
-    params = ModelParams(a=cfg.a, kappa=cfg.kappa, nu=cfg.nu, lam=cfg.lam)
-    q0, u0 = _initial_state(cfg, frame)
+    with _config_values():
+        frame = _make_frame(cfg)
+        params = ModelParams(a=cfg.a, kappa=cfg.kappa, nu=cfg.nu, lam=cfg.lam)
+        q0, u0 = _initial_state(cfg, frame)
+        step_count(cfg.dt, cfg.t_final)
     report = vanishing_drag_sweep(frame, params, q0, u0, cfg.n_list,
                                   dt=cfg.dt, t_final=cfg.t_final,
                                   record_every=cfg.record_every)
@@ -241,10 +251,11 @@ def rescaled_run(cfg: RunConfig) -> int:
     """Rescaled mode: dilated system on the unit-Gaussian frame."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    frame = _make_frame(cfg, force_unit_sigma=True)
-    params = ModelParams(a=cfg.a, kappa=cfg.kappa, nu=cfg.nu, lam=cfg.lam)
-    q0, u0 = _initial_state(cfg, frame)
-    n_steps = int(round(cfg.t_final / cfg.dt))
+    with _config_values():
+        frame = _make_frame(cfg, force_unit_sigma=True)
+        params = ModelParams(a=cfg.a, kappa=cfg.kappa, nu=cfg.nu, lam=cfg.lam)
+        q0, u0 = _initial_state(cfg, frame)
+        n_steps = step_count(cfg.dt, cfg.t_final)
     taus = tau_solve(cfg.a, cfg.kappa, cfg.nu, cfg.t_final, cfg.dt / 2.0)
     q, u = q0, u0
     energies = [rescaled_energy(q, u, taus[0], params)]
@@ -260,7 +271,7 @@ def rescaled_run(cfg: RunConfig) -> int:
             remainders.append(rescaled_bd_remainder(q, u, tau_end, params))
             rows.append((tau_end.t, tau_end.tau, tau_end.tau_dot,
                          float(q.coeffs[0])) + energies[-1] + (remainders[-1],))
-    except (PositivityError, StepFailureError, InternalConsistencyError) as exc:
+    except SOLVER_FAILURES as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
     header = ["t", "tau", "tau_dot", "mass", "E_tau", "D_tau", "E_BD_tau",

@@ -160,8 +160,6 @@ def load_config(path: str | Path) -> RunConfig:
         n_list=_get(parser, "run", "n_list", _parse_n_list, default=(4, 8, 16, 32)),
         save_state=_get(parser, "run", "save_state", _parse_bool, default=False),
     )
-    if cfg.dt <= 0.0 or cfg.t_final <= 0.0:
-        raise ConfigError("[time] dt and t_final must be positive")
     if cfg.record_every < 1:
         raise ConfigError("[time] record_every must be >= 1")
     cfg.raw = {s: dict(parser.items(s)) for s in parser.sections()}

@@ -41,7 +41,7 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.signal import fftconvolve
 
 from .calculus import ModelParams, gradient_nodal
-from .errors import InvalidParameterError
+from .errors import SOLVER_FAILURES, InvalidParameterError
 from .spectral import GaussianFrame, ScalarField, VectorField
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "mollify_initial_data",
     "drag_schedule",
     "vanishing_drag_sweep",
-    "renormalization_cutoff",
 ]
 
 
@@ -173,18 +172,6 @@ def drag_schedule(n: int, q0_n: ScalarField) -> DragSchedule:
     )
 
 
-def renormalization_cutoff(y, l: float):
-    """Trapezoid cutoff phi_l: ramps on [1/2l, 1/l], plateau 1 on [1/l, l],
-    ramps down on [l, 2l]; pointwise -> 1 as l grows."""
-    if l < 1.0:
-        raise InvalidParameterError(f"cutoff level must be >= 1, got {l}")
-    y = np.asarray(y, dtype=float)
-    up = (2.0 * l * y - 1.0) * ((y >= 1.0 / (2.0 * l)) & (y < 1.0 / l))
-    mid = 1.0 * ((y >= 1.0 / l) & (y <= l))
-    down = (2.0 - y / l) * ((y > l) & (y <= 2.0 * l))
-    return up + mid + down
-
-
 def _sqrtq_h1_distance(qa: ScalarField, qb: ScalarField) -> float:
     """Weighted H^1 distance of the square roots over trusted nodes."""
     frame = qa.frame
@@ -216,8 +203,8 @@ def vanishing_drag_sweep(frame: GaussianFrame, base_params: ModelParams,
     Returns a report with per-run schedules and audits plus the Cauchy
     increments sup_t ||sqrt(q_n) - sqrt(q_m)||_{H^1_mu} and
     sup_t ||sqrt(q_n) u_n - sqrt(q_m) u_m||_{L^2_mu} for consecutive (n, m).
-    Raises nothing on a member failure: the report carries the failure
-    index and whatever completed.
+    A member's solver failure does not raise: the report carries the
+    failure index and whatever completed.  Any other error propagates.
     """
     from .diagnostics import energy_inequality_audit
     from .driver import simulate
@@ -242,7 +229,7 @@ def vanishing_drag_sweep(frame: GaussianFrame, base_params: ModelParams,
         try:
             result = simulate(frame, params, q0n, u0n, dt=dt, t_final=t_final,
                               record_every=record_every, keep_states=True)
-        except Exception as exc:  # member failure: partial report
+        except SOLVER_FAILURES as exc:  # member failure: partial report
             report["failed_at"] = n
             report["failure"] = f"{type(exc).__name__}: {exc}"
             break

@@ -27,15 +27,13 @@ import numpy as np
 from .calculus import (
     ModelParams,
     POSITIVITY_FLOOR,
+    StateBundle,
     gradient_nodal,
-    hessian_log_nodal,
-    hessian_nodal,
-    masked_inverses,
-    require_positive,
+    velocity_gradient_nodal,
 )
 from .errors import InvalidParameterError
 from .galerkin import SimState
-from .spectral import ScalarField, VectorField, multiply
+from .spectral import GaussianFrame, ScalarField, VectorField
 
 __all__ = [
     "DiagnosticsRecord",
@@ -48,12 +46,9 @@ __all__ = [
     "check_log_sobolev",
     "lsi_margins",
     "check_hessian_lemma",
-    "check_poincare_family",
     "poincare_ratio",
     "poincare_korn_ratio",
     "energy_inequality_audit",
-    "minimal_energy",
-    "energy_lebesgue",
 ]
 
 
@@ -91,46 +86,7 @@ class DiagnosticsRecord:
     drag1_x: float
 
 
-class _StateBundle:
-    """Shared nodal quantities for one (q, u) pair.
-
-    Rational quantities (anything divided by a power of q) vanish on the
-    frame's untrusted tail nodes; polynomial ones keep raw values so their
-    quadrature sums stay exact.
-    """
-
-    def __init__(self, q: ScalarField, u: VectorField, floor: float):
-        frame = q.frame
-        self.frame = frame
-        self.qn = require_positive(q, floor)
-        self.mask = frame.trusted.astype(float)
-        self.inv_q, self.inv_sq = masked_inverses(frame, self.qn, floor)
-        self.q_safe = np.maximum(self.qn, floor)
-        self.un = u.nodal
-        self.gq = gradient_nodal(q)
-        self.hq = hessian_nodal(q)
-        self.glog = hessian_log_nodal(q, floor)  # sqrt(q) D^2 ln q
-        self.raw2 = np.einsum("in,in->n", self.un, self.un)
-        self.du = np.stack(
-            [
-                np.stack([frame.dV[k] @ u.components[i].coeffs for k in range(frame.dim)])
-                for i in range(frame.dim)
-            ]
-        )
-        self.dsym = 0.5 * (self.du + self.du.transpose(1, 0, 2))
-        self.askew = 0.5 * (self.du - self.du.transpose(1, 0, 2))
-        s2c = np.zeros(frame.n_basis)
-        for c in u.components:
-            s2c += multiply(c, c).coeffs
-        self.s2 = frame.V @ s2c  # dealiased |u|^2
-        self.fisher_integrand = np.einsum("in,in->n", self.gq, self.gq) * self.inv_q
-        self.qlnq = self.mask * self.q_safe * np.log(self.q_safe)
-
-    def quad(self, vals):
-        return self.frame.quad(vals)
-
-
-def _moment_values(b: _StateBundle):
+def _moment_values(b: StateBundle):
     frame = b.frame
     sig2 = frame.sigma**2
     mass = b.quad(b.qn)
@@ -144,12 +100,9 @@ def _moment_values(b: _StateBundle):
 def moments(q: ScalarField, u: VectorField | None = None,
             floor: float = POSITIVITY_FLOOR):
     """(mass, I2, I2_tilde, I4, Mx, Mu); Mu is zero when no velocity is given."""
-    frame = q.frame
-    if u is None:
-        u = VectorField.zero(frame)
-    b = _StateBundle(q, u, floor)
+    b = StateBundle(q, u, floor)
     mass, i2, i4, mx, mu = _moment_values(b)
-    return mass, i2, i2 - frame.dim, i4, mx, mu
+    return mass, i2, i2 - q.frame.dim, i4, mx, mu
 
 
 def energy(q: ScalarField, u: VectorField, params: ModelParams,
@@ -162,11 +115,10 @@ def energy(q: ScalarField, u: VectorField, params: ModelParams,
     sigma^2 that the energy balance produces and the dissipation absorbs up
     to an explicit linear-in-time allowance.
     """
-    b = _StateBundle(q, u, floor)
-    return _energy_from_bundle(b, params)
+    return _energy_from_bundle(StateBundle(q, u, floor), params)
 
 
-def _energy_from_bundle(b: _StateBundle, params: ModelParams):
+def _energy_from_bundle(b: StateBundle, params: ModelParams):
     frame = b.frame
     d = frame.dim
     sig2 = frame.sigma**2
@@ -198,11 +150,10 @@ def bd_entropy(q: ScalarField, u: VectorField, params: ModelParams,
     dissipation bookkeeping); the entropy itself is non-negative because
     q - ln q >= 1 and every other term is a square.
     """
-    b = _StateBundle(q, u, floor)
-    return _bd_from_bundle(b, params)
+    return _bd_from_bundle(StateBundle(q, u, floor), params)
 
 
-def _effective_kinetic(b: _StateBundle, params: ModelParams) -> np.ndarray:
+def _effective_kinetic(b: StateBundle, params: ModelParams) -> np.ndarray:
     # q |u + 2 nu grad ln q|^2, expanded so the polynomial pieces stay raw:
     # q|u|^2 + 4 nu u.grad q + 4 nu^2 |grad q|^2 / q
     return (
@@ -212,7 +163,7 @@ def _effective_kinetic(b: _StateBundle, params: ModelParams) -> np.ndarray:
     )
 
 
-def _bd_from_bundle(b: _StateBundle, params: ModelParams):
+def _bd_from_bundle(b: StateBundle, params: ModelParams):
     frame = b.frame
     d = frame.dim
     sig2 = frame.sigma**2
@@ -253,7 +204,10 @@ def bd_entropy_regularized(q: ScalarField, u: VectorField, params: ModelParams,
     The balance d/dt E_BD + D_BD_reg = R_BD_reg holds along exact
     trajectories, so its integrated residual is the BD audit quantity.
     """
-    b = _StateBundle(q, u, floor)
+    return _bd_reg_from_bundle(StateBundle(q, u, floor), params)
+
+
+def _bd_reg_from_bundle(b: StateBundle, params: ModelParams):
     frame = b.frame
     d = frame.dim
     sig2 = frame.sigma**2
@@ -307,17 +261,16 @@ def lsi_margins(q: ScalarField, floor: float = POSITIVITY_FLOOR,
     Both are surfaced in verification reports; the first is the asserted
     one, the second is informational (the two coincide at sigma = 1).
     """
-    frame = q.frame
-    qn = require_positive(q, floor)
-    mass = frame.quad(qn)
+    return _lsi_from_bundle(StateBundle(q, floor=floor), mass_tol)
+
+
+def _lsi_from_bundle(b: StateBundle, mass_tol: float):
+    mass = b.quad(b.qn)
     if abs(mass - 1.0) > mass_tol:
         raise InvalidParameterError(f"log-Sobolev check needs unit mass, got {mass:.12f}")
-    inv_q, _ = masked_inverses(frame, qn, floor)
-    gq = gradient_nodal(q)
-    dirichlet = 0.25 * frame.quad(np.einsum("in,in->n", gq, gq) * inv_q)
-    q_safe = np.maximum(qn, floor)
-    entropy = frame.quad(frame.trusted * q_safe * np.log(q_safe))
-    sig2 = frame.sigma**2
+    dirichlet = 0.25 * b.quad(b.fisher_integrand)
+    entropy = b.quad(b.qlnq)
+    sig2 = b.frame.sigma**2
     return 2.0 * sig2 * dirichlet - entropy, (2.0 / sig2) * dirichlet - entropy
 
 
@@ -330,18 +283,18 @@ def check_hessian_lemma(q: ScalarField, floor: float = POSITIVITY_FLOOR):
         D + sqrt(3 B D) + I4^(1/4) B^(3/4) / sigma - (A + B)        >= 0
         4 D + 3 I4 / (4 sigma^4)  - (A + B/2)                       >= 0
     """
-    frame = q.frame
-    qn = require_positive(q, floor)
-    inv_q, inv_sq = masked_inverses(frame, qn, floor)
-    gq = gradient_nodal(q)
-    hq = hessian_nodal(q)
-    hess_sqrt = 0.5 * hq * inv_sq - 0.25 * np.einsum("in,jn->ijn", gq, gq) * inv_q * inv_sq
+    return _hessian_lemma_from_bundle(StateBundle(q, floor=floor))
+
+
+def _hessian_lemma_from_bundle(b: StateBundle):
+    frame = b.frame
+    gq, inv_q, inv_sq = b.gq, b.inv_q, b.inv_sq
+    hess_sqrt = 0.5 * b.hq * inv_sq - 0.25 * np.einsum("in,jn->ijn", gq, gq) * inv_q * inv_sq
     a_val = frame.quad(np.einsum("ijn,ijn->n", hess_sqrt, hess_sqrt))
     grad2 = np.einsum("in,in->n", gq, gq)
     b_val = frame.quad(grad2**2 * inv_q**3 / 16.0)
-    glog = hessian_log_nodal(q, floor)
-    d_val = 0.25 * frame.quad(np.einsum("ijn,ijn->n", glog, glog))
-    i4 = frame.quad(qn * frame.radius_sq**2) / frame.sigma**4
+    d_val = 0.25 * frame.quad(np.einsum("ijn,ijn->n", b.glog, b.glog))
+    i4 = frame.quad(b.qn * frame.radius_sq**2) / frame.sigma**4
     margin_mid = (
         d_val
         + math.sqrt(3.0 * b_val * d_val)
@@ -370,37 +323,26 @@ def poincare_ratio(f: ScalarField) -> float:
     return lhs / rhs
 
 
-def _rotation_projection(u: VectorField) -> np.ndarray:
-    """Weighted L^2_mu projection onto the infinitesimal rotations, nodal values."""
-    frame = u.frame
-    if frame.dim == 1:
-        return np.zeros((1, frame.n_nodes))
-    x, y = frame.nodes[:, 0], frame.nodes[:, 1]
-    rot = np.stack([-y, x])
-    un = u.nodal
-    num = frame.quad(np.einsum("in,in->n", un, rot))
-    den = frame.quad(np.einsum("in,in->n", rot, rot))
-    return (num / den) * rot
-
-
 def poincare_korn_ratio(u: VectorField) -> float:
     """Korn-type ratio with mean and infinitesimal rotation removed.
 
     |sqrt(1+|x|^2)(u - mean - Proj u)| / |D(u)|; rigid rotations and
     constants give 0 by convention (both sides vanish).
     """
-    frame = u.frame
-    un = u.nodal
+    return _korn_ratio(u.frame, u.nodal, velocity_gradient_nodal(u))
+
+
+def _korn_ratio(frame: GaussianFrame, un: np.ndarray, du: np.ndarray) -> float:
     mean = np.array([frame.quad(un[i]) for i in range(frame.dim)])
-    centered = un - mean[:, None] - _rotation_projection(u)
+    centered = un - mean[:, None]
+    if frame.dim == 2:
+        # remove the weighted L^2_mu projection onto the infinitesimal rotations
+        rot = np.stack([-frame.nodes[:, 1], frame.nodes[:, 0]])
+        num = frame.quad(np.einsum("in,in->n", un, rot))
+        den = frame.quad(np.einsum("in,in->n", rot, rot))
+        centered = centered - (num / den) * rot
     lhs = math.sqrt(
         frame.quad((1.0 + frame.radius_sq) * np.einsum("in,in->n", centered, centered))
-    )
-    du = np.stack(
-        [
-            np.stack([frame.dV[k] @ u.components[i].coeffs for k in range(frame.dim)])
-            for i in range(frame.dim)
-        ]
     )
     dsym = 0.5 * (du + du.transpose(1, 0, 2))
     rhs = math.sqrt(frame.quad(np.einsum("ijn,ijn->n", dsym, dsym)))
@@ -411,44 +353,18 @@ def poincare_korn_ratio(u: VectorField) -> float:
     return lhs / rhs
 
 
-def check_poincare_family(samples) -> dict:
-    """Empirical ratio report over a family of scalar and vector fields.
-
-    Scalar entries go through :func:`poincare_ratio`, vector ones through
-    :func:`poincare_korn_ratio`.  Only finiteness of the suprema is a
-    meaningful assertion; the constants themselves are reported, never
-    pinned.
-    """
-    scalar, vector = [], []
-    for f in samples:
-        if isinstance(f, VectorField):
-            vector.append(poincare_korn_ratio(f))
-        else:
-            scalar.append(poincare_ratio(f))
-    report = {
-        "scalar_ratios": scalar,
-        "vector_ratios": vector,
-        "sup_scalar": max(scalar) if scalar else 0.0,
-        "sup_vector": max(vector) if vector else 0.0,
-    }
-    report["all_finite"] = bool(
-        np.isfinite(report["sup_scalar"]) and np.isfinite(report["sup_vector"])
-    )
-    return report
-
-
 def record(state: SimState, params: ModelParams,
            floor: float = POSITIVITY_FLOOR) -> DiagnosticsRecord:
     """Full diagnostics of one state."""
     q, u = state.q, state.u
     frame = q.frame
-    b = _StateBundle(q, u, floor)
+    b = StateBundle(q, u, floor)
     mass, i2, i4, mx, mu = _moment_values(b)
     e_reg, d_reg, r_reg = _energy_from_bundle(b, params)
     e_bd, d_bd, r_bd = _bd_from_bundle(b, params)
-    d_bd_reg, r_bd_reg = bd_entropy_regularized(q, u, params, floor)
-    lsi = lsi_margins(q, floor, mass_tol=1e-6)[0]
-    _, _, _, _, hmid, hfin = check_hessian_lemma(q, floor)
+    d_bd_reg, r_bd_reg = _bd_reg_from_bundle(b, params)
+    lsi = _lsi_from_bundle(b, mass_tol=1e-6)[0]
+    _, _, _, _, hmid, hfin = _hessian_lemma_from_bundle(b)
     sqrt_q = ScalarField(frame, nodal=np.sqrt(b.q_safe))
     x_dot_u = np.einsum("in,in->n", frame.nodes.T, b.un)
     return DiagnosticsRecord(
@@ -473,7 +389,7 @@ def record(state: SimState, params: ModelParams,
         hess_margin_mid=hmid,
         hess_margin_final=hfin,
         poincare_q=poincare_ratio(sqrt_q),
-        poincare_korn_u=poincare_korn_ratio(u),
+        poincare_korn_u=_korn_ratio(frame, b.un, b.du),
         ke2=b.quad(b.qn * b.raw2),
         fisher=b.quad(b.fisher_integrand),
         cross_qu=b.quad(np.einsum("in,in->n", b.gq, b.un)),
@@ -582,34 +498,6 @@ def energy_inequality_audit(records, params: ModelParams, sigma: float | None = 
         "ebd_min": float(np.min(e_bd)),
         "final_energy": float(e[-1]),
     }
-
-
-def minimal_energy(params: ModelParams, sigma: float, dim: int) -> float:
-    """Flat-measure energy of the Gaussian equilibrium."""
-    return dim * (params.kappa**2 / sigma**2 - 0.5 * params.a * math.log(2.0 * math.pi * sigma**2))
-
-
-def energy_lebesgue(q: ScalarField, u: VectorField, params: ModelParams,
-                    floor: float = POSITIVITY_FLOOR) -> float:
-    """Total flat-measure energy of rho = q rho_m: kinetic + entropic +
-    capillary-Fisher + confinement, computed by the same quadrature."""
-    frame = q.frame
-    d = frame.dim
-    sig2 = frame.sigma**2
-    b = _StateBundle(q, u, floor)
-    ln_rho_m = -0.5 * d * math.log(2.0 * math.pi * sig2) - frame.radius_sq / (2.0 * sig2)
-    # q |grad ln rho|^2 expanded: |grad q|^2/q - 2 grad q . x / sigma^2 + q |x|^2 / sigma^4
-    fisher_rho = (
-        b.fisher_integrand
-        - 2.0 * np.einsum("in,in->n", b.gq, frame.nodes.T) / sig2
-        + b.qn * frame.radius_sq / sig2**2
-    )
-    return (
-        0.5 * b.quad(b.qn * b.raw2)
-        + params.a * (b.quad(b.qlnq) + b.quad(b.qn * ln_rho_m))
-        + 0.5 * params.kappa**2 * b.quad(fisher_rho)
-        + 0.5 * params.lam * b.quad(b.qn * frame.radius_sq)
-    )
 
 
 def csv_header(dim: int) -> list[str]:

@@ -11,7 +11,7 @@ from .fokker_planck import envelope_check
 from .galerkin import SimState, coupled_step, make_initial_state
 from .spectral import GaussianFrame, ScalarField, VectorField
 
-__all__ = ["SimulationResult", "simulate"]
+__all__ = ["SimulationResult", "simulate", "step_count"]
 
 
 @dataclass
@@ -20,6 +20,16 @@ class SimulationResult:
     final_state: SimState
     envelope_ok: bool
     states: list[SimState] = field(default_factory=list)
+
+
+def step_count(dt: float, t_final: float) -> int:
+    """Number of steps of size dt that end exactly at t_final."""
+    if dt <= 0.0 or t_final <= 0.0:
+        raise InvalidParameterError("dt and t_final must be positive")
+    n_steps = int(round(t_final / dt))
+    if abs(n_steps * dt - t_final) > 1e-9 * t_final:
+        raise InvalidParameterError(f"t_final={t_final} is not a multiple of dt={dt}")
+    return n_steps
 
 
 def simulate(frame: GaussianFrame, params: ModelParams, q0: ScalarField,
@@ -31,12 +41,7 @@ def simulate(frame: GaussianFrame, params: ModelParams, q0: ScalarField,
     Solver failures (positivity breach, fixed-point stall) propagate to the
     caller; an envelope violation only clears ``envelope_ok``.
     """
-    if dt <= 0.0 or t_final <= 0.0:
-        raise InvalidParameterError("dt and t_final must be positive")
-    n_steps = int(round(t_final / dt))
-    if abs(n_steps * dt - t_final) > 1e-9 * t_final:
-        raise InvalidParameterError(f"t_final={t_final} is not a multiple of dt={dt}")
-
+    n_steps = step_count(dt, t_final)
     state = make_initial_state(q0, u0)
     records = [record(state, params)]
     states = [state] if keep_states else []

@@ -35,5 +35,10 @@ class InternalConsistencyError(RuntimeError):
     """A quantity the scheme conserves by construction drifted."""
 
 
+#: what a run that started from valid inputs may raise when the numerics
+#: break down; anything else is a programming error and propagates
+SOLVER_FAILURES = (PositivityError, StepFailureError, InternalConsistencyError)
+
+
 class ConfigError(ValueError):
     """A run configuration file is malformed."""

@@ -24,21 +24,12 @@ solve repeats until successive iterates agree to ``picard_tol``.
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .calculus import (
-    ModelParams,
-    POSITIVITY_FLOOR,
-    gradient_nodal,
-    hessian_nodal,
-    masked_inverses,
-    require_positive,
-)
+from .calculus import ModelParams, POSITIVITY_FLOOR, StateBundle, require_positive
 from .errors import (
     InternalConsistencyError,
     InvalidParameterError,
@@ -46,7 +37,7 @@ from .errors import (
     StepFailureError,
 )
 from .fokker_planck import PositivityEnvelope, divm_sup, envelope_update, fp_step
-from .spectral import GaussianFrame, ScalarField, VectorField, multiply
+from .spectral import GaussianFrame, ScalarField, VectorField
 
 __all__ = [
     "SimState",
@@ -55,7 +46,6 @@ __all__ = [
     "project_initial_velocity",
     "momentum_rhs",
     "coupled_step",
-    "recenter",
     "make_initial_state",
 ]
 
@@ -109,9 +99,6 @@ class MassOperator:
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
         return coeffs @ self.matrix.T
 
-    def smallest_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
-
 
 def assemble_mass(q: ScalarField) -> MassOperator:
     """Gram matrix of the basis weighted by q, by plain (exact) quadrature.
@@ -146,15 +133,6 @@ def project_initial_velocity(q0: ScalarField, u0_nodal: np.ndarray | VectorField
     return VectorField.from_coeffs(frame, mass.solve(rhs))
 
 
-def _dealiased_speed_sq(u: VectorField) -> np.ndarray:
-    """|u|^2 projected back to degree N before entering quartic forms."""
-    frame = u.frame
-    s2 = np.zeros(frame.n_basis)
-    for c in u.components:
-        s2 += multiply(c, c).coeffs
-    return frame.V @ s2
-
-
 def momentum_rhs(q: ScalarField, u: VectorField, params: ModelParams,
                  floor: float = POSITIVITY_FLOOR, *,
                  pressure_coef: float | None = None,
@@ -184,17 +162,8 @@ def momentum_rhs(q: ScalarField, u: VectorField, params: ModelParams,
     kappa_sq = params.kappa**2 if kappa_sq is None else kappa_sq
     pressure = params.lam * sig2 if pressure_coef is None else pressure_coef
 
-    qn = require_positive(q, floor)
-    inv_q, _ = masked_inverses(frame, qn, floor)
-    un = u.nodal
-    du = np.stack([np.stack([frame.dV[k] @ u.components[i].coeffs for k in range(d)])
-                   for i in range(d)])  # du[i, k] = d_k u_i
-    dsym = 0.5 * (du + du.transpose(1, 0, 2))
-    gq = gradient_nodal(q)
-    hq = hessian_nodal(q)
-    # capillarity: polynomial part raw (exact quadrature), rational part masked
-    stress = 0.5 * hq - 0.5 * np.einsum("in,jn->ijn", gq, gq) * inv_q
-    s2 = _dealiased_speed_sq(u)
+    b = StateBundle(q, u, floor)
+    qn, un, du, gq, s2 = b.qn, b.un, b.du, b.gq, b.s2
     w = frame.weights
     x = frame.nodes.T
     rsq = frame.radius_sq
@@ -212,12 +181,52 @@ def momentum_rhs(q: ScalarField, u: VectorField, params: ModelParams,
         for k in range(d):
             grad_part = (
                 transport_coef * qn * un[i] * un[k]
-                - 2.0 * nu * qn * dsym[i, k]
-                - 2.0 * kappa_sq * stress[i, k]
+                - 2.0 * nu * qn * b.dsym[i, k]
+                - 2.0 * kappa_sq * b.stress[i, k]
             )
             vec += frame.dV[k].T @ (w * grad_part)
         out[i] = vec
     return out
+
+
+def _joint_fixed_point(q_prev: ScalarField, u_prev: VectorField, params: ModelParams,
+                       dt: float, t: float, coeffs: dict, picard_tol: float,
+                       max_sweeps: int, fp_sweeps: int, floor: float):
+    """One step of the joint density/velocity fixed point, from time t.
+
+    ``coeffs`` overrides the :func:`momentum_rhs` coefficients (empty for
+    the confined system); its ``transport_coef`` also scales the velocity
+    that advects the density.  Returns the new (q, u).
+    """
+    if dt <= 0.0:
+        raise InvalidParameterError(f"dt must be positive, got {dt}")
+    momentum_prev = assemble_mass(q_prev).apply(u_prev.coeffs)
+    advection = 0.5 * coeffs.get("transport_coef", 1.0)
+
+    u_iter = u_prev
+    for _ in range(max_sweeps):
+        q_new = fp_step(q_prev, advection * (u_prev + u_iter), params.delta1, dt,
+                        sweeps=fp_sweeps)
+        q_mid = 0.5 * (q_prev + q_new)
+        u_mid = 0.5 * (u_prev + u_iter)
+        force = momentum_rhs(q_mid, u_mid, params, floor, **coeffs)
+        u_next = VectorField.from_coeffs(
+            q_prev.frame, assemble_mass(q_new).solve(momentum_prev + dt * force)
+        )
+        diff = float(np.linalg.norm(u_next.coeffs - u_iter.coeffs))
+        u_iter = u_next
+        if diff < picard_tol:
+            break
+    else:
+        raise StepFailureError(
+            f"velocity fixed point did not settle below {picard_tol:.1e} "
+            f"in {max_sweeps} sweeps at t={t:.6g}; reduce dt"
+        )
+
+    drift = abs(float(q_new.coeffs[0]) - float(q_prev.coeffs[0]))
+    if drift > 1e-10:
+        raise InternalConsistencyError(f"mass drifted by {drift:.3e} over one step")
+    return q_new, u_iter
 
 
 def coupled_step(state: SimState, params: ModelParams, dt: float,
@@ -230,90 +239,7 @@ def coupled_step(state: SimState, params: ModelParams, dt: float,
     matrix carries the momentum from the previous state so the update
     discretizes d/dt(M[q]u) directly.
     """
-    if dt <= 0.0:
-        raise InvalidParameterError(f"dt must be positive, got {dt}")
-    frame = state.frame
-    q_prev, u_prev = state.q, state.u
-    momentum_prev = assemble_mass(q_prev).apply(u_prev.coeffs)
-
-    u_iter = u_prev
-    q_new = q_prev
-    converged = False
-    for _ in range(max_sweeps):
-        u_adv = 0.5 * (u_prev + u_iter)
-        q_new = fp_step(q_prev, u_adv, params.delta1, dt, sweeps=fp_sweeps)
-        q_mid = 0.5 * (q_prev + q_new)
-        u_mid = 0.5 * (u_prev + u_iter)
-        force = momentum_rhs(q_mid, u_mid, params, floor)
-        u_next = VectorField.from_coeffs(
-            frame, assemble_mass(q_new).solve(momentum_prev + dt * force)
-        )
-        diff = float(np.linalg.norm(u_next.coeffs - u_iter.coeffs))
-        u_iter = u_next
-        if diff < picard_tol:
-            converged = True
-            break
-    if not converged:
-        raise StepFailureError(
-            f"velocity fixed point did not settle below {picard_tol:.1e} "
-            f"in {max_sweeps} sweeps at t={state.t:.6g}; reduce dt"
-        )
-
-    drift = abs(float(q_new.coeffs[0]) - float(q_prev.coeffs[0]))
-    if drift > 1e-10:
-        raise InternalConsistencyError(f"mass drifted by {drift:.3e} over one step")
-    env = envelope_update(state.env, u_iter, dt)
-    return SimState(q=q_new, u=u_iter, t=state.t + dt, env=env)
-
-
-def _mean_position(q: ScalarField) -> np.ndarray:
-    frame = q.frame
-    wq = frame.weights * q.nodal
-    return frame.nodes.T @ wq
-
-
-def _mean_velocity(q: ScalarField, u: VectorField) -> np.ndarray:
-    frame = q.frame
-    wq = frame.weights * q.nodal
-    return np.array([float(wq @ c.nodal) for c in u.components])
-
-
-def recenter(state: SimState, max_passes: int = 3, tol: float = 1e-12) -> SimState:
-    """Shift the state so mean position and mean velocity vanish.
-
-    Implemented by resampling the flat-measure density and velocity at the
-    shifted quadrature nodes and re-projecting; the density picks up the
-    Gaussian tilt factor rho_m(x + m)/rho_m(x).  Mass is restored exactly by
-    rescaling the coefficients.
-    """
-    frame = state.frame
-    q, u = state.q, state.u
-    for _ in range(max_passes):
-        m = _mean_position(q)
-        mu = _mean_velocity(q, u)
-        if np.max(np.abs(m)) < tol and np.max(np.abs(mu)) < tol:
-            break
-        if np.linalg.norm(m) > 0.5 * frame.sigma:
-            warnings.warn(
-                f"recentering shift |m|={np.linalg.norm(m):.3g} is large relative to "
-                f"sigma={frame.sigma:.3g}; resampled fields may be under-resolved",
-                stacklevel=2,
-            )
-        shifted = frame.nodes + m[None, :]
-        basis = frame.basis_eval(shifted)
-        tilt = np.exp(
-            -(2.0 * frame.nodes @ m + float(m @ m)) / (2.0 * frame.sigma**2)
-        )
-        q_nodal = (basis @ q.coeffs) * tilt
-        q = ScalarField(frame, coeffs=frame.project_nodal(q_nodal))
-        mass = float(q.coeffs[0])
-        if abs(mass) < 1e-14:
-            raise InternalConsistencyError("recentered density lost its mass")
-        q = ScalarField(frame, coeffs=q.coeffs / mass)
-        u = VectorField(
-            [
-                ScalarField(frame, coeffs=frame.project_nodal(basis @ c.coeffs - mu[i]))
-                for i, c in enumerate(u.components)
-            ]
-        )
-    return SimState(q=q, u=u, t=state.t, env=state.env)
+    q_new, u_new = _joint_fixed_point(state.q, state.u, params, dt, state.t, {},
+                                      picard_tol, max_sweeps, fp_sweeps, floor)
+    env = envelope_update(state.env, u_new, dt)
+    return SimState(q=q_new, u=u_new, t=state.t + dt, env=env)

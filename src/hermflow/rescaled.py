@@ -35,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import ModelParams, POSITIVITY_FLOOR, gradient_nodal
+from .calculus import ModelParams, POSITIVITY_FLOOR, StateBundle
+from .driver import step_count
 from .errors import InvalidParameterError, StepFailureError
-from .fokker_planck import fp_step
-from .galerkin import assemble_mass, momentum_rhs
+from .galerkin import _joint_fixed_point
 from .spectral import GaussianFrame, ScalarField, VectorField
 
 __all__ = [
@@ -75,10 +75,10 @@ def tau_energy(state: TauState, a: float, kappa: float) -> float:
 
 def tau_solve(a: float, kappa: float, nu: float, t_final: float, dt: float,
               store_every: int = 1) -> list[TauState]:
-    """Classical fourth-order Runge-Kutta on (tau, tau_dot) from (1, 0)."""
-    if dt <= 0.0 or t_final <= 0.0:
-        raise InvalidParameterError("t_final and dt must be positive")
-    n_steps = int(round(t_final / dt))
+    """Classical fourth-order Runge-Kutta on (tau, tau_dot) from (1, 0).
+
+    ``t_final`` must be a whole number of steps ``dt``."""
+    n_steps = step_count(dt, t_final)
     tau, p, t = 1.0, 0.0, 0.0
     out = [TauState(tau, p, t)]
     for step in range(n_steps):
@@ -176,29 +176,9 @@ def rescaled_step(q: ScalarField, u: VectorField, tau_mid: TauState,
     """
     if any(getattr(params, k) != 0.0 for k in ("r0", "r1", "r4", "delta1")):
         raise InvalidParameterError("rescaled stepping requires r0 = r1 = r4 = delta1 = 0")
-    frame = q.frame
     coeffs = _tau_coeffs(params, tau_mid.tau, tau_mid.tau_dot)
-    momentum_prev = assemble_mass(q).apply(u.coeffs)
-    u_iter = u
-    q_new = q
-    converged = False
-    for _ in range(max_sweeps):
-        u_adv = (0.5 / tau_mid.tau**2) * (u + u_iter)
-        q_new = fp_step(q, u_adv, 0.0, dt, sweeps=fp_sweeps)
-        q_mid = 0.5 * (q + q_new)
-        u_mid = 0.5 * (u + u_iter)
-        force = momentum_rhs(q_mid, u_mid, params, floor, **coeffs)
-        u_next = VectorField.from_coeffs(frame, assemble_mass(q_new).solve(momentum_prev + dt * force))
-        diff = float(np.linalg.norm(u_next.coeffs - u_iter.coeffs))
-        u_iter = u_next
-        if diff < picard_tol:
-            converged = True
-            break
-    if not converged:
-        raise StepFailureError(
-            f"rescaled velocity fixed point did not settle below {picard_tol:.1e}; reduce dt"
-        )
-    return q_new, u_iter
+    return _joint_fixed_point(q, u, params, dt, tau_mid.t, coeffs,
+                              picard_tol, max_sweeps, fp_sweeps, floor)
 
 
 def rescaled_energy(q: ScalarField, u: VectorField, tau_state: TauState,
@@ -210,45 +190,27 @@ def rescaled_energy(q: ScalarField, u: VectorField, tau_state: TauState,
     remainder returned by :func:`rescaled_bd_remainder`;
     :func:`combined_identity_residual` audits it either way.
     """
-    frame = q.frame
-    from .calculus import hessian_log_nodal, masked_inverses, require_positive
-
-    qn = require_positive(q, floor)
-    inv_q, _ = masked_inverses(frame, qn, floor)
+    b = StateBundle(q, u, floor)
     tau, tdot = tau_state.tau, tau_state.tau_dot
-    un = u.nodal
-    gq = gradient_nodal(q)
-    fisher_integrand = np.einsum("in,in->n", gq, gq) * inv_q
-    ke = frame.quad(qn * np.einsum("in,in->n", un, un))
-    dirichlet = 0.25 * frame.quad(fisher_integrand)
-    q_safe = np.maximum(qn, floor)
-    entropy = frame.quad(frame.trusted * q_safe * np.log(q_safe))
+    ke = b.quad(b.qn * b.raw2)
+    dirichlet = 0.25 * b.quad(b.fisher_integrand)
+    entropy = b.quad(b.qlnq)
     kinetic_block = ke + 4.0 * params.kappa**2 * dirichlet
-
-    du = np.stack(
-        [
-            np.stack([frame.dV[k] @ u.components[i].coeffs for k in range(frame.dim)])
-            for i in range(frame.dim)
-        ]
-    )
-    dsym = 0.5 * (du + du.transpose(1, 0, 2))
-    askew = 0.5 * (du - du.transpose(1, 0, 2))
-    glog = hessian_log_nodal(q, floor)
     # q|W|^2 with W = U + 2 nu grad(ln Q), expanded to keep polynomials raw
-    cross = frame.quad(np.einsum("in,in->n", un, gq))
-    fisher = frame.quad(fisher_integrand)
+    cross = b.quad(np.einsum("in,in->n", b.un, b.gq))
+    fisher = b.quad(b.fisher_integrand)
     ke_w = ke + 4.0 * params.nu * cross + 4.0 * params.nu**2 * fisher
 
     e_val = 0.5 / tau**2 * kinetic_block + params.a * entropy
-    d_val = tdot / tau**3 * kinetic_block + 2.0 * params.nu / tau**4 * frame.quad(
-        qn * np.einsum("ijn,ijn->n", dsym, dsym)
+    d_val = tdot / tau**3 * kinetic_block + 2.0 * params.nu / tau**4 * b.quad(
+        b.qn * np.einsum("ijn,ijn->n", b.dsym, b.dsym)
     )
     e_bd = 0.5 / tau**2 * (ke_w + 4.0 * params.kappa**2 * dirichlet) + params.a * entropy
     d_bd = (
         tdot / tau**3 * kinetic_block
-        + 2.0 * params.nu / tau**4 * frame.quad(qn * np.einsum("ijn,ijn->n", askew, askew))
+        + 2.0 * params.nu / tau**4 * b.quad(b.qn * np.einsum("ijn,ijn->n", b.askew, b.askew))
         + 2.0 * params.nu * params.kappa**2 / tau**4
-        * frame.quad(np.einsum("ijn,ijn->n", glog, glog))
+        * b.quad(np.einsum("ijn,ijn->n", b.glog, b.glog))
         + 2.0 * params.nu * (params.a / tau**2 + params.kappa**2 / tau**4) * fisher
     )
     return e_val, d_val, e_bd, d_bd
@@ -272,13 +234,9 @@ def rescaled_bd_remainder(q: ScalarField, u: VectorField, tau_state: TauState,
 
     This function returns the right-hand side.
     """
-    from .calculus import require_positive
-
-    frame = q.frame
-    qn = require_positive(q, floor)
-    gq = gradient_nodal(q)
-    ke = frame.quad(qn * np.einsum("in,in->n", u.nodal, u.nodal))
-    cross = frame.quad(np.einsum("in,in->n", u.nodal, gq))
+    b = StateBundle(q, u, floor)
+    ke = b.quad(b.qn * b.raw2)
+    cross = b.quad(np.einsum("in,in->n", b.un, b.gq))
     return 2.0 * params.nu / tau_state.tau**4 * (ke + 2.0 * params.nu * cross)
 
 

@@ -38,14 +38,12 @@ __all__ = [
     "GaussianFrame",
     "ScalarField",
     "VectorField",
-    "TensorField",
     "sigma_from_coefficients",
     "build_frame",
     "transform",
     "inverse_transform",
     "integrate",
     "ou_apply",
-    "derivative",
     "multiply",
     "TRUST_LIMIT",
 ]
@@ -392,36 +390,6 @@ class VectorField:
     __rmul__ = __mul__
 
 
-class TensorField:
-    """dim x dim scalar components with a declared symmetry.
-
-    ``symmetry`` is one of ``"symmetric"``, ``"skew"`` or ``"general"``; it is
-    a bookkeeping flag for assembly shortcuts, validated only at creation by
-    the producing operation.
-    """
-
-    __slots__ = ("frame", "components", "symmetry")
-
-    def __init__(self, components, symmetry: str = "general"):
-        if symmetry not in ("symmetric", "skew", "general"):
-            raise ValueError(f"unknown symmetry flag {symmetry!r}")
-        rows = tuple(tuple(row) for row in components)
-        frame = rows[0][0].frame
-        if len(rows) != frame.dim or any(len(r) != frame.dim for r in rows):
-            raise DimensionError("tensor must be dim x dim")
-        for row in rows:
-            for c in row:
-                if not frame.same_as(c.frame):
-                    raise DimensionError("tensor components live on different frames")
-        self.frame = frame
-        self.components = rows
-        self.symmetry = symmetry
-
-    @property
-    def nodal(self) -> np.ndarray:
-        return np.stack([np.stack([c.nodal for c in row]) for row in self.components])
-
-
 def transform(frame: GaussianFrame, nodal_values: np.ndarray) -> ScalarField:
     """Nodal values -> spectral field (exact interpolation for degree <= N)."""
     return ScalarField(frame, coeffs=frame.project_nodal(np.asarray(nodal_values, dtype=float)))
@@ -441,12 +409,6 @@ def ou_apply(f: ScalarField) -> ScalarField:
     """Ornstein-Uhlenbeck operator: diagonal, eigenvalue -(total degree)/sigma^2."""
     frame = f.frame
     return ScalarField(frame, coeffs=f.coeffs * (-frame.total_degree / frame.sigma**2))
-
-
-def derivative(f: ScalarField, axis: int = 0) -> ScalarField:
-    if not 0 <= axis < f.frame.dim:
-        raise DimensionError(f"axis {axis} out of range for dim {f.frame.dim}")
-    return ScalarField(f.frame, coeffs=f.frame.diff_mats[axis] @ f.coeffs)
 
 
 def multiply(f: ScalarField, g: ScalarField) -> ScalarField:

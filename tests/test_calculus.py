@@ -6,25 +6,23 @@ from hermflow import (
     ModelParams,
     PositivityError,
     ScalarField,
+    StateBundle,
     VectorField,
     div_m,
-    grad_parts,
-    hessian_log,
-    korteweg_tensor,
     q_of_rho,
     rho_of_q,
 )
-from hermflow.calculus import (
-    bohm_residual,
-    div_m_tensor,
-    grad,
-    korteweg_consistency,
-    hessian_log_nodal,
-)
+from hermflow.calculus import bohm_residual, gradient_nodal, korteweg_consistency
 from hermflow.sampling import random_density, random_field, random_velocity, tilted_density
-from hermflow.spectral import derivative, transform
+from hermflow.spectral import transform
 
 from conftest import unit_field
+
+
+def grad_parts(u):
+    """Symmetric/skew split D + A = grad u, as the solver's bundle forms it."""
+    b = StateBundle(unit_field(u.frame), u)
+    return b.dsym, b.askew
 
 
 class TestModelParams:
@@ -72,29 +70,23 @@ class TestTwistedDivergence:
         for frame in (frame_1d, frame_2d):
             q = random_field(frame, rng)
             v = random_velocity(frame, rng)
-            lhs = sum(
-                frame.quad(derivative(q, ax).nodal * v.components[ax].nodal)
-                for ax in range(frame.dim)
-            )
+            gq = gradient_nodal(q)
+            lhs = sum(frame.quad(gq[ax] * v.components[ax].nodal) for ax in range(frame.dim))
             rhs = -frame.quad(q.nodal * div_m(v).nodal)
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_tensor_integration_by_parts(self, frame_2d, rng):
+        # int div_m(D(v)) . w = -int D(v):D(w), div_m taken row by row
         v = random_velocity(frame_2d, rng)
         w = random_velocity(frame_2d, rng)
         dv, _ = grad_parts(v)
         dw, _ = grad_parts(w)
         lhs = sum(
-            frame_2d.quad(div_m_tensor(dv).components[i].nodal * w.components[i].nodal)
+            frame_2d.quad(div_m(VectorField.from_nodal(frame_2d, dv[i])).nodal
+                          * w.components[i].nodal)
             for i in range(2)
         )
-        rhs = -frame_2d.quad(
-            sum(
-                dv.components[i][j].nodal * dw.components[i][j].nodal
-                for i in range(2)
-                for j in range(2)
-            )
-        )
+        rhs = -frame_2d.quad(np.einsum("ijn,ijn->n", dv, dw))
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -103,47 +95,45 @@ class TestGradParts:
         x, y = frame_2d.nodes[:, 0], frame_2d.nodes[:, 1]
         u = VectorField([transform(frame_2d, x), transform(frame_2d, y)])
         d, a = grad_parts(u)
-        assert d.symmetry == "symmetric" and a.symmetry == "skew"
-        assert d.components[0][0].coeffs[0] == pytest.approx(1.0, abs=1e-12)
-        assert frame_2d.norm_l2mu(d.components[0][1].nodal) < 1e-12
-        assert max(frame_2d.norm_l2mu(a.components[i][j].nodal)
-                   for i in range(2) for j in range(2)) < 1e-12
+        assert np.max(np.abs(d - d.transpose(1, 0, 2))) == 0.0
+        assert np.max(np.abs(a + a.transpose(1, 0, 2))) == 0.0
+        assert frame_2d.norm_l2mu(d[0, 0] - 1.0) < 1e-12
+        assert frame_2d.norm_l2mu(d[0, 1]) < 1e-12
+        assert max(frame_2d.norm_l2mu(a[i, j]) for i in range(2) for j in range(2)) < 1e-12
 
     def test_rotation(self, frame_2d):
         x, y = frame_2d.nodes[:, 0], frame_2d.nodes[:, 1]
         u = VectorField([transform(frame_2d, -y), transform(frame_2d, x)])
         d, a = grad_parts(u)
-        assert max(frame_2d.norm_l2mu(d.components[i][j].nodal)
-                   for i in range(2) for j in range(2)) < 1e-12
+        assert max(frame_2d.norm_l2mu(d[i, j]) for i in range(2) for j in range(2)) < 1e-12
         # A = (grad u - grad u^T)/2 with grad u = [[0,-1],[1,0]]
-        assert a.components[0][1].coeffs[0] == pytest.approx(-1.0, abs=1e-12)
+        assert frame_2d.norm_l2mu(a[0, 1] + 1.0) < 1e-12
 
     def test_shear(self, frame_2d):
         x, y = frame_2d.nodes[:, 0], frame_2d.nodes[:, 1]
         u = VectorField([transform(frame_2d, x * y), transform(frame_2d, 0.0 * x)])
         d, a = grad_parts(u)
-        assert frame_2d.norm_l2mu(d.components[0][1].nodal - x / 2.0) < 1e-12
-        assert frame_2d.norm_l2mu(a.components[0][1].nodal - x / 2.0) < 1e-12
+        assert frame_2d.norm_l2mu(d[0, 1] - x / 2.0) < 1e-12
+        assert frame_2d.norm_l2mu(a[0, 1] - x / 2.0) < 1e-12
 
     def test_decomposition_sums_to_gradient(self, frame_2d, rng):
         u = random_velocity(frame_2d, rng)
         d, a = grad_parts(u)
-        g01 = derivative(u.components[0], 1)
-        assert np.allclose(
-            d.components[0][1].coeffs + a.components[0][1].coeffs, g01.coeffs, atol=1e-13
-        )
+        g01 = gradient_nodal(u.components[0])[1]
+        assert frame_2d.norm_l2mu(d[0, 1] + a[0, 1] - g01) < 1e-13
 
 
 class TestCapillarityStress:
     def test_equilibrium_vanishes(self, frame_1d):
-        s = korteweg_tensor(unit_field(frame_1d))
-        assert np.max(np.abs(s.nodal)) == 0.0
+        s = StateBundle(unit_field(frame_1d)).stress
+        assert np.max(np.abs(s)) == 0.0
 
     def test_tilt_vanishes(self, frame_1d_fine):
-        # affine log-density has zero capillarity stress up to truncation
+        # affine log-density has zero capillarity stress up to truncation,
+        # on the trusted nodes where both parts of the stress are formed
         q = tilted_density(frame_1d_fine, 0.4)
-        s = korteweg_tensor(q)
-        assert frame_1d_fine.norm_l2mu(s.nodal[0, 0]) < 1e-10
+        s = StateBundle(q).stress
+        assert frame_1d_fine.norm_l2mu(s[0, 0] * frame_1d_fine.trusted) < 1e-10
 
     def test_two_forms_agree(self, frame_1d, frame_2d, rng):
         for frame in (frame_1d, frame_2d):
@@ -155,15 +145,15 @@ class TestCapillarityStress:
         x = frame_1d.nodes[:, 0]
         bad = transform(frame_1d, 0.1 + 0.2 * x)  # negative on trusted nodes
         with pytest.raises(PositivityError) as err:
-            korteweg_tensor(bad)
+            StateBundle(bad)
         assert err.value.node is not None
         assert err.value.value < 0.1
 
 
 class TestHessianLog:
     def test_equilibrium(self, frame_1d):
-        h = hessian_log(unit_field(frame_1d))
-        assert np.max(np.abs(h.nodal)) == 0.0
+        h = StateBundle(unit_field(frame_1d)).glog
+        assert np.max(np.abs(h)) == 0.0
 
     def test_gaussian_ratio(self, frame_1d_fine):
         # q = c exp(-x^2/8): ln q has second derivative -1/4, so
@@ -173,19 +163,22 @@ class TestHessianLog:
         vals = np.exp(-(x**2) / 8.0)
         q = ScalarField(frame, nodal=vals)
         q = ScalarField(frame, coeffs=q.coeffs / q.coeffs[0])
-        h = hessian_log_nodal(q)
+        h = StateBundle(q).glog
         ref = -0.25 * np.sqrt(np.maximum(q.nodal, 1e-300)) * frame.trusted
         assert frame.norm_l2mu(h[0, 0] - ref) < 1e-6
 
     def test_tilt_vanishes(self, frame_1d_fine):
         q = tilted_density(frame_1d_fine, 0.4)
-        h = hessian_log_nodal(q)
+        h = StateBundle(q).glog
         assert frame_1d_fine.norm_l2mu(h[0, 0]) < 1e-10
 
     def test_symmetry_and_sqrt_form(self, frame_2d, rng):
         q = random_density(frame_2d, rng)
-        h = hessian_log_nodal(q)
+        b = StateBundle(q)
+        h = b.glog
         assert np.max(np.abs(h - h.transpose(1, 0, 2))) < 1e-12
+        # sqrt(q) D^2(ln q) = 2 [sqrt(q) D^2 sqrt(q) - grad sqrt(q) (x) grad sqrt(q)] / sqrt(q)
+        assert np.max(np.abs(h - 2.0 * b.stress * b.inv_sq)) < 1e-9
 
 
 class TestBohmIdentity:

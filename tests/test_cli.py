@@ -107,6 +107,23 @@ class TestSimulateCommand:
         assert code == 3
         assert "typo_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new", [
+        ("lambda = 2.0", "lambda = 2.0\n    r0 = 2.0"),
+        ("lambda = 2.0", "lambda = -1"),
+        ("dim = 1", "dim = 3"),
+        ("degree = 12", "degree = 8\n    quad_order = 10"),
+        ("t_final = 0.02", "t_final = 0.0025"),
+        ("family = steady", "family = file\n    path = {tmp}/short.npz"),
+    ], ids=["r0", "lambda", "dim", "quad_order", "t_final", "file_coeffs"])
+    def test_out_of_range_value_exits_3(self, tmp_path, capsys, old, new):
+        # values the solver's own constructors reject are config errors
+        np.savez(tmp_path / "short.npz", q_coeffs=np.ones(5), u_coeffs=np.zeros((1, 13)))
+        body = STEADY.replace(old, new.format(tmp=tmp_path))
+        code = main(["simulate", write_config(tmp_path / "a.cfg", body),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_mode_mismatch_exits_3(self, tmp_path):
         code = main(["verify", write_config(tmp_path / "a.cfg", STEADY)])
         assert code == 3

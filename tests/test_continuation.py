@@ -5,7 +5,6 @@ from hermflow import InvalidParameterError, ModelParams, VectorField, build_fram
 from hermflow.continuation import (
     drag_schedule,
     mollify_initial_data,
-    renormalization_cutoff,
     vanishing_drag_sweep,
 )
 from hermflow.sampling import random_density, tilted_density
@@ -91,26 +90,6 @@ class TestDragSchedule:
                 assert i4 / (n + i4**2) <= 1.0 / np.sqrt(n) + 1e-15
 
 
-class TestRenormalizationCutoff:
-    def test_bounds_and_plateau(self):
-        y = np.linspace(0.0, 25.0, 4001)
-        for level in (1.0, 2.0, 5.0):
-            vals = renormalization_cutoff(y, level)
-            assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
-            inside = (y >= 1.0 / level) & (y <= level)
-            assert np.all(vals[inside] == 1.0)
-
-    def test_pointwise_limit(self):
-        y = np.array([0.05, 0.5, 1.0, 3.0, 9.0])
-        gap = [np.max(np.abs(renormalization_cutoff(y, l) - 1.0)) for l in (2.0, 8.0, 32.0, 128.0)]
-        assert all(b <= a for a, b in zip(gap, gap[1:]))
-        assert gap[-1] < 0.1
-
-    def test_invalid_level(self):
-        with pytest.raises(InvalidParameterError):
-            renormalization_cutoff(np.array([1.0]), 0.5)
-
-
 class TestVanishingDragSweep:
     def test_identical_members_give_zero_increments(self, tight_frame):
         # degenerate check: a sweep of one member has no increments and
@@ -132,6 +111,20 @@ class TestVanishingDragSweep:
         incs = [i["sqrtq_h1"] for i in rep["increments"]]
         assert incs[1] < incs[0]
         assert rep["cauchy_monotone_after_burn_in"]
+
+    def test_programming_error_propagates(self, tight_frame, monkeypatch):
+        # only solver failures become a member failure in the report
+        import hermflow.driver
+
+        def broken_step(*args, **kwargs):
+            raise TypeError("broken step")
+
+        monkeypatch.setattr(hermflow.driver, "coupled_step", broken_step)
+        params = ModelParams(a=1.0, kappa=0.5, nu=0.5, lam=100.0)
+        q0 = tilted_density(tight_frame, 0.8)
+        with pytest.raises(TypeError, match="broken step"):
+            vanishing_drag_sweep(tight_frame, params, q0, VectorField.zero(tight_frame),
+                                 [4], dt=2e-3, t_final=0.01)
 
     def test_requires_increasing_indices(self, tight_frame):
         params = ModelParams(a=1.0, kappa=0.5, nu=0.5, lam=100.0)

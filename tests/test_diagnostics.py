@@ -7,6 +7,7 @@ from hermflow import (
     InvalidParameterError,
     ModelParams,
     ScalarField,
+    StateBundle,
     VectorField,
     bd_entropy,
     check_hessian_lemma,
@@ -19,11 +20,10 @@ from hermflow import (
 )
 from hermflow.diagnostics import (
     DiagnosticsRecord,
+    bd_entropy_regularized,
     csv_header,
     csv_row,
-    energy_lebesgue,
     lsi_margins,
-    minimal_energy,
     record,
 )
 from hermflow.galerkin import make_initial_state
@@ -37,6 +37,33 @@ def base_params(**kw):
     defaults = dict(a=1.0, kappa=1.0, nu=0.5, lam=2.0)
     defaults.update(kw)
     return ModelParams(**defaults)
+
+
+def minimal_energy(params, sigma, dim):
+    """Flat-measure energy of the Gaussian equilibrium."""
+    return dim * (params.kappa**2 / sigma**2 - 0.5 * params.a * math.log(2.0 * math.pi * sigma**2))
+
+
+def energy_lebesgue(q, u, params):
+    """Total flat-measure energy of rho = q rho_m: kinetic + entropic +
+    capillary-Fisher + confinement, computed by the same quadrature."""
+    frame = q.frame
+    d = frame.dim
+    sig2 = frame.sigma**2
+    b = StateBundle(q, u)
+    ln_rho_m = -0.5 * d * math.log(2.0 * math.pi * sig2) - frame.radius_sq / (2.0 * sig2)
+    # q |grad ln rho|^2 expanded: |grad q|^2/q - 2 grad q . x / sigma^2 + q |x|^2 / sigma^4
+    fisher_rho = (
+        b.fisher_integrand
+        - 2.0 * np.einsum("in,in->n", b.gq, frame.nodes.T) / sig2
+        + b.qn * frame.radius_sq / sig2**2
+    )
+    return (
+        0.5 * b.quad(b.qn * b.raw2)
+        + params.a * (b.quad(b.qlnq) + b.quad(b.qn * ln_rho_m))
+        + 0.5 * params.kappa**2 * b.quad(fisher_rho)
+        + 0.5 * params.lam * b.quad(b.qn * frame.radius_sq)
+    )
 
 
 class TestEnergy:
@@ -241,16 +268,23 @@ class TestRecordSerialization:
         assert rec.e_bd >= -1e-12
 
 
-class TestPoincareFamily:
-    def test_report_shape(self, frame_2d, rng):
-        from hermflow.diagnostics import check_poincare_family
-
-        samples = [random_density(frame_2d, rng) for _ in range(3)]
-        samples += [random_velocity(frame_2d, rng) for _ in range(3)]
-        rep = check_poincare_family(samples)
-        assert rep["all_finite"]
-        assert len(rep["scalar_ratios"]) == 3 and len(rep["vector_ratios"]) == 3
-        assert rep["sup_scalar"] >= max(rep["scalar_ratios"]) - 1e-15
+class TestRecordMatchesStandalone:
+    def test_equal_floats(self, frame_1d, frame_2d, rng):
+        # record() and the stand-alone functions read one bundle each; both
+        # call paths must give the same floats, not merely close ones
+        params = base_params(r0=0.1, r1=0.1, r4=0.1, delta1=0.2)
+        for frame in (frame_1d, frame_2d):
+            for _ in range(3):
+                q = random_density(frame, rng)
+                u = random_velocity(frame, rng, amplitude=0.5)
+                rec = record(make_initial_state(q, u), params)
+                assert rec.lsi_margin == lsi_margins(q)[0]
+                _, _, _, _, mid, fin = check_hessian_lemma(q)
+                assert (rec.hess_margin_mid, rec.hess_margin_final) == (mid, fin)
+                assert rec.poincare_korn_u == poincare_korn_ratio(u)
+                assert (rec.e_reg, rec.d_reg, rec.r_reg) == energy(q, u, params)
+                assert (rec.e_bd, rec.d_bd, rec.r_bd) == bd_entropy(q, u, params)
+                assert (rec.d_bd_reg, rec.r_bd_reg) == bd_entropy_regularized(q, u, params)
 
 
 class TestPerStepEnergyBalance:
