@@ -59,6 +59,8 @@ __all__ = [
 #: default floor for ln / sqrt / division on relative densities
 POSITIVITY_FLOOR = 1e-10
 
+_REGULARIZERS = ("r0", "r1", "r4", "delta1")
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -86,10 +88,15 @@ class ModelParams:
             )
         if self.kappa < 0.0:
             raise InvalidParameterError(f"kappa must be non-negative, got {self.kappa}")
-        for name in ("r0", "r1", "r4", "delta1"):
+        for name in _REGULARIZERS:
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:
                 raise InvalidParameterError(f"{name} must lie in [0, 1], got {val}")
+
+    @property
+    def regularized(self) -> bool:
+        """True when any drag or the density diffusion is switched on."""
+        return any(getattr(self, name) != 0.0 for name in _REGULARIZERS)
 
 
 def require_positive(q: ScalarField, floor: float = POSITIVITY_FLOOR) -> np.ndarray:
@@ -132,7 +139,7 @@ def masked_inverses(frame: GaussianFrame, qn: np.ndarray,
 def gradient_nodal(f: ScalarField) -> np.ndarray:
     """Exact nodal gradient, shape (dim, n_nodes)."""
     frame = f.frame
-    return np.stack([frame.dV[ax] @ f.coeffs for ax in range(frame.dim)])
+    return np.stack([frame._synthesize(f.coeffs, (ax,)) for ax in range(frame.dim)])
 
 
 def hessian_nodal(f: ScalarField) -> np.ndarray:
@@ -142,15 +149,14 @@ def hessian_nodal(f: ScalarField) -> np.ndarray:
     out = np.empty((d, d, frame.n_nodes))
     for i in range(d):
         for j in range(i, d):
-            out[i, j] = frame.d2V[(i, j)] @ f.coeffs
+            out[i, j] = frame._synthesize(f.coeffs, (i, j))
             out[j, i] = out[i, j]
     return out
 
 
 def velocity_gradient_nodal(u: VectorField) -> np.ndarray:
     """Exact nodal velocity gradient du[i, k] = d_k u_i, shape (dim, dim, n_nodes)."""
-    dV = u.frame.dV
-    return np.stack([np.stack([dv @ c.coeffs for dv in dV]) for c in u.components])
+    return np.stack([gradient_nodal(c) for c in u.components])
 
 
 class _cached:
@@ -246,7 +252,7 @@ class StateBundle:
         s2c = np.zeros(self.frame.n_basis)
         for c in self.u.components:
             s2c += multiply(c, c).coeffs
-        return self.frame.V @ s2c
+        return self.frame._synthesize(s2c)
 
     @_cached
     def du(self) -> np.ndarray:
@@ -323,8 +329,7 @@ def _third_derivs_nodal(q: ScalarField) -> np.ndarray:
     for i in range(d):
         for j in range(d):
             for k in range(d):
-                key = tuple(sorted((i, j, k)))
-                out[i, j, k] = frame.d3V[key] @ q.coeffs
+                out[i, j, k] = frame._synthesize(q.coeffs, (i, j, k))
     return out
 
 

@@ -36,6 +36,7 @@ from .rescaled import (
     rescaled_bd_remainder,
     rescaled_energy,
     rescaled_step,
+    require_unregularized,
     tau_solve,
 )
 from .sampling import random_density, random_velocity, tilted_density
@@ -55,6 +56,11 @@ def _config_values():
         yield
     except (InvalidParameterError, DimensionError) as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _model_params(cfg: RunConfig) -> ModelParams:
+    return ModelParams(a=cfg.a, kappa=cfg.kappa, nu=cfg.nu, lam=cfg.lam,
+                       r0=cfg.r0, r1=cfg.r1, r4=cfg.r4, delta1=cfg.delta1)
 
 
 def _make_frame(cfg: RunConfig, force_unit_sigma: bool = False) -> GaussianFrame:
@@ -107,8 +113,7 @@ def run(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     with _config_values():
         frame = _make_frame(cfg)
-        params = ModelParams(a=cfg.a, kappa=cfg.kappa, nu=cfg.nu, lam=cfg.lam,
-                             r0=cfg.r0, r1=cfg.r1, r4=cfg.r4, delta1=cfg.delta1)
+        params = _model_params(cfg)
         q0, u0 = _initial_state(cfg, frame)
         step_count(cfg.dt, cfg.t_final)
     try:
@@ -223,7 +228,10 @@ def sweep(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     with _config_values():
         frame = _make_frame(cfg)
-        params = ModelParams(a=cfg.a, kappa=cfg.kappa, nu=cfg.nu, lam=cfg.lam)
+        params = _model_params(cfg)
+        if params.regularized:
+            raise ConfigError("sweep mode sets r0, r1, r4 and delta1 from its drag "
+                              "schedule; leave them at 0")
         q0, u0 = _initial_state(cfg, frame)
         step_count(cfg.dt, cfg.t_final)
     report = vanishing_drag_sweep(frame, params, q0, u0, cfg.n_list,
@@ -253,7 +261,8 @@ def rescaled_run(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     with _config_values():
         frame = _make_frame(cfg, force_unit_sigma=True)
-        params = ModelParams(a=cfg.a, kappa=cfg.kappa, nu=cfg.nu, lam=cfg.lam)
+        params = _model_params(cfg)
+        require_unregularized(params)
         q0, u0 = _initial_state(cfg, frame)
         n_steps = step_count(cfg.dt, cfg.t_final)
     taus = tau_solve(cfg.a, cfg.kappa, cfg.nu, cfg.t_final, cfg.dt / 2.0)

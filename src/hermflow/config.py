@@ -162,5 +162,7 @@ def load_config(path: str | Path) -> RunConfig:
     )
     if cfg.record_every < 1:
         raise ConfigError("[time] record_every must be >= 1")
+    if cfg.n_samples < 1:
+        raise ConfigError("[run] n_samples must be >= 1")
     cfg.raw = {s: dict(parser.items(s)) for s in parser.sections()}
     return cfg

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .calculus import ModelParams
 from .diagnostics import DiagnosticsRecord, record
@@ -53,6 +53,7 @@ def simulate(frame: GaussianFrame, params: ModelParams, q0: ScalarField,
             records.append(record(state, params))
             envelope_ok = envelope_ok and envelope_check(state.q, state.env)
             if keep_states:
-                states.append(state)
+                # kept for their fields; the mass operator only serves the next step
+                states.append(replace(state, mass=None))
     return SimulationResult(records=records, final_state=state,
                             envelope_ok=envelope_ok, states=states)

@@ -24,7 +24,7 @@ solve repeats until successive iterates agree to ``picard_tol``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -52,12 +52,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SimState:
-    """Relative density, velocity and time, plus the positivity envelope."""
+    """Relative density, velocity and time, plus the positivity envelope.
+
+    ``mass`` is the mass operator of ``q`` when the step that produced the
+    state has already assembled it, so the next step need not repeat that.
+    """
 
     q: ScalarField
     u: VectorField
     t: float
     env: PositivityEnvelope
+    mass: MassOperator | None = field(default=None, compare=False, repr=False)
 
     @property
     def frame(self) -> GaussianFrame:
@@ -110,8 +115,7 @@ def assemble_mass(q: ScalarField) -> MassOperator:
     solve time as a positivity error rather than being patched silently.
     """
     frame = q.frame
-    wq = frame.weights * q.nodal
-    mat = frame.V.T @ (wq[:, None] * frame.V)
+    mat = frame._weighted_gram(frame.weights * q.nodal)
     mat = 0.5 * (mat + mat.T)  # enforce exact symmetry
     return MassOperator(frame, mat)
 
@@ -129,7 +133,7 @@ def project_initial_velocity(q0: ScalarField, u0_nodal: np.ndarray | VectorField
     require_positive(q0)
     mass = assemble_mass(q0)
     wq = frame.weights * q0.nodal
-    rhs = np.stack([frame.V.T @ (wq * u0_nodal[i]) for i in range(frame.dim)])
+    rhs = np.stack([frame._synthesize_adjoint(wq * u0_nodal[i]) for i in range(frame.dim)])
     return VectorField.from_coeffs(frame, mass.solve(rhs))
 
 
@@ -177,30 +181,35 @@ def momentum_rhs(q: ScalarField, u: VectorField, params: ModelParams,
             - pressure * gq[i]
             - (params.r4 / sig2**2) * qn * rsq * x[i]
         )
-        vec = frame.V.T @ (w * point)
+        vec = frame._synthesize_adjoint(w * point)
         for k in range(d):
             grad_part = (
                 transport_coef * qn * un[i] * un[k]
                 - 2.0 * nu * qn * b.dsym[i, k]
                 - 2.0 * kappa_sq * b.stress[i, k]
             )
-            vec += frame.dV[k].T @ (w * grad_part)
+            vec += frame._synthesize_adjoint(w * grad_part, (k,))
         out[i] = vec
     return out
 
 
 def _joint_fixed_point(q_prev: ScalarField, u_prev: VectorField, params: ModelParams,
                        dt: float, t: float, coeffs: dict, picard_tol: float,
-                       max_sweeps: int, fp_sweeps: int, floor: float):
+                       max_sweeps: int, fp_sweeps: int, floor: float,
+                       mass_prev: MassOperator | None = None):
     """One step of the joint density/velocity fixed point, from time t.
 
     ``coeffs`` overrides the :func:`momentum_rhs` coefficients (empty for
     the confined system); its ``transport_coef`` also scales the velocity
-    that advects the density.  Returns the new (q, u).
+    that advects the density.  ``mass_prev``, when given, is the mass
+    operator of ``q_prev``.  Returns the new (q, u) and the mass operator
+    of the new q.
     """
     if dt <= 0.0:
         raise InvalidParameterError(f"dt must be positive, got {dt}")
-    momentum_prev = assemble_mass(q_prev).apply(u_prev.coeffs)
+    if mass_prev is None:
+        mass_prev = assemble_mass(q_prev)
+    momentum_prev = mass_prev.apply(u_prev.coeffs)
     advection = 0.5 * coeffs.get("transport_coef", 1.0)
 
     u_iter = u_prev
@@ -210,9 +219,8 @@ def _joint_fixed_point(q_prev: ScalarField, u_prev: VectorField, params: ModelPa
         q_mid = 0.5 * (q_prev + q_new)
         u_mid = 0.5 * (u_prev + u_iter)
         force = momentum_rhs(q_mid, u_mid, params, floor, **coeffs)
-        u_next = VectorField.from_coeffs(
-            q_prev.frame, assemble_mass(q_new).solve(momentum_prev + dt * force)
-        )
+        mass_new = assemble_mass(q_new)
+        u_next = VectorField.from_coeffs(q_prev.frame, mass_new.solve(momentum_prev + dt * force))
         diff = float(np.linalg.norm(u_next.coeffs - u_iter.coeffs))
         u_iter = u_next
         if diff < picard_tol:
@@ -226,7 +234,7 @@ def _joint_fixed_point(q_prev: ScalarField, u_prev: VectorField, params: ModelPa
     drift = abs(float(q_new.coeffs[0]) - float(q_prev.coeffs[0]))
     if drift > 1e-10:
         raise InternalConsistencyError(f"mass drifted by {drift:.3e} over one step")
-    return q_new, u_iter
+    return q_new, u_iter, mass_new
 
 
 def coupled_step(state: SimState, params: ModelParams, dt: float,
@@ -237,9 +245,11 @@ def coupled_step(state: SimState, params: ModelParams, dt: float,
     Density update and midpoint force assembly repeat until the velocity
     iterates settle below ``picard_tol`` in the coefficient norm; the mass
     matrix carries the momentum from the previous state so the update
-    discretizes d/dt(M[q]u) directly.
+    discretizes d/dt(M[q]u) directly.  The state carries the mass operator
+    of its q, which the following step reuses.
     """
-    q_new, u_new = _joint_fixed_point(state.q, state.u, params, dt, state.t, {},
-                                      picard_tol, max_sweeps, fp_sweeps, floor)
+    q_new, u_new, mass = _joint_fixed_point(state.q, state.u, params, dt, state.t, {},
+                                            picard_tol, max_sweeps, fp_sweeps, floor,
+                                            state.mass)
     env = envelope_update(state.env, u_new, dt)
-    return SimState(q=q_new, u=u_new, t=state.t + dt, env=env)
+    return SimState(q=q_new, u=u_new, t=state.t + dt, env=env, mass=mass)

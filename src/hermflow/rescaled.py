@@ -48,6 +48,7 @@ __all__ = [
     "tau_solve",
     "rescale_map",
     "inverse_rescale_map",
+    "require_unregularized",
     "rescaled_step",
     "rescaled_energy",
     "rescaled_bd_remainder",
@@ -165,20 +166,26 @@ def _tau_coeffs(params: ModelParams, tau: float, tau_dot: float):
     }
 
 
+def require_unregularized(params: ModelParams) -> None:
+    """The drag and diffusion regularizations are not part of the dilated system."""
+    if params.regularized:
+        raise InvalidParameterError("rescaled stepping requires r0 = r1 = r4 = delta1 = 0")
+
+
 def rescaled_step(q: ScalarField, u: VectorField, tau_mid: TauState,
                   params: ModelParams, dt: float,
                   picard_tol: float = 1e-10, max_sweeps: int = 25,
                   fp_sweeps: int = 2, floor: float = POSITIVITY_FLOOR):
     """One joint step of the dilated system with coefficients frozen at tau_mid.
 
-    The drag and diffusion regularizations are not part of the dilated
-    system; they must be zero here.
+    The drag and diffusion regularizations must be zero here
+    (:func:`require_unregularized`).
     """
-    if any(getattr(params, k) != 0.0 for k in ("r0", "r1", "r4", "delta1")):
-        raise InvalidParameterError("rescaled stepping requires r0 = r1 = r4 = delta1 = 0")
+    require_unregularized(params)
     coeffs = _tau_coeffs(params, tau_mid.tau, tau_mid.tau_dot)
-    return _joint_fixed_point(q, u, params, dt, tau_mid.t, coeffs,
-                              picard_tol, max_sweeps, fp_sweeps, floor)
+    q_new, u_new, _ = _joint_fixed_point(q, u, params, dt, tau_mid.t, coeffs,
+                                         picard_tol, max_sweeps, fp_sweeps, floor)
+    return q_new, u_new
 
 
 def rescaled_energy(q: ScalarField, u: VectorField, tau_state: TauState,

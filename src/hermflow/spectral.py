@@ -21,8 +21,13 @@ truncated by total degree.  In this basis the Ornstein-Uhlenbeck operator
 eigenvalue :math:`-|\alpha|/\sigma^2`, so its semigroup is exact, and every
 bilinear form reduces to a plain Gauss-Hermite quadrature sum.
 
-Transforms are dense (node count times basis size); at desk scale this is
-cheaper and simpler than fast Hermite transforms.
+The basis and the quadrature are tensor products, so in d = 2 every
+synthesis (coefficients to nodal values of a field or of its derivatives),
+its transpose (nodal values tested against the basis) and the mass-matrix
+assembly contract one axis at a time against the 1D tables (sum
+factorization).  The nodes-to-coefficients projection stays one dense
+(basis size times node count) product.  In d = 1 every transform is a
+plain dense product.
 """
 
 from __future__ import annotations
@@ -144,9 +149,23 @@ class GaussianFrame:
         self.divm_mats = tuple(
             self.diff_mats[ax] - self.coord_mats[ax] / self.sigma**2 for ax in range(dim)
         )
-        self.dV = tuple(self.V @ self.diff_mats[ax] for ax in range(dim))
-        self._d2V = None
-        self._d3V = None
+        # 1D tables of the basis and of its first three derivatives (T, T D,
+        # T D^2, T D^3 for the 1D derivative matrix D); in d = 1, T is V
+        if dim == 1:
+            base, d1 = self.V, self.diff_mats[0]
+        else:
+            base = table
+            d1 = np.diag(np.sqrt(np.arange(1.0, degree + 1)) / self.sigma, k=1)
+            m0, m1 = self.multi_indices[:, 0], self.multi_indices[:, 1]
+            self._grid_index = (m0, m1)
+            # mass assembly: products of two 1D basis values, one column per
+            # unordered degree pair (a, b), and where each Gram entry sits
+            a, b = np.triu_indices(degree + 1)
+            pair = np.empty((degree + 1, degree + 1), dtype=np.int64)
+            pair[a, b] = pair[b, a] = np.arange(a.size)
+            self._pair_table = table[:, a] * table[:, b]
+            self._pair_index = (pair[m0[:, None], m0[None, :]], pair[m1[:, None], m1[None, :]])
+        self._tables = (base, base @ d1, base @ (d1 @ d1), base @ (d1 @ d1 @ d1))
 
         self.radius_sq = np.sum(self.nodes**2, axis=1)
         self.rho_m_nodes = self.rho_m(self.nodes)
@@ -156,7 +175,8 @@ class GaussianFrame:
         # exactly (weights below round-off of any total), but positivity and
         # sup-norm checks only make sense on the trusted complement.
         self.trusted = np.max(np.abs(self.V), axis=1) <= TRUST_LIMIT
-        for arr in (self.nodes, self.weights, self.V, self.multi_indices, self.trusted):
+        for arr in (self.nodes, self.weights, self.V, self.multi_indices, self.trusted,
+                    *self._tables):
             arr.flags.writeable = False
 
     def _build_diff(self, axis: int) -> np.ndarray:
@@ -186,30 +206,39 @@ class GaussianFrame:
                 mat[row, col] = self.sigma * math.sqrt(k + 1)
         return mat
 
-    @property
-    def d2V(self):
-        """Nodal second-derivative tables, built on first use."""
-        if self._d2V is None:
-            d2 = {}
-            for i in range(self.dim):
-                for j in range(i, self.dim):
-                    d2[(i, j)] = self.V @ (self.diff_mats[i] @ self.diff_mats[j])
-            self._d2V = d2
-        return self._d2V
+    def _synthesize(self, coeffs: np.ndarray, axes: tuple = ()) -> np.ndarray:
+        """Nodal values of d/dx_axes[0] d/dx_axes[1] ... of the field with these coefficients.
 
-    @property
-    def d3V(self):
-        """Nodal third-derivative tables, built on first use."""
-        if self._d3V is None:
-            d3 = {}
-            for i in range(self.dim):
-                for j in range(i, self.dim):
-                    for k in range(j, self.dim):
-                        d3[(i, j, k)] = self.V @ (
-                            self.diff_mats[i] @ self.diff_mats[j] @ self.diff_mats[k]
-                        )
-            self._d3V = d3
-        return self._d3V
+        In d = 2 the coefficients fill a (degree+1)^2 grid C and the values
+        are T_a C T_b^T, with T_a the 1D table of the a-th derivative.
+        """
+        tables = self._tables
+        if self.dim == 1:
+            return tables[len(axes)] @ coeffs
+        grid = np.zeros((self.degree + 1, self.degree + 1))
+        grid[self._grid_index] = coeffs
+        return (tables[axes.count(0)] @ grid @ tables[axes.count(1)].T).ravel()
+
+    def _synthesize_adjoint(self, values: np.ndarray, axes: tuple = ()) -> np.ndarray:
+        """Transpose of :meth:`_synthesize`: sum_n values[n] d_axes Phi_alpha(x_n) for every alpha."""
+        tables = self._tables
+        if self.dim == 1:
+            return tables[len(axes)].T @ values
+        grid = values.reshape(self.quad_order, self.quad_order)
+        return (tables[axes.count(0)].T @ grid @ tables[axes.count(1)])[self._grid_index]
+
+    def _weighted_gram(self, node_weights: np.ndarray) -> np.ndarray:
+        """sum_n w_n Phi_alpha(x_n) Phi_beta(x_n) for every pair of basis functions.
+
+        In d = 2 the sum over the grid runs one axis at a time on products
+        of two 1D basis values; each entry is then gathered from its pair
+        of degree pairs, which makes the result exactly symmetric.
+        """
+        if self.dim == 1:
+            return self.V.T @ (node_weights[:, None] * self.V)
+        grid = node_weights.reshape(self.quad_order, self.quad_order)
+        pairs = self._pair_table
+        return (pairs.T @ (grid @ pairs))[self._pair_index]
 
     def rho_m(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points)
@@ -309,7 +338,7 @@ class ScalarField:
     @property
     def nodal(self) -> np.ndarray:
         if self._nodal is None:
-            self._nodal = self.frame.V @ self._coeffs
+            self._nodal = self.frame._synthesize(self._coeffs)
         return self._nodal
 
     def eval(self, points: np.ndarray) -> np.ndarray:
@@ -340,6 +369,14 @@ def _check_same_frame(a, b):
         raise DimensionError("fields live on different frames")
 
 
+def _per_component(values, dim: int, n: int, what: str) -> np.ndarray:
+    """values as a (dim, n) array; they must hold exactly dim * n numbers."""
+    values = np.asarray(values, dtype=float)
+    if values.size != dim * n:
+        raise DimensionError(f"expected {dim} x {n} {what}, got shape {values.shape}")
+    return values.reshape(dim, n)
+
+
 class VectorField:
     """dim scalar components sharing one frame."""
 
@@ -362,12 +399,12 @@ class VectorField:
 
     @classmethod
     def from_coeffs(cls, frame: GaussianFrame, coeffs: np.ndarray) -> "VectorField":
-        coeffs = np.asarray(coeffs, dtype=float).reshape(frame.dim, frame.n_basis)
+        coeffs = _per_component(coeffs, frame.dim, frame.n_basis, "coefficients")
         return cls([ScalarField(frame, coeffs=coeffs[i]) for i in range(frame.dim)])
 
     @classmethod
     def from_nodal(cls, frame: GaussianFrame, nodal: np.ndarray) -> "VectorField":
-        nodal = np.asarray(nodal, dtype=float).reshape(frame.dim, frame.n_nodes)
+        nodal = _per_component(nodal, frame.dim, frame.n_nodes, "nodal values")
         return cls([ScalarField(frame, nodal=nodal[i]) for i in range(frame.dim)])
 
     @property
@@ -397,7 +434,7 @@ def transform(frame: GaussianFrame, nodal_values: np.ndarray) -> ScalarField:
 
 def inverse_transform(f: ScalarField) -> np.ndarray:
     """Spectral field -> values at the quadrature nodes."""
-    return f.frame.V @ f.coeffs
+    return f.frame._synthesize(f.coeffs)
 
 
 def integrate(f: ScalarField) -> float:

@@ -114,10 +114,14 @@ class TestSimulateCommand:
         ("degree = 12", "degree = 8\n    quad_order = 10"),
         ("t_final = 0.02", "t_final = 0.0025"),
         ("family = steady", "family = file\n    path = {tmp}/short.npz"),
-    ], ids=["r0", "lambda", "dim", "quad_order", "t_final", "file_coeffs"])
+        ("family = steady", "family = file\n    path = {tmp}/short_u.npz"),
+        ("seed = 42", "seed = 42\n    n_samples = 0"),
+    ], ids=["r0", "lambda", "dim", "quad_order", "t_final", "file_coeffs", "file_u_coeffs",
+            "n_samples"])
     def test_out_of_range_value_exits_3(self, tmp_path, capsys, old, new):
         # values the solver's own constructors reject are config errors
         np.savez(tmp_path / "short.npz", q_coeffs=np.ones(5), u_coeffs=np.zeros((1, 13)))
+        np.savez(tmp_path / "short_u.npz", q_coeffs=np.eye(13)[0], u_coeffs=np.zeros(18))
         body = STEADY.replace(old, new.format(tmp=tmp_path))
         code = main(["simulate", write_config(tmp_path / "a.cfg", body),
                      "--output-dir", str(tmp_path / "out")])
@@ -150,8 +154,7 @@ class TestVerifyCommand:
 
 
 class TestSweepCommand:
-    def test_small_sweep(self, tmp_path):
-        body = """
+    BODY = """
             [model]
             a = 1.0
             kappa = 0.5
@@ -175,23 +178,45 @@ class TestSweepCommand:
             mode = sweep
             n_list = 4, 8
         """
-        code = main(["sweep", write_config(tmp_path / "a.cfg", body),
+
+    def test_small_sweep(self, tmp_path):
+        code = main(["sweep", write_config(tmp_path / "a.cfg", self.BODY),
                      "--output-dir", str(tmp_path / "out")])
         assert code == 0
         report = json.loads((tmp_path / "out" / "sweep_report.json").read_text())
         assert report["failed_at"] is None
         assert len(report["increments"]) == 1
 
+    @pytest.mark.parametrize("key", ["r0", "r1", "r4", "delta1"])
+    def test_regularizer_in_config_exits_3(self, tmp_path, capsys, key):
+        # the sweep sets these from its own schedule, so a configured value
+        # would be ignored
+        body = self.BODY.replace("lambda = 100.0", f"lambda = 100.0\n            {key} = 0.7")
+        code = main(["sweep", write_config(tmp_path / "a.cfg", body),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("config error:")
+
 
 class TestRescaledCommand:
+    BODY = (STEADY.replace("mode = simulate", "mode = rescaled")
+            .replace("family = steady", "family = tilted\n    alpha = 0.3")
+            .replace("t_final = 0.02", "t_final = 0.04"))
+
     def test_short_run(self, tmp_path):
-        body = STEADY.replace("mode = simulate", "mode = rescaled")
-        body = body.replace("family = steady", "family = tilted\n    alpha = 0.3")
-        body = body.replace("t_final = 0.02", "t_final = 0.04")
-        code = main(["rescaled", write_config(tmp_path / "a.cfg", body),
+        code = main(["rescaled", write_config(tmp_path / "a.cfg", self.BODY),
                      "--output-dir", str(tmp_path / "out")])
         assert code == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["mass_error"] < 1e-10
         rows = (tmp_path / "out" / "trajectory.csv").read_text().strip().splitlines()
         assert rows[0].split(",")[0:3] == ["t", "tau", "tau_dot"]
+
+    @pytest.mark.parametrize("key", ["r0", "r1", "r4", "delta1"])
+    def test_regularizer_in_config_exits_3(self, tmp_path, capsys, key):
+        # the dilated system has no drag or diffusion regularization
+        body = self.BODY.replace("lambda = 2.0", f"lambda = 2.0\n    {key} = 0.7")
+        code = main(["rescaled", write_config(tmp_path / "a.cfg", body),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("config error:")

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermflow import (
     InternalConsistencyError,
@@ -79,6 +82,35 @@ class TestMassOperator:
         c = np.min(q.nodal[frame_1d.trusted])
         assert np.linalg.eigvalsh(m.matrix)[0] >= 0.9 * min(c, 1.0) - 1e-10
 
+    @pytest.mark.parametrize("degree", [8, 20])
+    def test_planar_matches_dense_quadrature(self, degree):
+        # the 2D assembly contracts one axis at a time; oracle: V^T diag(w q) V
+        frame = build_frame(1.0, 1.0, 2.0, 2, degree)
+        q = random_density(frame, np.random.default_rng(degree))
+        ref = frame.V.T @ ((frame.weights * q.nodal)[:, None] * frame.V)
+        m = assemble_mass(q)
+        assert np.max(np.abs(m.matrix - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+PROPERTY_FRAMES = {
+    1: build_frame(1.0, 1.0, 2.0, 1, 16),
+    2: build_frame(1.0, 1.0, 2.0, 2, 8),
+}
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(dim=st.sampled_from([1, 2]),
+       low_modes=st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),
+       level=st.floats(0.01, 10.0))
+def test_mass_symmetric_positive_definite(dim, low_modes, level):
+    # any q positive at every node gives a symmetric matrix that factors
+    frame = PROPERTY_FRAMES[dim]
+    shape = frame.V[:, :6] @ np.array(low_modes)
+    q = ScalarField(frame, nodal=level * (1.0 + 0.99 * np.tanh(shape)))
+    m = assemble_mass(q)
+    assert np.array_equal(m.matrix, m.matrix.T)
+    np.linalg.cholesky(m.matrix)
+
 
 class TestMomentumForces:
     def test_equilibrium_rest_state(self, frame_1d):
@@ -126,6 +158,20 @@ class TestCoupledStep:
             state = coupled_step(state, params, dt)
         mx = moments(state.q, state.u)[4][0]
         assert abs(mx) < 0.01 * x0
+
+    @pytest.mark.parametrize("frame_name", ["frame_1d", "frame_2d"])
+    def test_carried_mass_operator_is_exact(self, frame_name, request, rng):
+        # a state carries the mass operator of its q; rebuilding it gives the same step
+        frame = request.getfixturevalue(frame_name)
+        params = ModelParams(a=1.0, kappa=1.0, nu=0.5, lam=2.0, r0=0.1, delta1=0.3)
+        state = make_initial_state(random_density(frame, rng, decay=0.3),
+                                   random_velocity(frame, rng, decay=0.3, amplitude=0.1))
+        state = coupled_step(state, params, 1e-3)
+        assert state.mass is not None
+        carried = coupled_step(state, params, 1e-3)
+        rebuilt = coupled_step(dataclasses.replace(state, mass=None), params, 1e-3)
+        assert np.array_equal(carried.q.coeffs, rebuilt.q.coeffs)
+        assert np.array_equal(carried.u.coeffs, rebuilt.u.coeffs)
 
     def test_mass_conserved(self, frame_1d, rng):
         q0 = random_density(frame_1d, rng, decay=0.3)

@@ -15,7 +15,7 @@ from hermflow import (
     sigma_from_coefficients,
     transform,
 )
-from hermflow.calculus import gradient_nodal
+from hermflow.calculus import gradient_nodal, hessian_nodal
 from hermflow.sampling import random_field
 
 from conftest import mode, unit_field
@@ -222,3 +222,65 @@ class TestDerivativeAndMultiply:
         lhs = multiply(f + 2.0 * h, g)
         rhs = ScalarField(frame_1d, coeffs=fg.coeffs + 2.0 * multiply(h, g).coeffs)
         assert np.allclose(lhs.coeffs, rhs.coeffs, atol=1e-12)
+
+
+# every derivative of order <= 3 in the plane, as the axes differentiated along
+PLANAR_AXES = [(), (0,), (1,), (0, 0), (0, 1), (1, 1), (0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]
+
+
+def dense_derivative_table(frame, axes):
+    """Oracle: the dense (n_nodes, n_basis) table of d_axes Phi at the nodes."""
+    table = frame.V
+    for ax in axes:
+        table = table @ frame.diff_mats[ax]
+    return table
+
+
+def rel_err(x, ref):
+    return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
+
+
+@pytest.fixture(scope="module", params=[8, 20], ids=["degree8", "degree20"])
+def planar_frame(request):
+    return build_frame(1.0, 1.0, 2.0, 2, request.param)
+
+
+class TestSumFactorization:
+    """The 2D kernels contract one axis at a time; they must match the dense tables."""
+
+    @pytest.mark.parametrize("axes", PLANAR_AXES, ids=str)
+    def test_synthesis(self, planar_frame, axes):
+        c = random_field(planar_frame, np.random.default_rng(3), decay=0.8).coeffs
+        ref = dense_derivative_table(planar_frame, axes) @ c
+        assert rel_err(planar_frame._synthesize(c, axes), ref) <= 1e-13
+
+    def test_public_derivatives(self, planar_frame):
+        f = random_field(planar_frame, np.random.default_rng(4), decay=0.8)
+        assert rel_err(f.nodal, planar_frame.V @ f.coeffs) <= 1e-13
+        assert rel_err(inverse_transform(f), planar_frame.V @ f.coeffs) <= 1e-13
+        grad = gradient_nodal(f)
+        hess = hessian_nodal(f)
+        for i in range(2):
+            assert rel_err(grad[i], dense_derivative_table(planar_frame, (i,)) @ f.coeffs) <= 1e-13
+            for j in range(2):
+                ref = dense_derivative_table(planar_frame, (i, j)) @ f.coeffs
+                assert rel_err(hess[i, j], ref) <= 1e-13
+
+    @pytest.mark.parametrize("axes", [(), (0,), (1,)], ids=str)
+    def test_test_function_projection(self, planar_frame, axes):
+        # the products momentum_rhs forms against the basis and its gradient
+        x = planar_frame.weights * np.random.default_rng(5).standard_normal(planar_frame.n_nodes)
+        ref = dense_derivative_table(planar_frame, axes).T @ x
+        assert rel_err(planar_frame._synthesize_adjoint(x, axes), ref) <= 1e-13
+
+    def test_one_dimensional_path_is_dense(self, frame_1d):
+        # in 1D synthesis multiplies by V, V D, V (D D) and V (D D D), the
+        # tables of the dense path, so 1D runs keep their bits
+        c = random_field(frame_1d, np.random.default_rng(6)).coeffs
+        x = frame_1d.weights * np.random.default_rng(7).standard_normal(frame_1d.n_nodes)
+        d = frame_1d.diff_mats[0]
+        dense = [frame_1d.V, frame_1d.V @ d, frame_1d.V @ (d @ d), frame_1d.V @ (d @ d @ d)]
+        for order, table in enumerate(dense):
+            assert np.array_equal(frame_1d._synthesize(c, (0,) * order), table @ c)
+        for order in (0, 1):
+            assert np.array_equal(frame_1d._synthesize_adjoint(x, (0,) * order), dense[order].T @ x)
