@@ -2,7 +2,7 @@
 Navier-Stokes flow, written against a Gaussian reference measure.
 
 The building blocks, bottom up: ``spectral`` (frames, fields, transforms,
-the Ornstein-Uhlenbeck operator), ``calculus`` (twisted operators,
+dealiased products), ``calculus`` (twisted operators,
 capillarity identities and ``StateBundle``, the nodal quantities of one
 state that forces and diagnostics share), ``fokker_planck`` (semigroup
 density updates and positivity envelopes), ``galerkin`` (mass operator,
@@ -16,14 +16,7 @@ Frames and fields are immutable values; every public operation is a pure
 function of them, so states can be shared or snapshotted freely.
 """
 
-from .calculus import (
-    ModelParams,
-    StateBundle,
-    bohm_residual,
-    div_m,
-    q_of_rho,
-    rho_of_q,
-)
+from .calculus import ModelParams, StateBundle, bohm_residual, div_m
 from .continuation import DragSchedule, drag_schedule, mollify_initial_data, vanishing_drag_sweep
 from .diagnostics import (
     DiagnosticsRecord,
@@ -56,16 +49,13 @@ from .galerkin import (
     momentum_rhs,
     project_initial_velocity,
 )
-from .rescaled import TauState, rescale_map, inverse_rescale_map, rescaled_energy, rescaled_step, tau_solve
+from .rescaled import TauState, rescaled_energy, rescaled_step, tau_solve
 from .spectral import (
     GaussianFrame,
     ScalarField,
     VectorField,
     build_frame,
-    integrate,
-    inverse_transform,
     multiply,
-    ou_apply,
     sigma_from_coefficients,
     transform,
 )

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, PositivityError
-from .spectral import GaussianFrame, ScalarField, VectorField, multiply
+from .spectral import GaussianFrame, ScalarField, VectorField, multiply, transform
 
 __all__ = [
     "ModelParams",
@@ -47,8 +47,6 @@ __all__ = [
     "div_m",
     "korteweg_consistency",
     "bohm_residual",
-    "rho_of_q",
-    "q_of_rho",
     "gradient_nodal",
     "hessian_nodal",
     "velocity_gradient_nodal",
@@ -56,7 +54,7 @@ __all__ = [
     "masked_inverses",
 ]
 
-#: default floor for ln / sqrt / division on relative densities
+#: floor for ln / sqrt / division on relative densities
 POSITIVITY_FLOOR = 1e-10
 
 _REGULARIZERS = ("r0", "r1", "r4", "delta1")
@@ -99,7 +97,7 @@ class ModelParams:
         return any(getattr(self, name) != 0.0 for name in _REGULARIZERS)
 
 
-def require_positive(q: ScalarField, floor: float = POSITIVITY_FLOOR) -> np.ndarray:
+def require_positive(q: ScalarField) -> np.ndarray:
     """Raw nodal values of q, floor-checked where the check is meaningful.
 
     Positivity is asserted on the frame's trusted nodes and a breach raises
@@ -111,17 +109,16 @@ def require_positive(q: ScalarField, floor: float = POSITIVITY_FLOOR) -> np.ndar
     trusted = q.frame.trusted
     inner = np.where(trusted, qn, np.inf)
     i = int(np.argmin(inner))
-    if inner[i] < floor:
+    if inner[i] < POSITIVITY_FLOOR:
         raise PositivityError(
-            f"density {qn[i]:.3e} below floor {floor:.1e} at node {q.frame.nodes[i]}",
+            f"density {qn[i]:.3e} below floor {POSITIVITY_FLOOR:.1e} at node {q.frame.nodes[i]}",
             node=q.frame.nodes[i],
             value=float(qn[i]),
         )
     return qn
 
 
-def masked_inverses(frame: GaussianFrame, qn: np.ndarray,
-                    floor: float = POSITIVITY_FLOOR) -> tuple[np.ndarray, np.ndarray]:
+def masked_inverses(frame: GaussianFrame, qn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reciprocals (1/q, 1/sqrt(q)) that vanish on untrusted nodes.
 
     Rational integrands have no polynomial cancellation structure, so the
@@ -131,7 +128,7 @@ def masked_inverses(frame: GaussianFrame, qn: np.ndarray,
     total (the omitted Gaussian tail).  Polynomial integrands should keep
     the raw nodal values, whose quadrature sums are exact by design.
     """
-    qs = np.maximum(qn, floor)
+    qs = np.maximum(qn, POSITIVITY_FLOOR)
     mask = frame.trusted.astype(float)
     return mask / qs, mask / np.sqrt(qs)
 
@@ -186,14 +183,12 @@ class StateBundle:
     exact.  Without a velocity the bundle describes (q, 0).
     """
 
-    def __init__(self, q: ScalarField, u: VectorField | None = None,
-                 floor: float = POSITIVITY_FLOOR):
+    def __init__(self, q: ScalarField, u: VectorField | None = None):
         self.frame = q.frame
         self.q = q
         self.u = VectorField.zero(q.frame) if u is None else u
-        self.floor = floor
-        self.qn = require_positive(q, floor)
-        self.inv_q, self.inv_sq = masked_inverses(self.frame, self.qn, floor)
+        self.qn = require_positive(q)
+        self.inv_q, self.inv_sq = masked_inverses(self.frame, self.qn)
 
     def quad(self, vals) -> float:
         return self.frame.quad(vals)
@@ -204,7 +199,7 @@ class StateBundle:
 
     @_cached
     def q_safe(self) -> np.ndarray:
-        return np.maximum(self.qn, self.floor)
+        return np.maximum(self.qn, POSITIVITY_FLOOR)
 
     @_cached
     def qlnq(self) -> np.ndarray:
@@ -281,13 +276,6 @@ def div_m(v: VectorField) -> ScalarField:
     return ScalarField(frame, coeffs=coeffs)
 
 
-def _capillarity_nodal(b: StateBundle) -> np.ndarray:
-    """Nodal sqrt(q) D^2 sqrt(q) - grad sqrt(q) x grad sqrt(q), shape (d, d, n).
-
-    Zero on untrusted nodes (rational quantity)."""
-    return 0.5 * b.hq * b.mask - 0.5 * np.einsum("in,jn->ijn", b.gq, b.gq) * b.inv_q
-
-
 def _capillarity_rho_form_nodal(b: StateBundle) -> np.ndarray:
     """Same stress assembled through rho = q rho_m on the flat measure.
 
@@ -311,11 +299,11 @@ def _capillarity_rho_form_nodal(b: StateBundle) -> np.ndarray:
     ) * b.inv_q
 
 
-def korteweg_consistency(q: ScalarField, floor: float = POSITIVITY_FLOOR) -> float:
+def korteweg_consistency(q: ScalarField) -> float:
     """Worst quadrature-L^2_mu distance between the two stress assemblies."""
     frame = q.frame
-    b = StateBundle(q, floor=floor)
-    s_q = _capillarity_nodal(b)
+    b = StateBundle(q)
+    s_q = b.stress * b.mask
     s_rho = _capillarity_rho_form_nodal(b)
     return max(
         frame.norm_l2mu(s_q[i, j] - s_rho[i, j]) for i in range(frame.dim) for j in range(frame.dim)
@@ -333,7 +321,7 @@ def _third_derivs_nodal(q: ScalarField) -> np.ndarray:
     return out
 
 
-def bohm_residual(q: ScalarField, floor: float = POSITIVITY_FLOOR) -> float:
+def bohm_residual(q: ScalarField) -> float:
     r"""Discrepancy between the two classical forms of the quantum stress.
 
     For rho = q rho_m the Bohm identity states
@@ -354,16 +342,16 @@ def bohm_residual(q: ScalarField, floor: float = POSITIVITY_FLOOR) -> float:
     frame = q.frame
     d = frame.dim
     sig2 = frame.sigma**2
-    b = StateBundle(q, floor=floor)
+    b = StateBundle(q)
     qn, mask = b.qn, b.mask
     x = frame.nodes.T
 
     # --- left side via P = projection of sqrt(q) ------------------------
-    p_field = ScalarField(frame, coeffs=frame.project_nodal(np.sqrt(b.q_safe)))
+    p_field = transform(frame, np.sqrt(b.q_safe))
     pn = p_field.nodal
-    if np.min(np.abs(pn[frame.trusted])) < floor:
+    if np.min(np.abs(pn[frame.trusted])) < POSITIVITY_FLOOR:
         raise PositivityError("projected square root vanishes at a trusted node")
-    inv_p = mask / np.where(np.abs(pn) > floor, pn, floor)
+    inv_p = mask / np.where(np.abs(pn) > POSITIVITY_FLOOR, pn, POSITIVITY_FLOOR)
     gp = gradient_nodal(p_field)
     hp = hessian_nodal(p_field)
     lap_p = np.trace(hp, axis1=0, axis2=1)
@@ -403,19 +391,3 @@ def bohm_residual(q: ScalarField, floor: float = POSITIVITY_FLOOR) -> float:
     diff = (lhs - rhs) * mask
     return math.sqrt(sum(frame.quad(diff[i] ** 2) for i in range(d)))
 
-
-def rho_of_q(q: ScalarField) -> np.ndarray:
-    """Flat-measure density values at the quadrature nodes: rho = q rho_m."""
-    return q.nodal * q.frame.rho_m_nodes
-
-
-def q_of_rho(frame: GaussianFrame, rho_nodal: np.ndarray) -> ScalarField:
-    """Relative density from flat-measure nodal values: q = rho / rho_m.
-
-    Gauss-Hermite nodes stay well inside the support of rho_m, so the
-    division never underflows at desk scale.
-    """
-    rho_nodal = np.asarray(rho_nodal, dtype=float)
-    if rho_nodal.shape != (frame.n_nodes,):
-        raise InvalidParameterError(f"expected {frame.n_nodes} nodal values")
-    return ScalarField(frame, nodal=rho_nodal / frame.rho_m_nodes)

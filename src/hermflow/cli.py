@@ -27,7 +27,7 @@ import numpy as np
 from . import diagnostics
 from .calculus import ModelParams, bohm_residual, korteweg_consistency
 from .config import RunConfig, load_config
-from .continuation import mollify_initial_data, vanishing_drag_sweep
+from .continuation import mollify_initial_data, schedule_indices, vanishing_drag_sweep
 from .driver import simulate, step_count
 from .errors import SOLVER_FAILURES, ConfigError, DimensionError, InvalidParameterError
 from .galerkin import project_initial_velocity
@@ -95,11 +95,8 @@ def _initial_state(cfg: RunConfig, frame: GaussianFrame):
     return q0, u0
 
 
-def _write_trajectory(path: Path, records, dim: int) -> None:
-    header = diagnostics.csv_header(dim)
-    lines = [",".join(header)]
-    for rec in records:
-        lines.append(",".join(_fmt(v) for v in diagnostics.csv_row(rec)))
+def _write_csv(path: Path, header, rows) -> None:
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -110,20 +107,16 @@ def _write_json(path: Path, payload: dict) -> None:
 def run(cfg: RunConfig) -> int:
     """Simulate mode: march the confined system and audit the trajectory."""
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     with _config_values():
         frame = _make_frame(cfg)
         params = _model_params(cfg)
         q0, u0 = _initial_state(cfg, frame)
         step_count(cfg.dt, cfg.t_final)
-    try:
-        result = simulate(frame, params, q0, u0, dt=cfg.dt, t_final=cfg.t_final,
-                          record_every=cfg.record_every)
-    except SOLVER_FAILURES as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 2
+    result = simulate(frame, params, q0, u0, dt=cfg.dt, t_final=cfg.t_final,
+                      record_every=cfg.record_every)
     records = result.records
-    _write_trajectory(out / "trajectory.csv", records, frame.dim)
+    _write_csv(out / "trajectory.csv", diagnostics.csv_header(frame.dim),
+               map(diagnostics.csv_row, records))
     audit = diagnostics.energy_inequality_audit(records, params, frame.sigma, frame.dim)
     worst_lsi = min(r.lsi_margin for r in records)
     worst_hess = min(min(r.hess_margin_mid, r.hess_margin_final) for r in records)
@@ -162,7 +155,6 @@ def run(cfg: RunConfig) -> int:
 def verify(cfg: RunConfig) -> int:
     """Verify mode: inequality suite over seeded random fields."""
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     with _config_values():
         frame = _make_frame(cfg)
     rng = np.random.default_rng(cfg.seed)
@@ -225,8 +217,8 @@ def verify(cfg: RunConfig) -> int:
 def sweep(cfg: RunConfig) -> int:
     """Sweep mode: vanishing-drag continuation study."""
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     with _config_values():
+        n_list = schedule_indices(cfg.n_list)
         frame = _make_frame(cfg)
         params = _model_params(cfg)
         if params.regularized:
@@ -234,7 +226,7 @@ def sweep(cfg: RunConfig) -> int:
                               "schedule; leave them at 0")
         q0, u0 = _initial_state(cfg, frame)
         step_count(cfg.dt, cfg.t_final)
-    report = vanishing_drag_sweep(frame, params, q0, u0, cfg.n_list,
+    report = vanishing_drag_sweep(frame, params, q0, u0, n_list,
                                   dt=cfg.dt, t_final=cfg.t_final,
                                   record_every=cfg.record_every)
     _write_json(out / "sweep_report.json", report)
@@ -258,7 +250,8 @@ def sweep(cfg: RunConfig) -> int:
 def rescaled_run(cfg: RunConfig) -> int:
     """Rescaled mode: dilated system on the unit-Gaussian frame."""
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if cfg.record_every != 1:
+        raise ConfigError("rescaled mode records every step; [time] record_every must be 1")
     with _config_values():
         frame = _make_frame(cfg, force_unit_sigma=True)
         params = _model_params(cfg)
@@ -271,24 +264,15 @@ def rescaled_run(cfg: RunConfig) -> int:
     remainders = [rescaled_bd_remainder(q, u, taus[0], params)]
     rows = [(0.0, taus[0].tau, taus[0].tau_dot, float(q.coeffs[0]))
             + energies[0] + (remainders[0],)]
-    try:
-        for k in range(n_steps):
-            tau_mid = taus[2 * k + 1]
-            q, u = rescaled_step(q, u, tau_mid, params, cfg.dt)
-            tau_end = taus[2 * k + 2]
-            energies.append(rescaled_energy(q, u, tau_end, params))
-            remainders.append(rescaled_bd_remainder(q, u, tau_end, params))
-            rows.append((tau_end.t, tau_end.tau, tau_end.tau_dot,
-                         float(q.coeffs[0])) + energies[-1] + (remainders[-1],))
-    except SOLVER_FAILURES as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 2
-    header = ["t", "tau", "tau_dot", "mass", "E_tau", "D_tau", "E_BD_tau",
-              "D_BD_tau", "bd_remainder"]
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    (out / "trajectory.csv").write_text("\n".join(lines) + "\n")
+    for k in range(n_steps):
+        q, u = rescaled_step(q, u, taus[2 * k + 1], params, cfg.dt)
+        tau_end = taus[2 * k + 2]
+        energies.append(rescaled_energy(q, u, tau_end, params))
+        remainders.append(rescaled_bd_remainder(q, u, tau_end, params))
+        rows.append((tau_end.t, tau_end.tau, tau_end.tau_dot,
+                     float(q.coeffs[0])) + energies[-1] + (remainders[-1],))
+    _write_csv(out / "trajectory.csv", ["t", "tau", "tau_dot", "mass", "E_tau", "D_tau",
+                                        "E_BD_tau", "D_BD_tau", "bd_remainder"], rows)
     residual = combined_identity_residual(energies, cfg.dt, remainders)
     naive = combined_identity_residual(energies, cfg.dt)
     mass_err = max(abs(r[3] - 1.0) for r in rows)
@@ -329,10 +313,14 @@ def main(argv=None) -> int:
             cfg.output_dir = args.output_dir
         if args.seed is not None:
             cfg.seed = args.seed
+        Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
         return _DISPATCH[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
+    except SOLVER_FAILURES as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

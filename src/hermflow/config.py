@@ -8,6 +8,7 @@ absorbed into a default.  See README for the full key reference.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -70,9 +71,12 @@ def _get(parser, section, key, conv, default=None, required=False):
     if parser.has_option(section, key):
         raw = parser.get(section, key)
         try:
-            return conv(raw)
+            value = conv(raw)
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"[{section}] {key} = {raw!r}: not a finite number")
+        return value
     if required:
         raise ConfigError(f"missing required key [{section}] {key}")
     return default

@@ -48,8 +48,12 @@ __all__ = [
     "DragSchedule",
     "mollify_initial_data",
     "drag_schedule",
+    "schedule_indices",
     "vanishing_drag_sweep",
 ]
+
+#: convolution grid points per quadrature-node spacing
+OVERSAMPLE = 4
 
 
 @dataclass(frozen=True)
@@ -85,12 +89,12 @@ def _bump(frame_dim: int, y: np.ndarray) -> np.ndarray:
     return const * vals
 
 
-def mollify_initial_data(q0: ScalarField, u0: VectorField, n: int,
-                         oversample: int = 4) -> tuple[ScalarField, VectorField]:
+def mollify_initial_data(q0: ScalarField, u0: VectorField,
+                         n: int) -> tuple[ScalarField, VectorField]:
     """Cutoff, convolve and renormalize one initial state.
 
     Convolutions are evaluated on a uniform grid covering the quadrature
-    hull plus the kernel support, ``oversample`` times finer than the node
+    hull plus the kernel support, ``OVERSAMPLE`` times finer than the node
     spacing, then interpolated back to the quadrature nodes and projected.
     The returned density has unit quadrature mass exactly (explicit
     normalization) and a strictly positive nodal floor of order 1/n.
@@ -100,7 +104,7 @@ def mollify_initial_data(q0: ScalarField, u0: VectorField, n: int,
     frame = q0.frame
     d = frame.dim
     span = frame.nodes_1d[-1] - frame.nodes_1d[0]
-    h = span / (frame.quad_order - 1) / oversample
+    h = span / (frame.quad_order - 1) / OVERSAMPLE
     margin = 1.0 / n + 2.0 * h
     lo, hi = frame.nodes_1d[0] - margin, frame.nodes_1d[-1] + margin
     npts = int(math.ceil((hi - lo) / h)) + 1
@@ -194,6 +198,16 @@ def _momentum_l2_distance(qa: ScalarField, ua: VectorField,
     return math.sqrt(max(frame.quad(np.einsum("in,in->n", diff, diff)), 0.0))
 
 
+def schedule_indices(n_list) -> list[int]:
+    """The sweep's schedule indices, checked: at least 1 and strictly increasing."""
+    n_list = [int(n) for n in n_list]
+    if any(n < 1 for n in n_list):
+        raise InvalidParameterError(f"schedule indices must be >= 1, got {n_list}")
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise InvalidParameterError(f"schedule indices must be strictly increasing, got {n_list}")
+    return n_list
+
+
 def vanishing_drag_sweep(frame: GaussianFrame, base_params: ModelParams,
                          q0: ScalarField, u0: VectorField, n_list,
                          dt: float, t_final: float, record_every: int = 1,
@@ -209,9 +223,7 @@ def vanishing_drag_sweep(frame: GaussianFrame, base_params: ModelParams,
     from .diagnostics import energy_inequality_audit
     from .driver import simulate
 
-    n_list = [int(n) for n in n_list]
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise InvalidParameterError("n_list must be strictly increasing")
+    n_list = schedule_indices(n_list)
     runs = []
     report: dict = {"n_list": n_list, "schedules": [], "audits": [], "failed_at": None}
     for n in n_list:

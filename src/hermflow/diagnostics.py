@@ -24,13 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import (
-    ModelParams,
-    POSITIVITY_FLOOR,
-    StateBundle,
-    gradient_nodal,
-    velocity_gradient_nodal,
-)
+from .calculus import ModelParams, StateBundle, gradient_nodal, velocity_gradient_nodal
 from .errors import InvalidParameterError
 from .galerkin import SimState
 from .spectral import GaussianFrame, ScalarField, VectorField
@@ -97,16 +91,14 @@ def _moment_values(b: StateBundle):
     return mass, i2, i4, mx, mu
 
 
-def moments(q: ScalarField, u: VectorField | None = None,
-            floor: float = POSITIVITY_FLOOR):
+def moments(q: ScalarField, u: VectorField | None = None):
     """(mass, I2, I2_tilde, I4, Mx, Mu); Mu is zero when no velocity is given."""
-    b = StateBundle(q, u, floor)
+    b = StateBundle(q, u)
     mass, i2, i4, mx, mu = _moment_values(b)
     return mass, i2, i2 - q.frame.dim, i4, mx, mu
 
 
-def energy(q: ScalarField, u: VectorField, params: ModelParams,
-           floor: float = POSITIVITY_FLOOR):
+def energy(q: ScalarField, u: VectorField, params: ModelParams):
     """Relative energy, its dissipation and the diffusion remainder.
 
     E collects kinetic, capillary-Fisher and entropic parts plus the quartic
@@ -115,7 +107,7 @@ def energy(q: ScalarField, u: VectorField, params: ModelParams,
     sigma^2 that the energy balance produces and the dissipation absorbs up
     to an explicit linear-in-time allowance.
     """
-    return _energy_from_bundle(StateBundle(q, u, floor), params)
+    return _energy_from_bundle(StateBundle(q, u), params)
 
 
 def _energy_from_bundle(b: StateBundle, params: ModelParams):
@@ -142,15 +134,15 @@ def _energy_from_bundle(b: StateBundle, params: ModelParams):
     return e_val, d_val, r_val
 
 
-def bd_entropy(q: ScalarField, u: VectorField, params: ModelParams,
-               floor: float = POSITIVITY_FLOOR):
+def bd_entropy(q: ScalarField, u: VectorField, params: ModelParams):
     """BD entropy of the effective velocity, its dissipation and remainder.
 
     These are the drag-system forms (no diffusion regularization in the
     dissipation bookkeeping); the entropy itself is non-negative because
     q - ln q >= 1 and every other term is a square.
     """
-    return _bd_from_bundle(StateBundle(q, u, floor), params)
+    b = StateBundle(q, u)
+    return (_bd_entropy_value(b, params),) + _bd_balance(b, params, (0.0,))[0]
 
 
 def _effective_kinetic(b: StateBundle, params: ModelParams) -> np.ndarray:
@@ -163,12 +155,9 @@ def _effective_kinetic(b: StateBundle, params: ModelParams) -> np.ndarray:
     )
 
 
-def _bd_from_bundle(b: StateBundle, params: ModelParams):
-    frame = b.frame
-    d = frame.dim
-    sig2 = frame.sigma**2
-    _, i2, i4, _, _ = _moment_values(b)
-    e_bd = (
+def _bd_entropy_value(b: StateBundle, params: ModelParams) -> float:
+    _, _, i4, _, _ = _moment_values(b)
+    return (
         b.quad(
             0.5 * (_effective_kinetic(b, params) + params.kappa**2 * b.fisher_integrand)
             + params.a * b.qlnq
@@ -177,91 +166,81 @@ def _bd_from_bundle(b: StateBundle, params: ModelParams):
         * (b.quad(b.qn) - b.quad(b.mask * np.log(b.q_safe)))
         + 0.25 * params.r4 * i4
     )
-    askew2 = np.einsum("ijn,ijn->n", b.askew, b.askew)
-    glog2 = np.einsum("ijn,ijn->n", b.glog, b.glog)
-    d_bd = (
-        2.0 * params.nu * b.quad(b.qn * askew2)
-        + 2.0 * params.nu * params.lam * sig2 * b.quad(b.fisher_integrand)
-        + 2.0 * params.kappa**2 * params.nu * b.quad(glog2)
-        + params.r0 * b.quad(b.raw2)
-        + params.r1 * b.quad(b.qn * b.s2 * b.raw2)
-        + 2.0 * params.r4 * params.nu / sig2 * i4
-    )
-    u_dot_gq = np.einsum("in,in->n", b.un, b.gq)
-    r_bd = (
-        2.0 * params.r4 * params.nu * (d + 2) / sig2 * i2
-        - 2.0 * params.nu * params.r1 * b.quad(b.s2 * u_dot_gq)
-        + 2.0 * params.nu / sig2 * (b.quad(b.qn * b.raw2) + 2.0 * params.nu * b.quad(u_dot_gq))
-    )
-    return e_bd, d_bd, r_bd
 
 
-def bd_entropy_regularized(q: ScalarField, u: VectorField, params: ModelParams,
-                           floor: float = POSITIVITY_FLOOR):
+def bd_entropy_regularized(q: ScalarField, u: VectorField, params: ModelParams):
     """Dissipation/remainder pair of the diffusion-regularized BD balance.
 
     With delta1 = 0 this reduces to the plain pair from :func:`bd_entropy`.
     The balance d/dt E_BD + D_BD_reg = R_BD_reg holds along exact
     trajectories, so its integrated residual is the BD audit quantity.
     """
-    return _bd_reg_from_bundle(StateBundle(q, u, floor), params)
+    return _bd_balance(StateBundle(q, u), params, (params.delta1,))[0]
 
 
-def _bd_reg_from_bundle(b: StateBundle, params: ModelParams):
+def _bd_balance(b: StateBundle, params: ModelParams, d1s):
+    """(D_BD, R_BD) of the BD balance for each density diffusion in d1s.
+
+    The integrals do not depend on the diffusion, so they are formed once.
+    """
     frame = b.frame
     d = frame.dim
     sig2 = frame.sigma**2
-    nu, d1 = params.nu, params.delta1
+    nu = params.nu
     _, i2, i4, _, _ = _moment_values(b)
-    askew2 = np.einsum("ijn,ijn->n", b.askew, b.askew)
-    glog2 = np.einsum("ijn,ijn->n", b.glog, b.glog)
-    gradlog2 = b.fisher_integrand * b.inv_q  # |grad ln q|^2, unweighted
-    d_bd = (
-        2.0 * nu * b.quad(b.qn * askew2)
-        + (d1 + 2.0 * nu) * params.lam * sig2 * b.quad(b.fisher_integrand)
-        + (params.kappa**2 * (d1 + 2.0 * nu) + 4.0 * nu**2 * d1) * b.quad(glog2)
-        + params.r0 * b.quad(b.raw2)
-        + 2.0 * nu * params.r0 * d1 * b.quad(gradlog2)
-        + params.r1 * b.quad(b.qn * b.s2 * b.raw2)
-        + params.r4 * (d1 + 2.0 * nu) / sig2 * i4
-    )
     # q D^2(ln q) without the sqrt weight; rational part masked
     qhlog = b.hq * b.mask - np.einsum("in,jn->ijn", b.gq, b.gq) * b.inv_q
-    du_gq_glog = np.einsum("ikn,kn,in->n", b.du, b.gq, b.gq) * b.inv_q
     u_dot_gq = np.einsum("in,in->n", b.un, b.gq)
-    r_bd = (
-        params.r4 * (d1 + 2.0 * nu) * (d + 2) / sig2 * i2
-        - 2.0 * nu * d1 * b.quad(np.einsum("ikn,ikn->n", b.dsym, qhlog))
-        - 2.0 * nu * d1 * b.quad(du_gq_glog)
-        - 2.0 * nu * params.r1 * b.quad(b.s2 * u_dot_gq)
-        + 2.0 * nu / sig2 * (
-            b.quad(b.qn * b.raw2)
-            + (2.0 * nu - d1) * b.quad(u_dot_gq)
-            - 2.0 * nu * d1 * b.quad(b.fisher_integrand)
+    askew = b.quad(b.qn * np.einsum("ijn,ijn->n", b.askew, b.askew))
+    fisher = b.quad(b.fisher_integrand)
+    glog = b.quad(np.einsum("ijn,ijn->n", b.glog, b.glog))
+    raw = b.quad(b.raw2)
+    gradlog = b.quad(b.fisher_integrand * b.inv_q)  # |grad ln q|^2, unweighted
+    cubic = b.quad(b.qn * b.s2 * b.raw2)
+    dsym_qhlog = b.quad(np.einsum("ikn,ikn->n", b.dsym, qhlog))
+    du_gq_glog = b.quad(np.einsum("ikn,kn,in->n", b.du, b.gq, b.gq) * b.inv_q)
+    s2_ugq = b.quad(b.s2 * u_dot_gq)
+    ke = b.quad(b.qn * b.raw2)
+    ugq = b.quad(u_dot_gq)
+    out = []
+    for d1 in d1s:
+        d_bd = (
+            2.0 * nu * askew
+            + (d1 + 2.0 * nu) * params.lam * sig2 * fisher
+            + (params.kappa**2 * (d1 + 2.0 * nu) + 4.0 * nu**2 * d1) * glog
+            + params.r0 * raw
+            + 2.0 * nu * params.r0 * d1 * gradlog
+            + params.r1 * cubic
+            + params.r4 * (d1 + 2.0 * nu) / sig2 * i4
         )
-    )
-    return d_bd, r_bd
+        r_bd = (
+            params.r4 * (d1 + 2.0 * nu) * (d + 2) / sig2 * i2
+            - 2.0 * nu * d1 * dsym_qhlog
+            - 2.0 * nu * d1 * du_gq_glog
+            - 2.0 * nu * params.r1 * s2_ugq
+            + 2.0 * nu / sig2 * (ke + (2.0 * nu - d1) * ugq - 2.0 * nu * d1 * fisher)
+        )
+        out.append((d_bd, r_bd))
+    return out
 
 
-def check_log_sobolev(q: ScalarField, floor: float = POSITIVITY_FLOOR,
-                      mass_tol: float = 1e-8) -> float:
+def check_log_sobolev(q: ScalarField, mass_tol: float = 1e-8) -> float:
     """Margin of the Gaussian logarithmic Sobolev inequality for q.
 
     Uses the constant 2 sigma^2, the one the exponential-tilt extremizers
     single out: margin = 2 sigma^2 int |grad sqrt(q)|^2 - int q ln q >= 0,
     with equality exactly on tilted Gaussians.
     """
-    return lsi_margins(q, floor, mass_tol)[0]
+    return lsi_margins(q, mass_tol)[0]
 
 
-def lsi_margins(q: ScalarField, floor: float = POSITIVITY_FLOOR,
-                mass_tol: float = 1e-8):
+def lsi_margins(q: ScalarField, mass_tol: float = 1e-8):
     """(margin with constant 2 sigma^2, margin with constant 2 / sigma^2).
 
     Both are surfaced in verification reports; the first is the asserted
     one, the second is informational (the two coincide at sigma = 1).
     """
-    return _lsi_from_bundle(StateBundle(q, floor=floor), mass_tol)
+    return _lsi_from_bundle(StateBundle(q), mass_tol)
 
 
 def _lsi_from_bundle(b: StateBundle, mass_tol: float):
@@ -274,7 +253,7 @@ def _lsi_from_bundle(b: StateBundle, mass_tol: float):
     return 2.0 * sig2 * dirichlet - entropy, (2.0 / sig2) * dirichlet - entropy
 
 
-def check_hessian_lemma(q: ScalarField, floor: float = POSITIVITY_FLOOR):
+def check_hessian_lemma(q: ScalarField):
     """Hessian-control audit: (A, B, D, I4, margin_intermediate, margin_final).
 
     A is the squared Hessian of sqrt(q), B the quartic gradient of q^(1/4),
@@ -283,7 +262,7 @@ def check_hessian_lemma(q: ScalarField, floor: float = POSITIVITY_FLOOR):
         D + sqrt(3 B D) + I4^(1/4) B^(3/4) / sigma - (A + B)        >= 0
         4 D + 3 I4 / (4 sigma^4)  - (A + B/2)                       >= 0
     """
-    return _hessian_lemma_from_bundle(StateBundle(q, floor=floor))
+    return _hessian_lemma_from_bundle(StateBundle(q))
 
 
 def _hessian_lemma_from_bundle(b: StateBundle):
@@ -353,16 +332,15 @@ def _korn_ratio(frame: GaussianFrame, un: np.ndarray, du: np.ndarray) -> float:
     return lhs / rhs
 
 
-def record(state: SimState, params: ModelParams,
-           floor: float = POSITIVITY_FLOOR) -> DiagnosticsRecord:
+def record(state: SimState, params: ModelParams) -> DiagnosticsRecord:
     """Full diagnostics of one state."""
     q, u = state.q, state.u
     frame = q.frame
-    b = StateBundle(q, u, floor)
+    b = StateBundle(q, u)
     mass, i2, i4, mx, mu = _moment_values(b)
     e_reg, d_reg, r_reg = _energy_from_bundle(b, params)
-    e_bd, d_bd, r_bd = _bd_from_bundle(b, params)
-    d_bd_reg, r_bd_reg = _bd_reg_from_bundle(b, params)
+    e_bd = _bd_entropy_value(b, params)
+    (d_bd, r_bd), (d_bd_reg, r_bd_reg) = _bd_balance(b, params, (0.0, params.delta1))
     lsi = _lsi_from_bundle(b, mass_tol=1e-6)[0]
     _, _, _, _, hmid, hfin = _hessian_lemma_from_bundle(b)
     sqrt_q = ScalarField(frame, nodal=np.sqrt(b.q_safe))

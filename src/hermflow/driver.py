@@ -34,8 +34,7 @@ def step_count(dt: float, t_final: float) -> int:
 
 def simulate(frame: GaussianFrame, params: ModelParams, q0: ScalarField,
              u0: VectorField, dt: float, t_final: float, record_every: int = 1,
-             keep_states: bool = False, picard_tol: float = 1e-10,
-             max_sweeps: int = 25) -> SimulationResult:
+             keep_states: bool = False) -> SimulationResult:
     """March the coupled system to t_final, recording diagnostics on a cadence.
 
     Solver failures (positivity breach, fixed-point stall) propagate to the
@@ -47,8 +46,7 @@ def simulate(frame: GaussianFrame, params: ModelParams, q0: ScalarField,
     states = [state] if keep_states else []
     envelope_ok = envelope_check(state.q, state.env)
     for step in range(n_steps):
-        state = coupled_step(state, params, dt, picard_tol=picard_tol,
-                             max_sweeps=max_sweeps)
+        state = coupled_step(state, params, dt)
         if (step + 1) % record_every == 0 or step + 1 == n_steps:
             records.append(record(state, params))
             envelope_ok = envelope_ok and envelope_check(state.q, state.env)

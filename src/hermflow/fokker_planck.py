@@ -51,6 +51,11 @@ __all__ = [
     "envelope_check",
 ]
 
+#: Picard iterations on the endpoint density in one transport step
+FP_SWEEPS = 2
+#: slack of the envelope check on nodal density values
+ENVELOPE_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class PositivityEnvelope:
@@ -103,11 +108,10 @@ def _divm_qu_coeffs(q: ScalarField, u: VectorField) -> np.ndarray:
     return div_m(flux).coeffs
 
 
-def fp_step(q: ScalarField, u: VectorField, delta1: float, dt: float,
-            sweeps: int = 2) -> ScalarField:
+def fp_step(q: ScalarField, u: VectorField, delta1: float, dt: float) -> ScalarField:
     """One exponential-midpoint Duhamel step with the velocity frozen.
 
-    Picard-iterates the endpoint value ``sweeps`` times; the midpoint density
+    Picard-iterates the endpoint value ``FP_SWEEPS`` times; the midpoint density
     is the average of the endpoints, which keeps the step second order.  A
     growing iteration increment means the fixed-point map stopped
     contracting, which is reported as a step failure (reduce dt).
@@ -122,7 +126,7 @@ def fp_step(q: ScalarField, u: VectorField, delta1: float, dt: float,
     free = decay_full * c0
     c_new = free
     prev_increment = None
-    for _ in range(max(sweeps, 1)):
+    for _ in range(FP_SWEEPS):
         q_mid = ScalarField(frame, coeffs=0.5 * (c0 + c_new))
         c_next = free - dt * decay_half * _divm_qu_coeffs(q_mid, u)
         increment = float(np.linalg.norm(c_next - c_new))
@@ -156,7 +160,7 @@ def envelope_update(env: PositivityEnvelope, u: VectorField, dt: float) -> Posit
     )
 
 
-def envelope_check(q: ScalarField, env: PositivityEnvelope, tol: float = 1e-8) -> bool:
-    """True when the density range over trusted nodes respects the envelope up to tol."""
+def envelope_check(q: ScalarField, env: PositivityEnvelope) -> bool:
+    """True when the density range over trusted nodes respects the envelope up to ENVELOPE_TOL."""
     qn = q.nodal[q.frame.trusted]
-    return bool(np.min(qn) >= env.lower - tol and np.max(qn) <= env.upper + tol)
+    return bool(np.min(qn) >= env.lower - ENVELOPE_TOL and np.max(qn) <= env.upper + ENVELOPE_TOL)

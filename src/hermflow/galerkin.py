@@ -19,7 +19,7 @@ the test fields).
 One time step solves the density equation and the mass-matrix update as a
 joint fixed point: the density is advanced with the current velocity
 iterate, the forces are assembled at the midpoint state, and the velocity
-solve repeats until successive iterates agree to ``picard_tol``.
+solve repeats until successive iterates agree to ``PICARD_TOL``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .calculus import ModelParams, POSITIVITY_FLOOR, StateBundle, require_positive
+from .calculus import ModelParams, StateBundle, require_positive
 from .errors import (
     InternalConsistencyError,
     InvalidParameterError,
@@ -48,6 +48,11 @@ __all__ = [
     "coupled_step",
     "make_initial_state",
 ]
+
+#: velocity fixed point: coefficient-norm increment that ends the sweeps,
+#: and the sweeps allowed before the step is reported as a failure
+PICARD_TOL = 1e-10
+MAX_SWEEPS = 25
 
 
 @dataclass(frozen=True)
@@ -69,10 +74,10 @@ class SimState:
         return self.q.frame
 
 
-def make_initial_state(q0: ScalarField, u0: VectorField, t: float = 0.0) -> SimState:
+def make_initial_state(q0: ScalarField, u0: VectorField) -> SimState:
     env = PositivityEnvelope.from_initial_density(q0)
     env = PositivityEnvelope(c0=env.c0, accumulated=0.0, last_sup=divm_sup(u0))
-    return SimState(q=q0, u=u0, t=t, env=env)
+    return SimState(q=q0, u=u0, t=0.0, env=env)
 
 
 class MassOperator:
@@ -137,8 +142,7 @@ def project_initial_velocity(q0: ScalarField, u0_nodal: np.ndarray | VectorField
     return VectorField.from_coeffs(frame, mass.solve(rhs))
 
 
-def momentum_rhs(q: ScalarField, u: VectorField, params: ModelParams,
-                 floor: float = POSITIVITY_FLOOR, *,
+def momentum_rhs(q: ScalarField, u: VectorField, params: ModelParams, *,
                  pressure_coef: float | None = None,
                  transport_coef: float = 1.0,
                  nu: float | None = None,
@@ -166,7 +170,7 @@ def momentum_rhs(q: ScalarField, u: VectorField, params: ModelParams,
     kappa_sq = params.kappa**2 if kappa_sq is None else kappa_sq
     pressure = params.lam * sig2 if pressure_coef is None else pressure_coef
 
-    b = StateBundle(q, u, floor)
+    b = StateBundle(q, u)
     qn, un, du, gq, s2 = b.qn, b.un, b.du, b.gq, b.s2
     w = frame.weights
     x = frame.nodes.T
@@ -194,8 +198,7 @@ def momentum_rhs(q: ScalarField, u: VectorField, params: ModelParams,
 
 
 def _joint_fixed_point(q_prev: ScalarField, u_prev: VectorField, params: ModelParams,
-                       dt: float, t: float, coeffs: dict, picard_tol: float,
-                       max_sweeps: int, fp_sweeps: int, floor: float,
+                       dt: float, t: float, coeffs: dict,
                        mass_prev: MassOperator | None = None):
     """One step of the joint density/velocity fixed point, from time t.
 
@@ -213,22 +216,21 @@ def _joint_fixed_point(q_prev: ScalarField, u_prev: VectorField, params: ModelPa
     advection = 0.5 * coeffs.get("transport_coef", 1.0)
 
     u_iter = u_prev
-    for _ in range(max_sweeps):
-        q_new = fp_step(q_prev, advection * (u_prev + u_iter), params.delta1, dt,
-                        sweeps=fp_sweeps)
+    for _ in range(MAX_SWEEPS):
+        q_new = fp_step(q_prev, advection * (u_prev + u_iter), params.delta1, dt)
         q_mid = 0.5 * (q_prev + q_new)
         u_mid = 0.5 * (u_prev + u_iter)
-        force = momentum_rhs(q_mid, u_mid, params, floor, **coeffs)
+        force = momentum_rhs(q_mid, u_mid, params, **coeffs)
         mass_new = assemble_mass(q_new)
         u_next = VectorField.from_coeffs(q_prev.frame, mass_new.solve(momentum_prev + dt * force))
         diff = float(np.linalg.norm(u_next.coeffs - u_iter.coeffs))
         u_iter = u_next
-        if diff < picard_tol:
+        if diff < PICARD_TOL:
             break
     else:
         raise StepFailureError(
-            f"velocity fixed point did not settle below {picard_tol:.1e} "
-            f"in {max_sweeps} sweeps at t={t:.6g}; reduce dt"
+            f"velocity fixed point did not settle below {PICARD_TOL:.1e} "
+            f"in {MAX_SWEEPS} sweeps at t={t:.6g}; reduce dt"
         )
 
     drift = abs(float(q_new.coeffs[0]) - float(q_prev.coeffs[0]))
@@ -237,19 +239,16 @@ def _joint_fixed_point(q_prev: ScalarField, u_prev: VectorField, params: ModelPa
     return q_new, u_iter, mass_new
 
 
-def coupled_step(state: SimState, params: ModelParams, dt: float,
-                 picard_tol: float = 1e-10, max_sweeps: int = 25,
-                 fp_sweeps: int = 2, floor: float = POSITIVITY_FLOOR) -> SimState:
+def coupled_step(state: SimState, params: ModelParams, dt: float) -> SimState:
     """Advance density and velocity together by one joint fixed point.
 
     Density update and midpoint force assembly repeat until the velocity
-    iterates settle below ``picard_tol`` in the coefficient norm; the mass
+    iterates settle below ``PICARD_TOL`` in the coefficient norm; the mass
     matrix carries the momentum from the previous state so the update
     discretizes d/dt(M[q]u) directly.  The state carries the mass operator
     of its q, which the following step reuses.
     """
     q_new, u_new, mass = _joint_fixed_point(state.q, state.u, params, dt, state.t, {},
-                                            picard_tol, max_sweeps, fp_sweeps, floor,
                                             state.mass)
     env = envelope_update(state.env, u_new, dt)
     return SimState(q=q_new, u=u_new, t=state.t + dt, env=env, mass=mass)

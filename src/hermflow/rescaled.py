@@ -35,19 +35,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import ModelParams, POSITIVITY_FLOOR, StateBundle
+from .calculus import ModelParams, StateBundle
 from .driver import step_count
 from .errors import InvalidParameterError, StepFailureError
 from .galerkin import _joint_fixed_point
-from .spectral import GaussianFrame, ScalarField, VectorField
+from .spectral import ScalarField, VectorField
 
 __all__ = [
     "TauState",
     "tau_rhs",
     "tau_energy",
     "tau_solve",
-    "rescale_map",
-    "inverse_rescale_map",
     "require_unregularized",
     "rescaled_step",
     "rescaled_energy",
@@ -97,63 +95,6 @@ def tau_solve(a: float, kappa: float, nu: float, t_final: float, dt: float,
     return out
 
 
-def rescale_map(rho, u, tau_state: TauState, frame: GaussianFrame):
-    """Physical (rho, u) -> rescaled (Q, U) fields on the unit-Gaussian frame.
-
-    ``rho`` and ``u`` are callables of position arrays (shape (m, d) ->
-    values); the rescaled fields are sampled at the frame's nodes scaled by
-    tau and projected.  Mass transfers exactly: int R dy = int rho dx.
-    """
-    if tau_state.tau <= 0.0:
-        raise InvalidParameterError("tau must be positive")
-    tau, tdot = tau_state.tau, tau_state.tau_dot
-    d = frame.dim
-    pts = tau * frame.nodes
-    r_vals = tau**d * np.asarray(rho(pts), dtype=float)
-    q_field = ScalarField(frame, nodal=r_vals / frame.rho_m_nodes)
-    u_vals = np.asarray(u(pts), dtype=float).reshape(d, frame.n_nodes)
-    big_u = tau * u_vals - tdot * tau * frame.nodes.T
-    u_field = VectorField.from_nodal(frame, big_u)
-    return q_field, u_field
-
-
-def inverse_rescale_map(q_field: ScalarField, u_field: VectorField,
-                        tau_state: TauState):
-    """Rescaled (Q, U) fields -> physical (rho, u) as callables of position.
-
-    Evaluation requests outside the dilated image of the resolved window
-    emit an accuracy warning (the spectral representation extrapolates
-    there).
-    """
-    import warnings
-
-    tau, tdot = tau_state.tau, tau_state.tau_dot
-    frame = q_field.frame
-    d = frame.dim
-    hull = tau * float(np.max(np.abs(frame.nodes_1d)))
-
-    def _scaled(points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if np.max(np.abs(pts)) > hull:
-            warnings.warn(
-                "evaluating the dilated fields outside the resolved window; "
-                "values there are spectral extrapolation",
-                stacklevel=3,
-            )
-        return pts, pts / tau
-
-    def rho(points):
-        _, y = _scaled(points)
-        return tau**-d * q_field.eval(y) * frame.rho_m(y)
-
-    def u(points):
-        pts, y = _scaled(points)
-        vals = np.stack([c.eval(y) for c in u_field.components])
-        return vals / tau + (tdot / tau) * pts.T
-
-    return rho, u
-
-
 def _tau_coeffs(params: ModelParams, tau: float, tau_dot: float):
     # Writing the quantum stress weakly against D(phi) on the unit frame
     # leaves a kappa^2/tau^2 pressure remnant, the analogue of the
@@ -173,9 +114,7 @@ def require_unregularized(params: ModelParams) -> None:
 
 
 def rescaled_step(q: ScalarField, u: VectorField, tau_mid: TauState,
-                  params: ModelParams, dt: float,
-                  picard_tol: float = 1e-10, max_sweeps: int = 25,
-                  fp_sweeps: int = 2, floor: float = POSITIVITY_FLOOR):
+                  params: ModelParams, dt: float):
     """One joint step of the dilated system with coefficients frozen at tau_mid.
 
     The drag and diffusion regularizations must be zero here
@@ -183,13 +122,12 @@ def rescaled_step(q: ScalarField, u: VectorField, tau_mid: TauState,
     """
     require_unregularized(params)
     coeffs = _tau_coeffs(params, tau_mid.tau, tau_mid.tau_dot)
-    q_new, u_new, _ = _joint_fixed_point(q, u, params, dt, tau_mid.t, coeffs,
-                                         picard_tol, max_sweeps, fp_sweeps, floor)
+    q_new, u_new, _ = _joint_fixed_point(q, u, params, dt, tau_mid.t, coeffs)
     return q_new, u_new
 
 
 def rescaled_energy(q: ScalarField, u: VectorField, tau_state: TauState,
-                    params: ModelParams, floor: float = POSITIVITY_FLOOR):
+                    params: ModelParams):
     """(E, D, E_BD, D_BD) of the dilated system at one state.
 
     The effective velocity W = U + 2 nu grad(ln Q) carries the entropy.
@@ -197,7 +135,7 @@ def rescaled_energy(q: ScalarField, u: VectorField, tau_state: TauState,
     remainder returned by :func:`rescaled_bd_remainder`;
     :func:`combined_identity_residual` audits it either way.
     """
-    b = StateBundle(q, u, floor)
+    b = StateBundle(q, u)
     tau, tdot = tau_state.tau, tau_state.tau_dot
     ke = b.quad(b.qn * b.raw2)
     dirichlet = 0.25 * b.quad(b.fisher_integrand)
@@ -224,8 +162,7 @@ def rescaled_energy(q: ScalarField, u: VectorField, tau_state: TauState,
 
 
 def rescaled_bd_remainder(q: ScalarField, u: VectorField, tau_state: TauState,
-                          params: ModelParams,
-                          floor: float = POSITIVITY_FLOOR) -> float:
+                          params: ModelParams) -> float:
     r"""Twist-induced remainder of the dilated entropy balance.
 
     The effective-velocity equation picks up a source
@@ -241,7 +178,7 @@ def rescaled_bd_remainder(q: ScalarField, u: VectorField, tau_state: TauState,
 
     This function returns the right-hand side.
     """
-    b = StateBundle(q, u, floor)
+    b = StateBundle(q, u)
     ke = b.quad(b.qn * b.raw2)
     cross = b.quad(np.einsum("in,in->n", b.un, b.gq))
     return 2.0 * params.nu / tau_state.tau**4 * (ke + 2.0 * params.nu * cross)

@@ -46,9 +46,6 @@ __all__ = [
     "sigma_from_coefficients",
     "build_frame",
     "transform",
-    "inverse_transform",
-    "integrate",
-    "ou_apply",
     "multiply",
     "TRUST_LIMIT",
 ]
@@ -344,9 +341,6 @@ class ScalarField:
     def eval(self, points: np.ndarray) -> np.ndarray:
         return self.frame.basis_eval(points) @ self.coeffs
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.frame, coeffs=self.coeffs.copy())
-
     def __add__(self, other):
         _check_same_frame(self, other)
         return ScalarField(self.frame, coeffs=self.coeffs + other.coeffs)
@@ -432,22 +426,6 @@ def transform(frame: GaussianFrame, nodal_values: np.ndarray) -> ScalarField:
     return ScalarField(frame, coeffs=frame.project_nodal(np.asarray(nodal_values, dtype=float)))
 
 
-def inverse_transform(f: ScalarField) -> np.ndarray:
-    """Spectral field -> values at the quadrature nodes."""
-    return f.frame._synthesize(f.coeffs)
-
-
-def integrate(f: ScalarField) -> float:
-    """Integral against the reference measure; equals the zero-index coefficient."""
-    return float(f.coeffs[0])
-
-
-def ou_apply(f: ScalarField) -> ScalarField:
-    """Ornstein-Uhlenbeck operator: diagonal, eigenvalue -(total degree)/sigma^2."""
-    frame = f.frame
-    return ScalarField(frame, coeffs=f.coeffs * (-frame.total_degree / frame.sigma**2))
-
-
 def multiply(f: ScalarField, g: ScalarField) -> ScalarField:
     """Dealiased product: nodal multiplication, then exact projection to degree N.
 
@@ -456,4 +434,4 @@ def multiply(f: ScalarField, g: ScalarField) -> ScalarField:
     padded-grid de-aliasing realized through the frame's own rule.
     """
     _check_same_frame(f, g)
-    return ScalarField(f.frame, coeffs=f.frame.project_nodal(f.nodal * g.nodal))
+    return transform(f.frame, f.nodal * g.nodal)

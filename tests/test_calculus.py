@@ -9,8 +9,6 @@ from hermflow import (
     StateBundle,
     VectorField,
     div_m,
-    q_of_rho,
-    rho_of_q,
 )
 from hermflow.calculus import bohm_residual, gradient_nodal, korteweg_consistency
 from hermflow.sampling import random_density, random_field, random_velocity, tilted_density
@@ -204,25 +202,3 @@ class TestBohmIdentity:
         q = ScalarField(frame, coeffs=q.coeffs / q.coeffs[0])
         assert bohm_residual(q) < 1e-6
 
-
-class TestDensityConversion:
-    def test_equilibrium(self, frame_1d):
-        rho = rho_of_q(unit_field(frame_1d))
-        assert np.allclose(rho, frame_1d.rho_m_nodes)
-
-    def test_roundtrip_and_mass(self, frame_1d, rng):
-        q = random_density(frame_1d, rng)
-        rho = rho_of_q(q)
-        back = q_of_rho(frame_1d, rho)
-        assert frame_1d.norm_l2mu(back.nodal - q.nodal) < 1e-12
-        # int q dmu = int rho dx under the same quadrature
-        assert back.coeffs[0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_linear_perturbation_moment(self, frame_1d):
-        # q = 1 + eps x: first flat-measure moment of rho is eps sigma^2
-        eps = 0.125
-        x = frame_1d.nodes[:, 0]
-        q = transform(frame_1d, 1.0 + eps * x)
-        rho = rho_of_q(q)
-        moment = frame_1d.quad((rho / frame_1d.rho_m_nodes) * x)
-        assert moment == pytest.approx(eps * frame_1d.sigma**2, rel=1e-12)

@@ -1,8 +1,12 @@
 import json
+import tempfile
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermflow.cli import main
 from hermflow.config import ConfigError, load_config
@@ -116,8 +120,12 @@ class TestSimulateCommand:
         ("family = steady", "family = file\n    path = {tmp}/short.npz"),
         ("family = steady", "family = file\n    path = {tmp}/short_u.npz"),
         ("seed = 42", "seed = 42\n    n_samples = 0"),
+        ("a = 1.0", "a = nan"),
+        ("dt = 1e-3", "dt = nan"),
+        ("t_final = 0.02", "t_final = inf"),
+        ("family = steady", "family = steady\n    decay = -inf"),
     ], ids=["r0", "lambda", "dim", "quad_order", "t_final", "file_coeffs", "file_u_coeffs",
-            "n_samples"])
+            "n_samples", "a_nan", "dt_nan", "t_final_inf", "decay_inf"])
     def test_out_of_range_value_exits_3(self, tmp_path, capsys, old, new):
         # values the solver's own constructors reject are config errors
         np.savez(tmp_path / "short.npz", q_coeffs=np.ones(5), u_coeffs=np.zeros((1, 13)))
@@ -127,6 +135,15 @@ class TestSimulateCommand:
                      "--output-dir", str(tmp_path / "out")])
         assert code == 3
         assert capsys.readouterr().err.startswith("config error:")
+
+    def test_positivity_failure_at_setup_exits_2(self, tmp_path, capsys):
+        # the boost is projected with a tilt that dips below zero at degree 4
+        body = (STEADY.replace("degree = 12", "degree = 4")
+                .replace("family = steady", "family = tilted\n    alpha = -1\n    u_scale = 0.1"))
+        code = main(["simulate", write_config(tmp_path / "a.cfg", body),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("solver failure:")
 
     def test_mode_mismatch_exits_3(self, tmp_path):
         code = main(["verify", write_config(tmp_path / "a.cfg", STEADY)])
@@ -197,6 +214,14 @@ class TestSweepCommand:
         assert code == 3
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("n_list", ["8, 4", "0, 4"], ids=["decreasing", "zero"])
+    def test_bad_n_list_exits_3(self, tmp_path, capsys, n_list):
+        body = self.BODY.replace("n_list = 4, 8", f"n_list = {n_list}")
+        code = main(["sweep", write_config(tmp_path / "a.cfg", body),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("config error:")
+
 
 class TestRescaledCommand:
     BODY = (STEADY.replace("mode = simulate", "mode = rescaled")
@@ -212,11 +237,43 @@ class TestRescaledCommand:
         rows = (tmp_path / "out" / "trajectory.csv").read_text().strip().splitlines()
         assert rows[0].split(",")[0:3] == ["t", "tau", "tau_dot"]
 
-    @pytest.mark.parametrize("key", ["r0", "r1", "r4", "delta1"])
+    @pytest.mark.parametrize("key", ["r0", "r1", "r4", "delta1", "record_every"])
     def test_regularizer_in_config_exits_3(self, tmp_path, capsys, key):
-        # the dilated system has no drag or diffusion regularization
-        body = self.BODY.replace("lambda = 2.0", f"lambda = 2.0\n    {key} = 0.7")
+        # the dilated system has no drag or diffusion regularization, and it
+        # records every step
+        anchor, value = ("dt = 1e-3", 5) if key == "record_every" else ("lambda = 2.0", 0.7)
+        body = self.BODY.replace(anchor, f"{anchor}\n    {key} = {value}")
         code = main(["rescaled", write_config(tmp_path / "a.cfg", body),
                      "--output-dir", str(tmp_path / "out")])
         assert code == 3
         assert capsys.readouterr().err.startswith("config error:")
+
+
+# one small run per mode, every float key the fuzzer may change spelled out
+FUZZ_BASE = {
+    "model": {"a": 1.0, "kappa": 0.5, "nu": 0.5, "lambda": 100.0, "r0": 0.0, "delta1": 0.0},
+    "frame": {"dim": 1, "degree": 6},
+    "initial": {"alpha": 0.3, "amplitude": 0.4, "decay": 0.35, "u_scale": 0.1},
+    "time": {"dt": 2e-3, "t_final": 4e-3},
+    "run": {"n_samples": 2, "n_list": "4, 8"},
+}
+FUZZ_FAMILY = {"simulate": "random", "verify": "random", "sweep": "tilted", "rescaled": "tilted"}
+FUZZ_KEYS = ["a", "kappa", "nu", "lambda", "r0", "delta1", "alpha", "amplitude", "decay",
+             "u_scale", "dt", "t_final"]
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(mode=st.sampled_from(sorted(FUZZ_FAMILY)), key=st.sampled_from(FUZZ_KEYS),
+       value=st.sampled_from(["nan", "inf", "-inf", "-1", "0", "abc", ""]))
+def test_fuzzed_config_exits_with_a_contract_code(mode, key, value):
+    lines = []
+    for section, entries in FUZZ_BASE.items():
+        lines.append(f"[{section}]")
+        lines += [f"{k} = {value if k == key else v}" for k, v in entries.items()]
+        if section == "initial":
+            lines.append(f"family = {FUZZ_FAMILY[mode]}")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "fuzz.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        code = main([mode, str(cfg), "--output-dir", str(Path(tmp) / "out")])
+    assert isinstance(code, int) and 0 <= code <= 3

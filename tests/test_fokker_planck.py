@@ -154,7 +154,7 @@ class TestTransportStep:
         x = frame_1d.nodes[:, 0]
         u = VectorField([transform(frame_1d, 3.0 * x)])
         with pytest.raises(StepFailureError):
-            fp_step(q, u, 0.0, 5.0, sweeps=4)
+            fp_step(q, u, 0.0, 5.0)
 
     def test_rejects_bad_dt(self, frame_1d):
         with pytest.raises(InvalidParameterError):

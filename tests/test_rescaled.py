@@ -7,7 +7,6 @@ from hermflow import (
     GaussianFrame,
     InvalidParameterError,
     ModelParams,
-    ScalarField,
     VectorField,
     coupled_step,
     make_initial_state,
@@ -16,8 +15,6 @@ from hermflow import (
 from hermflow.rescaled import (
     TauState,
     combined_identity_residual,
-    inverse_rescale_map,
-    rescale_map,
     rescaled_bd_remainder,
     rescaled_energy,
     rescaled_step,
@@ -25,7 +22,7 @@ from hermflow.rescaled import (
     tau_rhs,
     tau_solve,
 )
-from hermflow.sampling import random_density, random_velocity, tilted_density
+from hermflow.sampling import tilted_density
 
 from conftest import unit_field
 
@@ -61,54 +58,6 @@ class TestDilationFactor:
     def test_invalid_steps(self):
         with pytest.raises(InvalidParameterError):
             tau_solve(1.0, 1.0, 0.0, 1.0, 0.0)
-
-
-class TestRescaleMap:
-    def test_identity_at_unit_dilation(self, unit_frame, rng):
-        q = random_density(unit_frame, rng)
-        u = random_velocity(unit_frame, rng)
-        rho, vel = inverse_rescale_map(q, u, TauState(1.0, 0.0, 0.0))
-        q2, u2 = rescale_map(rho, vel, TauState(1.0, 0.0, 0.0), unit_frame)
-        assert np.max(np.abs(q2.coeffs - q.coeffs)) < 1e-12
-        assert np.max(np.abs(u2.coeffs - u.coeffs)) < 1e-12
-
-    def test_round_trip(self, unit_frame, rng):
-        q = random_density(unit_frame, rng)
-        u = random_velocity(unit_frame, rng)
-        for tau, tdot in ((1.5, 0.3), (4.0, 1.1)):
-            ts = TauState(tau, tdot, 0.0)
-            rho, vel = inverse_rescale_map(q, u, ts)
-            q2, u2 = rescale_map(rho, vel, ts, unit_frame)
-            assert np.max(np.abs(q2.coeffs - q.coeffs)) < 1e-9
-            assert np.max(np.abs(u2.coeffs - u.coeffs)) < 1e-9
-
-    def test_mass_invariance(self, unit_frame, rng):
-        q = random_density(unit_frame, rng)
-        rho, vel = inverse_rescale_map(q, VectorField.zero(unit_frame), TauState(2.0, 0.5, 0.0))
-        q2, _ = rescale_map(rho, vel, TauState(2.0, 0.5, 0.0), unit_frame)
-        assert abs(q2.coeffs[0] - 1.0) < 1e-10
-
-    def test_gaussian_resampling_oracle(self, unit_frame):
-        # rho = unit Gaussian with tau = 2: R(y) = 2 rho_m(2y)
-        ts = TauState(2.0, 0.0, 0.0)
-
-        def rho(points):
-            return unit_frame.rho_m(points)
-
-        def vel(points):
-            pts = np.atleast_2d(points)
-            return np.zeros((1, pts.shape[0]))
-
-        q2, _ = rescale_map(rho, vel, ts, unit_frame)
-        expect = 2.0 * unit_frame.rho_m(2.0 * unit_frame.nodes) / unit_frame.rho_m_nodes
-        assert unit_frame.norm_l2mu(q2.nodal - expect) < 1e-9
-
-    def test_requires_positive_tau(self, unit_frame):
-        def rho(points):
-            return unit_frame.rho_m(points)
-
-        with pytest.raises(InvalidParameterError):
-            rescale_map(rho, rho, TauState(-1.0, 0.0, 0.0), unit_frame)
 
 
 class TestRescaledStepping:
@@ -187,15 +136,3 @@ class TestRescaledEnergies:
         orders = [math.log2(resids[i] / resids[i + 1]) for i in range(2)]
         assert min(orders) >= 1.0, (resids, orders)
 
-
-class TestResolvedWindowWarning:
-    def test_out_of_window_warns(self, unit_frame, rng):
-        import warnings
-
-        q = random_density(unit_frame, rng)
-        rho, _ = inverse_rescale_map(q, VectorField.zero(unit_frame), TauState(1.0, 0.0, 0.0))
-        far = np.array([[3.0 * unit_frame.nodes_1d[-1]]])
-        with warnings.catch_warnings(record=True) as captured:
-            warnings.simplefilter("always")
-            rho(far)
-        assert any("resolved window" in str(w.message) for w in captured)
