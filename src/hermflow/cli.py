@@ -313,7 +313,10 @@ def main(argv=None) -> int:
             cfg.output_dir = args.output_dir
         if args.seed is not None:
             cfg.seed = args.seed
-        Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+        try:
+            Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory: {exc}") from exc
         return _DISPATCH[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
-from scipy.signal import fftconvolve
 
 from .calculus import ModelParams, gradient_nodal
 from .errors import SOLVER_FAILURES, InvalidParameterError
@@ -89,6 +88,24 @@ def _bump(frame_dim: int, y: np.ndarray) -> np.ndarray:
     return const * vals
 
 
+def _convolve_same(g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Convolve a grid with an odd-sided kernel, zero outside the grid.
+
+    The result sits on the grid of ``g``, centred as scipy.signal's
+    ``mode="same"``.  In 2D it is the sum of the shifted copies of the
+    zero-padded grid, each weighted by its entry of the flipped kernel.
+    """
+    if g.ndim == 1:
+        return np.convolve(g, kernel, mode="same")
+    m = kernel.shape[0] // 2
+    padded = np.pad(g, m)
+    nx, ny = g.shape
+    out = np.zeros_like(g)
+    for (a, b), w in np.ndenumerate(kernel[::-1, ::-1]):
+        out += w * padded[a:a + nx, b:b + ny]
+    return out
+
+
 def mollify_initial_data(q0: ScalarField, u0: VectorField,
                          n: int) -> tuple[ScalarField, VectorField]:
     """Cutoff, convolve and renormalize one initial state.
@@ -132,14 +149,10 @@ def mollify_initial_data(q0: ScalarField, u0: VectorField,
         kernel = _bump(d, n * np.stack([kx, kyy], axis=-1)) * n**d
     kernel = kernel * step**d
     kernel = kernel / kernel.sum()
-    smooth = fftconvolve(g, kernel, mode="same")
+    smooth = _convolve_same(g, kernel)
 
-    if d == 1:
-        interp = RegularGridInterpolator((axis,), smooth, method="cubic")
-        s_nodes = interp(frame.nodes)
-    else:
-        interp = RegularGridInterpolator((axis, axis), smooth, method="cubic")
-        s_nodes = interp(frame.nodes)
+    interp = RegularGridInterpolator((axis,) * d, smooth, method="cubic")
+    s_nodes = interp(frame.nodes)
 
     norm = math.sqrt(frame.quad(s_nodes**2))
     s_nodes = s_nodes / norm

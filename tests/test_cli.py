@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import textwrap
 from pathlib import Path
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hermflow
 from hermflow.cli import main
 from hermflow.config import ConfigError, load_config
 
@@ -145,6 +149,12 @@ class TestSimulateCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("solver failure:")
 
+    def test_output_dir_naming_a_file_exits_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "a.cfg", STEADY)
+        code = main(["simulate", cfg, "--output-dir", cfg])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_mode_mismatch_exits_3(self, tmp_path):
         code = main(["verify", write_config(tmp_path / "a.cfg", STEADY)])
         assert code == 3
@@ -277,3 +287,15 @@ def test_fuzzed_config_exits_with_a_contract_code(mode, key, value):
         cfg.write_text("\n".join(lines) + "\n")
         code = main([mode, str(cfg), "--output-dir", str(Path(tmp) / "out")])
     assert isinstance(code, int) and 0 <= code <= 3
+
+
+def test_cli_import_leaves_out_scipy_signal_and_stats():
+    # together they cost about half a second of start-up on every run
+    src = str(Path(hermflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, hermflow.cli; "
+             "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from hermflow import InvalidParameterError, ModelParams, VectorField, build_frame
+from scipy.signal import fftconvolve
+
+import hermflow.continuation
 from hermflow.continuation import (
     drag_schedule,
     mollify_initial_data,
@@ -64,6 +67,30 @@ class TestMollification:
     def test_invalid_index(self, frame_1d):
         with pytest.raises(InvalidParameterError):
             mollify_initial_data(unit_field(frame_1d), VectorField.zero(frame_1d), 0)
+
+
+class TestConvolution:
+    @pytest.mark.parametrize("shape, side", [((40,), 7), ((23, 31), 5)])
+    def test_matches_fftconvolve_same(self, rng, shape, side):
+        # an asymmetric kernel pins the flip and the centring
+        g = rng.standard_normal(shape)
+        kernel = rng.standard_normal((side,) * len(shape))
+        ref = fftconvolve(g, kernel, mode="same")
+        got = hermflow.continuation._convolve_same(g, kernel)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [1, 4, 16, 64])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_mollified_density_matches_fftconvolve(self, frame_1d, frame_2d, rng,
+                                                   monkeypatch, dim, n):
+        frame = frame_1d if dim == 1 else frame_2d
+        q0 = random_density(frame, rng)
+        u0 = VectorField.zero(frame)
+        got, _ = mollify_initial_data(q0, u0, n)
+        monkeypatch.setattr(hermflow.continuation, "_convolve_same",
+                            lambda g, kernel: fftconvolve(g, kernel, mode="same"))
+        ref, _ = mollify_initial_data(q0, u0, n)
+        assert np.max(np.abs(got.nodal - ref.nodal)) <= 1e-14 * np.max(np.abs(ref.nodal))
 
 
 class TestDragSchedule:
