@@ -20,13 +20,10 @@ from .calculus import ModelParams, StateBundle, bohm_residual, div_m
 from .continuation import DragSchedule, drag_schedule, mollify_initial_data, vanishing_drag_sweep
 from .diagnostics import (
     DiagnosticsRecord,
-    bd_entropy,
     check_hessian_lemma,
     check_log_sobolev,
-    energy,
     energy_inequality_audit,
     i2_ode_residual,
-    moments,
     poincare_korn_ratio,
     poincare_ratio,
 )

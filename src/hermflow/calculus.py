@@ -173,14 +173,15 @@ class _cached:
 
 
 class StateBundle:
-    """Nodal quantities of one (q, u) pair, each formed on first use and then kept.
+    """Nodal quantities and integrals of one (q, u) pair, each formed on first use and then kept.
 
     The weak forces, every diagnostic and the dilated energies read a state's
-    derivatives from here, so each is formed at most once per state.
-    Positivity of q is checked on construction.  Rational quantities
-    (anything divided by a power of q) vanish on the frame's untrusted tail
-    nodes; polynomial ones keep raw values so their quadrature sums stay
-    exact.  Without a velocity the bundle describes (q, 0).
+    derivatives and integrals from here, so each is defined once and formed
+    at most once per state.  Positivity of q is checked on construction.
+    Rational quantities (anything divided by a power of q) vanish on the
+    frame's untrusted tail nodes; polynomial ones keep raw values so their
+    quadrature sums stay exact.  Without a velocity the bundle describes
+    (q, 0).
     """
 
     def __init__(self, q: ScalarField, u: VectorField | None = None):
@@ -242,6 +243,11 @@ class StateBundle:
         return np.einsum("in,in->n", self.un, self.un)
 
     @_cached
+    def u_gq(self) -> np.ndarray:
+        """u . grad q."""
+        return np.einsum("in,in->n", self.un, self.gq)
+
+    @_cached
     def s2(self) -> np.ndarray:
         """|u|^2 projected back to degree N before entering quartic forms."""
         s2c = np.zeros(self.frame.n_basis)
@@ -260,6 +266,68 @@ class StateBundle:
     @_cached
     def askew(self) -> np.ndarray:
         return 0.5 * (self.du - self.du.transpose(1, 0, 2))
+
+    # Integrals against mu_m; moments are scaled by sigma^2 per power of |x|^2.
+
+    @_cached
+    def mass(self) -> float:
+        return self.quad(self.qn)
+
+    @_cached
+    def i2(self) -> float:
+        """int q |x|^2 / sigma^2."""
+        return self.quad(self.qn * self.frame.radius_sq) / self.frame.sigma**2
+
+    @_cached
+    def i4(self) -> float:
+        """int q |x|^4 / sigma^4."""
+        sig2 = self.frame.sigma**2
+        return self.quad(self.qn * self.frame.radius_sq**2) / sig2**2
+
+    @_cached
+    def ke(self) -> float:
+        """int q |u|^2."""
+        return self.quad(self.qn * self.raw2)
+
+    @_cached
+    def u2(self) -> float:
+        """int |u|^2, the linear-drag integral."""
+        return self.quad(self.raw2)
+
+    @_cached
+    def cubic(self) -> float:
+        """int q |u|^2 |u|^2 with the first |u|^2 dealiased, the cubic-drag integral."""
+        return self.quad(self.qn * self.s2 * self.raw2)
+
+    @_cached
+    def fisher(self) -> float:
+        """int |grad q|^2 / q."""
+        return self.quad(self.fisher_integrand)
+
+    @_cached
+    def entropy(self) -> float:
+        """int q ln q over the trusted nodes."""
+        return self.quad(self.qlnq)
+
+    @_cached
+    def cross(self) -> float:
+        """int u . grad q."""
+        return self.quad(self.u_gq)
+
+    @_cached
+    def glog2(self) -> float:
+        """int |sqrt(q) D^2(ln q)|^2."""
+        return self.quad(np.einsum("ijn,ijn->n", self.glog, self.glog))
+
+    @_cached
+    def dsym2(self) -> float:
+        """int q |D(u)|^2."""
+        return self.quad(self.qn * np.einsum("ijn,ijn->n", self.dsym, self.dsym))
+
+    @_cached
+    def askew2(self) -> float:
+        """int q |A(u)|^2."""
+        return self.quad(self.qn * np.einsum("ijn,ijn->n", self.askew, self.askew))
 
 
 def div_m(v: VectorField) -> ScalarField:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import zipfile
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -63,10 +64,25 @@ def _model_params(cfg: RunConfig) -> ModelParams:
                        r0=cfg.r0, r1=cfg.r1, r4=cfg.r4, delta1=cfg.delta1)
 
 
-def _make_frame(cfg: RunConfig, force_unit_sigma: bool = False) -> GaussianFrame:
-    if force_unit_sigma:
-        return GaussianFrame(1.0, cfg.dim, cfg.degree, cfg.quad_order)
+def _make_frame(cfg: RunConfig) -> GaussianFrame:
     return build_frame(cfg.a, cfg.kappa, cfg.lam, cfg.dim, cfg.degree, cfg.quad_order)
+
+
+def _read_state_file(path: str, frame: GaussianFrame):
+    """(q, u) of an npz snapshot; a file without finite ``q_coeffs`` and
+    ``u_coeffs`` arrays is a config error."""
+    try:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ConfigError(f"state file {path} is not an npz archive")
+        with data:
+            q_coeffs, u_coeffs = (np.asarray(data[key], dtype=float)
+                                  for key in ("q_coeffs", "u_coeffs"))
+    except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"cannot read state file {path}: {exc}") from exc
+    if not (np.isfinite(q_coeffs).all() and np.isfinite(u_coeffs).all()):
+        raise ConfigError(f"state file {path} holds non-finite coefficients")
+    return ScalarField(frame, coeffs=q_coeffs), VectorField.from_coeffs(frame, u_coeffs)
 
 
 def _initial_state(cfg: RunConfig, frame: GaussianFrame):
@@ -82,9 +98,7 @@ def _initial_state(cfg: RunConfig, frame: GaussianFrame):
         u0 = random_velocity(frame, rng, decay=cfg.decay, amplitude=cfg.u_scale) \
             if cfg.u_scale else VectorField.zero(frame)
     else:  # family == "file", existence checked at parse time
-        data = np.load(cfg.path)
-        q0 = ScalarField(frame, coeffs=np.asarray(data["q_coeffs"], dtype=float))
-        u0 = VectorField.from_coeffs(frame, np.asarray(data["u_coeffs"], dtype=float))
+        q0, u0 = _read_state_file(cfg.path, frame)
     if cfg.u_scale and cfg.family in ("steady", "tilted"):
         # linear boost u = u_scale * x, projected with the q0 weight
         u0 = project_initial_velocity(q0, cfg.u_scale * frame.nodes.T.copy())
@@ -253,7 +267,7 @@ def rescaled_run(cfg: RunConfig) -> int:
     if cfg.record_every != 1:
         raise ConfigError("rescaled mode records every step; [time] record_every must be 1")
     with _config_values():
-        frame = _make_frame(cfg, force_unit_sigma=True)
+        frame = GaussianFrame(1.0, cfg.dim, cfg.degree, cfg.quad_order)
         params = _model_params(cfg)
         require_unregularized(params)
         q0, u0 = _initial_state(cfg, frame)

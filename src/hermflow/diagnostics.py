@@ -31,10 +31,7 @@ from .spectral import GaussianFrame, ScalarField, VectorField
 
 __all__ = [
     "DiagnosticsRecord",
-    "energy",
-    "bd_entropy",
     "bd_entropy_regularized",
-    "moments",
     "record",
     "i2_ode_residual",
     "check_log_sobolev",
@@ -80,25 +77,7 @@ class DiagnosticsRecord:
     drag1_x: float
 
 
-def _moment_values(b: StateBundle):
-    frame = b.frame
-    sig2 = frame.sigma**2
-    mass = b.quad(b.qn)
-    i2 = b.quad(b.qn * frame.radius_sq) / sig2
-    i4 = b.quad(b.qn * frame.radius_sq**2) / sig2**2
-    mx = frame.nodes.T @ (frame.weights * b.qn)
-    mu = np.array([b.quad(b.qn * b.un[i]) for i in range(frame.dim)])
-    return mass, i2, i4, mx, mu
-
-
-def moments(q: ScalarField, u: VectorField | None = None):
-    """(mass, I2, I2_tilde, I4, Mx, Mu); Mu is zero when no velocity is given."""
-    b = StateBundle(q, u)
-    mass, i2, i4, mx, mu = _moment_values(b)
-    return mass, i2, i2 - q.frame.dim, i4, mx, mu
-
-
-def energy(q: ScalarField, u: VectorField, params: ModelParams):
+def _energy_from_bundle(b: StateBundle, params: ModelParams):
     """Relative energy, its dissipation and the diffusion remainder.
 
     E collects kinetic, capillary-Fisher and entropic parts plus the quartic
@@ -107,73 +86,46 @@ def energy(q: ScalarField, u: VectorField, params: ModelParams):
     sigma^2 that the energy balance produces and the dissipation absorbs up
     to an explicit linear-in-time allowance.
     """
-    return _energy_from_bundle(StateBundle(q, u), params)
-
-
-def _energy_from_bundle(b: StateBundle, params: ModelParams):
-    frame = b.frame
-    d = frame.dim
-    sig2 = frame.sigma**2
-    _, i2, i4, _, _ = _moment_values(b)
+    sig2 = b.frame.sigma**2
     e_val = (
-        b.quad(b.qn * 0.5 * b.raw2 + 0.5 * params.kappa**2 * b.fisher_integrand
-               + params.a * b.qlnq)
-        + 0.25 * params.r4 * i4
+        0.5 * (b.ke + params.kappa**2 * b.fisher) + params.a * b.entropy
+        + 0.25 * params.r4 * b.i4
     )
-    dsym2 = np.einsum("ijn,ijn->n", b.dsym, b.dsym)
-    glog2 = np.einsum("ijn,ijn->n", b.glog, b.glog)
     d_val = (
-        2.0 * params.nu * b.quad(b.qn * dsym2)
-        + params.delta1 * params.lam * sig2 * b.quad(b.fisher_integrand)
-        + params.kappa**2 * params.delta1 * b.quad(glog2)
-        + params.r0 * b.quad(b.raw2)
-        + params.r1 * b.quad(b.qn * b.s2 * b.raw2)
-        + params.r4 * params.delta1 / (4.0 * sig2) * i4
+        2.0 * params.nu * b.dsym2
+        + params.delta1 * params.lam * sig2 * b.fisher
+        + params.kappa**2 * params.delta1 * b.glog2
+        + params.r0 * b.u2
+        + params.r1 * b.cubic
+        + params.r4 * params.delta1 / (4.0 * sig2) * b.i4
     )
-    r_val = params.r4 * params.delta1 * (d + 2) / sig2 * i2
+    r_val = params.r4 * params.delta1 * (b.frame.dim + 2) / sig2 * b.i2
     return e_val, d_val, r_val
 
 
-def bd_entropy(q: ScalarField, u: VectorField, params: ModelParams):
-    """BD entropy of the effective velocity, its dissipation and remainder.
-
-    These are the drag-system forms (no diffusion regularization in the
-    dissipation bookkeeping); the entropy itself is non-negative because
-    q - ln q >= 1 and every other term is a square.
-    """
-    b = StateBundle(q, u)
-    return (_bd_entropy_value(b, params),) + _bd_balance(b, params, (0.0,))[0]
-
-
-def _effective_kinetic(b: StateBundle, params: ModelParams) -> np.ndarray:
-    # q |u + 2 nu grad ln q|^2, expanded so the polynomial pieces stay raw:
-    # q|u|^2 + 4 nu u.grad q + 4 nu^2 |grad q|^2 / q
-    return (
-        b.qn * b.raw2
-        + 4.0 * params.nu * np.einsum("in,in->n", b.un, b.gq)
-        + 4.0 * params.nu**2 * b.fisher_integrand
-    )
-
-
 def _bd_entropy_value(b: StateBundle, params: ModelParams) -> float:
-    _, _, i4, _, _ = _moment_values(b)
+    """BD entropy of the effective velocity u + 2 nu grad ln q.
+
+    q |u + 2 nu grad ln q|^2 is expanded as q|u|^2 + 4 nu u.grad q +
+    4 nu^2 |grad q|^2 / q so the polynomial pieces stay raw.  The entropy is
+    non-negative because q - ln q >= 1 and every other term is a square.
+    """
+    nu = params.nu
     return (
-        b.quad(
-            0.5 * (_effective_kinetic(b, params) + params.kappa**2 * b.fisher_integrand)
-            + params.a * b.qlnq
-        )
-        + 2.0 * params.nu * params.r0
-        * (b.quad(b.qn) - b.quad(b.mask * np.log(b.q_safe)))
-        + 0.25 * params.r4 * i4
+        0.5 * (b.ke + 4.0 * nu * b.cross + (4.0 * nu**2 + params.kappa**2) * b.fisher)
+        + params.a * b.entropy
+        + 2.0 * nu * params.r0 * (b.mass - b.quad(b.mask * np.log(b.q_safe)))
+        + 0.25 * params.r4 * b.i4
     )
 
 
 def bd_entropy_regularized(q: ScalarField, u: VectorField, params: ModelParams):
     """Dissipation/remainder pair of the diffusion-regularized BD balance.
 
-    With delta1 = 0 this reduces to the plain pair from :func:`bd_entropy`.
-    The balance d/dt E_BD + D_BD_reg = R_BD_reg holds along exact
-    trajectories, so its integrated residual is the BD audit quantity.
+    With delta1 = 0 this reduces to the plain drag-system pair that
+    :func:`record` reports as (D_BD, R_BD).  The balance
+    d/dt E_BD + D_BD_reg = R_BD_reg holds along exact trajectories, so its
+    integrated residual is the BD audit quantity.
     """
     return _bd_balance(StateBundle(q, u), params, (params.delta1,))[0]
 
@@ -183,74 +135,62 @@ def _bd_balance(b: StateBundle, params: ModelParams, d1s):
 
     The integrals do not depend on the diffusion, so they are formed once.
     """
-    frame = b.frame
-    d = frame.dim
-    sig2 = frame.sigma**2
+    sig2 = b.frame.sigma**2
     nu = params.nu
-    _, i2, i4, _, _ = _moment_values(b)
     # q D^2(ln q) without the sqrt weight; rational part masked
     qhlog = b.hq * b.mask - np.einsum("in,jn->ijn", b.gq, b.gq) * b.inv_q
-    u_dot_gq = np.einsum("in,in->n", b.un, b.gq)
-    askew = b.quad(b.qn * np.einsum("ijn,ijn->n", b.askew, b.askew))
-    fisher = b.quad(b.fisher_integrand)
-    glog = b.quad(np.einsum("ijn,ijn->n", b.glog, b.glog))
-    raw = b.quad(b.raw2)
     gradlog = b.quad(b.fisher_integrand * b.inv_q)  # |grad ln q|^2, unweighted
-    cubic = b.quad(b.qn * b.s2 * b.raw2)
     dsym_qhlog = b.quad(np.einsum("ikn,ikn->n", b.dsym, qhlog))
     du_gq_glog = b.quad(np.einsum("ikn,kn,in->n", b.du, b.gq, b.gq) * b.inv_q)
-    s2_ugq = b.quad(b.s2 * u_dot_gq)
-    ke = b.quad(b.qn * b.raw2)
-    ugq = b.quad(u_dot_gq)
+    s2_ugq = b.quad(b.s2 * b.u_gq)
     out = []
     for d1 in d1s:
         d_bd = (
-            2.0 * nu * askew
-            + (d1 + 2.0 * nu) * params.lam * sig2 * fisher
-            + (params.kappa**2 * (d1 + 2.0 * nu) + 4.0 * nu**2 * d1) * glog
-            + params.r0 * raw
+            2.0 * nu * b.askew2
+            + (d1 + 2.0 * nu) * params.lam * sig2 * b.fisher
+            + (params.kappa**2 * (d1 + 2.0 * nu) + 4.0 * nu**2 * d1) * b.glog2
+            + params.r0 * b.u2
             + 2.0 * nu * params.r0 * d1 * gradlog
-            + params.r1 * cubic
-            + params.r4 * (d1 + 2.0 * nu) / sig2 * i4
+            + params.r1 * b.cubic
+            + params.r4 * (d1 + 2.0 * nu) / sig2 * b.i4
         )
         r_bd = (
-            params.r4 * (d1 + 2.0 * nu) * (d + 2) / sig2 * i2
+            params.r4 * (d1 + 2.0 * nu) * (b.frame.dim + 2) / sig2 * b.i2
             - 2.0 * nu * d1 * dsym_qhlog
             - 2.0 * nu * d1 * du_gq_glog
             - 2.0 * nu * params.r1 * s2_ugq
-            + 2.0 * nu / sig2 * (ke + (2.0 * nu - d1) * ugq - 2.0 * nu * d1 * fisher)
+            + 2.0 * nu / sig2 * (b.ke + (2.0 * nu - d1) * b.cross - 2.0 * nu * d1 * b.fisher)
         )
         out.append((d_bd, r_bd))
     return out
 
 
-def check_log_sobolev(q: ScalarField, mass_tol: float = 1e-8) -> float:
+def check_log_sobolev(q: ScalarField) -> float:
     """Margin of the Gaussian logarithmic Sobolev inequality for q.
 
     Uses the constant 2 sigma^2, the one the exponential-tilt extremizers
     single out: margin = 2 sigma^2 int |grad sqrt(q)|^2 - int q ln q >= 0,
     with equality exactly on tilted Gaussians.
     """
-    return lsi_margins(q, mass_tol)[0]
+    return lsi_margins(q)[0]
 
 
-def lsi_margins(q: ScalarField, mass_tol: float = 1e-8):
+def lsi_margins(q: ScalarField):
     """(margin with constant 2 sigma^2, margin with constant 2 / sigma^2).
 
     Both are surfaced in verification reports; the first is the asserted
     one, the second is informational (the two coincide at sigma = 1).
+    q must have unit mass to within 1e-8.
     """
-    return _lsi_from_bundle(StateBundle(q), mass_tol)
+    return _lsi_from_bundle(StateBundle(q), 1e-8)
 
 
 def _lsi_from_bundle(b: StateBundle, mass_tol: float):
-    mass = b.quad(b.qn)
-    if abs(mass - 1.0) > mass_tol:
-        raise InvalidParameterError(f"log-Sobolev check needs unit mass, got {mass:.12f}")
-    dirichlet = 0.25 * b.quad(b.fisher_integrand)
-    entropy = b.quad(b.qlnq)
+    if abs(b.mass - 1.0) > mass_tol:
+        raise InvalidParameterError(f"log-Sobolev check needs unit mass, got {b.mass:.12f}")
+    dirichlet = 0.25 * b.fisher
     sig2 = b.frame.sigma**2
-    return 2.0 * sig2 * dirichlet - entropy, (2.0 / sig2) * dirichlet - entropy
+    return 2.0 * sig2 * dirichlet - b.entropy, (2.0 / sig2) * dirichlet - b.entropy
 
 
 def check_hessian_lemma(q: ScalarField):
@@ -269,11 +209,11 @@ def _hessian_lemma_from_bundle(b: StateBundle):
     frame = b.frame
     gq, inv_q, inv_sq = b.gq, b.inv_q, b.inv_sq
     hess_sqrt = 0.5 * b.hq * inv_sq - 0.25 * np.einsum("in,jn->ijn", gq, gq) * inv_q * inv_sq
-    a_val = frame.quad(np.einsum("ijn,ijn->n", hess_sqrt, hess_sqrt))
+    a_val = b.quad(np.einsum("ijn,ijn->n", hess_sqrt, hess_sqrt))
     grad2 = np.einsum("in,in->n", gq, gq)
-    b_val = frame.quad(grad2**2 * inv_q**3 / 16.0)
-    d_val = 0.25 * frame.quad(np.einsum("ijn,ijn->n", b.glog, b.glog))
-    i4 = frame.quad(b.qn * frame.radius_sq**2) / frame.sigma**4
+    b_val = b.quad(grad2**2 * inv_q**3 / 16.0)
+    d_val = 0.25 * b.glog2
+    i4 = b.i4
     margin_mid = (
         d_val
         + math.sqrt(3.0 * b_val * d_val)
@@ -337,40 +277,37 @@ def record(state: SimState, params: ModelParams) -> DiagnosticsRecord:
     q, u = state.q, state.u
     frame = q.frame
     b = StateBundle(q, u)
-    mass, i2, i4, mx, mu = _moment_values(b)
     e_reg, d_reg, r_reg = _energy_from_bundle(b, params)
-    e_bd = _bd_entropy_value(b, params)
     (d_bd, r_bd), (d_bd_reg, r_bd_reg) = _bd_balance(b, params, (0.0, params.delta1))
-    lsi = _lsi_from_bundle(b, mass_tol=1e-6)[0]
     _, _, _, _, hmid, hfin = _hessian_lemma_from_bundle(b)
     sqrt_q = ScalarField(frame, nodal=np.sqrt(b.q_safe))
     x_dot_u = np.einsum("in,in->n", frame.nodes.T, b.un)
     return DiagnosticsRecord(
         t=float(state.t),
-        mass=mass,
+        mass=b.mass,
         e_reg=e_reg,
         d_reg=d_reg,
         r_reg=r_reg,
-        e_bd=e_bd,
+        e_bd=_bd_entropy_value(b, params),
         d_bd=d_bd,
         r_bd=r_bd,
         d_bd_reg=d_bd_reg,
         r_bd_reg=r_bd_reg,
-        i2=i2,
-        i2_tilde=i2 - frame.dim,
-        i4=i4,
-        mx=tuple(float(v) for v in mx),
-        mu=tuple(float(v) for v in mu),
+        i2=b.i2,
+        i2_tilde=b.i2 - frame.dim,
+        i4=b.i4,
+        mx=tuple(float(v) for v in frame.nodes.T @ (frame.weights * b.qn)),
+        mu=tuple(b.quad(b.qn * b.un[i]) for i in range(frame.dim)),
         min_q=float(np.min(b.qn[frame.trusted])),
         max_q=float(np.max(b.qn[frame.trusted])),
-        lsi_margin=lsi,
+        lsi_margin=_lsi_from_bundle(b, 1e-6)[0],
         hess_margin_mid=hmid,
         hess_margin_final=hfin,
         poincare_q=poincare_ratio(sqrt_q),
         poincare_korn_u=_korn_ratio(frame, b.un, b.du),
-        ke2=b.quad(b.qn * b.raw2),
-        fisher=b.quad(b.fisher_integrand),
-        cross_qu=b.quad(np.einsum("in,in->n", b.gq, b.un)),
+        ke2=b.ke,
+        fisher=b.fisher,
+        cross_qu=b.cross,
         drag0_x=b.quad(x_dot_u),
         drag1_x=b.quad(b.qn * b.s2 * x_dot_u),
     )
@@ -387,7 +324,7 @@ def _fd4(values: np.ndarray, dt: float):
     return i, d1, d2
 
 
-def i2_ode_residual(records, params: ModelParams, sigma: float | None = None) -> float:
+def i2_ode_residual(records, params: ModelParams, sigma: float) -> float:
     """Residual of the damped-oscillator equation for the recentered second moment.
 
     The recentered moment obeys
@@ -405,10 +342,6 @@ def i2_ode_residual(records, params: ModelParams, sigma: float | None = None) ->
     """
     if len(records) < 5:
         raise InvalidParameterError("need at least 5 uniformly spaced records")
-    if sigma is None:
-        from .spectral import sigma_from_coefficients
-
-        sigma = sigma_from_coefficients(params.a, params.kappa, params.lam)
     t = np.array([r.t for r in records])
     dts = np.diff(t)
     dt = dts[0]
@@ -440,23 +373,16 @@ def _cumtrapz(values: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def energy_inequality_audit(records, params: ModelParams, sigma: float | None = None,
-                            dim: int | None = None) -> dict:
+def energy_inequality_audit(records, params: ModelParams, sigma: float, dim: int) -> dict:
     """Worst violations of the integrated energy and BD balances.
 
     Energy:  E(t) + 1/2 int_0^t D  <=  E(0) + 2 r4 d1 (d+2)^2 / sigma^2 * t,
     the explicit form of the absorbed remainder.  BD: the integrated
     regularized balance E_BD(t) + int (D_BD_reg - R_BD_reg) = E_BD(0), whose
     positive-part residual measures pure discretization error.  Violations
-    shrink like O(dt) under refinement.  ``sigma`` defaults to the scale the
-    model coefficients determine; ``dim`` to the record's mean-vector length.
+    shrink like O(dt) under refinement.  ``sigma`` and ``dim`` are the
+    frame's.
     """
-    if sigma is None:
-        from .spectral import sigma_from_coefficients
-
-        sigma = sigma_from_coefficients(params.a, params.kappa, params.lam)
-    if dim is None:
-        dim = len(records[0].mx)
     t = np.array([r.t for r in records])
     e = np.array([r.e_reg for r in records])
     d_vals = np.array([r.d_reg for r in records])

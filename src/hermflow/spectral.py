@@ -165,7 +165,6 @@ class GaussianFrame:
         self._tables = (base, base @ d1, base @ (d1 @ d1), base @ (d1 @ d1 @ d1))
 
         self.radius_sq = np.sum(self.nodes**2, axis=1)
-        self.rho_m_nodes = self.rho_m(self.nodes)
         # Hermite polynomials grow super-exponentially past the oscillatory
         # region, so eps-level coefficient noise swamps pointwise values at
         # the outermost quadrature nodes.  Those nodes still integrate
@@ -236,11 +235,6 @@ class GaussianFrame:
         grid = node_weights.reshape(self.quad_order, self.quad_order)
         pairs = self._pair_table
         return (pairs.T @ (grid @ pairs))[self._pair_index]
-
-    def rho_m(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        norm = (2.0 * math.pi * self.sigma**2) ** (-0.5 * self.dim)
-        return norm * np.exp(-np.sum(pts**2, axis=1) / (2.0 * self.sigma**2))
 
     def basis_eval(self, points: np.ndarray) -> np.ndarray:
         """Vandermonde matrix of the basis at arbitrary points, shape (m, n_basis)."""

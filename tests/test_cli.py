@@ -123,17 +123,34 @@ class TestSimulateCommand:
         ("t_final = 0.02", "t_final = 0.0025"),
         ("family = steady", "family = file\n    path = {tmp}/short.npz"),
         ("family = steady", "family = file\n    path = {tmp}/short_u.npz"),
+        ("family = steady", "family = file\n    path = {tmp}/no_u.npz"),
+        ("family = steady", "family = file\n    path = {tmp}/a.cfg"),
+        ("family = steady", "family = file\n    path = {tmp}/q_nan.npz"),
+        ("family = steady", "family = file\n    path = {tmp}/u_inf.npz"),
+        ("family = steady", "family = file\n    path = {tmp}/text.npz"),
+        ("family = steady", "family = file\n    path = {tmp}/array.npy"),
+        ("family = steady", "family = file\n    path = {tmp}/truncated.npz"),
         ("seed = 42", "seed = 42\n    n_samples = 0"),
         ("a = 1.0", "a = nan"),
         ("dt = 1e-3", "dt = nan"),
         ("t_final = 0.02", "t_final = inf"),
         ("family = steady", "family = steady\n    decay = -inf"),
     ], ids=["r0", "lambda", "dim", "quad_order", "t_final", "file_coeffs", "file_u_coeffs",
+            "file_no_u", "file_not_npz", "file_q_nan", "file_u_inf", "file_non_numeric",
+            "file_npy", "file_truncated",
             "n_samples", "a_nan", "dt_nan", "t_final_inf", "decay_inf"])
     def test_out_of_range_value_exits_3(self, tmp_path, capsys, old, new):
         # values the solver's own constructors reject are config errors
         np.savez(tmp_path / "short.npz", q_coeffs=np.ones(5), u_coeffs=np.zeros((1, 13)))
         np.savez(tmp_path / "short_u.npz", q_coeffs=np.eye(13)[0], u_coeffs=np.zeros(18))
+        np.savez(tmp_path / "no_u.npz", q_coeffs=np.eye(13)[0])
+        np.savez(tmp_path / "q_nan.npz", q_coeffs=np.where(np.arange(13) == 4, np.nan, np.eye(13)[0]),
+                 u_coeffs=np.zeros((1, 13)))
+        np.savez(tmp_path / "u_inf.npz", q_coeffs=np.eye(13)[0],
+                 u_coeffs=np.where(np.arange(13) == 2, np.inf, 0.0)[None, :])
+        np.savez(tmp_path / "text.npz", q_coeffs=np.array(["a"] * 13), u_coeffs=np.zeros((1, 13)))
+        np.save(tmp_path / "array.npy", np.eye(13)[0])
+        (tmp_path / "truncated.npz").write_bytes((tmp_path / "no_u.npz").read_bytes()[:40])
         body = STEADY.replace(old, new.format(tmp=tmp_path))
         code = main(["simulate", write_config(tmp_path / "a.cfg", body),
                      "--output-dir", str(tmp_path / "out")])

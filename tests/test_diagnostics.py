@@ -9,12 +9,9 @@ from hermflow import (
     ScalarField,
     StateBundle,
     VectorField,
-    bd_entropy,
     check_hessian_lemma,
     check_log_sobolev,
-    energy,
     i2_ode_residual,
-    moments,
     poincare_korn_ratio,
     poincare_ratio,
 )
@@ -37,6 +34,10 @@ def base_params(**kw):
     defaults = dict(a=1.0, kappa=1.0, nu=0.5, lam=2.0)
     defaults.update(kw)
     return ModelParams(**defaults)
+
+
+def diagnose(q, u, params):
+    return record(make_initial_state(q, u), params)
 
 
 def minimal_energy(params, sigma, dim):
@@ -68,67 +69,63 @@ def energy_lebesgue(q, u, params):
 
 class TestEnergy:
     def test_equilibrium_is_zero(self, frame_1d):
-        e, d, r = energy(unit_field(frame_1d), VectorField.zero(frame_1d), base_params())
-        assert abs(e) < 1e-13 and abs(d) < 1e-13 and abs(r) < 1e-13
+        rec = diagnose(unit_field(frame_1d), VectorField.zero(frame_1d), base_params())
+        assert abs(rec.e_reg) < 1e-13 and abs(rec.d_reg) < 1e-13 and abs(rec.r_reg) < 1e-13
 
     def test_quartic_moment_share(self, frame_1d):
         # (1, 0) with r4 = 0.5 in d = 1, sigma = 1: E = (0.5/4) * 3
-        e, _, _ = energy(unit_field(frame_1d), VectorField.zero(frame_1d),
-                         base_params(r4=0.5))
-        assert e == pytest.approx(0.375, rel=1e-12)
+        rec = diagnose(unit_field(frame_1d), VectorField.zero(frame_1d), base_params(r4=0.5))
+        assert rec.e_reg == pytest.approx(0.375, rel=1e-12)
 
     def test_tilt_closed_form(self, frame_1d_fine):
         # exponential tilt alpha at sigma = 1: int q ln q = alpha^2/2 and
         # |grad ln q|^2 = alpha^2, so E = (a + kappa^2) alpha^2 / 2
         alpha = 0.3
         q = tilted_density(frame_1d_fine, alpha)
-        e, _, _ = energy(q, VectorField.zero(frame_1d_fine), base_params())
-        assert e == pytest.approx((1.0 + 1.0) * alpha**2 / 2.0, rel=1e-9)
+        rec = diagnose(q, VectorField.zero(frame_1d_fine), base_params())
+        assert rec.e_reg == pytest.approx((1.0 + 1.0) * alpha**2 / 2.0, rel=1e-9)
 
     def test_remainder_value(self, frame_1d):
         params = base_params(r4=0.25, delta1=0.5)
-        _, _, r = energy(unit_field(frame_1d), VectorField.zero(frame_1d), params)
+        rec = diagnose(unit_field(frame_1d), VectorField.zero(frame_1d), params)
         # R = r4 d1 (d+2) I2 / sigma^2 with I2(1) = d
-        assert r == pytest.approx(0.25 * 0.5 * 3.0 * 1.0, rel=1e-12)
+        assert rec.r_reg == pytest.approx(0.25 * 0.5 * 3.0 * 1.0, rel=1e-12)
 
 
 class TestBDEntropy:
     def test_equilibrium(self, frame_1d):
-        e, d, r = bd_entropy(unit_field(frame_1d), VectorField.zero(frame_1d),
-                             base_params())
-        assert abs(e) < 1e-13 and abs(d) < 1e-13 and abs(r) < 1e-13
+        rec = diagnose(unit_field(frame_1d), VectorField.zero(frame_1d), base_params())
+        assert abs(rec.e_bd) < 1e-13 and abs(rec.d_bd) < 1e-13 and abs(rec.r_bd) < 1e-13
 
     def test_friction_entropy_share(self, frame_1d):
         # 2 nu r0 int (q - ln q) at q = 1 equals 2 * 0.5 * 0.1
-        e, _, _ = bd_entropy(unit_field(frame_1d), VectorField.zero(frame_1d),
-                             base_params(r0=0.1))
-        assert e == pytest.approx(0.1, rel=1e-12)
+        rec = diagnose(unit_field(frame_1d), VectorField.zero(frame_1d), base_params(r0=0.1))
+        assert rec.e_bd == pytest.approx(0.1, rel=1e-12)
 
     def test_nonnegative_on_random_states(self, frame_1d, rng):
         params = base_params(r0=0.2, r1=0.1, r4=0.1, delta1=0.3)
         for _ in range(25):
             q = random_density(frame_1d, rng)
             u = random_velocity(frame_1d, rng, amplitude=0.5)
-            e, _, _ = bd_entropy(q, u, params)
-            assert e >= -1e-10
+            assert diagnose(q, u, params).e_bd >= -1e-10
 
 
 class TestMoments:
     def test_equilibrium_values(self, frame_1d, frame_2d):
         for frame in (frame_1d, frame_2d):
-            mass, i2, i2t, i4, mx, mu = moments(unit_field(frame))
+            rec = diagnose(unit_field(frame), VectorField.zero(frame), base_params())
             d = frame.dim
-            assert mass == pytest.approx(1.0, abs=1e-13)
-            assert i2 == pytest.approx(d, rel=1e-12)
-            assert abs(i2t) < 1e-12
-            assert i4 == pytest.approx(d * (d + 2), rel=1e-12)
-            assert np.max(np.abs(mx)) < 1e-13 and np.max(np.abs(mu)) < 1e-13
+            assert rec.mass == pytest.approx(1.0, abs=1e-13)
+            assert rec.i2 == pytest.approx(d, rel=1e-12)
+            assert abs(rec.i2_tilde) < 1e-12
+            assert rec.i4 == pytest.approx(d * (d + 2), rel=1e-12)
+            assert np.max(np.abs(rec.mx)) < 1e-13 and np.max(np.abs(rec.mu)) < 1e-13
 
     def test_tilt_mean(self, frame_1d_fine):
         alpha = 0.35
         q = tilted_density(frame_1d_fine, alpha)
-        _, _, _, _, mx, _ = moments(q)
-        assert mx[0] == pytest.approx(alpha * frame_1d_fine.sigma**2, abs=1e-10)
+        rec = diagnose(q, VectorField.zero(frame_1d_fine), base_params())
+        assert rec.mx[0] == pytest.approx(alpha * frame_1d_fine.sigma**2, abs=1e-10)
 
 
 class TestLogSobolev:
@@ -250,7 +247,7 @@ class TestEnergyBridge:
             q = random_density(frame_1d, rng)
             u = random_velocity(frame_1d, rng, amplitude=0.5)
             total = energy_lebesgue(q, u, params)
-            rel, _, _ = energy(q, u, params)
+            rel = diagnose(q, u, params).e_reg
             assert total - minimal_energy(params, frame_1d.sigma, 1) == pytest.approx(
                 rel, abs=1e-10
             )
@@ -277,13 +274,11 @@ class TestRecordMatchesStandalone:
             for _ in range(3):
                 q = random_density(frame, rng)
                 u = random_velocity(frame, rng, amplitude=0.5)
-                rec = record(make_initial_state(q, u), params)
+                rec = diagnose(q, u, params)
                 assert rec.lsi_margin == lsi_margins(q)[0]
                 _, _, _, _, mid, fin = check_hessian_lemma(q)
                 assert (rec.hess_margin_mid, rec.hess_margin_final) == (mid, fin)
                 assert rec.poincare_korn_u == poincare_korn_ratio(u)
-                assert (rec.e_reg, rec.d_reg, rec.r_reg) == energy(q, u, params)
-                assert (rec.e_bd, rec.d_bd, rec.r_bd) == bd_entropy(q, u, params)
                 assert (rec.d_bd_reg, rec.r_bd_reg) == bd_entropy_regularized(q, u, params)
 
 

@@ -18,7 +18,7 @@ from hermflow import (
     momentum_rhs,
     project_initial_velocity,
 )
-from hermflow.diagnostics import moments
+from hermflow.diagnostics import record
 from hermflow.sampling import random_density, random_field, random_velocity, tilted_density
 from hermflow.spectral import build_frame, transform
 
@@ -156,7 +156,7 @@ class TestCoupledStep:
         dt = math.pi / 4.0 / 400
         for _ in range(400):
             state = coupled_step(state, params, dt)
-        mx = moments(state.q, state.u)[4][0]
+        mx = record(state, params).mx[0]
         assert abs(mx) < 0.01 * x0
 
     @pytest.mark.parametrize("frame_name", ["frame_1d", "frame_2d"])
@@ -219,7 +219,7 @@ class TestPlanarStepping:
         dt = 2e-3
         for k in range(150):
             state = coupled_step(state, params, dt)
-            records.append((state.t, moments(state.q, state.u)[4]))
+            records.append((state.t, record(state, params).mx))
         t = np.array([r[0] for r in records])
         mx = np.array([r[1] for r in records])
         exact = x0[None, :] * np.cos(2.0 * t)[:, None]

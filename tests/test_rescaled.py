@@ -22,7 +22,8 @@ from hermflow.rescaled import (
     tau_rhs,
     tau_solve,
 )
-from hermflow.sampling import tilted_density
+from hermflow.diagnostics import record
+from hermflow.sampling import random_density, random_velocity, tilted_density
 
 from conftest import unit_field
 
@@ -136,3 +137,21 @@ class TestRescaledEnergies:
         orders = [math.log2(resids[i] / resids[i + 1]) for i in range(2)]
         assert min(orders) >= 1.0, (resids, orders)
 
+
+    @pytest.mark.parametrize("dim, degree", [(1, 16), (2, 10)])
+    def test_unit_dilation_matches_confined_record(self, dim, degree, rng):
+        # on the unit frame (lam = a + kappa^2, so sigma = 1) at tau = 1,
+        # tau' = 0 and without drags or delta1 the dilated energies are the
+        # confined ones: both read the same state integrals
+        frame = GaussianFrame(1.0, dim, degree)
+        params = drag_free()
+        unit = TauState(1.0, 0.0, 0.0)
+        for _ in range(3):
+            q = random_density(frame, rng)
+            u = random_velocity(frame, rng, amplitude=0.5)
+            rec = record(make_initial_state(q, u), params)
+            pairs = list(zip(rescaled_energy(q, u, unit, params),
+                             (rec.e_reg, rec.d_reg, rec.e_bd, rec.d_bd)))
+            pairs.append((rescaled_bd_remainder(q, u, unit, params), rec.r_bd))
+            for dilated, confined in pairs:
+                assert abs(dilated - confined) <= 1e-13 * max(1.0, abs(confined))
