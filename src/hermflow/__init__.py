@@ -6,11 +6,13 @@ dealiased products), ``calculus`` (twisted operators,
 capillarity identities and ``StateBundle``, the nodal quantities of one
 state that forces and diagnostics share), ``fokker_planck`` (semigroup
 density updates and positivity envelopes), ``galerkin`` (mass operator,
-weak forces and the joint fixed-point step), ``diagnostics`` (energies,
-entropies, moments, inequality audits), ``continuation`` (mollified data
-and vanishing-drag sweeps), ``rescaled`` (self-similar variables for the
-unconfined flow, stepped through the same joint fixed point), ``driver``
-(the march loop) and ``cli`` (run orchestration).
+weak forces and ``coupled_step``, the joint fixed-point step of both
+systems), ``diagnostics`` (energies, entropies, moments, inequality
+audits), ``continuation`` (mollified data and vanishing-drag sweeps),
+``rescaled`` (self-similar variables for the unconfined flow: the
+``coupled_step`` coefficients at a dilation and the dilated balances),
+``driver`` (the confined march loop, which also tracks the positivity
+envelope) and ``cli`` (run orchestration, including the dilated march).
 
 Frames and fields are immutable values; every public operation is a pure
 function of them, so states can be shared or snapshotted freely.

@@ -26,18 +26,17 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics
-from .calculus import ModelParams, bohm_residual, korteweg_consistency
+from .calculus import ModelParams, StateBundle, bohm_residual, korteweg_consistency
 from .config import RunConfig, load_config
 from .continuation import mollify_initial_data, schedule_indices, vanishing_drag_sweep
 from .driver import simulate, step_count
 from .errors import SOLVER_FAILURES, ConfigError, DimensionError, InvalidParameterError
-from .galerkin import project_initial_velocity
+from .galerkin import SimState, coupled_step, project_initial_velocity
 from .rescaled import (
     combined_identity_residual,
-    rescaled_bd_remainder,
-    rescaled_energy,
-    rescaled_step,
     require_unregularized,
+    rescaled_balance,
+    tau_coeffs,
     tau_solve,
 )
 from .sampling import random_density, random_velocity, tilted_density
@@ -272,19 +271,21 @@ def rescaled_run(cfg: RunConfig) -> int:
         require_unregularized(params)
         q0, u0 = _initial_state(cfg, frame)
         n_steps = step_count(cfg.dt, cfg.t_final)
+        if n_steps < 2:
+            # the centered differences of the balance audit need three states
+            raise ConfigError("rescaled mode needs at least 2 steps: [time] t_final >= 2 dt")
+    # tau at every half step: taus[2k] starts step k, taus[2k + 1] is its midpoint
     taus = tau_solve(cfg.a, cfg.kappa, cfg.nu, cfg.t_final, cfg.dt / 2.0)
-    q, u = q0, u0
-    energies = [rescaled_energy(q, u, taus[0], params)]
-    remainders = [rescaled_bd_remainder(q, u, taus[0], params)]
-    rows = [(0.0, taus[0].tau, taus[0].tau_dot, float(q.coeffs[0]))
-            + energies[0] + (remainders[0],)]
-    for k in range(n_steps):
-        q, u = rescaled_step(q, u, taus[2 * k + 1], params, cfg.dt)
-        tau_end = taus[2 * k + 2]
-        energies.append(rescaled_energy(q, u, tau_end, params))
-        remainders.append(rescaled_bd_remainder(q, u, tau_end, params))
-        rows.append((tau_end.t, tau_end.tau, tau_end.tau_dot,
-                     float(q.coeffs[0])) + energies[-1] + (remainders[-1],))
+    state = SimState(q0, u0)
+    energies, remainders, rows = [], [], []
+    for k in range(n_steps + 1):
+        tau = taus[2 * k]
+        *energy, remainder = rescaled_balance(StateBundle(state.q, state.u), tau, params)
+        energies.append(energy)
+        remainders.append(remainder)
+        rows.append((tau.t, tau.tau, tau.tau_dot, float(state.q.coeffs[0]), *energy, remainder))
+        if k < n_steps:
+            state = coupled_step(state, params, cfg.dt, tau_coeffs(params, taus[2 * k + 1]))
     _write_csv(out / "trajectory.csv", ["t", "tau", "tau_dot", "mass", "E_tau", "D_tau",
                                         "E_BD_tau", "D_BD_tau", "bd_remainder"], rows)
     residual = combined_identity_residual(energies, cfg.dt, remainders)

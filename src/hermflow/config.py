@@ -23,13 +23,6 @@ _SCHEMA = {
     "time": {"dt", "t_final", "record_every"},
     "run": {"mode", "seed", "output_dir", "n_samples", "n_list", "save_state"},
 }
-_REQUIRED = {
-    "model": {"a", "kappa", "nu", "lambda"},
-    "frame": {"dim", "degree"},
-    "initial": {"family"},
-    "time": {"dt", "t_final"},
-    "run": set(),
-}
 _MODES = ("simulate", "verify", "sweep", "rescaled")
 _FAMILIES = ("steady", "tilted", "random", "file")
 
@@ -62,8 +55,8 @@ class RunConfig:
     seed: int
     output_dir: str
     n_samples: int
-    n_list: tuple = (4, 8, 16, 32)
-    save_state: bool = False
+    n_list: tuple
+    save_state: bool
     raw: dict = field(default_factory=dict)
 
 
@@ -118,10 +111,6 @@ def load_config(path: str | Path) -> RunConfig:
         for key in parser.options(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key [{section}] {key} in {path}")
-    for section, keys in _REQUIRED.items():
-        for key in sorted(keys):
-            if not parser.has_option(section, key):
-                raise ConfigError(f"missing required key [{section}] {key} in {path}")
 
     mode = _get(parser, "run", "mode", str, default=None)
     if mode is not None and mode not in _MODES:

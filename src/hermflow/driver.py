@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 from .calculus import ModelParams
 from .diagnostics import DiagnosticsRecord, record
 from .errors import InvalidParameterError
-from .fokker_planck import envelope_check
+from .fokker_planck import PositivityEnvelope, divm_sup, envelope_check, envelope_update
 from .galerkin import SimState, coupled_step, make_initial_state
 from .spectral import GaussianFrame, ScalarField, VectorField
 
@@ -37,19 +37,22 @@ def simulate(frame: GaussianFrame, params: ModelParams, q0: ScalarField,
              keep_states: bool = False) -> SimulationResult:
     """March the coupled system to t_final, recording diagnostics on a cadence.
 
-    Solver failures (positivity breach, fixed-point stall) propagate to the
-    caller; an envelope violation only clears ``envelope_ok``.
+    The positivity envelope is tracked alongside the states.  Solver
+    failures (positivity breach, fixed-point stall) propagate to the caller;
+    an envelope violation only clears ``envelope_ok``.
     """
     n_steps = step_count(dt, t_final)
     state = make_initial_state(q0, u0)
+    env = replace(PositivityEnvelope.from_initial_density(q0), last_sup=divm_sup(u0))
     records = [record(state, params)]
     states = [state] if keep_states else []
-    envelope_ok = envelope_check(state.q, state.env)
+    envelope_ok = envelope_check(state.q, env)
     for step in range(n_steps):
         state = coupled_step(state, params, dt)
+        env = envelope_update(env, state.u, dt)
         if (step + 1) % record_every == 0 or step + 1 == n_steps:
             records.append(record(state, params))
-            envelope_ok = envelope_ok and envelope_check(state.q, state.env)
+            envelope_ok = envelope_ok and envelope_check(state.q, env)
             if keep_states:
                 # kept for their fields; the mass operator only serves the next step
                 states.append(replace(state, mass=None))

@@ -36,7 +36,7 @@ from .errors import (
     PositivityError,
     StepFailureError,
 )
-from .fokker_planck import PositivityEnvelope, divm_sup, envelope_update, fp_step
+from .fokker_planck import fp_step
 from .spectral import GaussianFrame, ScalarField, VectorField
 
 __all__ = [
@@ -57,7 +57,7 @@ MAX_SWEEPS = 25
 
 @dataclass(frozen=True)
 class SimState:
-    """Relative density, velocity and time, plus the positivity envelope.
+    """Relative density, velocity and time.
 
     ``mass`` is the mass operator of ``q`` when the step that produced the
     state has already assembled it, so the next step need not repeat that.
@@ -65,8 +65,7 @@ class SimState:
 
     q: ScalarField
     u: VectorField
-    t: float
-    env: PositivityEnvelope
+    t: float = 0.0
     mass: MassOperator | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -75,9 +74,7 @@ class SimState:
 
 
 def make_initial_state(q0: ScalarField, u0: VectorField) -> SimState:
-    env = PositivityEnvelope.from_initial_density(q0)
-    env = PositivityEnvelope(c0=env.c0, accumulated=0.0, last_sup=divm_sup(u0))
-    return SimState(q=q0, u=u0, t=0.0, env=env)
+    return SimState(q0, u0)
 
 
 class MassOperator:
@@ -197,21 +194,25 @@ def momentum_rhs(q: ScalarField, u: VectorField, params: ModelParams, *,
     return out
 
 
-def _joint_fixed_point(q_prev: ScalarField, u_prev: VectorField, params: ModelParams,
-                       dt: float, t: float, coeffs: dict,
-                       mass_prev: MassOperator | None = None):
-    """One step of the joint density/velocity fixed point, from time t.
+def coupled_step(state: SimState, params: ModelParams, dt: float,
+                 coeffs: dict | None = None) -> SimState:
+    """Advance density and velocity together by one joint fixed point.
 
-    ``coeffs`` overrides the :func:`momentum_rhs` coefficients (empty for
-    the confined system); its ``transport_coef`` also scales the velocity
-    that advects the density.  ``mass_prev``, when given, is the mass
-    operator of ``q_prev``.  Returns the new (q, u) and the mass operator
-    of the new q.
+    Density update and midpoint force assembly repeat until the velocity
+    iterates settle below ``PICARD_TOL`` in the coefficient norm; the mass
+    matrix carries the momentum from the previous state so the update
+    discretizes d/dt(M[q]u) directly.  The state carries the mass operator
+    of its q, which the following step reuses.
+
+    ``coeffs`` overrides the :func:`momentum_rhs` coefficients (none for the
+    confined system); its ``transport_coef`` also scales the velocity that
+    advects the density.
     """
     if dt <= 0.0:
         raise InvalidParameterError(f"dt must be positive, got {dt}")
-    if mass_prev is None:
-        mass_prev = assemble_mass(q_prev)
+    coeffs = coeffs or {}
+    q_prev, u_prev = state.q, state.u
+    mass_prev = assemble_mass(q_prev) if state.mass is None else state.mass
     momentum_prev = mass_prev.apply(u_prev.coeffs)
     advection = 0.5 * coeffs.get("transport_coef", 1.0)
 
@@ -230,25 +231,10 @@ def _joint_fixed_point(q_prev: ScalarField, u_prev: VectorField, params: ModelPa
     else:
         raise StepFailureError(
             f"velocity fixed point did not settle below {PICARD_TOL:.1e} "
-            f"in {MAX_SWEEPS} sweeps at t={t:.6g}; reduce dt"
+            f"in {MAX_SWEEPS} sweeps at t={state.t:.6g}; reduce dt"
         )
 
     drift = abs(float(q_new.coeffs[0]) - float(q_prev.coeffs[0]))
     if drift > 1e-10:
         raise InternalConsistencyError(f"mass drifted by {drift:.3e} over one step")
-    return q_new, u_iter, mass_new
-
-
-def coupled_step(state: SimState, params: ModelParams, dt: float) -> SimState:
-    """Advance density and velocity together by one joint fixed point.
-
-    Density update and midpoint force assembly repeat until the velocity
-    iterates settle below ``PICARD_TOL`` in the coefficient norm; the mass
-    matrix carries the momentum from the previous state so the update
-    discretizes d/dt(M[q]u) directly.  The state carries the mass operator
-    of its q, which the following step reuses.
-    """
-    q_new, u_new, mass = _joint_fixed_point(state.q, state.u, params, dt, state.t, {},
-                                            state.mass)
-    env = envelope_update(state.env, u_new, dt)
-    return SimState(q=q_new, u=u_new, t=state.t + dt, env=env, mass=mass)
+    return SimState(q_new, u_iter, state.t + dt, mass_new)

@@ -22,10 +22,10 @@ In the new variables the system keeps its structure with coefficients
 that depend on :math:`\tau`: transport, viscosity and capillarity carry
 :math:`1/\tau^2` and the pressure coefficient becomes
 :math:`a - 2\nu\dot\tau/\tau` (plus a :math:`\kappa^2/\tau^2` remnant once
-the quantum stress is written weakly, see ``_tau_coeffs``).  The reference
-measure here is the unit Gaussian (sigma = 1), and the standard stepping
-machinery is reused with the coefficients frozen at the midpoint dilation
-of each step.
+the quantum stress is written weakly, see ``tau_coeffs``).  The reference
+measure here is the unit Gaussian (sigma = 1), and each step is the
+confined system's ``coupled_step`` with the coefficients frozen at the
+midpoint dilation of the step.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 from .calculus import ModelParams, StateBundle
 from .driver import step_count
 from .errors import InvalidParameterError, StepFailureError
-from .galerkin import _joint_fixed_point
+from .galerkin import SimState, coupled_step
 from .spectral import ScalarField, VectorField
 
 __all__ = [
@@ -46,8 +46,10 @@ __all__ = [
     "tau_rhs",
     "tau_energy",
     "tau_solve",
+    "tau_coeffs",
     "require_unregularized",
     "rescaled_step",
+    "rescaled_balance",
     "rescaled_energy",
     "rescaled_bd_remainder",
     "combined_identity_residual",
@@ -95,10 +97,12 @@ def tau_solve(a: float, kappa: float, nu: float, t_final: float, dt: float,
     return out
 
 
-def _tau_coeffs(params: ModelParams, tau: float, tau_dot: float):
+def tau_coeffs(params: ModelParams, tau_state: TauState) -> dict:
+    """The :func:`~hermflow.galerkin.coupled_step` coefficients at one dilation."""
     # Writing the quantum stress weakly against D(phi) on the unit frame
     # leaves a kappa^2/tau^2 pressure remnant, the analogue of the
     # kappa^2/sigma^2 share inside lam*sigma^2 for the confined system.
+    tau, tau_dot = tau_state.tau, tau_state.tau_dot
     return {
         "nu": params.nu / tau**2,
         "kappa_sq": params.kappa**2 / tau**2,
@@ -121,21 +125,27 @@ def rescaled_step(q: ScalarField, u: VectorField, tau_mid: TauState,
     (:func:`require_unregularized`).
     """
     require_unregularized(params)
-    coeffs = _tau_coeffs(params, tau_mid.tau, tau_mid.tau_dot)
-    q_new, u_new, _ = _joint_fixed_point(q, u, params, dt, tau_mid.t, coeffs)
-    return q_new, u_new
+    state = coupled_step(SimState(q, u, tau_mid.t), params, dt, tau_coeffs(params, tau_mid))
+    return state.q, state.u
 
 
-def rescaled_energy(q: ScalarField, u: VectorField, tau_state: TauState,
-                    params: ModelParams):
-    """(E, D, E_BD, D_BD) of the dilated system at one state.
+def rescaled_balance(b: StateBundle, tau_state: TauState, params: ModelParams):
+    r"""(E, D, E_BD, D_BD, R) of the dilated system at the state of bundle b.
 
-    The effective velocity W = U + 2 nu grad(ln Q) carries the entropy.
-    The summed balance d/dt(E + E_BD) + D + D_BD closes up to the twist
-    remainder returned by :func:`rescaled_bd_remainder`;
-    :func:`combined_identity_residual` audits it either way.
+    The effective velocity W = U + 2 nu grad(ln Q) carries the entropy.  The
+    effective-velocity equation picks up a source :math:`(2\nu/\tau^2)\,QU`
+    from the Gaussian twist of the transport term (the analogue of the
+    :math:`2\nu/\sigma^2` share in the confined system's entropy
+    remainder), so the exact summed balance reads
+
+    .. math::
+
+        \frac{\rm d}{{\rm d}t}(E + E_{\rm BD}) + D + D_{\rm BD}
+            = R = \frac{2\nu}{\tau^4}\int Q\,U\cdot(U + 2\nu\nabla\ln Q)\,
+              {\rm d}\mu_m;
+
+    :func:`combined_identity_residual` audits it with or without R.
     """
-    b = StateBundle(q, u)
     tau, tdot = tau_state.tau, tau_state.tau_dot
     nu, kappa_sq = params.nu, params.kappa**2
     kinetic_block = b.ke + kappa_sq * b.fisher
@@ -151,28 +161,20 @@ def rescaled_energy(q: ScalarField, u: VectorField, tau_state: TauState,
         + 2.0 * nu * kappa_sq / tau**4 * b.glog2
         + 2.0 * nu * (params.a / tau**2 + kappa_sq / tau**4) * b.fisher
     )
-    return e_val, d_val, e_bd, d_bd
+    remainder = 2.0 * nu / tau**4 * (b.ke + 2.0 * nu * b.cross)
+    return e_val, d_val, e_bd, d_bd, remainder
+
+
+def rescaled_energy(q: ScalarField, u: VectorField, tau_state: TauState,
+                    params: ModelParams):
+    """(E, D, E_BD, D_BD) of :func:`rescaled_balance` at (q, u)."""
+    return rescaled_balance(StateBundle(q, u), tau_state, params)[:4]
 
 
 def rescaled_bd_remainder(q: ScalarField, u: VectorField, tau_state: TauState,
                           params: ModelParams) -> float:
-    r"""Twist-induced remainder of the dilated entropy balance.
-
-    The effective-velocity equation picks up a source
-    :math:`(2\nu/\tau^2)\,QU` from the Gaussian twist of the transport
-    term (the analogue of the :math:`2\nu/\sigma^2` share in the confined
-    system's entropy remainder), so the exact summed balance reads
-
-    .. math::
-
-        \frac{\rm d}{{\rm d}t}(E + E_{\rm BD}) + D + D_{\rm BD}
-            = \frac{2\nu}{\tau^4}\int Q\,U\cdot(U + 2\nu\nabla\ln Q)\,
-              {\rm d}\mu_m.
-
-    This function returns the right-hand side.
-    """
-    b = StateBundle(q, u)
-    return 2.0 * params.nu / tau_state.tau**4 * (b.ke + 2.0 * params.nu * b.cross)
+    """Twist remainder R of :func:`rescaled_balance` at (q, u)."""
+    return rescaled_balance(StateBundle(q, u), tau_state, params)[4]
 
 
 def combined_identity_residual(energies, dt: float, remainders=None) -> float:

@@ -357,14 +357,6 @@ def _check_same_frame(a, b):
         raise DimensionError("fields live on different frames")
 
 
-def _per_component(values, dim: int, n: int, what: str) -> np.ndarray:
-    """values as a (dim, n) array; they must hold exactly dim * n numbers."""
-    values = np.asarray(values, dtype=float)
-    if values.size != dim * n:
-        raise DimensionError(f"expected {dim} x {n} {what}, got shape {values.shape}")
-    return values.reshape(dim, n)
-
-
 class VectorField:
     """dim scalar components sharing one frame."""
 
@@ -387,13 +379,13 @@ class VectorField:
 
     @classmethod
     def from_coeffs(cls, frame: GaussianFrame, coeffs: np.ndarray) -> "VectorField":
-        coeffs = _per_component(coeffs, frame.dim, frame.n_basis, "coefficients")
+        """Components from a (dim, n_basis) array, or any array of that many numbers."""
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.size != frame.dim * frame.n_basis:
+            raise DimensionError(f"expected {frame.dim} x {frame.n_basis} coefficients, "
+                                 f"got shape {coeffs.shape}")
+        coeffs = coeffs.reshape(frame.dim, frame.n_basis)
         return cls([ScalarField(frame, coeffs=coeffs[i]) for i in range(frame.dim)])
-
-    @classmethod
-    def from_nodal(cls, frame: GaussianFrame, nodal: np.ndarray) -> "VectorField":
-        nodal = _per_component(nodal, frame.dim, frame.n_nodes, "nodal values")
-        return cls([ScalarField(frame, nodal=nodal[i]) for i in range(frame.dim)])
 
     @property
     def coeffs(self) -> np.ndarray:

@@ -80,7 +80,8 @@ class TestTwistedDivergence:
         dv, _ = grad_parts(v)
         dw, _ = grad_parts(w)
         lhs = sum(
-            frame_2d.quad(div_m(VectorField.from_nodal(frame_2d, dv[i])).nodal
+            frame_2d.quad(div_m(VectorField([ScalarField(frame_2d, nodal=dv[i, k])
+                                             for k in range(2)])).nodal
                           * w.components[i].nodal)
             for i in range(2)
         )

@@ -275,6 +275,14 @@ class TestRescaledCommand:
         assert code == 3
         assert capsys.readouterr().err.startswith("config error:")
 
+    def test_single_step_exits_3(self, tmp_path, capsys):
+        # the balance audit takes centered differences over three recorded states
+        body = self.BODY.replace("t_final = 0.04", "t_final = 1e-3")
+        code = main(["rescaled", write_config(tmp_path / "a.cfg", body),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("config error:")
+
 
 # one small run per mode, every float key the fuzzer may change spelled out
 FUZZ_BASE = {

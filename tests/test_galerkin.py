@@ -19,6 +19,7 @@ from hermflow import (
     project_initial_velocity,
 )
 from hermflow.diagnostics import record
+from hermflow.rescaled import TauState, tau_coeffs
 from hermflow.sampling import random_density, random_field, random_velocity, tilted_density
 from hermflow.spectral import build_frame, transform
 
@@ -159,17 +160,26 @@ class TestCoupledStep:
         mx = record(state, params).mx[0]
         assert abs(mx) < 0.01 * x0
 
-    @pytest.mark.parametrize("frame_name", ["frame_1d", "frame_2d"])
-    def test_carried_mass_operator_is_exact(self, frame_name, request, rng):
+    @pytest.mark.parametrize(
+        "frame_name, system",
+        [("frame_1d", "confined"), ("frame_2d", "confined"),
+         ("frame_1d", "dilated"), ("frame_2d", "dilated")],
+        ids=["frame_1d", "frame_2d", "frame_1d-dilated", "frame_2d-dilated"])
+    def test_carried_mass_operator_is_exact(self, frame_name, system, request, rng):
         # a state carries the mass operator of its q; rebuilding it gives the same step
         frame = request.getfixturevalue(frame_name)
-        params = ModelParams(a=1.0, kappa=1.0, nu=0.5, lam=2.0, r0=0.1, delta1=0.3)
+        if system == "confined":
+            params = ModelParams(a=1.0, kappa=1.0, nu=0.5, lam=2.0, r0=0.1, delta1=0.3)
+            coeffs = None
+        else:
+            params = drag_free()
+            coeffs = tau_coeffs(params, TauState(1.7, 0.3, 0.0))
         state = make_initial_state(random_density(frame, rng, decay=0.3),
                                    random_velocity(frame, rng, decay=0.3, amplitude=0.1))
-        state = coupled_step(state, params, 1e-3)
+        state = coupled_step(state, params, 1e-3, coeffs)
         assert state.mass is not None
-        carried = coupled_step(state, params, 1e-3)
-        rebuilt = coupled_step(dataclasses.replace(state, mass=None), params, 1e-3)
+        carried = coupled_step(state, params, 1e-3, coeffs)
+        rebuilt = coupled_step(dataclasses.replace(state, mass=None), params, 1e-3, coeffs)
         assert np.array_equal(carried.q.coeffs, rebuilt.q.coeffs)
         assert np.array_equal(carried.u.coeffs, rebuilt.u.coeffs)
 
