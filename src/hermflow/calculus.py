@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, PositivityError
-from .spectral import GaussianFrame, ScalarField, VectorField, multiply, transform
+from .spectral import ScalarField, VectorField, multiply, transform
 
 __all__ = [
     "ModelParams",
@@ -51,7 +51,6 @@ __all__ = [
     "hessian_nodal",
     "velocity_gradient_nodal",
     "require_positive",
-    "masked_inverses",
 ]
 
 #: floor for ln / sqrt / division on relative densities
@@ -103,7 +102,8 @@ def require_positive(q: ScalarField) -> np.ndarray:
     Positivity is asserted on the frame's trusted nodes and a breach raises
     with the offending node attached; far-tail nodes carry no meaningful
     pointwise information and are exempt.  Divisions by q must go through
-    :func:`masked_inverses`, never through the raw values.
+    the masked reciprocals of :class:`StateBundle`, never through the raw
+    values.
     """
     qn = q.nodal
     trusted = q.frame.trusted
@@ -116,21 +116,6 @@ def require_positive(q: ScalarField) -> np.ndarray:
             value=float(qn[i]),
         )
     return qn
-
-
-def masked_inverses(frame: GaussianFrame, qn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reciprocals (1/q, 1/sqrt(q)) that vanish on untrusted nodes.
-
-    Rational integrands have no polynomial cancellation structure, so the
-    round-off garbage at far-tail nodes would be amplified by the division
-    instead of telescoping away in the quadrature sum; restricting them to
-    the trusted region discards only contributions below round-off of the
-    total (the omitted Gaussian tail).  Polynomial integrands should keep
-    the raw nodal values, whose quadrature sums are exact by design.
-    """
-    qs = np.maximum(qn, POSITIVITY_FLOOR)
-    mask = frame.trusted.astype(float)
-    return mask / qs, mask / np.sqrt(qs)
 
 
 def gradient_nodal(f: ScalarField) -> np.ndarray:
@@ -189,7 +174,6 @@ class StateBundle:
         self.q = q
         self.u = VectorField.zero(q.frame) if u is None else u
         self.qn = require_positive(q)
-        self.inv_q, self.inv_sq = masked_inverses(self.frame, self.qn)
 
     def quad(self, vals) -> float:
         return self.frame.quad(vals)
@@ -201,6 +185,22 @@ class StateBundle:
     @_cached
     def q_safe(self) -> np.ndarray:
         return np.maximum(self.qn, POSITIVITY_FLOOR)
+
+    # Rational integrands have no polynomial cancellation structure, so the
+    # round-off garbage at far-tail nodes would be amplified by a division
+    # instead of telescoping away in the quadrature sum; restricting them to
+    # the trusted region discards only contributions below round-off of the
+    # total (the omitted Gaussian tail).
+
+    @_cached
+    def inv_q(self) -> np.ndarray:
+        """1/q on trusted nodes, 0 elsewhere."""
+        return self.mask / self.q_safe
+
+    @_cached
+    def inv_sq(self) -> np.ndarray:
+        """1/sqrt(q) on trusted nodes, 0 elsewhere."""
+        return self.mask / np.sqrt(self.q_safe)
 
     @_cached
     def qlnq(self) -> np.ndarray:

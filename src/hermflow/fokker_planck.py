@@ -119,17 +119,22 @@ def fp_step(q: ScalarField, u: VectorField, delta1: float, dt: float) -> ScalarF
     if dt <= 0.0:
         raise InvalidParameterError(f"dt must be positive, got {dt}")
     frame = q.frame
-    decay_full = np.exp(-delta1 * frame.total_degree * dt / frame.sigma**2)
-    decay_half = np.exp(-delta1 * frame.total_degree * (0.5 * dt) / frame.sigma**2)
-
     c0 = q.coeffs
-    free = decay_full * c0
+    if delta1 == 0.0:
+        # both decay tables would be all ones: the same values without them
+        free, step = c0, dt
+    else:
+        decay_full = np.exp(-delta1 * frame.total_degree * dt / frame.sigma**2)
+        decay_half = np.exp(-delta1 * frame.total_degree * (0.5 * dt) / frame.sigma**2)
+        free, step = decay_full * c0, dt * decay_half
+
     c_new = free
     prev_increment = None
     for _ in range(FP_SWEEPS):
         q_mid = ScalarField(frame, coeffs=0.5 * (c0 + c_new))
-        c_next = free - dt * decay_half * _divm_qu_coeffs(q_mid, u)
-        increment = float(np.linalg.norm(c_next - c_new))
+        c_next = free - step * _divm_qu_coeffs(q_mid, u)
+        delta = c_next - c_new
+        increment = math.sqrt(delta @ delta)
         if prev_increment is not None and prev_increment > 1e-14:
             if increment > prev_increment:
                 raise StepFailureError(

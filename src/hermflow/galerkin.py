@@ -24,10 +24,11 @@ solve repeats until successive iterates agree to ``PICARD_TOL``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .calculus import ModelParams, StateBundle, require_positive
 from .errors import (
@@ -82,26 +83,40 @@ class MassOperator:
 
     The full velocity-space operator is block diagonal with this same block
     for every component, so only one (n_basis x n_basis) matrix is stored.
+    Its lower Cholesky factor is formed by LAPACK on the first solve and
+    kept; ``matrix`` itself stays intact for :meth:`apply`.
     """
 
-    __slots__ = ("frame", "matrix", "_cho")
+    __slots__ = ("frame", "matrix", "_factor")
 
     def __init__(self, frame: GaussianFrame, matrix: np.ndarray):
         self.frame = frame
         self.matrix = matrix
-        self._cho = None
+        self._factor = None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve per velocity component; rhs has shape (dim, n_basis)."""
-        if self._cho is None:
-            try:
-                self._cho = cho_factor(self.matrix, lower=True)
-            except np.linalg.LinAlgError as exc:
+        """Solve per velocity component; rhs has shape (dim, n_basis).
+
+        A non-finite matrix or right-hand side means the step blew up; a
+        matrix that is not positive definite means the density is
+        under-resolved at the tails.
+        """
+        if self._factor is None:
+            if not np.isfinite(self.matrix).all():
+                raise StepFailureError("mass operator has non-finite entries; reduce dt")
+            factor, info = dpotrf(self.matrix, lower=1, clean=0)
+            if info > 0:
                 raise PositivityError(
                     "mass operator not positive definite; the density is "
-                    f"under-resolved at the tails ({exc})"
-                ) from exc
-        return cho_solve(self._cho, np.asarray(rhs).T).T
+                    f"under-resolved at the tails ({info}-th leading minor "
+                    "of the array is not positive definite)"
+                )
+            self._factor = factor
+        rhs = np.asarray(rhs)
+        if not np.isfinite(rhs).all():
+            raise StepFailureError("momentum right-hand side has non-finite entries; reduce dt")
+        x, _ = dpotrs(self._factor, rhs.T, lower=1)
+        return x.T
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
         return coeffs @ self.matrix.T
@@ -157,8 +172,10 @@ def momentum_rhs(q: ScalarField, u: VectorField, params: ModelParams, *,
     * pressure         -lam sigma^2 int grad q . phi
     * confinement drag -(r4/sigma^4) int q |x|^2 x . phi
 
-    The keyword overrides let a rescaled system reuse the assembly with
-    time-dependent coefficients.
+    The drag and diffusion terms, and the dealiased |u|^2 the cubic drag
+    needs, are formed only when ``params.regularized``; otherwise the point
+    force is the pressure alone.  The keyword overrides let a rescaled
+    system reuse the assembly with time-dependent coefficients.
     """
     frame = q.frame
     d = frame.dim
@@ -168,20 +185,24 @@ def momentum_rhs(q: ScalarField, u: VectorField, params: ModelParams, *,
     pressure = params.lam * sig2 if pressure_coef is None else pressure_coef
 
     b = StateBundle(q, u)
-    qn, un, du, gq, s2 = b.qn, b.un, b.du, b.gq, b.s2
+    qn, un, du, gq = b.qn, b.un, b.du, b.gq
     w = frame.weights
     x = frame.nodes.T
     rsq = frame.radius_sq
+    regularized = params.regularized
 
     out = np.empty((d, frame.n_basis))
     for i in range(d):
-        point = (
-            -params.r0 * un[i]
-            - params.delta1 * np.einsum("kn,kn->n", du[i], gq)
-            - params.r1 * qn * s2 * un[i]
-            - pressure * gq[i]
-            - (params.r4 / sig2**2) * qn * rsq * x[i]
-        )
+        if regularized:
+            point = (
+                -params.r0 * un[i]
+                - params.delta1 * np.einsum("kn,kn->n", du[i], gq)
+                - params.r1 * qn * b.s2 * un[i]
+                - pressure * gq[i]
+                - (params.r4 / sig2**2) * qn * rsq * x[i]
+            )
+        else:
+            point = -pressure * gq[i]
         vec = frame._synthesize_adjoint(w * point)
         for k in range(d):
             grad_part = (
@@ -224,7 +245,8 @@ def coupled_step(state: SimState, params: ModelParams, dt: float,
         force = momentum_rhs(q_mid, u_mid, params, **coeffs)
         mass_new = assemble_mass(q_new)
         u_next = VectorField.from_coeffs(q_prev.frame, mass_new.solve(momentum_prev + dt * force))
-        diff = float(np.linalg.norm(u_next.coeffs - u_iter.coeffs))
+        delta = (u_next.coeffs - u_iter.coeffs).ravel()
+        diff = math.sqrt(delta @ delta)
         u_iter = u_next
         if diff < PICARD_TOL:
             break

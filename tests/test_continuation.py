@@ -49,16 +49,14 @@ class TestMollification:
     def test_dirichlet_energy_bounded(self, tight_frame):
         # the smoothing never amplifies the square-root Dirichlet energy
         # beyond its target by more than a vanishing margin
-        from hermflow.calculus import gradient_nodal, masked_inverses, require_positive
+        from hermflow.calculus import StateBundle, gradient_nodal
 
         q0 = tilted_density(tight_frame, 1.0)
         u0 = VectorField.zero(tight_frame)
 
         def dirichlet(q):
-            qn = require_positive(q)
-            inv_q, _ = masked_inverses(tight_frame, qn)
             g = gradient_nodal(q)
-            return 0.25 * tight_frame.quad(np.einsum("in,in->n", g, g) * inv_q)
+            return 0.25 * tight_frame.quad(np.einsum("in,in->n", g, g) * StateBundle(q).inv_q)
 
         target = dirichlet(q0)
         values = [dirichlet(mollify_initial_data(q0, u0, n)[0]) for n in (4, 8, 16, 32)]

@@ -14,7 +14,8 @@ from hermflow import (
     fp_step,
     ou_semigroup,
 )
-from hermflow.fokker_planck import divm_sup
+from hermflow.calculus import div_m
+from hermflow.fokker_planck import FP_SWEEPS, divm_sup
 from hermflow.sampling import random_density, random_field
 from hermflow.spectral import multiply, transform
 
@@ -115,8 +116,6 @@ class TestTransportStep:
 
     def test_tiny_step_forward_euler_oracle(self, frame_1d, rng):
         # one step against explicit Euler at vanishing dt
-        from hermflow.calculus import div_m
-
         q = random_density(frame_1d, rng)
         u = VectorField([0.2 * random_field(frame_1d, rng)])
         dt = 1e-7
@@ -155,6 +154,25 @@ class TestTransportStep:
         u = VectorField([transform(frame_1d, 3.0 * x)])
         with pytest.raises(StepFailureError):
             fp_step(q, u, 0.0, 5.0)
+
+    @pytest.mark.parametrize("frame_name", ["frame_1d", "frame_2d"])
+    @pytest.mark.parametrize("delta1", [0.0, 0.4])
+    def test_bits_match_exponential_form(self, frame_name, delta1, request, rng):
+        # without diffusion the all-ones decay tables are skipped; same bits
+        frame = request.getfixturevalue(frame_name)
+        q = random_density(frame, rng)
+        u = VectorField([0.3 * random_field(frame, rng) for _ in range(frame.dim)])
+        dt = 2e-3
+        decay_full = np.exp(-delta1 * frame.total_degree * dt / frame.sigma**2)
+        decay_half = np.exp(-delta1 * frame.total_degree * (0.5 * dt) / frame.sigma**2)
+        c0 = q.coeffs
+        free = decay_full * c0
+        c_new = free
+        for _ in range(FP_SWEEPS):
+            q_mid = ScalarField(frame, coeffs=0.5 * (c0 + c_new))
+            flux = VectorField([multiply(q_mid, c) for c in u.components])
+            c_new = free - dt * decay_half * div_m(flux).coeffs
+        assert np.array_equal(fp_step(q, u, delta1, dt).coeffs, c_new)
 
     def test_rejects_bad_dt(self, frame_1d):
         with pytest.raises(InvalidParameterError):

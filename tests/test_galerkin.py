@@ -5,11 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from hermflow import (
     InternalConsistencyError,
+    MassOperator,
     ModelParams,
+    PositivityError,
     ScalarField,
+    StateBundle,
     StepFailureError,
     VectorField,
     assemble_mass,
@@ -18,7 +22,9 @@ from hermflow import (
     momentum_rhs,
     project_initial_velocity,
 )
+from hermflow import calculus
 from hermflow.diagnostics import record
+from hermflow.errors import SOLVER_FAILURES
 from hermflow.rescaled import TauState, tau_coeffs
 from hermflow.sampling import random_density, random_field, random_velocity, tilted_density
 from hermflow.spectral import build_frame, transform
@@ -92,6 +98,37 @@ class TestMassOperator:
         m = assemble_mass(q)
         assert np.max(np.abs(m.matrix - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("frame_name", ["frame_1d", "frame_2d"])
+    def test_solve_bits_match_scipy_cholesky(self, frame_name, request, rng):
+        # the direct LAPACK calls are the ones cho_factor/cho_solve make
+        frame = request.getfixturevalue(frame_name)
+        m = assemble_mass(random_density(frame, rng, decay=0.3))
+        rhs = rng.standard_normal((frame.dim, frame.n_basis))
+        factor = cho_factor(m.matrix, lower=True)
+        before = m.matrix.copy()
+        assert np.array_equal(m.solve(rhs), cho_solve(factor, rhs.T).T)
+        # the kept factor serves the next solve, and apply still reads the matrix
+        assert np.array_equal(m.solve(2.0 * rhs), cho_solve(factor, 2.0 * rhs.T).T)
+        assert np.array_equal(m.matrix, before)
+
+    def test_nan_matrix_is_a_solver_failure(self, frame_1d):
+        mat = np.eye(frame_1d.n_basis)
+        mat[2, 3] = mat[3, 2] = np.nan
+        with pytest.raises(SOLVER_FAILURES):
+            MassOperator(frame_1d, mat).solve(np.ones((1, frame_1d.n_basis)))
+
+    def test_inf_rhs_is_a_solver_failure(self, frame_1d):
+        rhs = np.ones((1, frame_1d.n_basis))
+        rhs[0, 5] = np.inf
+        with pytest.raises(SOLVER_FAILURES):
+            assemble_mass(unit_field(frame_1d)).solve(rhs)
+
+    def test_indefinite_matrix_names_the_leading_minor(self, frame_1d):
+        diag = np.ones(frame_1d.n_basis)
+        diag[2] = -1.0
+        with pytest.raises(PositivityError, match=r"\b3-th leading minor"):
+            MassOperator(frame_1d, np.diag(diag)).solve(np.ones((1, frame_1d.n_basis)))
+
 
 PROPERTY_FRAMES = {
     1: build_frame(1.0, 1.0, 2.0, 1, 16),
@@ -113,7 +150,61 @@ def test_mass_symmetric_positive_definite(dim, low_modes, level):
     np.linalg.cholesky(m.matrix)
 
 
+def five_term_force(q, u, params):
+    """momentum_rhs written out with every regularizer term, in the solver's order."""
+    frame = q.frame
+    sig2 = frame.sigma**2
+    b = StateBundle(q, u)
+    x = frame.nodes.T
+    out = np.empty((frame.dim, frame.n_basis))
+    for i in range(frame.dim):
+        point = (
+            -params.r0 * b.un[i]
+            - params.delta1 * np.einsum("kn,kn->n", b.du[i], b.gq)
+            - params.r1 * b.qn * b.s2 * b.un[i]
+            - params.lam * sig2 * b.gq[i]
+            - (params.r4 / sig2**2) * b.qn * frame.radius_sq * x[i]
+        )
+        vec = frame._synthesize_adjoint(frame.weights * point)
+        for k in range(frame.dim):
+            grad_part = (
+                1.0 * b.qn * b.un[i] * b.un[k]
+                - 2.0 * params.nu * b.qn * b.dsym[i, k]
+                - 2.0 * params.kappa**2 * b.stress[i, k]
+            )
+            vec += frame._synthesize_adjoint(frame.weights * grad_part, (k,))
+        out[i] = vec
+    return out
+
+
 class TestMomentumForces:
+    @pytest.mark.parametrize("frame_name", ["frame_1d", "frame_2d"])
+    @pytest.mark.parametrize("params", [
+        drag_free(),
+        ModelParams(a=1.0, kappa=1.0, nu=0.5, lam=2.0, r0=0.1, r1=0.2, r4=0.05, delta1=0.3),
+    ], ids=["drag_free", "regularized"])
+    def test_bits_match_five_term_formula(self, frame_name, params, request, rng):
+        # dropping the switched-off terms must not move a single bit
+        frame = request.getfixturevalue(frame_name)
+        q = random_density(frame, rng, decay=0.3)
+        u = random_velocity(frame, rng, decay=0.3, amplitude=0.2)
+        assert np.array_equal(momentum_rhs(q, u, params), five_term_force(q, u, params))
+
+    @pytest.mark.parametrize("frame_name", ["frame_1d", "frame_2d"])
+    def test_dealiased_speed_formed_only_for_regularized_forces(
+            self, frame_name, request, rng, monkeypatch):
+        # |u|^2 costs one dealiased product per component; drag-free forces never read it
+        frame = request.getfixturevalue(frame_name)
+        q = random_density(frame, rng, decay=0.3)
+        u = random_velocity(frame, rng, decay=0.3, amplitude=0.2)
+        calls = []
+        real = calculus.multiply
+        monkeypatch.setattr(calculus, "multiply", lambda f, g: calls.append(1) or real(f, g))
+        momentum_rhs(q, u, drag_free())
+        assert len(calls) == 0
+        momentum_rhs(q, u, ModelParams(a=1.0, kappa=1.0, nu=0.5, lam=2.0, r1=0.2))
+        assert len(calls) == frame.dim
+
     def test_equilibrium_rest_state(self, frame_1d):
         f = momentum_rhs(unit_field(frame_1d), VectorField.zero(frame_1d), drag_free())
         assert np.max(np.abs(f)) < 1e-13

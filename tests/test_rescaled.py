@@ -106,13 +106,12 @@ class TestRescaledEnergies:
         )
         ts = TauState(1.7, 0.3, 0.0)
         _, _, e_bd, _ = rescaled_energy(q, u, ts, params)
-        from hermflow.calculus import gradient_nodal, masked_inverses, require_positive
+        from hermflow.calculus import StateBundle, gradient_nodal
 
-        qn = require_positive(q)
-        inv_q, _ = masked_inverses(unit_frame, qn)
+        b = StateBundle(q)
         g = gradient_nodal(q)
-        dirichlet = 0.25 * unit_frame.quad(np.einsum("in,in->n", g, g) * inv_q)
-        qs = np.maximum(qn, 1e-300)
+        dirichlet = 0.25 * unit_frame.quad(np.einsum("in,in->n", g, g) * b.inv_q)
+        qs = np.maximum(b.qn, 1e-300)
         entropy = unit_frame.quad(unit_frame.trusted * qs * np.log(qs))
         expect = 0.5 / ts.tau**2 * 4.0 * params.kappa**2 * dirichlet + params.a * entropy
         assert e_bd == pytest.approx(expect, abs=1e-11)
