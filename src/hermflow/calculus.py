@@ -109,7 +109,7 @@ def require_positive(q: ScalarField) -> np.ndarray:
     trusted = q.frame.trusted
     inner = np.where(trusted, qn, np.inf)
     i = int(np.argmin(inner))
-    if inner[i] < POSITIVITY_FLOOR:
+    if not inner[i] >= POSITIVITY_FLOOR:  # argmin finds a NaN first, and NaN fails here
         raise PositivityError(
             f"density {qn[i]:.3e} below floor {POSITIVITY_FLOOR:.1e} at node {q.frame.nodes[i]}",
             node=q.frame.nodes[i],
@@ -121,7 +121,10 @@ def require_positive(q: ScalarField) -> np.ndarray:
 def gradient_nodal(f: ScalarField) -> np.ndarray:
     """Exact nodal gradient, shape (dim, n_nodes)."""
     frame = f.frame
-    return np.stack([frame._synthesize(f.coeffs, (ax,)) for ax in range(frame.dim)])
+    out = np.empty((frame.dim, frame.n_nodes))
+    for ax in range(frame.dim):
+        out[ax] = frame._synthesize(f.coeffs, (ax,))
+    return out
 
 
 def hessian_nodal(f: ScalarField) -> np.ndarray:
@@ -137,8 +140,18 @@ def hessian_nodal(f: ScalarField) -> np.ndarray:
 
 
 def velocity_gradient_nodal(u: VectorField) -> np.ndarray:
-    """Exact nodal velocity gradient du[i, k] = d_k u_i, shape (dim, dim, n_nodes)."""
-    return np.stack([gradient_nodal(c) for c in u.components])
+    """Exact nodal velocity gradient du[i, k] = d_k u_i, shape (dim, dim, n_nodes).
+
+    One synthesis per entry, never one product across components: a merged
+    matrix product may round differently in the last bit.
+    """
+    frame = u.frame
+    d = frame.dim
+    out = np.empty((d, d, frame.n_nodes))
+    for i in range(d):
+        for k in range(d):
+            out[i, k] = frame._synthesize(u.coeffs[i], (k,))
+    return out
 
 
 class _cached:
@@ -340,7 +353,7 @@ def div_m(v: VectorField) -> ScalarField:
     frame = v.frame
     coeffs = np.zeros(frame.n_basis)
     for ax in range(frame.dim):
-        coeffs += frame.divm_mats[ax] @ v.components[ax].coeffs
+        coeffs += frame.divm_mats[ax] @ v.coeffs[ax]
     return ScalarField(frame, coeffs=coeffs)
 
 

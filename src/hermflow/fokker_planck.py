@@ -40,7 +40,7 @@ import numpy as np
 
 from .calculus import div_m
 from .errors import InvalidParameterError, InternalConsistencyError, StepFailureError
-from .spectral import ScalarField, VectorField, multiply
+from .spectral import ScalarField, VectorField
 
 __all__ = [
     "PositivityEnvelope",
@@ -102,12 +102,6 @@ def ou_semigroup(q: ScalarField, s: float, delta1: float) -> ScalarField:
     return ScalarField(frame, coeffs=q.coeffs * factors)
 
 
-def _divm_qu_coeffs(q: ScalarField, u: VectorField) -> np.ndarray:
-    """Coefficients of div_m(q u) with the product dealiased first."""
-    flux = VectorField([multiply(q, u.components[ax]) for ax in range(q.frame.dim)])
-    return div_m(flux).coeffs
-
-
 def fp_step(q: ScalarField, u: VectorField, delta1: float, dt: float) -> ScalarField:
     """One exponential-midpoint Duhamel step with the velocity frozen.
 
@@ -120,6 +114,7 @@ def fp_step(q: ScalarField, u: VectorField, delta1: float, dt: float) -> ScalarF
         raise InvalidParameterError(f"dt must be positive, got {dt}")
     frame = q.frame
     c0 = q.coeffs
+    un = u.nodal
     if delta1 == 0.0:
         # both decay tables would be all ones: the same values without them
         free, step = c0, dt
@@ -131,8 +126,16 @@ def fp_step(q: ScalarField, u: VectorField, delta1: float, dt: float) -> ScalarF
     c_new = free
     prev_increment = None
     for _ in range(FP_SWEEPS):
-        q_mid = ScalarField(frame, coeffs=0.5 * (c0 + c_new))
-        c_next = free - step * _divm_qu_coeffs(q_mid, u)
+        if c_new is c0 and q._synthesized:
+            # no diffusion, first sweep: the midpoint 0.5 * (c0 + c0) is c0 itself
+            qn = q.nodal
+        else:
+            qn = frame._synthesize(0.5 * (c0 + c_new))
+        # div_m(q u), each flux component dealiased: projected from its nodal product
+        divm_qu = np.zeros(frame.n_basis)
+        for ax in range(frame.dim):
+            divm_qu += frame.divm_mats[ax] @ frame.project_nodal(qn * un[ax])
+        c_next = free - step * divm_qu
         delta = c_next - c_new
         increment = math.sqrt(delta @ delta)
         if prev_increment is not None and prev_increment > 1e-14:

@@ -232,22 +232,32 @@ def coupled_step(state: SimState, params: ModelParams, dt: float,
     if dt <= 0.0:
         raise InvalidParameterError(f"dt must be positive, got {dt}")
     coeffs = coeffs or {}
+    frame = state.frame
     q_prev, u_prev = state.q, state.u
     mass_prev = assemble_mass(q_prev) if state.mass is None else state.mass
-    momentum_prev = mass_prev.apply(u_prev.coeffs)
+    c_prev = u_prev.coeffs
+    momentum_prev = mass_prev.apply(c_prev)
     advection = 0.5 * coeffs.get("transport_coef", 1.0)
 
-    u_iter = u_prev
+    # the velocity iterate is a coefficient array; fields are built only for
+    # the density step and the force assembly
+    c_iter = c_prev
     for _ in range(MAX_SWEEPS):
-        q_new = fp_step(q_prev, advection * (u_prev + u_iter), params.delta1, dt)
+        if c_iter is c_prev and u_prev._synthesized:
+            # first sweep: the average of u_prev with itself is u_prev, bit for bit
+            u_mid = u_prev
+        else:
+            u_mid = VectorField.from_coeffs(frame, 0.5 * (c_prev + c_iter))
+        u_adv = (u_mid if advection == 0.5
+                 else VectorField.from_coeffs(frame, advection * (c_prev + c_iter)))
+        q_new = fp_step(q_prev, u_adv, params.delta1, dt)
         q_mid = 0.5 * (q_prev + q_new)
-        u_mid = 0.5 * (u_prev + u_iter)
         force = momentum_rhs(q_mid, u_mid, params, **coeffs)
         mass_new = assemble_mass(q_new)
-        u_next = VectorField.from_coeffs(q_prev.frame, mass_new.solve(momentum_prev + dt * force))
-        delta = (u_next.coeffs - u_iter.coeffs).ravel()
+        c_next = mass_new.solve(momentum_prev + dt * force)
+        delta = (c_next - c_iter).ravel()
         diff = math.sqrt(delta @ delta)
-        u_iter = u_next
+        c_iter = c_next
         if diff < PICARD_TOL:
             break
     else:
@@ -259,4 +269,4 @@ def coupled_step(state: SimState, params: ModelParams, dt: float,
     drift = abs(float(q_new.coeffs[0]) - float(q_prev.coeffs[0]))
     if drift > 1e-10:
         raise InternalConsistencyError(f"mass drifted by {drift:.3e} over one step")
-    return SimState(q_new, u_iter, state.t + dt, mass_new)
+    return SimState(q_new, VectorField.from_coeffs(frame, c_iter), state.t + dt, mass_new)

@@ -302,7 +302,7 @@ class ScalarField:
     of degree <= N the two representations round-trip to round-off.
     """
 
-    __slots__ = ("frame", "_coeffs", "_nodal")
+    __slots__ = ("frame", "_coeffs", "_nodal", "_synthesized")
 
     def __init__(self, frame: GaussianFrame, coeffs: np.ndarray | None = None,
                  nodal: np.ndarray | None = None):
@@ -319,6 +319,8 @@ class ScalarField:
                 raise DimensionError(f"expected {frame.n_nodes} nodal values, got {nodal.shape}")
         self._coeffs = coeffs
         self._nodal = nodal
+        # the nodal values are (or will be) the synthesis of the coefficients
+        self._synthesized = nodal is None
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -358,9 +360,16 @@ def _check_same_frame(a, b):
 
 
 class VectorField:
-    """dim scalar components sharing one frame."""
+    """dim scalar components sharing one frame, held as two read-only arrays.
 
-    __slots__ = ("frame", "components")
+    ``coeffs`` is one (dim, n_basis) array and ``nodal`` one (dim, n_nodes)
+    array, both formed once; each component is a :class:`ScalarField` over
+    one row of each.  Nodal rows are synthesized one component at a time,
+    so each equals that component's own synthesis bit for bit; components
+    given by nodal values keep them.
+    """
+
+    __slots__ = ("frame", "components", "_coeffs", "_nodal", "_synthesized")
 
     def __init__(self, components):
         components = tuple(components)
@@ -370,12 +379,35 @@ class VectorField:
         for c in components[1:]:
             if not frame.same_as(c.frame):
                 raise DimensionError("vector components live on different frames")
+        coeffs = np.empty((frame.dim, frame.n_basis))
+        nodal = np.empty((frame.dim, frame.n_nodes))
+        for i, c in enumerate(components):
+            coeffs[i] = c.coeffs
+            nodal[i] = c.nodal
+        self._hold(frame, coeffs, nodal, all(c._synthesized for c in components))
+
+    def _hold(self, frame, coeffs, nodal, synthesized):
+        """Keep both arrays read-only and expose their rows as the components."""
+        coeffs.flags.writeable = False
+        nodal.flags.writeable = False
         self.frame = frame
-        self.components = components
+        self._coeffs, self._nodal, self._synthesized = coeffs, nodal, synthesized
+        self.components = tuple(ScalarField(frame, coeffs=coeffs[i], nodal=nodal[i])
+                                for i in range(frame.dim))
+
+    @classmethod
+    def _from_array(cls, frame: GaussianFrame, coeffs: np.ndarray) -> "VectorField":
+        """Field over a (dim, n_basis) float array, kept as a view, nodal rows synthesized."""
+        nodal = np.empty((frame.dim, frame.n_nodes))
+        for i in range(frame.dim):
+            nodal[i] = frame._synthesize(coeffs[i])
+        field = cls.__new__(cls)
+        field._hold(frame, coeffs.view(), nodal, True)
+        return field
 
     @classmethod
     def zero(cls, frame: GaussianFrame) -> "VectorField":
-        return cls([ScalarField(frame, coeffs=np.zeros(frame.n_basis)) for _ in range(frame.dim)])
+        return cls._from_array(frame, np.zeros((frame.dim, frame.n_basis)))
 
     @classmethod
     def from_coeffs(cls, frame: GaussianFrame, coeffs: np.ndarray) -> "VectorField":
@@ -384,25 +416,26 @@ class VectorField:
         if coeffs.size != frame.dim * frame.n_basis:
             raise DimensionError(f"expected {frame.dim} x {frame.n_basis} coefficients, "
                                  f"got shape {coeffs.shape}")
-        coeffs = coeffs.reshape(frame.dim, frame.n_basis)
-        return cls([ScalarField(frame, coeffs=coeffs[i]) for i in range(frame.dim)])
+        return cls._from_array(frame, coeffs.reshape(frame.dim, frame.n_basis))
 
     @property
     def coeffs(self) -> np.ndarray:
-        return np.stack([c.coeffs for c in self.components])
+        return self._coeffs
 
     @property
     def nodal(self) -> np.ndarray:
-        return np.stack([c.nodal for c in self.components])
+        return self._nodal
 
     def __add__(self, other):
-        return VectorField([a + b for a, b in zip(self.components, other.components)])
+        _check_same_frame(self, other)
+        return VectorField._from_array(self.frame, self._coeffs + other._coeffs)
 
     def __sub__(self, other):
-        return VectorField([a - b for a, b in zip(self.components, other.components)])
+        _check_same_frame(self, other)
+        return VectorField._from_array(self.frame, self._coeffs - other._coeffs)
 
     def __mul__(self, scalar):
-        return VectorField([c * scalar for c in self.components])
+        return VectorField._from_array(self.frame, self._coeffs * float(scalar))
 
     __rmul__ = __mul__
 

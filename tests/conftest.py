@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hermflow import GaussianFrame, ScalarField, VectorField, build_frame
+from hermflow import GaussianFrame, ScalarField, VectorField, build_frame, div_m, multiply
+from hermflow.fokker_planck import FP_SWEEPS
 
 
 @pytest.fixture(scope="session")
@@ -39,3 +40,20 @@ def mode(frame: GaussianFrame, index: int, amplitude: float = 1.0) -> ScalarFiel
 
 def zero_velocity(frame: GaussianFrame) -> VectorField:
     return VectorField.zero(frame)
+
+
+def object_path_fp_step(q: ScalarField, u: VectorField, delta1: float, dt: float) -> ScalarField:
+    """fp_step written out through field objects: midpoint field, dealiased
+    products, then div_m of the flux field (no contraction check)."""
+    frame = q.frame
+    c0 = q.coeffs
+    free, step = c0, dt
+    if delta1 != 0.0:
+        free = np.exp(-delta1 * frame.total_degree * dt / frame.sigma**2) * c0
+        step = dt * np.exp(-delta1 * frame.total_degree * (0.5 * dt) / frame.sigma**2)
+    c_new = free
+    for _ in range(FP_SWEEPS):
+        q_mid = ScalarField(frame, coeffs=0.5 * (c0 + c_new))
+        flux = VectorField([multiply(q_mid, c) for c in u.components])
+        c_new = free - step * div_m(flux).coeffs
+    return ScalarField(frame, coeffs=c_new)

@@ -10,9 +10,14 @@ from hermflow import (
     VectorField,
     div_m,
 )
-from hermflow.calculus import bohm_residual, gradient_nodal, korteweg_consistency
+from hermflow.calculus import (
+    bohm_residual,
+    gradient_nodal,
+    korteweg_consistency,
+    require_positive,
+)
 from hermflow.sampling import random_density, random_field, random_velocity, tilted_density
-from hermflow.spectral import transform
+from hermflow.spectral import build_frame, transform
 
 from conftest import unit_field
 
@@ -147,6 +152,22 @@ class TestCapillarityStress:
             StateBundle(bad)
         assert err.value.node is not None
         assert err.value.value < 0.1
+
+    def test_nan_density_is_a_positivity_violation(self):
+        # one NaN coefficient poisons every node; NaN < floor is false, so
+        # the check must fail on "not >= floor"
+        frame = build_frame(1.0, 1.0, 2.0, 1, 8)
+        coeffs = np.zeros(frame.n_basis)
+        coeffs[0], coeffs[3] = 1.0, np.nan
+        with pytest.raises(PositivityError) as err:
+            require_positive(ScalarField(frame, coeffs=coeffs))
+        assert np.isnan(err.value.value)
+
+    def test_nan_at_one_trusted_node(self, frame_1d):
+        values = np.ones(frame_1d.n_nodes)
+        values[frame_1d.n_nodes // 2] = np.nan
+        with pytest.raises(PositivityError):
+            StateBundle(ScalarField(frame_1d, nodal=values))
 
 
 class TestHessianLog:

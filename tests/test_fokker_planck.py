@@ -19,7 +19,7 @@ from hermflow.fokker_planck import FP_SWEEPS, divm_sup
 from hermflow.sampling import random_density, random_field
 from hermflow.spectral import multiply, transform
 
-from conftest import mode, unit_field
+from conftest import mode, object_path_fp_step, unit_field
 
 
 class TestEnvelope:
@@ -173,6 +173,19 @@ class TestTransportStep:
             flux = VectorField([multiply(q_mid, c) for c in u.components])
             c_new = free - dt * decay_half * div_m(flux).coeffs
         assert np.array_equal(fp_step(q, u, delta1, dt).coeffs, c_new)
+
+    @pytest.mark.parametrize("frame_name", ["frame_1d", "frame_2d"])
+    @pytest.mark.parametrize("delta1", [0.0, 0.4])
+    def test_nodal_fields_match_object_path(self, frame_name, delta1, request, rng):
+        # fields given by nodal values keep them verbatim; the midpoint density
+        # must still be synthesized from the coefficients, as the object path does
+        frame = request.getfixturevalue(frame_name)
+        qn = random_density(frame, rng).nodal * (1.0 + 0.01 * np.tanh(frame.nodes[:, 0]))
+        q = ScalarField(frame, nodal=qn)
+        u = VectorField([ScalarField(frame, nodal=0.3 * np.sin(random_field(frame, rng).nodal))
+                         for _ in range(frame.dim)])
+        ref = object_path_fp_step(q, u, delta1, 2e-3)
+        assert np.array_equal(fp_step(q, u, delta1, 2e-3).coeffs, ref.coeffs)
 
     def test_rejects_bad_dt(self, frame_1d):
         with pytest.raises(InvalidParameterError):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hermflow import (
     ModelParams,
     PositivityError,
     ScalarField,
+    SimState,
     StateBundle,
     StepFailureError,
     VectorField,
@@ -22,14 +24,15 @@ from hermflow import (
     momentum_rhs,
     project_initial_velocity,
 )
-from hermflow import calculus
+from hermflow import calculus, spectral
 from hermflow.diagnostics import record
 from hermflow.errors import SOLVER_FAILURES
+from hermflow.galerkin import MAX_SWEEPS, PICARD_TOL
 from hermflow.rescaled import TauState, tau_coeffs
 from hermflow.sampling import random_density, random_field, random_velocity, tilted_density
 from hermflow.spectral import build_frame, transform
 
-from conftest import unit_field
+from conftest import object_path_fp_step, unit_field
 
 
 def drag_free(lam=2.0):
@@ -307,6 +310,84 @@ class TestCoupledStep:
         with pytest.raises((StepFailureError, Exception)):
             for _ in range(50):
                 state = coupled_step(state, drag_free(), 0.5)
+
+
+def object_path_step(state, params, dt, coeffs=None):
+    """coupled_step written out through field arithmetic on every sweep."""
+    coeffs = coeffs or {}
+    q_prev, u_prev = state.q, state.u
+    mass_prev = assemble_mass(q_prev) if state.mass is None else state.mass
+    momentum_prev = mass_prev.apply(u_prev.coeffs)
+    advection = 0.5 * coeffs.get("transport_coef", 1.0)
+    u_iter = u_prev
+    for _ in range(MAX_SWEEPS):
+        q_new = object_path_fp_step(q_prev, advection * (u_prev + u_iter), params.delta1, dt)
+        q_mid = 0.5 * (q_prev + q_new)
+        u_mid = 0.5 * (u_prev + u_iter)
+        force = momentum_rhs(q_mid, u_mid, params, **coeffs)
+        mass_new = assemble_mass(q_new)
+        u_next = VectorField.from_coeffs(q_prev.frame, mass_new.solve(momentum_prev + dt * force))
+        delta = (u_next.coeffs - u_iter.coeffs).ravel()
+        u_iter = u_next
+        if math.sqrt(delta @ delta) < PICARD_TOL:
+            break
+    return SimState(q_new, u_iter, state.t + dt, mass_new)
+
+
+def counted(monkeypatch, real):
+    """Count calls of a hermflow function through every module that bound it."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("hermflow") and getattr(mod, real.__name__, None) is real:
+            monkeypatch.setattr(mod, real.__name__, wrapper)
+    return calls
+
+
+class TestArraySweep:
+    @pytest.mark.parametrize("frame_name", ["frame_1d", "frame_2d"])
+    @pytest.mark.parametrize("system", ["drag_free", "regularized", "dilated", "nodal_velocity"])
+    def test_bits_match_object_path(self, frame_name, system, request, rng):
+        # three steps against the field-arithmetic loop: q, u and the carried mass
+        frame = request.getfixturevalue(frame_name)
+        params, coeffs = drag_free(), None
+        if system == "regularized":
+            params = ModelParams(a=1.0, kappa=1.0, nu=0.5, lam=2.0, r0=0.1, r1=0.2, delta1=0.3)
+        elif system == "dilated":
+            coeffs = tau_coeffs(params, TauState(1.7, 0.3, 0.0))
+        q0 = random_density(frame, rng, decay=0.3)
+        u0 = random_velocity(frame, rng, decay=0.3, amplitude=0.1)
+        if system == "nodal_velocity":
+            # nodal values kept verbatim are not the synthesis of the
+            # coefficients, so the first sweep must not reuse them
+            u0 = VectorField([ScalarField(frame, nodal=np.sin(c.nodal)) for c in u0.components])
+        ours = ref = make_initial_state(q0, u0)
+        for _ in range(3):
+            ours = coupled_step(ours, params, 1e-3, coeffs)
+            ref = object_path_step(ref, params, 1e-3, coeffs)
+            assert np.array_equal(ours.q.coeffs, ref.q.coeffs)
+            assert np.array_equal(ours.u.coeffs, ref.u.coeffs)
+            assert np.array_equal(ours.u.nodal, ref.u.nodal)
+            assert np.array_equal(ours.mass.matrix, ref.mass.matrix)
+
+    @pytest.mark.parametrize("frame_name", ["frame_1d", "frame_2d"])
+    def test_drag_free_step_skips_field_products(self, frame_name, request, rng, monkeypatch):
+        # the sweep forms div_m(q u) on arrays; no dealiased-product or
+        # div_m wrapper runs in a drag-free step
+        frame = request.getfixturevalue(frame_name)
+        state = make_initial_state(random_density(frame, rng, decay=0.3),
+                                   random_velocity(frame, rng, decay=0.3, amplitude=0.1))
+        products = counted(monkeypatch, spectral.multiply)
+        divergences = counted(monkeypatch, calculus.div_m)
+        out = coupled_step(state, drag_free(), 1e-3)
+        assert len(products) == 0 and len(divergences) == 0
+        for arr in (out.u.coeffs, out.u.nodal):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
 
 
 class TestPlanarStepping:

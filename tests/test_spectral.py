@@ -14,7 +14,7 @@ from hermflow import (
     sigma_from_coefficients,
     transform,
 )
-from hermflow.calculus import gradient_nodal, hessian_nodal
+from hermflow.calculus import gradient_nodal, hessian_nodal, velocity_gradient_nodal
 from hermflow.sampling import random_field
 
 from conftest import mode, unit_field
@@ -298,3 +298,64 @@ class TestSumFactorization:
             assert np.array_equal(frame_1d._synthesize(c, (0,) * order), table @ c)
         for order in (0, 1):
             assert np.array_equal(frame_1d._synthesize_adjoint(x, (0,) * order), dense[order].T @ x)
+
+
+def component_lists(frame, rng):
+    """Each way a VectorField is built, with the components it must agree with."""
+    coeffs = rng.standard_normal((frame.dim, frame.n_basis)) * 0.5**frame.total_degree
+    born = [random_field(frame, rng) for _ in range(frame.dim)]
+    nodal = [ScalarField(frame, nodal=np.exp(0.3 * frame.nodes[:, i])) for i in range(frame.dim)]
+    return {
+        "zero": (VectorField.zero(frame),
+                 [ScalarField(frame, coeffs=np.zeros(frame.n_basis))] * frame.dim),
+        "from_coeffs": (VectorField.from_coeffs(frame, coeffs),
+                        [ScalarField(frame, coeffs=c) for c in coeffs]),
+        "coefficient_list": (VectorField(born), born),
+        "nodal_list": (VectorField(nodal), nodal),
+    }
+
+
+@pytest.mark.parametrize("frame_name", ["frame_1d", "frame_2d"])
+class TestVectorFieldArrays:
+    def test_arrays_match_components(self, frame_name, request):
+        frame = request.getfixturevalue(frame_name)
+        for name, (u, comps) in component_lists(frame, np.random.default_rng(8)).items():
+            for i, c in enumerate(comps):
+                assert np.array_equal(u.coeffs[i], c.coeffs), name
+                assert np.array_equal(u.nodal[i], c.nodal), name
+                assert np.shares_memory(u.components[i].coeffs, u.coeffs), name
+                assert np.shares_memory(u.components[i].nodal, u.nodal), name
+            assert u.coeffs.shape == (frame.dim, frame.n_basis)
+            assert u.nodal.shape == (frame.dim, frame.n_nodes)
+
+    def test_arithmetic_matches_components(self, frame_name, request):
+        frame = request.getfixturevalue(frame_name)
+        fields = list(component_lists(frame, np.random.default_rng(9)).values())
+        for (u, cu), (v, cv) in zip(fields, fields[1:]):
+            for out, ref in ((u + v, [a + b for a, b in zip(cu, cv)]),
+                             (u - v, [a - b for a, b in zip(cu, cv)]),
+                             (0.3 * u, [0.3 * a for a in cu]),
+                             (u * 0.7, [a * 0.7 for a in cu])):
+                assert np.array_equal(out.coeffs, np.stack([r.coeffs for r in ref]))
+                assert np.array_equal(out.nodal, np.stack([r.nodal for r in ref]))
+
+    def test_arrays_read_only(self, frame_name, request):
+        frame = request.getfixturevalue(frame_name)
+        given = np.ones((frame.dim, frame.n_basis))
+        u = VectorField.from_coeffs(frame, given)
+        assert np.shares_memory(u.coeffs, given)
+        for arr in (u.coeffs, u.nodal, u.components[0].coeffs, u.components[0].nodal):
+            with pytest.raises(ValueError):
+                arr[0] = 2.0
+        given[0, 0] = 3.0  # the caller's own array stays writable
+
+    def test_gradients_are_stacked_syntheses(self, frame_name, request):
+        frame = request.getfixturevalue(frame_name)
+        rng = np.random.default_rng(10)
+        f = random_field(frame, rng)
+        grad = np.stack([frame._synthesize(f.coeffs, (ax,)) for ax in range(frame.dim)])
+        assert np.array_equal(gradient_nodal(f), grad)
+        u = VectorField([random_field(frame, rng) for _ in range(frame.dim)])
+        du = np.stack([np.stack([frame._synthesize(c.coeffs, (k,)) for k in range(frame.dim)])
+                       for c in u.components])
+        assert np.array_equal(velocity_gradient_nodal(u), du)
