@@ -1,10 +1,12 @@
 """Structure-preserving Hermite-spectral solver for a confined quantum
 Navier-Stokes flow, written against a Gaussian reference measure.
 
-The building blocks, bottom up: ``spectral`` (frames, fields, transforms,
-dealiased products), ``calculus`` (twisted operators,
-capillarity identities and ``StateBundle``, the nodal quantities of one
-state that forces and diagnostics share), ``fokker_planck`` (semigroup
+The building blocks, bottom up: ``spectral`` (frames, transforms,
+dealiased products, and fields built from coefficients or nodal values,
+without arithmetic: sums and scalings are formed on their arrays),
+``calculus`` (twisted operators, capillarity identities and
+``StateBundle``, the nodal quantities of one state that forces and
+diagnostics share), ``fokker_planck`` (semigroup
 density updates and positivity envelopes), ``galerkin`` (mass operator,
 weak forces and ``coupled_step``, the joint fixed-point step of both
 systems), ``diagnostics`` (energies, entropies, moments, inequality
@@ -19,7 +21,7 @@ function of them, so states can be shared or snapshotted freely.
 """
 
 from .calculus import ModelParams, StateBundle, bohm_residual, div_m
-from .continuation import DragSchedule, drag_schedule, mollify_initial_data, vanishing_drag_sweep
+from .continuation import drag_schedule, mollify_initial_data, vanishing_drag_sweep
 from .diagnostics import (
     DiagnosticsRecord,
     check_hessian_lemma,

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, PositivityError
-from .spectral import ScalarField, VectorField, multiply, transform
+from .spectral import ScalarField, VectorField, transform
 
 __all__ = [
     "ModelParams",
@@ -264,8 +264,8 @@ class StateBundle:
     def s2(self) -> np.ndarray:
         """|u|^2 projected back to degree N before entering quartic forms."""
         s2c = np.zeros(self.frame.n_basis)
-        for c in self.u.components:
-            s2c += multiply(c, c).coeffs
+        for row in self.un:
+            s2c += self.frame.project_nodal(row * row)
         return self.frame._synthesize(s2c)
 
     @_cached

@@ -81,7 +81,7 @@ def _read_state_file(path: str, frame: GaussianFrame):
         raise ConfigError(f"cannot read state file {path}: {exc}") from exc
     if not (np.isfinite(q_coeffs).all() and np.isfinite(u_coeffs).all()):
         raise ConfigError(f"state file {path} holds non-finite coefficients")
-    return ScalarField(frame, coeffs=q_coeffs), VectorField.from_coeffs(frame, u_coeffs)
+    return ScalarField(frame, coeffs=q_coeffs), VectorField(frame, coeffs=u_coeffs)
 
 
 def _initial_state(cfg: RunConfig, frame: GaussianFrame):

@@ -34,17 +34,19 @@ decay once past a burn-in index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 from .calculus import ModelParams, gradient_nodal
+from .diagnostics import energy_inequality_audit
+from .driver import simulate
 from .errors import SOLVER_FAILURES, InvalidParameterError
+from .galerkin import SimState
 from .spectral import GaussianFrame, ScalarField, VectorField
 
 __all__ = [
-    "DragSchedule",
     "mollify_initial_data",
     "drag_schedule",
     "schedule_indices",
@@ -53,25 +55,6 @@ __all__ = [
 
 #: convolution grid points per quadrature-node spacing
 OVERSAMPLE = 4
-
-
-@dataclass(frozen=True)
-class DragSchedule:
-    """One member of the vanishing-drag family."""
-
-    n: int
-    r0n: float
-    r1n: float
-    r4n: float
-    delta1n: float
-    entropy_product: float  # r0n * int (q - ln q)
-    moment_product: float   # r4n * I4
-
-    def __post_init__(self):
-        for name in ("r0n", "r1n", "r4n", "delta1n"):
-            val = getattr(self, name)
-            if not 0.0 < val <= 1.0:
-                raise InvalidParameterError(f"{name} must lie in (0, 1], got {val}")
 
 
 def _plateau_cutoff(r: np.ndarray) -> np.ndarray:
@@ -160,54 +143,44 @@ def mollify_initial_data(q0: ScalarField, u0: VectorField,
 
     chi_nodes = _plateau_cutoff(np.sqrt(frame.radius_sq) / n)
     sq0_nodes = np.sqrt(np.clip(q0.nodal, 0.0, None))
-    u_comps = []
-    for c in u0.components:
-        vals = sq0_nodes * c.nodal / s_nodes * chi_nodes
-        u_comps.append(ScalarField(frame, nodal=vals))
-    return qn, VectorField(u_comps)
+    return qn, VectorField(frame, nodal=sq0_nodes * u0.nodal / s_nodes * chi_nodes)
 
 
-def drag_schedule(n: int, q0_n: ScalarField) -> DragSchedule:
-    """Vanishing coefficients tied to the mollified data's entropic moments."""
+def drag_schedule(n: int, q0_n: ScalarField, base: ModelParams) -> ModelParams:
+    """``base`` with the vanishing coefficients tied to the mollified data's entropic moments."""
     if n < 1:
         raise InvalidParameterError(f"schedule index must be >= 1, got {n}")
     frame = q0_n.frame
     qn = np.clip(q0_n.nodal, 1e-300, None)
     entropic = frame.quad(qn - np.log(qn))
     i4 = frame.quad(qn * frame.radius_sq**2) / frame.sigma**4
-    r0n = 1.0 / (n + entropic**2)
-    r1n = 1.0 / n
-    r4n = 1.0 / (n + i4**2)
-    return DragSchedule(
-        n=n,
-        r0n=r0n,
-        r1n=r1n,
-        r4n=r4n,
-        delta1n=1.0 / n,
-        entropy_product=r0n * entropic,
-        moment_product=r4n * i4,
-    )
+    return replace(base, r0=1.0 / (n + entropic**2), r1=1.0 / n,
+                   r4=1.0 / (n + i4**2), delta1=1.0 / n)
 
 
-def _sqrtq_h1_distance(qa: ScalarField, qb: ScalarField) -> float:
-    """Weighted H^1 distance of the square roots over trusted nodes."""
-    frame = qa.frame
+def _sweep_fields(state: SimState):
+    """Nodal sqrt(q), grad sqrt(q) (zero off the trusted nodes) and sqrt(q) u
+    of one state: what the Cauchy increments compare."""
+    frame = state.frame
     mask = frame.trusted.astype(float)
-    sa, sb = np.sqrt(np.clip(qa.nodal, 0.0, None)), np.sqrt(np.clip(qb.nodal, 0.0, None))
-    ga = gradient_nodal(qa) * mask / (2.0 * np.clip(sa, 1e-150, None))
-    gb = gradient_nodal(qb) * mask / (2.0 * np.clip(sb, 1e-150, None))
+    s = np.sqrt(np.clip(state.q.nodal, 0.0, None))
+    grad_s = gradient_nodal(state.q) * mask / (2.0 * np.clip(s, 1e-150, None))
+    return s, grad_s, s * state.u.nodal
+
+
+def _sqrtq_h1_distance(frame: GaussianFrame, a, b) -> float:
+    """Weighted H^1 distance of the square roots over trusted nodes."""
+    (sa, ga, _), (sb, gb, _) = a, b
+    mask = frame.trusted.astype(float)
     val = frame.quad(mask * (sa - sb) ** 2) + frame.quad(
         np.einsum("in,in->n", ga - gb, ga - gb)
     )
     return math.sqrt(max(val, 0.0))
 
 
-def _momentum_l2_distance(qa: ScalarField, ua: VectorField,
-                          qb: ScalarField, ub: VectorField) -> float:
-    frame = qa.frame
-    mask = frame.trusted.astype(float)
-    sa, sb = np.sqrt(np.clip(qa.nodal, 0.0, None)), np.sqrt(np.clip(qb.nodal, 0.0, None))
-    diff = (sa * ua.nodal - sb * ub.nodal) * mask
+def _momentum_l2_distance(frame: GaussianFrame, a, b) -> float:
+    (_, _, ja), (_, _, jb) = a, b
+    diff = (ja - jb) * frame.trusted.astype(float)
     return math.sqrt(max(frame.quad(np.einsum("in,in->n", diff, diff)), 0.0))
 
 
@@ -233,23 +206,15 @@ def vanishing_drag_sweep(frame: GaussianFrame, base_params: ModelParams,
     A member's solver failure does not raise: the report carries the
     failure index and whatever completed.  Any other error propagates.
     """
-    from .diagnostics import energy_inequality_audit
-    from .driver import simulate
-
     n_list = schedule_indices(n_list)
-    runs = []
+    runs = []  # (n, the _sweep_fields of every kept state)
     report: dict = {"n_list": n_list, "schedules": [], "audits": [], "failed_at": None}
     for n in n_list:
         q0n, u0n = mollify_initial_data(q0, u0, n)
-        sched = drag_schedule(n, q0n)
-        params = ModelParams(
-            a=base_params.a, kappa=base_params.kappa, nu=base_params.nu,
-            lam=base_params.lam, r0=sched.r0n, r1=sched.r1n, r4=sched.r4n,
-            delta1=sched.delta1n,
-        )
+        params = drag_schedule(n, q0n, base_params)
         report["schedules"].append(
-            {"n": n, "r0": sched.r0n, "r1": sched.r1n, "r4": sched.r4n,
-             "delta1": sched.delta1n}
+            {"n": n, "r0": params.r0, "r1": params.r1, "r4": params.r4,
+             "delta1": params.delta1}
         )
         try:
             result = simulate(frame, params, q0n, u0n, dt=dt, t_final=t_final,
@@ -258,20 +223,15 @@ def vanishing_drag_sweep(frame: GaussianFrame, base_params: ModelParams,
             report["failed_at"] = n
             report["failure"] = f"{type(exc).__name__}: {exc}"
             break
-        runs.append((n, params, result))
+        runs.append((n, [_sweep_fields(state) for state in result.states]))
         report["audits"].append(
             energy_inequality_audit(result.records, params, frame.sigma, frame.dim)
         )
 
     increments = []
-    for (na, _, ra), (nb, _, rb) in zip(runs, runs[1:]):
-        dq = max(
-            _sqrtq_h1_distance(sa.q, sb.q) for sa, sb in zip(ra.states, rb.states)
-        )
-        dj = max(
-            _momentum_l2_distance(sa.q, sa.u, sb.q, sb.u)
-            for sa, sb in zip(ra.states, rb.states)
-        )
+    for (na, fa), (nb, fb) in zip(runs, runs[1:]):
+        dq = max(_sqrtq_h1_distance(frame, a, b) for a, b in zip(fa, fb))
+        dj = max(_momentum_l2_distance(frame, a, b) for a, b in zip(fa, fb))
         increments.append({"pair": (na, nb), "sqrtq_h1": dq, "momentum_l2": dj})
     report["increments"] = increments
 

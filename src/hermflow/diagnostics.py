@@ -248,10 +248,11 @@ def poincare_korn_ratio(u: VectorField) -> float:
     |sqrt(1+|x|^2)(u - mean - Proj u)| / |D(u)|; rigid rotations and
     constants give 0 by convention (both sides vanish).
     """
-    return _korn_ratio(u.frame, u.nodal, velocity_gradient_nodal(u))
+    du = velocity_gradient_nodal(u)
+    return _korn_ratio(u.frame, u.nodal, 0.5 * (du + du.transpose(1, 0, 2)))
 
 
-def _korn_ratio(frame: GaussianFrame, un: np.ndarray, du: np.ndarray) -> float:
+def _korn_ratio(frame: GaussianFrame, un: np.ndarray, dsym: np.ndarray) -> float:
     mean = np.array([frame.quad(un[i]) for i in range(frame.dim)])
     centered = un - mean[:, None]
     if frame.dim == 2:
@@ -263,7 +264,6 @@ def _korn_ratio(frame: GaussianFrame, un: np.ndarray, du: np.ndarray) -> float:
     lhs = math.sqrt(
         frame.quad((1.0 + frame.radius_sq) * np.einsum("in,in->n", centered, centered))
     )
-    dsym = 0.5 * (du + du.transpose(1, 0, 2))
     rhs = math.sqrt(frame.quad(np.einsum("ijn,ijn->n", dsym, dsym)))
     if rhs < _ZERO_RATIO_TOL:
         if lhs < _ZERO_RATIO_TOL:
@@ -304,7 +304,7 @@ def record(state: SimState, params: ModelParams) -> DiagnosticsRecord:
         hess_margin_mid=hmid,
         hess_margin_final=hfin,
         poincare_q=poincare_ratio(sqrt_q),
-        poincare_korn_u=_korn_ratio(frame, b.un, b.du),
+        poincare_korn_u=_korn_ratio(frame, b.un, b.dsym),
         ke2=b.ke,
         fisher=b.fisher,
         cross_qu=b.cross,

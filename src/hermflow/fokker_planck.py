@@ -40,7 +40,7 @@ import numpy as np
 
 from .calculus import div_m
 from .errors import InvalidParameterError, InternalConsistencyError, StepFailureError
-from .spectral import ScalarField, VectorField
+from .spectral import GaussianFrame, ScalarField, VectorField
 
 __all__ = [
     "PositivityEnvelope",
@@ -93,13 +93,16 @@ class PositivityEnvelope:
         return cls(c0=min(lo, 1.0 / hi))
 
 
+def _ou_decay(frame: GaussianFrame, delta1: float, s: float) -> np.ndarray:
+    """Per-mode factors of the semigroup of delta1 * Delta_m over time s."""
+    return np.exp(-delta1 * frame.total_degree * s / frame.sigma**2)
+
+
 def ou_semigroup(q: ScalarField, s: float, delta1: float) -> ScalarField:
     """Exact solution of dq/dt = delta1 * Delta_m q over time s >= 0."""
     if s < 0.0:
         raise InvalidParameterError(f"semigroup time must be non-negative, got {s}")
-    frame = q.frame
-    factors = np.exp(-delta1 * frame.total_degree * s / frame.sigma**2)
-    return ScalarField(frame, coeffs=q.coeffs * factors)
+    return ScalarField(q.frame, coeffs=q.coeffs * _ou_decay(q.frame, delta1, s))
 
 
 def fp_step(q: ScalarField, u: VectorField, delta1: float, dt: float) -> ScalarField:
@@ -119,9 +122,7 @@ def fp_step(q: ScalarField, u: VectorField, delta1: float, dt: float) -> ScalarF
         # both decay tables would be all ones: the same values without them
         free, step = c0, dt
     else:
-        decay_full = np.exp(-delta1 * frame.total_degree * dt / frame.sigma**2)
-        decay_half = np.exp(-delta1 * frame.total_degree * (0.5 * dt) / frame.sigma**2)
-        free, step = decay_full * c0, dt * decay_half
+        free, step = _ou_decay(frame, delta1, dt) * c0, dt * _ou_decay(frame, delta1, 0.5 * dt)
 
     c_new = free
     prev_increment = None

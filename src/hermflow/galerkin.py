@@ -151,7 +151,7 @@ def project_initial_velocity(q0: ScalarField, u0_nodal: np.ndarray | VectorField
     mass = assemble_mass(q0)
     wq = frame.weights * q0.nodal
     rhs = np.stack([frame._synthesize_adjoint(wq * u0_nodal[i]) for i in range(frame.dim)])
-    return VectorField.from_coeffs(frame, mass.solve(rhs))
+    return VectorField(frame, coeffs=mass.solve(rhs))
 
 
 def momentum_rhs(q: ScalarField, u: VectorField, params: ModelParams, *,
@@ -247,11 +247,11 @@ def coupled_step(state: SimState, params: ModelParams, dt: float,
             # first sweep: the average of u_prev with itself is u_prev, bit for bit
             u_mid = u_prev
         else:
-            u_mid = VectorField.from_coeffs(frame, 0.5 * (c_prev + c_iter))
+            u_mid = VectorField(frame, coeffs=0.5 * (c_prev + c_iter))
         u_adv = (u_mid if advection == 0.5
-                 else VectorField.from_coeffs(frame, advection * (c_prev + c_iter)))
+                 else VectorField(frame, coeffs=advection * (c_prev + c_iter)))
         q_new = fp_step(q_prev, u_adv, params.delta1, dt)
-        q_mid = 0.5 * (q_prev + q_new)
+        q_mid = ScalarField(frame, coeffs=0.5 * (q_prev.coeffs + q_new.coeffs))
         force = momentum_rhs(q_mid, u_mid, params, **coeffs)
         mass_new = assemble_mass(q_new)
         c_next = mass_new.solve(momentum_prev + dt * force)
@@ -269,4 +269,4 @@ def coupled_step(state: SimState, params: ModelParams, dt: float,
     drift = abs(float(q_new.coeffs[0]) - float(q_prev.coeffs[0]))
     if drift > 1e-10:
         raise InternalConsistencyError(f"mass drifted by {drift:.3e} over one step")
-    return SimState(q_new, VectorField.from_coeffs(frame, c_iter), state.t + dt, mass_new)
+    return SimState(q_new, VectorField(frame, coeffs=c_iter), state.t + dt, mass_new)

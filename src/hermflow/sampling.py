@@ -37,7 +37,9 @@ def random_density(frame: GaussianFrame, rng: np.random.Generator,
 
 def random_velocity(frame: GaussianFrame, rng: np.random.Generator,
                     decay: float = 0.5, amplitude: float = 1.0) -> VectorField:
-    return VectorField([random_field(frame, rng, decay, amplitude) for _ in range(frame.dim)])
+    """One :func:`random_field` draw per component, in component order."""
+    return VectorField(frame, coeffs=np.stack(
+        [random_field(frame, rng, decay, amplitude).coeffs for _ in range(frame.dim)]))
 
 
 def tilted_density(frame: GaussianFrame, alpha) -> ScalarField:

@@ -337,86 +337,56 @@ class ScalarField:
     def eval(self, points: np.ndarray) -> np.ndarray:
         return self.frame.basis_eval(points) @ self.coeffs
 
-    def __add__(self, other):
-        _check_same_frame(self, other)
-        return ScalarField(self.frame, coeffs=self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        _check_same_frame(self, other)
-        return ScalarField(self.frame, coeffs=self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar):
-        return ScalarField(self.frame, coeffs=self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ScalarField(self.frame, coeffs=-self.coeffs)
-
 
 def _check_same_frame(a, b):
     if not a.frame.same_as(b.frame):
         raise DimensionError("fields live on different frames")
 
 
+def _rows(values, frame: GaussianFrame, width: int, what: str) -> np.ndarray:
+    """``values`` as a (dim, width) float view; any array of that many numbers."""
+    values = np.asarray(values, dtype=float)
+    if values.size != frame.dim * width:
+        raise DimensionError(f"expected {frame.dim} x {width} {what}, got shape {values.shape}")
+    return values.reshape(frame.dim, width)
+
+
 class VectorField:
     """dim scalar components sharing one frame, held as two read-only arrays.
 
     ``coeffs`` is one (dim, n_basis) array and ``nodal`` one (dim, n_nodes)
-    array, both formed once; each component is a :class:`ScalarField` over
-    one row of each.  Nodal rows are synthesized one component at a time,
-    so each equals that component's own synthesis bit for bit; components
-    given by nodal values keep them.
+    array, both formed once; the array given to the constructor is kept as
+    a read-only view, so the caller's own array stays writable.  Given
+    coefficients, the nodal rows are synthesized one at a time, so each
+    equals a :class:`ScalarField`'s synthesis of that row bit for bit.
+    Given nodal values, the rows are kept verbatim and the coefficients are
+    their projections.
     """
 
-    __slots__ = ("frame", "components", "_coeffs", "_nodal", "_synthesized")
+    __slots__ = ("frame", "_coeffs", "_nodal", "_synthesized")
 
-    def __init__(self, components):
-        components = tuple(components)
-        frame = components[0].frame
-        if len(components) != frame.dim:
-            raise DimensionError(f"expected {frame.dim} components, got {len(components)}")
-        for c in components[1:]:
-            if not frame.same_as(c.frame):
-                raise DimensionError("vector components live on different frames")
-        coeffs = np.empty((frame.dim, frame.n_basis))
-        nodal = np.empty((frame.dim, frame.n_nodes))
-        for i, c in enumerate(components):
-            coeffs[i] = c.coeffs
-            nodal[i] = c.nodal
-        self._hold(frame, coeffs, nodal, all(c._synthesized for c in components))
-
-    def _hold(self, frame, coeffs, nodal, synthesized):
-        """Keep both arrays read-only and expose their rows as the components."""
+    def __init__(self, frame: GaussianFrame, coeffs: np.ndarray | None = None,
+                 nodal: np.ndarray | None = None):
+        if (coeffs is None) == (nodal is None):
+            raise ValueError("VectorField needs either coeffs or nodal values")
+        # the nodal rows are the synthesis of the coefficients
+        self._synthesized = nodal is None
+        if nodal is None:
+            coeffs = _rows(coeffs, frame, frame.n_basis, "coefficients")
+            nodal = np.empty((frame.dim, frame.n_nodes))
+            for i in range(frame.dim):
+                nodal[i] = frame._synthesize(coeffs[i])
+        else:
+            nodal = _rows(nodal, frame, frame.n_nodes, "nodal values")
+            coeffs = np.stack([frame.project_nodal(row) for row in nodal])
         coeffs.flags.writeable = False
         nodal.flags.writeable = False
         self.frame = frame
-        self._coeffs, self._nodal, self._synthesized = coeffs, nodal, synthesized
-        self.components = tuple(ScalarField(frame, coeffs=coeffs[i], nodal=nodal[i])
-                                for i in range(frame.dim))
-
-    @classmethod
-    def _from_array(cls, frame: GaussianFrame, coeffs: np.ndarray) -> "VectorField":
-        """Field over a (dim, n_basis) float array, kept as a view, nodal rows synthesized."""
-        nodal = np.empty((frame.dim, frame.n_nodes))
-        for i in range(frame.dim):
-            nodal[i] = frame._synthesize(coeffs[i])
-        field = cls.__new__(cls)
-        field._hold(frame, coeffs.view(), nodal, True)
-        return field
+        self._coeffs, self._nodal = coeffs, nodal
 
     @classmethod
     def zero(cls, frame: GaussianFrame) -> "VectorField":
-        return cls._from_array(frame, np.zeros((frame.dim, frame.n_basis)))
-
-    @classmethod
-    def from_coeffs(cls, frame: GaussianFrame, coeffs: np.ndarray) -> "VectorField":
-        """Components from a (dim, n_basis) array, or any array of that many numbers."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.size != frame.dim * frame.n_basis:
-            raise DimensionError(f"expected {frame.dim} x {frame.n_basis} coefficients, "
-                                 f"got shape {coeffs.shape}")
-        return cls._from_array(frame, coeffs.reshape(frame.dim, frame.n_basis))
+        return cls(frame, coeffs=np.zeros((frame.dim, frame.n_basis)))
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -425,19 +395,6 @@ class VectorField:
     @property
     def nodal(self) -> np.ndarray:
         return self._nodal
-
-    def __add__(self, other):
-        _check_same_frame(self, other)
-        return VectorField._from_array(self.frame, self._coeffs + other._coeffs)
-
-    def __sub__(self, other):
-        _check_same_frame(self, other)
-        return VectorField._from_array(self.frame, self._coeffs - other._coeffs)
-
-    def __mul__(self, scalar):
-        return VectorField._from_array(self.frame, self._coeffs * float(scalar))
-
-    __rmul__ = __mul__
 
 
 def transform(frame: GaussianFrame, nodal_values: np.ndarray) -> ScalarField:

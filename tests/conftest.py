@@ -42,6 +42,14 @@ def zero_velocity(frame: GaussianFrame) -> VectorField:
     return VectorField.zero(frame)
 
 
+def flux_field(q: ScalarField, u: VectorField) -> VectorField:
+    """q u with each component the dealiased product multiply(q, u_i) of q
+    and that component's nodal values."""
+    frame = q.frame
+    return VectorField(frame, coeffs=np.stack(
+        [multiply(q, ScalarField(frame, nodal=row)).coeffs for row in u.nodal]))
+
+
 def object_path_fp_step(q: ScalarField, u: VectorField, delta1: float, dt: float) -> ScalarField:
     """fp_step written out through field objects: midpoint field, dealiased
     products, then div_m of the flux field (no contraction check)."""
@@ -54,6 +62,5 @@ def object_path_fp_step(q: ScalarField, u: VectorField, delta1: float, dt: float
     c_new = free
     for _ in range(FP_SWEEPS):
         q_mid = ScalarField(frame, coeffs=0.5 * (c0 + c_new))
-        flux = VectorField([multiply(q_mid, c) for c in u.components])
-        c_new = free - step * div_m(flux).coeffs
+        c_new = free - step * div_m(flux_field(q_mid, u)).coeffs
     return ScalarField(frame, coeffs=c_new)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hermflow import InvalidParameterError, ModelParams, VectorField, build_frame
+from hermflow import InvalidParameterError, ModelParams, StateBundle, VectorField, build_frame
 from scipy.signal import fftconvolve
 
 import hermflow.continuation
@@ -92,21 +92,26 @@ class TestConvolution:
 
 
 class TestDragSchedule:
+    BASE = ModelParams(a=1.0, kappa=1.0, nu=0.5, lam=2.0)
+
     def test_equilibrium_values(self, frame_1d):
         # q = 1: int(q - ln q) = 1 and I4 = d(d+2) = 3, so r0 = 1/2, r4 = 1/10
-        sched = drag_schedule(1, unit_field(frame_1d))
-        assert sched.r1n == 1.0
-        assert sched.r0n == pytest.approx(0.5, rel=1e-12)
-        assert sched.r4n == pytest.approx(0.1, rel=1e-10)
+        params = drag_schedule(1, unit_field(frame_1d), self.BASE)
+        assert params.r1 == 1.0 and params.delta1 == 1.0
+        assert params.r0 == pytest.approx(0.5, rel=1e-12)
+        assert params.r4 == pytest.approx(0.1, rel=1e-10)
+        base = self.BASE
+        assert (params.a, params.kappa, params.nu, params.lam) == (base.a, base.kappa, base.nu,
+                                                                   base.lam)
 
     def test_monotone_vanishing(self, frame_1d):
         q = unit_field(frame_1d)
-        prev = drag_schedule(1, q)
+        prev = drag_schedule(1, q, self.BASE)
         for n in (2, 4, 8, 16):
-            cur = drag_schedule(n, q)
-            assert cur.r0n < prev.r0n and cur.r1n < prev.r1n and cur.r4n < prev.r4n
+            cur = drag_schedule(n, q, self.BASE)
+            assert cur.r0 < prev.r0 and cur.r1 < prev.r1 and cur.r4 < prev.r4
             prev = cur
-        assert prev.r0n < 0.1 and prev.moment_product < 0.2
+        assert prev.r0 < 0.1 and prev.r4 * StateBundle(q).i4 < 0.2
 
     def test_product_bound(self):
         # r4 I4 = I4/(n + I4^2) <= 1/sqrt(n) whenever I4 >= sqrt(n)

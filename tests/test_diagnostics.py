@@ -187,7 +187,7 @@ class TestPoincare:
 
     def test_rotation_projected_out(self, frame_2d):
         x, y = frame_2d.nodes[:, 0], frame_2d.nodes[:, 1]
-        u = VectorField([transform(frame_2d, -y), transform(frame_2d, x)])
+        u = VectorField(frame_2d, nodal=[-y, x])
         assert poincare_korn_ratio(u) == 0.0
 
     def test_random_finite(self, frame_2d, rng):

@@ -16,10 +16,10 @@ from hermflow import (
 )
 from hermflow.calculus import div_m
 from hermflow.fokker_planck import FP_SWEEPS, divm_sup
-from hermflow.sampling import random_density, random_field
-from hermflow.spectral import multiply, transform
+from hermflow.sampling import random_density, random_field, random_velocity
+from hermflow.spectral import multiply
 
-from conftest import mode, object_path_fp_step, unit_field
+from conftest import flux_field, object_path_fp_step, unit_field
 
 
 class TestEnvelope:
@@ -30,7 +30,7 @@ class TestEnvelope:
     def test_closed_form_accumulation(self, frame_1d):
         # constant sup m over [0, t]: bounds c0 e^{-mt}, e^{mt}/c0
         x = frame_1d.nodes[:, 0]
-        u = VectorField([transform(frame_1d, 0.1 * x)])
+        u = VectorField(frame_1d, nodal=0.1 * x)
         m = divm_sup(u)
         env = PositivityEnvelope(c0=0.5, last_sup=m)
         t, dt = 0.0, 0.05
@@ -108,7 +108,7 @@ class TestTransportStep:
         # from q = 1 with u = x (sigma = 1, no diffusion): q gains
         # -dt (1 - x^2) + O(dt^2), i.e. sqrt(2) dt on the degree-2 mode
         x = frame_1d.nodes[:, 0]
-        u = VectorField([transform(frame_1d, x)])
+        u = VectorField(frame_1d, nodal=x)
         dt = 1e-4
         out = fp_step(unit_field(frame_1d), u, 0.0, dt)
         assert out.coeffs[2] == pytest.approx(math.sqrt(2.0) * dt, rel=1e-3)
@@ -117,17 +117,16 @@ class TestTransportStep:
     def test_tiny_step_forward_euler_oracle(self, frame_1d, rng):
         # one step against explicit Euler at vanishing dt
         q = random_density(frame_1d, rng)
-        u = VectorField([0.2 * random_field(frame_1d, rng)])
+        u = VectorField(frame_1d, coeffs=0.2 * random_field(frame_1d, rng).coeffs)
         dt = 1e-7
         out = fp_step(q, u, 0.0, dt)
-        flux = VectorField([multiply(q, u.components[0])])
-        euler = q.coeffs - dt * div_m(flux).coeffs
+        euler = q.coeffs - dt * div_m(flux_field(q, u)).coeffs
         assert np.max(np.abs(out.coeffs - euler)) < 5e-13
 
     def test_mass_conserved(self, frame_1d, frame_2d, rng):
         for frame in (frame_1d, frame_2d):
             q = random_density(frame, rng)
-            u = VectorField([0.3 * random_field(frame, rng) for _ in range(frame.dim)])
+            u = VectorField(frame, coeffs=0.3 * random_velocity(frame, rng).coeffs)
             out = fp_step(q, u, 0.4, 2e-3)
             assert abs(out.coeffs[0] - q.coeffs[0]) < 1e-13
 
@@ -135,7 +134,8 @@ class TestTransportStep:
     def test_second_order_convergence(self, frame_1d, delta1):
         rng = np.random.default_rng(5)
         q0 = random_density(frame_1d, rng, decay=0.4)
-        u = VectorField([0.3 * random_field(frame_1d, np.random.default_rng(6), decay=0.4)])
+        u = VectorField(frame_1d, coeffs=0.3 * random_field(frame_1d, np.random.default_rng(6),
+                                                      decay=0.4).coeffs)
 
         def march(n):
             q = q0
@@ -151,7 +151,7 @@ class TestTransportStep:
     def test_contraction_failure_reported(self, frame_1d, rng):
         q = random_density(frame_1d, rng)
         x = frame_1d.nodes[:, 0]
-        u = VectorField([transform(frame_1d, 3.0 * x)])
+        u = VectorField(frame_1d, nodal=3.0 * x)
         with pytest.raises(StepFailureError):
             fp_step(q, u, 0.0, 5.0)
 
@@ -161,7 +161,7 @@ class TestTransportStep:
         # without diffusion the all-ones decay tables are skipped; same bits
         frame = request.getfixturevalue(frame_name)
         q = random_density(frame, rng)
-        u = VectorField([0.3 * random_field(frame, rng) for _ in range(frame.dim)])
+        u = VectorField(frame, coeffs=0.3 * random_velocity(frame, rng).coeffs)
         dt = 2e-3
         decay_full = np.exp(-delta1 * frame.total_degree * dt / frame.sigma**2)
         decay_half = np.exp(-delta1 * frame.total_degree * (0.5 * dt) / frame.sigma**2)
@@ -170,8 +170,7 @@ class TestTransportStep:
         c_new = free
         for _ in range(FP_SWEEPS):
             q_mid = ScalarField(frame, coeffs=0.5 * (c0 + c_new))
-            flux = VectorField([multiply(q_mid, c) for c in u.components])
-            c_new = free - dt * decay_half * div_m(flux).coeffs
+            c_new = free - dt * decay_half * div_m(flux_field(q_mid, u)).coeffs
         assert np.array_equal(fp_step(q, u, delta1, dt).coeffs, c_new)
 
     @pytest.mark.parametrize("frame_name", ["frame_1d", "frame_2d"])
@@ -182,8 +181,8 @@ class TestTransportStep:
         frame = request.getfixturevalue(frame_name)
         qn = random_density(frame, rng).nodal * (1.0 + 0.01 * np.tanh(frame.nodes[:, 0]))
         q = ScalarField(frame, nodal=qn)
-        u = VectorField([ScalarField(frame, nodal=0.3 * np.sin(random_field(frame, rng).nodal))
-                         for _ in range(frame.dim)])
+        u = VectorField(frame, nodal=[0.3 * np.sin(random_field(frame, rng).nodal)
+                                      for _ in range(frame.dim)])
         ref = object_path_fp_step(q, u, delta1, 2e-3)
         assert np.array_equal(fp_step(q, u, delta1, 2e-3).coeffs, ref.coeffs)
 

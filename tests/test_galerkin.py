@@ -57,14 +57,14 @@ class TestInitialProjection:
         frame = build_frame(1.0, 1.0, 2.0, 1, 2, quad_order=16)
         x = frame.nodes[:, 0]
         out = project_initial_velocity(unit_field(frame), (x**3)[None, :])
-        assert frame.norm_l2mu(out.components[0].nodal - 3.0 * x) < 1e-11
+        assert frame.norm_l2mu(out.nodal[0] - 3.0 * x) < 1e-11
 
     def test_energy_non_expansion(self, frame_1d, rng):
         q0 = random_density(frame_1d, rng)
         raw = 0.5 * random_field(frame_1d, rng).nodal + 0.2 * frame_1d.nodes[:, 0] ** 3
         out = project_initial_velocity(q0, raw[None, :])
         before = frame_1d.quad(q0.nodal * raw**2)
-        after = frame_1d.quad(q0.nodal * out.components[0].nodal ** 2)
+        after = frame_1d.quad(q0.nodal * out.nodal[0] ** 2)
         assert after <= before + 1e-12
 
 
@@ -196,13 +196,15 @@ class TestMomentumForces:
     @pytest.mark.parametrize("frame_name", ["frame_1d", "frame_2d"])
     def test_dealiased_speed_formed_only_for_regularized_forces(
             self, frame_name, request, rng, monkeypatch):
-        # |u|^2 costs one dealiased product per component; drag-free forces never read it
+        # |u|^2 costs one dealiased product (a nodal projection) per component;
+        # drag-free forces never read it and project nothing
         frame = request.getfixturevalue(frame_name)
         q = random_density(frame, rng, decay=0.3)
         u = random_velocity(frame, rng, decay=0.3, amplitude=0.2)
         calls = []
-        real = calculus.multiply
-        monkeypatch.setattr(calculus, "multiply", lambda f, g: calls.append(1) or real(f, g))
+        real = spectral.GaussianFrame.project_nodal
+        monkeypatch.setattr(spectral.GaussianFrame, "project_nodal",
+                            lambda fr, values: calls.append(1) or real(fr, values))
         momentum_rhs(q, u, drag_free())
         assert len(calls) == 0
         momentum_rhs(q, u, ModelParams(a=1.0, kappa=1.0, nu=0.5, lam=2.0, r1=0.2))
@@ -313,20 +315,27 @@ class TestCoupledStep:
 
 
 def object_path_step(state, params, dt, coeffs=None):
-    """coupled_step written out through field arithmetic on every sweep."""
+    """coupled_step written out through fields built afresh on every sweep.
+
+    Each field is formed as field arithmetic would form it: a scaled sum of
+    two fields is (a + b) * factor on the coefficients, its nodal values
+    synthesized from them, and no field is reused across sweeps.
+    """
     coeffs = coeffs or {}
+    frame = state.frame
     q_prev, u_prev = state.q, state.u
     mass_prev = assemble_mass(q_prev) if state.mass is None else state.mass
     momentum_prev = mass_prev.apply(u_prev.coeffs)
     advection = 0.5 * coeffs.get("transport_coef", 1.0)
     u_iter = u_prev
     for _ in range(MAX_SWEEPS):
-        q_new = object_path_fp_step(q_prev, advection * (u_prev + u_iter), params.delta1, dt)
-        q_mid = 0.5 * (q_prev + q_new)
-        u_mid = 0.5 * (u_prev + u_iter)
+        u_adv = VectorField(frame, coeffs=(u_prev.coeffs + u_iter.coeffs) * advection)
+        q_new = object_path_fp_step(q_prev, u_adv, params.delta1, dt)
+        q_mid = ScalarField(frame, coeffs=(q_prev.coeffs + q_new.coeffs) * 0.5)
+        u_mid = VectorField(frame, coeffs=(u_prev.coeffs + u_iter.coeffs) * 0.5)
         force = momentum_rhs(q_mid, u_mid, params, **coeffs)
         mass_new = assemble_mass(q_new)
-        u_next = VectorField.from_coeffs(q_prev.frame, mass_new.solve(momentum_prev + dt * force))
+        u_next = VectorField(frame, coeffs=mass_new.solve(momentum_prev + dt * force))
         delta = (u_next.coeffs - u_iter.coeffs).ravel()
         u_iter = u_next
         if math.sqrt(delta @ delta) < PICARD_TOL:
@@ -364,7 +373,7 @@ class TestArraySweep:
         if system == "nodal_velocity":
             # nodal values kept verbatim are not the synthesis of the
             # coefficients, so the first sweep must not reuse them
-            u0 = VectorField([ScalarField(frame, nodal=np.sin(c.nodal)) for c in u0.components])
+            u0 = VectorField(frame, nodal=np.sin(u0.nodal))
         ours = ref = make_initial_state(q0, u0)
         for _ in range(3):
             ours = coupled_step(ours, params, 1e-3, coeffs)

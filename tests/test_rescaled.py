@@ -100,9 +100,9 @@ class TestRescaledEnergies:
         params = drag_free()
         alpha = 0.3
         q = tilted_density(unit_frame, alpha)
-        u = VectorField.from_coeffs(
+        u = VectorField(
             unit_frame,
-            np.concatenate([[-2.0 * params.nu * alpha], np.zeros(unit_frame.n_basis - 1)])[None, :],
+            coeffs=np.concatenate([[-2.0 * params.nu * alpha], np.zeros(unit_frame.n_basis - 1)]),
         )
         ts = TauState(1.7, 0.3, 0.0)
         _, _, e_bd, _ = rescaled_energy(q, u, ts, params)

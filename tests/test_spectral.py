@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hermflow import (
+    DimensionError,
     GaussianFrame,
     InvalidParameterError,
     ScalarField,
@@ -15,7 +16,7 @@ from hermflow import (
     transform,
 )
 from hermflow.calculus import gradient_nodal, hessian_nodal, velocity_gradient_nodal
-from hermflow.sampling import random_field
+from hermflow.sampling import random_field, random_velocity
 
 from conftest import mode, unit_field
 
@@ -169,7 +170,7 @@ def ou_apply(f: ScalarField) -> ScalarField:
     grad f has degree N - 1, so the truncation inside div_m drops nothing.
     """
     frame = f.frame
-    return div_m(VectorField([ScalarField(frame, coeffs=d @ f.coeffs) for d in frame.diff_mats]))
+    return div_m(VectorField(frame, coeffs=[d @ f.coeffs for d in frame.diff_mats]))
 
 
 class TestOrnsteinUhlenbeck:
@@ -234,7 +235,7 @@ class TestDerivativeAndMultiply:
         fg = multiply(f, g)
         gf = multiply(g, f)
         assert np.allclose(fg.coeffs, gf.coeffs, atol=1e-13)
-        lhs = multiply(f + 2.0 * h, g)
+        lhs = multiply(ScalarField(frame_1d, coeffs=f.coeffs + 2.0 * h.coeffs), g)
         rhs = ScalarField(frame_1d, coeffs=fg.coeffs + 2.0 * multiply(h, g).coeffs)
         assert np.allclose(lhs.coeffs, rhs.coeffs, atol=1e-12)
 
@@ -303,15 +304,18 @@ class TestSumFactorization:
 def component_lists(frame, rng):
     """Each way a VectorField is built, with the components it must agree with."""
     coeffs = rng.standard_normal((frame.dim, frame.n_basis)) * 0.5**frame.total_degree
-    born = [random_field(frame, rng) for _ in range(frame.dim)]
-    nodal = [ScalarField(frame, nodal=np.exp(0.3 * frame.nodes[:, i])) for i in range(frame.dim)]
+    nodal = np.exp(0.3 * frame.nodes.T)
+    seed = int(rng.integers(1 << 30))
+    drawn = np.random.default_rng(seed)
     return {
         "zero": (VectorField.zero(frame),
                  [ScalarField(frame, coeffs=np.zeros(frame.n_basis))] * frame.dim),
-        "from_coeffs": (VectorField.from_coeffs(frame, coeffs),
-                        [ScalarField(frame, coeffs=c) for c in coeffs]),
-        "coefficient_list": (VectorField(born), born),
-        "nodal_list": (VectorField(nodal), nodal),
+        "coeffs": (VectorField(frame, coeffs=coeffs),
+                   [ScalarField(frame, coeffs=c) for c in coeffs]),
+        "nodal": (VectorField(frame, nodal=nodal), [ScalarField(frame, nodal=v) for v in nodal]),
+        # one random_field draw per component, in component order
+        "random_velocity": (random_velocity(frame, np.random.default_rng(seed)),
+                            [random_field(frame, drawn) for _ in range(frame.dim)]),
     }
 
 
@@ -323,31 +327,36 @@ class TestVectorFieldArrays:
             for i, c in enumerate(comps):
                 assert np.array_equal(u.coeffs[i], c.coeffs), name
                 assert np.array_equal(u.nodal[i], c.nodal), name
-                assert np.shares_memory(u.components[i].coeffs, u.coeffs), name
-                assert np.shares_memory(u.components[i].nodal, u.nodal), name
             assert u.coeffs.shape == (frame.dim, frame.n_basis)
             assert u.nodal.shape == (frame.dim, frame.n_nodes)
+            assert u._synthesized == (name != "nodal"), name
 
-    def test_arithmetic_matches_components(self, frame_name, request):
+    def test_construction_contract(self, frame_name, request):
         frame = request.getfixturevalue(frame_name)
-        fields = list(component_lists(frame, np.random.default_rng(9)).values())
-        for (u, cu), (v, cv) in zip(fields, fields[1:]):
-            for out, ref in ((u + v, [a + b for a, b in zip(cu, cv)]),
-                             (u - v, [a - b for a, b in zip(cu, cv)]),
-                             (0.3 * u, [0.3 * a for a in cu]),
-                             (u * 0.7, [a * 0.7 for a in cu])):
-                assert np.array_equal(out.coeffs, np.stack([r.coeffs for r in ref]))
-                assert np.array_equal(out.nodal, np.stack([r.nodal for r in ref]))
+        coeffs = np.ones((frame.dim, frame.n_basis))
+        nodal = np.ones((frame.dim, frame.n_nodes))
+        for kwargs in ({}, {"coeffs": coeffs, "nodal": nodal}):
+            with pytest.raises(ValueError):
+                VectorField(frame, **kwargs)
+        for kwargs in ({"coeffs": coeffs[:, 1:]}, {"nodal": nodal[:, 1:]}):
+            with pytest.raises(DimensionError):
+                VectorField(frame, **kwargs)
+        # any array of dim x n_basis numbers, as a state file stores it
+        flat = VectorField(frame, coeffs=coeffs.ravel())
+        assert np.array_equal(flat.coeffs, coeffs)
 
     def test_arrays_read_only(self, frame_name, request):
         frame = request.getfixturevalue(frame_name)
         given = np.ones((frame.dim, frame.n_basis))
-        u = VectorField.from_coeffs(frame, given)
+        u = VectorField(frame, coeffs=given)
         assert np.shares_memory(u.coeffs, given)
-        for arr in (u.coeffs, u.nodal, u.components[0].coeffs, u.components[0].nodal):
+        given_nodal = np.ones((frame.dim, frame.n_nodes))
+        v = VectorField(frame, nodal=given_nodal)
+        assert np.shares_memory(v.nodal, given_nodal)
+        for arr in (u.coeffs, u.nodal, v.coeffs, v.nodal):
             with pytest.raises(ValueError):
                 arr[0] = 2.0
-        given[0, 0] = 3.0  # the caller's own array stays writable
+        given[0, 0] = given_nodal[0, 0] = 3.0  # the caller's own arrays stay writable
 
     def test_gradients_are_stacked_syntheses(self, frame_name, request):
         frame = request.getfixturevalue(frame_name)
@@ -355,7 +364,15 @@ class TestVectorFieldArrays:
         f = random_field(frame, rng)
         grad = np.stack([frame._synthesize(f.coeffs, (ax,)) for ax in range(frame.dim)])
         assert np.array_equal(gradient_nodal(f), grad)
-        u = VectorField([random_field(frame, rng) for _ in range(frame.dim)])
-        du = np.stack([np.stack([frame._synthesize(c.coeffs, (k,)) for k in range(frame.dim)])
-                       for c in u.components])
+        u = random_velocity(frame, rng)
+        du = np.stack([np.stack([frame._synthesize(c, (k,)) for k in range(frame.dim)])
+                       for c in u.coeffs])
         assert np.array_equal(velocity_gradient_nodal(u), du)
+
+
+def test_fields_have_no_arithmetic():
+    # a field is built from coefficients or nodal values; sums and scalings
+    # are formed on the arrays, so each quantity has one way to be formed
+    for cls in (ScalarField, VectorField):
+        for op in ("__add__", "__sub__", "__mul__", "__rmul__", "__neg__"):
+            assert not hasattr(cls, op), (cls.__name__, op)
