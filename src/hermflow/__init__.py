@@ -2,8 +2,10 @@
 Navier-Stokes flow, written against a Gaussian reference measure.
 
 The building blocks, bottom up: ``spectral`` (frames, transforms,
-dealiased products, and fields built from coefficients or nodal values,
-without arithmetic: sums and scalings are formed on their arrays),
+dealiased products, and one field type built from coefficients or nodal
+values, without arithmetic: sums and scalings are formed on their arrays;
+a ``VectorField`` is a ``ScalarField`` with ``(dim, ·)`` rows, and
+``derivatives`` gives every nodal derivative of either),
 ``calculus`` (twisted operators, capillarity identities and
 ``StateBundle``, the nodal quantities of one state that forces and
 diagnostics share), ``fokker_planck`` (semigroup
@@ -16,8 +18,9 @@ audits), ``continuation`` (mollified data and vanishing-drag sweeps),
 ``driver`` (the confined march loop, which also tracks the positivity
 envelope) and ``cli`` (run orchestration, including the dilated march).
 
-Frames and fields are immutable values; every public operation is a pure
-function of them, so states can be shared or snapshotted freely.
+Frames and fields are immutable values (a field's ``coeffs`` and ``nodal``
+are read-only arrays: writing into them raises); every public operation is
+a pure function of them, so states can be shared or snapshotted freely.
 """
 
 from .calculus import ModelParams, StateBundle, bohm_residual, div_m

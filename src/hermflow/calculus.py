@@ -49,7 +49,6 @@ __all__ = [
     "bohm_residual",
     "gradient_nodal",
     "hessian_nodal",
-    "velocity_gradient_nodal",
     "require_positive",
 ]
 
@@ -85,6 +84,11 @@ class ModelParams:
             )
         if self.kappa < 0.0:
             raise InvalidParameterError(f"kappa must be non-negative, got {self.kappa}")
+        for name in ("a", "kappa", "nu", "lam"):
+            val = getattr(self, name)
+            # the balances square them (nu**2 overflows from about 1.4e154 up)
+            if not math.isfinite(val * val):
+                raise InvalidParameterError(f"{name} = {val} too large: its square overflows")
         for name in _REGULARIZERS:
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:
@@ -119,39 +123,13 @@ def require_positive(q: ScalarField) -> np.ndarray:
 
 
 def gradient_nodal(f: ScalarField) -> np.ndarray:
-    """Exact nodal gradient, shape (dim, n_nodes)."""
-    frame = f.frame
-    out = np.empty((frame.dim, frame.n_nodes))
-    for ax in range(frame.dim):
-        out[ax] = frame._synthesize(f.coeffs, (ax,))
-    return out
+    """Exact nodal gradient, shape rows + (dim, n_nodes); du[i, k] = d_k u_i for a velocity."""
+    return f.derivatives(1)
 
 
 def hessian_nodal(f: ScalarField) -> np.ndarray:
-    """Exact nodal Hessian, shape (dim, dim, n_nodes)."""
-    frame = f.frame
-    d = frame.dim
-    out = np.empty((d, d, frame.n_nodes))
-    for i in range(d):
-        for j in range(i, d):
-            out[i, j] = frame._synthesize(f.coeffs, (i, j))
-            out[j, i] = out[i, j]
-    return out
-
-
-def velocity_gradient_nodal(u: VectorField) -> np.ndarray:
-    """Exact nodal velocity gradient du[i, k] = d_k u_i, shape (dim, dim, n_nodes).
-
-    One synthesis per entry, never one product across components: a merged
-    matrix product may round differently in the last bit.
-    """
-    frame = u.frame
-    d = frame.dim
-    out = np.empty((d, d, frame.n_nodes))
-    for i in range(d):
-        for k in range(d):
-            out[i, k] = frame._synthesize(u.coeffs[i], (k,))
-    return out
+    """Exact nodal Hessian, shape rows + (dim, dim, n_nodes)."""
+    return f.derivatives(2)
 
 
 class _cached:
@@ -270,7 +248,7 @@ class StateBundle:
 
     @_cached
     def du(self) -> np.ndarray:
-        return velocity_gradient_nodal(self.u)
+        return gradient_nodal(self.u)
 
     @_cached
     def dsym(self) -> np.ndarray:
@@ -391,17 +369,6 @@ def korteweg_consistency(q: ScalarField) -> float:
     )
 
 
-def _third_derivs_nodal(q: ScalarField) -> np.ndarray:
-    frame = q.frame
-    d = frame.dim
-    out = np.empty((d, d, d, frame.n_nodes))
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                out[i, j, k] = frame._synthesize(q.coeffs, (i, j, k))
-    return out
-
-
 def bohm_residual(q: ScalarField) -> float:
     r"""Discrepancy between the two classical forms of the quantum stress.
 
@@ -436,7 +403,7 @@ def bohm_residual(q: ScalarField) -> float:
     gp = gradient_nodal(p_field)
     hp = hessian_nodal(p_field)
     lap_p = np.trace(hp, axis1=0, axis2=1)
-    tp = _third_derivs_nodal(p_field)
+    tp = p_field.derivatives(3)
     grad_lap_p = np.einsum("ijjn->in", tp)
     rsq = frame.radius_sq
     # A := (Delta sqrt(rho)) / rho_m^{1/2} with sqrt(rho) = P rho_m^{1/2}
@@ -453,7 +420,7 @@ def bohm_residual(q: ScalarField) -> float:
 
     # --- right side via L = ln rho = ln rho_m + ln q ---------------------
     inv_q, gq, hq = b.inv_q, b.gq, b.hq
-    tq = _third_derivs_nodal(q)
+    tq = q.derivatives(3)
     grad_l = -x / sig2 * mask + gq * inv_q
     hess_l = (
         -np.eye(d)[:, :, None] / sig2 * mask

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import diagnostics
 from .calculus import ModelParams, StateBundle, bohm_residual, korteweg_consistency
-from .config import RunConfig, load_config
+from .config import RunConfig, check_seed, load_config
 from .continuation import mollify_initial_data, schedule_indices, vanishing_drag_sweep
 from .driver import simulate, step_count
 from .errors import SOLVER_FAILURES, ConfigError, DimensionError, InvalidParameterError
@@ -327,7 +327,7 @@ def main(argv=None) -> int:
         if args.output_dir is not None:
             cfg.output_dir = args.output_dir
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg.seed = check_seed(args.seed)
         try:
             Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
         except OSError as exc:

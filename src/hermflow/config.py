@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 
-__all__ = ["RunConfig", "load_config"]
+__all__ = ["RunConfig", "check_seed", "load_config"]
 
 _SCHEMA = {
     "model": {"a", "kappa", "nu", "lambda", "r0", "r1", "r4", "delta1"},
@@ -94,15 +94,22 @@ def _parse_n_list(raw: str) -> tuple:
     return vals
 
 
+def check_seed(seed: int) -> int:
+    """A random seed, from the config or the command line; numpy needs it >= 0."""
+    if seed < 0:
+        raise ConfigError(f"[run] seed must be non-negative, got {seed}")
+    return seed
+
+
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
-    except configparser.Error as exc:
+    except (configparser.Error, OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
     for section in parser.sections():
@@ -147,7 +154,7 @@ def load_config(path: str | Path) -> RunConfig:
         t_final=_get(parser, "time", "t_final", float, required=True),
         record_every=_get(parser, "time", "record_every", int, default=1),
         mode=mode,
-        seed=_get(parser, "run", "seed", int, default=0),
+        seed=check_seed(_get(parser, "run", "seed", int, default=0)),
         output_dir=_get(parser, "run", "output_dir", str, default="out"),
         n_samples=_get(parser, "run", "n_samples", int, default=200),
         n_list=_get(parser, "run", "n_list", _parse_n_list, default=(4, 8, 16, 32)),

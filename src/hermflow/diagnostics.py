@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import ModelParams, StateBundle, gradient_nodal, velocity_gradient_nodal
+from .calculus import ModelParams, StateBundle, gradient_nodal
 from .errors import InvalidParameterError
 from .galerkin import SimState
 from .spectral import GaussianFrame, ScalarField, VectorField
@@ -227,6 +227,13 @@ def _hessian_lemma_from_bundle(b: StateBundle):
 _ZERO_RATIO_TOL = 1e-13
 
 
+def _ratio(lhs: float, rhs: float) -> float:
+    """lhs / rhs, with a vanishing rhs giving 0 when lhs vanishes too and inf otherwise."""
+    if rhs < _ZERO_RATIO_TOL:
+        return 0.0 if lhs < _ZERO_RATIO_TOL else math.inf
+    return lhs / rhs
+
+
 def poincare_ratio(f: ScalarField) -> float:
     """Empirical strong-Poincare ratio |sqrt(1+|x|^2)(f - mean)| / |grad f|."""
     frame = f.frame
@@ -234,12 +241,7 @@ def poincare_ratio(f: ScalarField) -> float:
     mean = frame.quad(fn)
     lhs = math.sqrt(frame.quad((1.0 + frame.radius_sq) * (fn - mean) ** 2))
     gf = gradient_nodal(f)
-    rhs = math.sqrt(frame.quad(np.einsum("in,in->n", gf, gf)))
-    if rhs < _ZERO_RATIO_TOL:
-        if lhs < _ZERO_RATIO_TOL:
-            return 0.0
-        return math.inf
-    return lhs / rhs
+    return _ratio(lhs, math.sqrt(frame.quad(np.einsum("in,in->n", gf, gf))))
 
 
 def poincare_korn_ratio(u: VectorField) -> float:
@@ -248,7 +250,7 @@ def poincare_korn_ratio(u: VectorField) -> float:
     |sqrt(1+|x|^2)(u - mean - Proj u)| / |D(u)|; rigid rotations and
     constants give 0 by convention (both sides vanish).
     """
-    du = velocity_gradient_nodal(u)
+    du = gradient_nodal(u)
     return _korn_ratio(u.frame, u.nodal, 0.5 * (du + du.transpose(1, 0, 2)))
 
 
@@ -264,12 +266,7 @@ def _korn_ratio(frame: GaussianFrame, un: np.ndarray, dsym: np.ndarray) -> float
     lhs = math.sqrt(
         frame.quad((1.0 + frame.radius_sq) * np.einsum("in,in->n", centered, centered))
     )
-    rhs = math.sqrt(frame.quad(np.einsum("ijn,ijn->n", dsym, dsym)))
-    if rhs < _ZERO_RATIO_TOL:
-        if lhs < _ZERO_RATIO_TOL:
-            return 0.0
-        return math.inf
-    return lhs / rhs
+    return _ratio(lhs, math.sqrt(frame.quad(np.einsum("ijn,ijn->n", dsym, dsym))))
 
 
 def record(state: SimState, params: ModelParams) -> DiagnosticsRecord:

@@ -17,6 +17,12 @@ from .spectral import GaussianFrame, ScalarField, VectorField
 __all__ = ["random_field", "random_density", "random_velocity", "tilted_density"]
 
 
+def _unit_mass(frame: GaussianFrame, values: np.ndarray) -> ScalarField:
+    """The projection of positive nodal values, scaled to unit mass."""
+    coeffs = frame.project_nodal(values)
+    return ScalarField(frame, coeffs=coeffs / coeffs[0])
+
+
 def random_field(frame: GaussianFrame, rng: np.random.Generator,
                  decay: float = 0.5, amplitude: float = 1.0) -> ScalarField:
     """Signed field with variance-decaying Hermite coefficients."""
@@ -27,19 +33,16 @@ def random_field(frame: GaussianFrame, rng: np.random.Generator,
 def random_density(frame: GaussianFrame, rng: np.random.Generator,
                    decay: float = 0.5, amplitude: float = 1.0) -> ScalarField:
     """Strictly positive, unit-mass relative density."""
-    f = random_field(frame, rng, decay, amplitude)
-    vals = f.nodal
+    vals = random_field(frame, rng, decay, amplitude).nodal
     lo, hi = float(np.min(vals)), float(np.max(vals))
-    shifted = vals - lo + 0.05 * (hi - lo + 1.0)
-    q = ScalarField(frame, nodal=shifted)
-    return ScalarField(frame, coeffs=q.coeffs / q.coeffs[0])
+    return _unit_mass(frame, vals - lo + 0.05 * (hi - lo + 1.0))
 
 
 def random_velocity(frame: GaussianFrame, rng: np.random.Generator,
                     decay: float = 0.5, amplitude: float = 1.0) -> VectorField:
     """One :func:`random_field` draw per component, in component order."""
-    return VectorField(frame, coeffs=np.stack(
-        [random_field(frame, rng, decay, amplitude).coeffs for _ in range(frame.dim)]))
+    scale = amplitude * decay**frame.total_degree
+    return VectorField(frame, coeffs=rng.standard_normal((frame.dim, frame.n_basis)) * scale)
 
 
 def tilted_density(frame: GaussianFrame, alpha) -> ScalarField:
@@ -51,6 +54,5 @@ def tilted_density(frame: GaussianFrame, alpha) -> ScalarField:
     so modest tilts are fully resolved.
     """
     alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (frame.dim,))
-    vals = np.exp(frame.nodes @ alpha - 0.5 * float(alpha @ alpha) * frame.sigma**2)
-    q = ScalarField(frame, nodal=vals)
-    return ScalarField(frame, coeffs=q.coeffs / q.coeffs[0])
+    log_q = frame.nodes @ alpha - 0.5 * float(alpha @ alpha) * frame.sigma**2
+    return _unit_mass(frame, np.exp(log_q))

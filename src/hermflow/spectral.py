@@ -32,6 +32,7 @@ plain dense product.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -89,6 +90,27 @@ def _hermite_table(y: np.ndarray, kmax: int) -> np.ndarray:
     return out
 
 
+def _by_row(fn, values: np.ndarray, width: int) -> np.ndarray:
+    """``fn`` of each row of ``values``, one call per row, as a read-only array."""
+    if values.ndim == 1:
+        out = fn(values)
+    else:
+        out = np.empty(values.shape[:-1] + (width,))
+        for i, row in enumerate(values):
+            out[i] = fn(row)
+    out.setflags(write=False)
+    return out
+
+
+def _axis_sets(dim: int, order: int) -> tuple:
+    """((axes, positions), ...): each sorted tuple of ``order`` axes, with the
+    flat positions in a (dim,) * order block whose indices are its permutations."""
+    sets = {}
+    for pos, axes in enumerate(itertools.product(range(dim), repeat=order)):
+        sets.setdefault(tuple(sorted(axes)), []).append(pos)
+    return tuple(sets.items())
+
+
 class GaussianFrame:
     """Quadrature rule, basis tables and operator matrices for one measure.
 
@@ -127,16 +149,11 @@ class GaussianFrame:
         self.n_basis = self.multi_indices.shape[0]
 
         table = _hermite_table(y, degree)  # orthonormal in the normalized measure
-        if dim == 1:
-            self.nodes = self.nodes_1d[:, None]
-            self.weights = self.weights_1d
-            self.V = table[:, self.multi_indices[:, 0]]
-        else:
-            ii, jj = np.meshgrid(np.arange(quad_order), np.arange(quad_order), indexing="ij")
-            ii, jj = ii.ravel(), jj.ravel()
-            self.nodes = np.column_stack([self.nodes_1d[ii], self.nodes_1d[jj]])
-            self.weights = self.weights_1d[ii] * self.weights_1d[jj]
-            self.V = table[ii][:, self.multi_indices[:, 0]] * table[jj][:, self.multi_indices[:, 1]]
+        # tensor grid: the per-axis index of every node, first axis slowest
+        grid = [g.ravel() for g in np.meshgrid(*[np.arange(quad_order)] * dim, indexing="ij")]
+        self.nodes = np.column_stack([self.nodes_1d[g] for g in grid])
+        self.weights = math.prod(self.weights_1d[g] for g in grid)
+        self.V = math.prod(table[g][:, m] for g, m in zip(grid, self.multi_indices.T))
         self.n_nodes = self.nodes.shape[0]
 
         self._index_of = {tuple(alpha): i for i, alpha in enumerate(self.multi_indices)}
@@ -146,23 +163,26 @@ class GaussianFrame:
         self.divm_mats = tuple(
             self.diff_mats[ax] - self.coord_mats[ax] / self.sigma**2 for ax in range(dim)
         )
-        # 1D tables of the basis and of its first three derivatives (T, T D,
-        # T D^2, T D^3 for the 1D derivative matrix D); in d = 1, T is V
-        if dim == 1:
-            base, d1 = self.V, self.diff_mats[0]
-        else:
-            base = table
-            d1 = np.diag(np.sqrt(np.arange(1.0, degree + 1)) / self.sigma, k=1)
-            m0, m1 = self.multi_indices[:, 0], self.multi_indices[:, 1]
-            self._grid_index = (m0, m1)
-            # mass assembly: products of two 1D basis values, one column per
-            # unordered degree pair (a, b), and where each Gram entry sits
-            a, b = np.triu_indices(degree + 1)
-            pair = np.empty((degree + 1, degree + 1), dtype=np.int64)
-            pair[a, b] = pair[b, a] = np.arange(a.size)
-            self._pair_table = table[:, a] * table[:, b]
-            self._pair_index = (pair[m0[:, None], m0[None, :]], pair[m1[:, None], m1[None, :]])
-        self._tables = (base, base @ d1, base @ (d1 @ d1), base @ (d1 @ d1 @ d1))
+        # 1D tables of the basis and of its first three derivatives: T, T D,
+        # T D^2, T D^3 for the 1D derivative matrix D (in d = 1, D is
+        # diff_mats[0] and T is V, whose memory layout picks the BLAS kernel
+        # and so the last bit of every 1D synthesis)
+        d1 = np.diag(np.sqrt(np.arange(1.0, degree + 1)) / self.sigma, k=1)
+        base = self.V if dim == 1 else table
+        self._tables = (base, table @ d1, table @ (d1 @ d1), table @ (d1 @ d1 @ d1))
+        # each distinct set of 0..3 derivative axes, with the positions in a
+        # (dim,) * order block that name it
+        self._axis_sets = tuple(_axis_sets(dim, order) for order in range(len(self._tables)))
+        # read in d = 2 only (d = 1 multiplies by V): synthesis fills a
+        # (degree+1)^2 grid of coefficients; mass assembly uses products of
+        # two 1D basis values, one column per unordered degree pair (a, b),
+        # and where each Gram entry sits
+        self._grid_index = tuple(self.multi_indices.T)
+        a, b = np.triu_indices(degree + 1)
+        pair = np.empty((degree + 1, degree + 1), dtype=np.int64)
+        pair[a, b] = pair[b, a] = np.arange(a.size)
+        self._pair_table = table[:, a] * table[:, b]
+        self._pair_index = tuple(pair[m[:, None], m[None, :]] for m in self._grid_index)
 
         self.radius_sq = np.sum(self.nodes**2, axis=1)
         # Hermite polynomials grow super-exponentially past the oscillatory
@@ -293,108 +313,94 @@ def build_frame(a: float, kappa: float, lam: float, dim: int, degree: int,
 
 
 class ScalarField:
-    """One scalar field: Hermite coefficients plus lazily synchronized nodal values.
+    """One field on a frame: Hermite coefficients and nodal values, each formed from the other.
 
-    Either representation may be supplied.  A field built from coefficients
-    evaluates exactly at the nodes; a field built from nodal values keeps
-    those values verbatim (useful for collocation work with non-polynomial
-    quantities) and exposes their projection as its coefficients.  For data
-    of degree <= N the two representations round-trip to round-off.
+    Exactly one representation is given; the other is formed on first use.
+    A field built from coefficients evaluates exactly at the nodes; one
+    built from nodal values keeps them verbatim (collocation work with
+    non-polynomial quantities) and exposes their projection as its
+    coefficients.  For data of degree <= N the two round-trip to round-off.
+    Both arrays are read-only; the array given to the constructor is kept
+    as a read-only view, so the caller's own array stays writable.
     """
 
     __slots__ = ("frame", "_coeffs", "_nodal", "_synthesized")
+    _vector = False  # a vector field's arrays have one row per axis
 
     def __init__(self, frame: GaussianFrame, coeffs: np.ndarray | None = None,
                  nodal: np.ndarray | None = None):
-        if coeffs is None and nodal is None:
-            raise ValueError("ScalarField needs coeffs or nodal values")
+        if (coeffs is None) == (nodal is None):
+            raise ValueError(f"{type(self).__name__} needs either coeffs or nodal values")
         self.frame = frame
-        if coeffs is not None:
-            coeffs = np.asarray(coeffs, dtype=float)
-            if coeffs.shape != (frame.n_basis,):
-                raise DimensionError(f"expected {frame.n_basis} coefficients, got {coeffs.shape}")
-        if nodal is not None:
-            nodal = np.asarray(nodal, dtype=float)
-            if nodal.shape != (frame.n_nodes,):
-                raise DimensionError(f"expected {frame.n_nodes} nodal values, got {nodal.shape}")
-        self._coeffs = coeffs
-        self._nodal = nodal
         # the nodal values are (or will be) the synthesis of the coefficients
         self._synthesized = nodal is None
+        # the given array (any array of that many numbers) as a read-only
+        # view of shape (width,), or (dim, width) for a vector field
+        values = np.asarray(nodal if coeffs is None else coeffs, dtype=float)
+        width, what = ((frame.n_nodes, "nodal values") if coeffs is None
+                       else (frame.n_basis, "coefficients"))
+        shape = (frame.dim, width) if self._vector else (width,)
+        try:
+            view = values.view() if values.shape == shape else values.reshape(shape)
+        except ValueError:
+            raise DimensionError(f"expected {shape} {what}, got shape {values.shape}") from None
+        view.setflags(write=False)
+        self._coeffs, self._nodal = (None, view) if coeffs is None else (view, None)
 
     @property
     def coeffs(self) -> np.ndarray:
         if self._coeffs is None:
-            self._coeffs = self.frame.project_nodal(self._nodal)
+            self._coeffs = _by_row(self.frame.project_nodal, self._nodal, self.frame.n_basis)
         return self._coeffs
 
     @property
     def nodal(self) -> np.ndarray:
         if self._nodal is None:
-            self._nodal = self.frame._synthesize(self._coeffs)
+            self._nodal = _by_row(self.frame._synthesize, self._coeffs, self.frame.n_nodes)
         return self._nodal
 
+    def derivatives(self, order: int) -> np.ndarray:
+        """Exact nodal derivatives of each row, shape rows + (dim,) * order + (n_nodes,).
+
+        Entry [..., a_1, ..., a_order, :] is d/dx_a_1 ... d/dx_a_order of the
+        row, for order <= 3.  Derivatives commute, so each distinct set of
+        axes is synthesized once per row and copied to its permutations.
+        """
+        frame, coeffs = self.frame, self.coeffs
+        n = frame.n_nodes
+        shape = coeffs.shape[:-1] + (frame.dim,) * order + (n,)
+        if frame.dim == 1:
+            # a single row and a single axis set: one product with a 1D table
+            return (frame._tables[order] @ coeffs.ravel()).reshape(shape)
+        rows = coeffs.reshape(-1, frame.n_basis)
+        out = np.empty((rows.shape[0], frame.dim**order, n))
+        for block, row in zip(out, rows):
+            for axes, positions in frame._axis_sets[order]:
+                values = frame._synthesize(row, axes)
+                for pos in positions:
+                    block[pos] = values
+        return out.reshape(shape)
+
     def eval(self, points: np.ndarray) -> np.ndarray:
-        return self.frame.basis_eval(points) @ self.coeffs
+        """Values of each row at arbitrary points, shape rows + (m,)."""
+        return (self.frame.basis_eval(points) @ self.coeffs.T).T
 
 
-def _check_same_frame(a, b):
-    if not a.frame.same_as(b.frame):
-        raise DimensionError("fields live on different frames")
-
-
-def _rows(values, frame: GaussianFrame, width: int, what: str) -> np.ndarray:
-    """``values`` as a (dim, width) float view; any array of that many numbers."""
-    values = np.asarray(values, dtype=float)
-    if values.size != frame.dim * width:
-        raise DimensionError(f"expected {frame.dim} x {width} {what}, got shape {values.shape}")
-    return values.reshape(frame.dim, width)
-
-
-class VectorField:
-    """dim scalar components sharing one frame, held as two read-only arrays.
+class VectorField(ScalarField):
+    """dim scalar rows on one frame, the velocity space Phi_beta e_i.
 
     ``coeffs`` is one (dim, n_basis) array and ``nodal`` one (dim, n_nodes)
-    array, both formed once; the array given to the constructor is kept as
-    a read-only view, so the caller's own array stays writable.  Given
-    coefficients, the nodal rows are synthesized one at a time, so each
-    equals a :class:`ScalarField`'s synthesis of that row bit for bit.
-    Given nodal values, the rows are kept verbatim and the coefficients are
-    their projections.
+    array; any array of that many numbers is accepted, as a state file
+    stores it.  Each row is formed on its own, so it equals a
+    :class:`ScalarField`'s array for that row bit for bit.
     """
 
-    __slots__ = ("frame", "_coeffs", "_nodal", "_synthesized")
-
-    def __init__(self, frame: GaussianFrame, coeffs: np.ndarray | None = None,
-                 nodal: np.ndarray | None = None):
-        if (coeffs is None) == (nodal is None):
-            raise ValueError("VectorField needs either coeffs or nodal values")
-        # the nodal rows are the synthesis of the coefficients
-        self._synthesized = nodal is None
-        if nodal is None:
-            coeffs = _rows(coeffs, frame, frame.n_basis, "coefficients")
-            nodal = np.empty((frame.dim, frame.n_nodes))
-            for i in range(frame.dim):
-                nodal[i] = frame._synthesize(coeffs[i])
-        else:
-            nodal = _rows(nodal, frame, frame.n_nodes, "nodal values")
-            coeffs = np.stack([frame.project_nodal(row) for row in nodal])
-        coeffs.flags.writeable = False
-        nodal.flags.writeable = False
-        self.frame = frame
-        self._coeffs, self._nodal = coeffs, nodal
+    __slots__ = ()
+    _vector = True
 
     @classmethod
     def zero(cls, frame: GaussianFrame) -> "VectorField":
         return cls(frame, coeffs=np.zeros((frame.dim, frame.n_basis)))
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        return self._coeffs
-
-    @property
-    def nodal(self) -> np.ndarray:
-        return self._nodal
 
 
 def transform(frame: GaussianFrame, nodal_values: np.ndarray) -> ScalarField:
@@ -409,5 +415,6 @@ def multiply(f: ScalarField, g: ScalarField) -> ScalarField:
     projection integrals of the degree-2N product are exact; this is the
     padded-grid de-aliasing realized through the frame's own rule.
     """
-    _check_same_frame(f, g)
+    if not f.frame.same_as(g.frame):
+        raise DimensionError("fields live on different frames")
     return transform(f.frame, f.nodal * g.nodal)

@@ -1,8 +1,28 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from hermflow import GaussianFrame, ScalarField, VectorField, build_frame, div_m, multiply
 from hermflow.fokker_planck import FP_SWEEPS
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def bench_module(name):
+    """Import ``bench/<name>.py``, with ``bench/`` on the path for its own imports."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # dataclasses look their module up there
+        spec.loader.exec_module(module)
+        return module
+    finally:
+        sys.path.remove(str(BENCH))
 
 
 @pytest.fixture(scope="session")

@@ -6,25 +6,9 @@ only there.
 """
 
 import importlib
-import importlib.util
 import inspect
-import sys
-from pathlib import Path
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-
-def bench_module(name):
-    """Import ``bench/<name>.py``, with ``bench/`` on the path for its own imports."""
-    sys.path.insert(0, str(BENCH))
-    try:
-        spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = module  # dataclasses look their module up there
-        spec.loader.exec_module(module)
-        return module
-    finally:
-        sys.path.remove(str(BENCH))
+from conftest import bench_module
 
 
 def test_traced_names_resolve_to_package_code():

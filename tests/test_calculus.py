@@ -38,6 +38,11 @@ class TestModelParams:
         dict(a=1.0, kappa=-1.0, nu=0.5, lam=2.0),
         dict(a=1.0, kappa=1.0, nu=0.5, lam=2.0, r4=1.5),
         dict(a=1.0, kappa=1.0, nu=0.5, lam=2.0, delta1=-0.1),
+        # squares that overflow
+        dict(a=1e300, kappa=1.0, nu=0.5, lam=2.0),
+        dict(a=1.0, kappa=2e154, nu=0.5, lam=2.0),
+        dict(a=1.0, kappa=1.0, nu=1e300, lam=2.0),
+        dict(a=1.0, kappa=1.0, nu=0.5, lam=1.4e154),
     ])
     def test_invalid(self, kw):
         with pytest.raises(InvalidParameterError):

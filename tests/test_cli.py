@@ -79,6 +79,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config("/nonexistent/run.cfg")
 
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_config_exits_3(self, tmp_path, capsys, kind):
+        path = tmp_path / "a.cfg"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(textwrap.dedent(STEADY).encode() + b"# caf\xe9\n")
+        with pytest.raises(ConfigError):
+            load_config(path)
+        assert main(["simulate", str(path), "--output-dir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith("config error:")
+
 
 class TestSimulateCommand:
     def test_steady_run_passes_audits(self, tmp_path):
@@ -115,31 +127,35 @@ class TestSimulateCommand:
         assert code == 3
         assert "typo_key" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("old, new", [
-        ("lambda = 2.0", "lambda = 2.0\n    r0 = 2.0"),
-        ("lambda = 2.0", "lambda = -1"),
-        ("dim = 1", "dim = 3"),
-        ("degree = 12", "degree = 8\n    quad_order = 10"),
-        ("t_final = 0.02", "t_final = 0.0025"),
-        ("family = steady", "family = file\n    path = {tmp}/short.npz"),
-        ("family = steady", "family = file\n    path = {tmp}/short_u.npz"),
-        ("family = steady", "family = file\n    path = {tmp}/no_u.npz"),
-        ("family = steady", "family = file\n    path = {tmp}/a.cfg"),
-        ("family = steady", "family = file\n    path = {tmp}/q_nan.npz"),
-        ("family = steady", "family = file\n    path = {tmp}/u_inf.npz"),
-        ("family = steady", "family = file\n    path = {tmp}/text.npz"),
-        ("family = steady", "family = file\n    path = {tmp}/array.npy"),
-        ("family = steady", "family = file\n    path = {tmp}/truncated.npz"),
-        ("seed = 42", "seed = 42\n    n_samples = 0"),
-        ("a = 1.0", "a = nan"),
-        ("dt = 1e-3", "dt = nan"),
-        ("t_final = 0.02", "t_final = inf"),
-        ("family = steady", "family = steady\n    decay = -inf"),
+    @pytest.mark.parametrize("old, new, args", [
+        ("lambda = 2.0", "lambda = 2.0\n    r0 = 2.0", ()),
+        ("lambda = 2.0", "lambda = -1", ()),
+        ("dim = 1", "dim = 3", ()),
+        ("degree = 12", "degree = 8\n    quad_order = 10", ()),
+        ("t_final = 0.02", "t_final = 0.0025", ()),
+        ("family = steady", "family = file\n    path = {tmp}/short.npz", ()),
+        ("family = steady", "family = file\n    path = {tmp}/short_u.npz", ()),
+        ("family = steady", "family = file\n    path = {tmp}/no_u.npz", ()),
+        ("family = steady", "family = file\n    path = {tmp}/a.cfg", ()),
+        ("family = steady", "family = file\n    path = {tmp}/q_nan.npz", ()),
+        ("family = steady", "family = file\n    path = {tmp}/u_inf.npz", ()),
+        ("family = steady", "family = file\n    path = {tmp}/text.npz", ()),
+        ("family = steady", "family = file\n    path = {tmp}/array.npy", ()),
+        ("family = steady", "family = file\n    path = {tmp}/truncated.npz", ()),
+        ("seed = 42", "seed = 42\n    n_samples = 0", ()),
+        ("a = 1.0", "a = nan", ()),
+        ("dt = 1e-3", "dt = nan", ()),
+        ("t_final = 0.02", "t_final = inf", ()),
+        ("family = steady", "family = steady\n    decay = -inf", ()),
+        ("seed = 42", "seed = -1", ()),
+        ("seed = 42", "seed = 42", ("--seed", "-3")),
+        ("nu = 0.5", "nu = 1e300", ()),
     ], ids=["r0", "lambda", "dim", "quad_order", "t_final", "file_coeffs", "file_u_coeffs",
             "file_no_u", "file_not_npz", "file_q_nan", "file_u_inf", "file_non_numeric",
             "file_npy", "file_truncated",
-            "n_samples", "a_nan", "dt_nan", "t_final_inf", "decay_inf"])
-    def test_out_of_range_value_exits_3(self, tmp_path, capsys, old, new):
+            "n_samples", "a_nan", "dt_nan", "t_final_inf", "decay_inf", "seed_negative",
+            "seed_override_negative", "nu_square_overflows"])
+    def test_out_of_range_value_exits_3(self, tmp_path, capsys, old, new, args):
         # values the solver's own constructors reject are config errors
         np.savez(tmp_path / "short.npz", q_coeffs=np.ones(5), u_coeffs=np.zeros((1, 13)))
         np.savez(tmp_path / "short_u.npz", q_coeffs=np.eye(13)[0], u_coeffs=np.zeros(18))
@@ -153,7 +169,7 @@ class TestSimulateCommand:
         (tmp_path / "truncated.npz").write_bytes((tmp_path / "no_u.npz").read_bytes()[:40])
         body = STEADY.replace(old, new.format(tmp=tmp_path))
         code = main(["simulate", write_config(tmp_path / "a.cfg", body),
-                     "--output-dir", str(tmp_path / "out")])
+                     "--output-dir", str(tmp_path / "out"), *args])
         assert code == 3
         assert capsys.readouterr().err.startswith("config error:")
 

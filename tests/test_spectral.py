@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from hermflow import (
     sigma_from_coefficients,
     transform,
 )
-from hermflow.calculus import gradient_nodal, hessian_nodal, velocity_gradient_nodal
+from hermflow.calculus import gradient_nodal, hessian_nodal
 from hermflow.sampling import random_field, random_velocity
 
 from conftest import mode, unit_field
@@ -347,16 +348,15 @@ class TestVectorFieldArrays:
 
     def test_arrays_read_only(self, frame_name, request):
         frame = request.getfixturevalue(frame_name)
-        given = np.ones((frame.dim, frame.n_basis))
-        u = VectorField(frame, coeffs=given)
-        assert np.shares_memory(u.coeffs, given)
-        given_nodal = np.ones((frame.dim, frame.n_nodes))
-        v = VectorField(frame, nodal=given_nodal)
-        assert np.shares_memory(v.nodal, given_nodal)
-        for arr in (u.coeffs, u.nodal, v.coeffs, v.nodal):
-            with pytest.raises(ValueError):
-                arr[0] = 2.0
-        given[0, 0] = given_nodal[0, 0] = 3.0  # the caller's own arrays stay writable
+        for cls, rows in ((ScalarField, ()), (VectorField, (frame.dim,))):
+            for kind, width in (("coeffs", frame.n_basis), ("nodal", frame.n_nodes)):
+                given = np.ones(rows + (width,))
+                f = cls(frame, **{kind: given})
+                assert np.shares_memory(getattr(f, kind), given)
+                for arr in (f.coeffs, f.nodal):  # the given array and the one formed from it
+                    with pytest.raises(ValueError):
+                        arr[..., 0] = 2.0
+                given[..., 0] = 3.0  # the caller's own array stays writable
 
     def test_gradients_are_stacked_syntheses(self, frame_name, request):
         frame = request.getfixturevalue(frame_name)
@@ -367,7 +367,21 @@ class TestVectorFieldArrays:
         u = random_velocity(frame, rng)
         du = np.stack([np.stack([frame._synthesize(c, (k,)) for k in range(frame.dim)])
                        for c in u.coeffs])
-        assert np.array_equal(velocity_gradient_nodal(u), du)
+        assert np.array_equal(gradient_nodal(u), du)
+
+    def test_derivatives_are_syntheses_per_axis_tuple(self, frame_name, request):
+        frame = request.getfixturevalue(frame_name)
+        rng = np.random.default_rng(11)
+        for f in (random_field(frame, rng), random_velocity(frame, rng)):
+            rows = f.coeffs.reshape(-1, frame.n_basis)
+            for order in range(4):
+                got = f.derivatives(order)
+                assert got.shape == f.coeffs.shape[:-1] + (frame.dim,) * order + (frame.n_nodes,)
+                got = got.reshape(len(rows), -1, frame.n_nodes)
+                for r, c in enumerate(rows):
+                    axis_tuples = itertools.product(range(frame.dim), repeat=order)
+                    for pos, axes in enumerate(axis_tuples):
+                        assert np.array_equal(got[r, pos], frame._synthesize(c, axes)), (order, axes)
 
 
 def test_fields_have_no_arithmetic():
