@@ -170,6 +170,7 @@ def verify(cfg: RunConfig) -> int:
     out = Path(cfg.output_dir)
     with _config_values():
         frame = _make_frame(cfg)
+        _model_params(cfg)  # rejects what the other modes reject, e.g. an overflowing square
     rng = np.random.default_rng(cfg.seed)
     rows = []
     for k in range(cfg.n_samples):

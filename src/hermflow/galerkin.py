@@ -130,11 +130,10 @@ def assemble_mass(q: ScalarField) -> MassOperator:
     turning points, so a density whose tail is not resolved down there can
     make the operator lose positivity.  That failure surfaces loudly at
     solve time as a positivity error rather than being patched silently.
+    The Gram kernel returns an exactly symmetric matrix in both dimensions.
     """
     frame = q.frame
-    mat = frame._weighted_gram(frame.weights * q.nodal)
-    mat = 0.5 * (mat + mat.T)  # enforce exact symmetry
-    return MassOperator(frame, mat)
+    return MassOperator(frame, frame._weighted_gram(frame.weights * q.nodal))
 
 
 def project_initial_velocity(q0: ScalarField, u0_nodal: np.ndarray | VectorField) -> VectorField:

@@ -176,13 +176,14 @@ class GaussianFrame:
         # read in d = 2 only (d = 1 multiplies by V): synthesis fills a
         # (degree+1)^2 grid of coefficients; mass assembly uses products of
         # two 1D basis values, one column per unordered degree pair (a, b),
-        # and where each Gram entry sits
+        # and the flat position of each Gram entry in their product table
         self._grid_index = tuple(self.multi_indices.T)
         a, b = np.triu_indices(degree + 1)
         pair = np.empty((degree + 1, degree + 1), dtype=np.int64)
         pair[a, b] = pair[b, a] = np.arange(a.size)
         self._pair_table = table[:, a] * table[:, b]
-        self._pair_index = tuple(pair[m[:, None], m[None, :]] for m in self._grid_index)
+        self._gram_index = np.ravel_multi_index(
+            tuple(pair[m[:, None], m[None, :]] for m in self._grid_index), (a.size,) * dim)
 
         self.radius_sq = np.sum(self.nodes**2, axis=1)
         # Hermite polynomials grow super-exponentially past the oscillatory
@@ -246,15 +247,19 @@ class GaussianFrame:
     def _weighted_gram(self, node_weights: np.ndarray) -> np.ndarray:
         """sum_n w_n Phi_alpha(x_n) Phi_beta(x_n) for every pair of basis functions.
 
-        In d = 2 the sum over the grid runs one axis at a time on products
-        of two 1D basis values; each entry is then gathered from its pair
-        of degree pairs, which makes the result exactly symmetric.
+        The result is exactly symmetric in both dimensions.  In d = 2 the
+        sum over the grid runs one axis at a time on products of two 1D
+        basis values; each entry is then gathered, by one flat index, from
+        its pair of unordered degree pairs, so (alpha, beta) and
+        (beta, alpha) read the same number.  In d = 1 the dense product is
+        symmetrized.
         """
         if self.dim == 1:
-            return self.V.T @ (node_weights[:, None] * self.V)
+            mat = self.V.T @ (node_weights[:, None] * self.V)
+            return 0.5 * (mat + mat.T)
         grid = node_weights.reshape(self.quad_order, self.quad_order)
         pairs = self._pair_table
-        return (pairs.T @ (grid @ pairs))[self._pair_index]
+        return (pairs.T @ (grid @ pairs)).take(self._gram_index)
 
     def basis_eval(self, points: np.ndarray) -> np.ndarray:
         """Vandermonde matrix of the basis at arbitrary points, shape (m, n_basis)."""

@@ -212,6 +212,16 @@ class TestVerifyCommand:
         assert report["summary"]["min_lsi_margin"] >= -1e-8
         assert len(report["samples"]) == 10
 
+    def test_lambda_square_overflow_exits_3(self, tmp_path, capsys):
+        # sigma = 1e-75: the samples' capillarity and Bohm terms overflow
+        body = STEADY.replace("mode = simulate", "mode = verify\n    n_samples = 2")
+        body = body.replace("family = steady", "family = random")
+        body = body.replace("lambda = 2.0", "lambda = 1e300")
+        code = main(["verify", write_config(tmp_path / "a.cfg", body),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("config error:")
+
 
 class TestSweepCommand:
     BODY = """

@@ -289,6 +289,15 @@ class TestSumFactorization:
         ref = dense_derivative_table(planar_frame, axes).T @ x
         assert rel_err(planar_frame._synthesize_adjoint(x, axes), ref) <= 1e-13
 
+    def test_weighted_gram(self, planar_frame):
+        # node weights of both signs, not only densities: the gather makes
+        # the Gram matrix bitwise symmetric whatever the weights are
+        w = planar_frame.weights * np.random.default_rng(8).standard_normal(planar_frame.n_nodes)
+        gram = planar_frame._weighted_gram(w)
+        assert np.array_equal(gram, gram.T)
+        ref = planar_frame.V.T @ (w[:, None] * planar_frame.V)
+        assert rel_err(gram, ref) <= 1e-13
+
     def test_one_dimensional_path_is_dense(self, frame_1d):
         # in 1D synthesis multiplies by V, V D, V (D D) and V (D D D), the
         # tables of the dense path, so 1D runs keep their bits
