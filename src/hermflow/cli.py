@@ -68,7 +68,7 @@ def _make_frame(cfg: RunConfig) -> GaussianFrame:
 
 
 def _read_state_file(path: str, frame: GaussianFrame):
-    """(q, u) of an npz snapshot; a file without finite ``q_coeffs`` and
+    """(q, u) of an npz snapshot; a file without numeric ``q_coeffs`` and
     ``u_coeffs`` arrays is a config error."""
     try:
         data = np.load(path)
@@ -79,25 +79,28 @@ def _read_state_file(path: str, frame: GaussianFrame):
                                   for key in ("q_coeffs", "u_coeffs"))
     except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"cannot read state file {path}: {exc}") from exc
-    if not (np.isfinite(q_coeffs).all() and np.isfinite(u_coeffs).all()):
-        raise ConfigError(f"state file {path} holds non-finite coefficients")
     return ScalarField(frame, coeffs=q_coeffs), VectorField(frame, coeffs=u_coeffs)
 
 
 def _initial_state(cfg: RunConfig, frame: GaussianFrame):
     rng = np.random.default_rng(cfg.seed)
-    if cfg.family == "steady":
-        q0 = ScalarField(frame, coeffs=np.eye(frame.n_basis)[0])
-        u0 = VectorField.zero(frame)
-    elif cfg.family == "tilted":
-        q0 = tilted_density(frame, cfg.alpha)
-        u0 = VectorField.zero(frame)
-    elif cfg.family == "random":
-        q0 = random_density(frame, rng, decay=cfg.decay, amplitude=cfg.amplitude)
-        u0 = random_velocity(frame, rng, decay=cfg.decay, amplitude=cfg.u_scale) \
-            if cfg.u_scale else VectorField.zero(frame)
-    else:  # family == "file", existence checked at parse time
-        q0, u0 = _read_state_file(cfg.path, frame)
+    # a non-finite result is reported by the check below, not as a numpy warning
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if cfg.family == "steady":
+            q0 = ScalarField(frame, coeffs=np.eye(frame.n_basis)[0])
+            u0 = VectorField.zero(frame)
+        elif cfg.family == "tilted":
+            q0 = tilted_density(frame, cfg.alpha)
+            u0 = VectorField.zero(frame)
+        elif cfg.family == "random":
+            q0 = random_density(frame, rng, decay=cfg.decay, amplitude=cfg.amplitude)
+            u0 = random_velocity(frame, rng, decay=cfg.decay, amplitude=cfg.u_scale) \
+                if cfg.u_scale else VectorField.zero(frame)
+        else:  # family == "file", existence checked at parse time
+            q0, u0 = _read_state_file(cfg.path, frame)
+    if not (np.isfinite(q0.coeffs).all() and np.isfinite(u0.coeffs).all()):
+        # e.g. a tilt too steep for the frame (0/0 at unit mass) or a corrupt state file
+        raise ConfigError("initial data has non-finite coefficients")
     if cfg.u_scale and cfg.family in ("steady", "tilted"):
         # linear boost u = u_scale * x, projected with the q0 weight
         u0 = project_initial_velocity(q0, cfg.u_scale * frame.nodes.T.copy())

@@ -16,13 +16,6 @@ from .errors import ConfigError
 
 __all__ = ["RunConfig", "check_seed", "load_config"]
 
-_SCHEMA = {
-    "model": {"a", "kappa", "nu", "lambda", "r0", "r1", "r4", "delta1"},
-    "frame": {"dim", "degree", "quad_order"},
-    "initial": {"family", "alpha", "amplitude", "decay", "path", "u_scale"},
-    "time": {"dt", "t_final", "record_every"},
-    "run": {"mode", "seed", "output_dir", "n_samples", "n_list", "save_state"},
-}
 _MODES = ("simulate", "verify", "sweep", "rescaled")
 _FAMILIES = ("steady", "tilted", "random", "file")
 
@@ -60,21 +53,6 @@ class RunConfig:
     raw: dict = field(default_factory=dict)
 
 
-def _get(parser, section, key, conv, default=None, required=False):
-    if parser.has_option(section, key):
-        raw = parser.get(section, key)
-        try:
-            value = conv(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"[{section}] {key} = {raw!r}: not a finite number")
-        return value
-    if required:
-        raise ConfigError(f"missing required key [{section}] {key}")
-    return default
-
-
 def _parse_bool(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("true", "yes", "1"):
@@ -92,6 +70,41 @@ def _parse_n_list(raw: str) -> tuple:
     if not vals:
         raise ValueError("empty list")
     return vals
+
+
+_REQUIRED = object()  # default of a key the config must set
+
+# section -> key -> (conversion, default); each key fills the RunConfig field
+# of its name, except ``lambda``, a Python keyword, which fills ``lam``
+_SCHEMA = {
+    "model": {"a": (float, _REQUIRED), "kappa": (float, _REQUIRED), "nu": (float, _REQUIRED),
+              "lambda": (float, _REQUIRED), "r0": (float, 0.0), "r1": (float, 0.0),
+              "r4": (float, 0.0), "delta1": (float, 0.0)},
+    "frame": {"dim": (int, _REQUIRED), "degree": (int, _REQUIRED), "quad_order": (int, None)},
+    "initial": {"family": (str, _REQUIRED), "alpha": (float, 0.0), "amplitude": (float, 0.2),
+                "decay": (float, 0.5), "path": (str, None), "u_scale": (float, 0.0)},
+    "time": {"dt": (float, _REQUIRED), "t_final": (float, _REQUIRED), "record_every": (int, 1)},
+    "run": {"mode": (str, None), "seed": (int, 0), "output_dir": (str, "out"),
+            "n_samples": (int, 200), "n_list": (_parse_n_list, (4, 8, 16, 32)),
+            "save_state": (_parse_bool, False)},
+}
+_RENAMED = {"lambda": "lam"}
+
+
+def _get(parser, section, key):
+    conv, default = _SCHEMA[section][key]
+    if not parser.has_option(section, key):
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required key [{section}] {key}")
+        return default
+    raw = parser.get(section, key)
+    try:
+        value = conv(raw)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} = {raw!r}: not a finite number")
+    return value
 
 
 def check_seed(seed: int) -> int:
@@ -119,50 +132,20 @@ def load_config(path: str | Path) -> RunConfig:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key [{section}] {key} in {path}")
 
-    mode = _get(parser, "run", "mode", str, default=None)
-    if mode is not None and mode not in _MODES:
-        raise ConfigError(f"[run] mode must be one of {_MODES}, got {mode!r}")
-    family = _get(parser, "initial", "family", str, required=True)
-    if family not in _FAMILIES:
-        raise ConfigError(f"[initial] family must be one of {_FAMILIES}, got {family!r}")
-    file_path = _get(parser, "initial", "path", str, default=None)
-    if family == "file":
-        if file_path is None:
+    values = {_RENAMED.get(key, key): _get(parser, section, key)
+              for section, keys in _SCHEMA.items() for key in keys}
+    if values["mode"] is not None and values["mode"] not in _MODES:
+        raise ConfigError(f"[run] mode must be one of {_MODES}, got {values['mode']!r}")
+    if values["family"] not in _FAMILIES:
+        raise ConfigError(f"[initial] family must be one of {_FAMILIES}, got {values['family']!r}")
+    if values["family"] == "file":
+        if values["path"] is None:
             raise ConfigError("[initial] family = file requires a path")
-        if not Path(file_path).exists():
-            raise ConfigError(f"[initial] path does not exist: {file_path}")
-
-    cfg = RunConfig(
-        a=_get(parser, "model", "a", float, required=True),
-        kappa=_get(parser, "model", "kappa", float, required=True),
-        nu=_get(parser, "model", "nu", float, required=True),
-        lam=_get(parser, "model", "lambda", float, required=True),
-        r0=_get(parser, "model", "r0", float, default=0.0),
-        r1=_get(parser, "model", "r1", float, default=0.0),
-        r4=_get(parser, "model", "r4", float, default=0.0),
-        delta1=_get(parser, "model", "delta1", float, default=0.0),
-        dim=_get(parser, "frame", "dim", int, required=True),
-        degree=_get(parser, "frame", "degree", int, required=True),
-        quad_order=_get(parser, "frame", "quad_order", int, default=None),
-        family=family,
-        alpha=_get(parser, "initial", "alpha", float, default=0.0),
-        amplitude=_get(parser, "initial", "amplitude", float, default=0.2),
-        decay=_get(parser, "initial", "decay", float, default=0.5),
-        path=file_path,
-        u_scale=_get(parser, "initial", "u_scale", float, default=0.0),
-        dt=_get(parser, "time", "dt", float, required=True),
-        t_final=_get(parser, "time", "t_final", float, required=True),
-        record_every=_get(parser, "time", "record_every", int, default=1),
-        mode=mode,
-        seed=check_seed(_get(parser, "run", "seed", int, default=0)),
-        output_dir=_get(parser, "run", "output_dir", str, default="out"),
-        n_samples=_get(parser, "run", "n_samples", int, default=200),
-        n_list=_get(parser, "run", "n_list", _parse_n_list, default=(4, 8, 16, 32)),
-        save_state=_get(parser, "run", "save_state", _parse_bool, default=False),
-    )
-    if cfg.record_every < 1:
+        if not Path(values["path"]).exists():
+            raise ConfigError(f"[initial] path does not exist: {values['path']}")
+    check_seed(values["seed"])
+    if values["record_every"] < 1:
         raise ConfigError("[time] record_every must be >= 1")
-    if cfg.n_samples < 1:
+    if values["n_samples"] < 1:
         raise ConfigError("[run] n_samples must be >= 1")
-    cfg.raw = {s: dict(parser.items(s)) for s in parser.sections()}
-    return cfg
+    return RunConfig(**values, raw={s: dict(parser.items(s)) for s in parser.sections()})

@@ -87,10 +87,9 @@ class MassOperator:
     kept; ``matrix`` itself stays intact for :meth:`apply`.
     """
 
-    __slots__ = ("frame", "matrix", "_factor")
+    __slots__ = ("matrix", "_factor")
 
-    def __init__(self, frame: GaussianFrame, matrix: np.ndarray):
-        self.frame = frame
+    def __init__(self, matrix: np.ndarray):
         self.matrix = matrix
         self._factor = None
 
@@ -133,18 +132,16 @@ def assemble_mass(q: ScalarField) -> MassOperator:
     The Gram kernel returns an exactly symmetric matrix in both dimensions.
     """
     frame = q.frame
-    return MassOperator(frame, frame._weighted_gram(frame.weights * q.nodal))
+    return MassOperator(frame._weighted_gram(frame.weights * q.nodal))
 
 
-def project_initial_velocity(q0: ScalarField, u0_nodal: np.ndarray | VectorField) -> VectorField:
+def project_initial_velocity(q0: ScalarField, u0_nodal: np.ndarray) -> VectorField:
     """q0-weighted projection of a velocity onto the spectral space.
 
     Solves int q0 uN.w dmu = int q0 u0.w dmu against every basis field.  The
     projection never increases the q0-weighted kinetic energy.
     """
     frame = q0.frame
-    if isinstance(u0_nodal, VectorField):
-        u0_nodal = u0_nodal.nodal
     u0_nodal = np.asarray(u0_nodal, dtype=float).reshape(frame.dim, frame.n_nodes)
     require_positive(q0)
     mass = assemble_mass(q0)

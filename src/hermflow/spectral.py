@@ -90,6 +90,13 @@ def _hermite_table(y: np.ndarray, kmax: int) -> np.ndarray:
     return out
 
 
+def _basis_values(tables, multi_indices: np.ndarray) -> np.ndarray:
+    """Every basis function at every point, shape (points, n_basis): the product
+    of its per-axis columns of the 1D ``tables``, one per axis, which may come
+    from a generator; each is dropped once its columns are taken."""
+    return math.prod(map(lambda t, m: t[:, m], tables, multi_indices.T))
+
+
 def _by_row(fn, values: np.ndarray, width: int) -> np.ndarray:
     """``fn`` of each row of ``values``, one call per row, as a read-only array."""
     if values.ndim == 1:
@@ -153,16 +160,29 @@ class GaussianFrame:
         grid = [g.ravel() for g in np.meshgrid(*[np.arange(quad_order)] * dim, indexing="ij")]
         self.nodes = np.column_stack([self.nodes_1d[g] for g in grid])
         self.weights = math.prod(self.weights_1d[g] for g in grid)
-        self.V = math.prod(table[g][:, m] for g, m in zip(grid, self.multi_indices.T))
+        self.V = _basis_values((table[g] for g in grid), self.multi_indices)
         self.n_nodes = self.nodes.shape[0]
 
-        self._index_of = {tuple(alpha): i for i, alpha in enumerate(self.multi_indices)}
-        self.diff_mats = tuple(self._build_diff(axis) for axis in range(dim))
-        self.coord_mats = tuple(self._build_coord(axis) for axis in range(dim))
-        # div_m applied axis-wise: D_axis - X_axis / sigma^2 (degree-(N+1) part dropped)
-        self.divm_mats = tuple(
-            self.diff_mats[ax] - self.coord_mats[ax] / self.sigma**2 for ax in range(dim)
-        )
+        # ladder relations d/dx He_k = sqrt(k) He_{k-1} / sigma and
+        # x He_k = sigma (sqrt(k+1) He_{k+1} + sqrt(k) He_{k-1}): with L the
+        # lowering matrix, sqrt(k) at (alpha - e_ax, alpha), D = L / sigma and
+        # X = sigma (L + L^T), written on L's entries and their mirrors only (the
+        # two never overlap), so a large frame's zero pages stay untouched.
+        # Basis positions sit on a (degree+2)^dim grid holding -1 past the
+        # truncation, where a degree lowered below 0 (index -1) also lands.
+        position = np.full((degree + 2,) * dim, -1)
+        position[tuple(self.multi_indices.T)] = np.arange(self.n_basis)
+        ops = []
+        for ax in range(dim):
+            lowered = position[tuple((self.multi_indices - np.eye(dim, dtype=np.int64)[ax]).T)]
+            cols = np.flatnonzero(lowered >= 0)
+            rows, root_k = lowered[cols], np.sqrt(self.multi_indices[cols, ax])
+            diff, coord = np.zeros((2, self.n_basis, self.n_basis))
+            diff[rows, cols] = root_k / self.sigma
+            coord[rows, cols] = coord[cols, rows] = self.sigma * root_k
+            # div_m applied axis-wise: D - X / sigma^2 (degree-(N+1) part dropped)
+            ops.append((diff, coord, diff - coord / self.sigma**2))
+        self.diff_mats, self.coord_mats, self.divm_mats = zip(*ops)
         # 1D tables of the basis and of its first three derivatives: T, T D,
         # T D^2, T D^3 for the 1D derivative matrix D (in d = 1, D is
         # diff_mats[0] and T is V, whose memory layout picks the BLAS kernel
@@ -195,33 +215,6 @@ class GaussianFrame:
         for arr in (self.nodes, self.weights, self.V, self.multi_indices, self.trusted,
                     *self._tables):
             arr.flags.writeable = False
-
-    def _build_diff(self, axis: int) -> np.ndarray:
-        """d/dx_axis in coefficients: lowers the axis degree by one."""
-        mat = np.zeros((self.n_basis, self.n_basis))
-        for col, alpha in enumerate(self.multi_indices):
-            k = alpha[axis]
-            if k >= 1:
-                beta = alpha.copy()
-                beta[axis] = k - 1
-                mat[self._index_of[tuple(beta)], col] = math.sqrt(k) / self.sigma
-        return mat
-
-    def _build_coord(self, axis: int) -> np.ndarray:
-        """Multiplication by x_axis, truncated back to total degree <= N."""
-        mat = np.zeros((self.n_basis, self.n_basis))
-        for col, alpha in enumerate(self.multi_indices):
-            k = alpha[axis]
-            if k >= 1:
-                beta = alpha.copy()
-                beta[axis] = k - 1
-                mat[self._index_of[tuple(beta)], col] = self.sigma * math.sqrt(k)
-            beta = alpha.copy()
-            beta[axis] = k + 1
-            row = self._index_of.get(tuple(beta))
-            if row is not None:
-                mat[row, col] = self.sigma * math.sqrt(k + 1)
-        return mat
 
     def _synthesize(self, coeffs: np.ndarray, axes: tuple = ()) -> np.ndarray:
         """Nodal values of d/dx_axes[0] d/dx_axes[1] ... of the field with these coefficients.
@@ -266,11 +259,8 @@ class GaussianFrame:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dim:
             raise DimensionError(f"points must have {self.dim} columns, got {pts.shape}")
-        tables = [_hermite_table(pts[:, ax] / self.sigma, self.degree) for ax in range(self.dim)]
-        out = tables[0][:, self.multi_indices[:, 0]]
-        for ax in range(1, self.dim):
-            out = out * tables[ax][:, self.multi_indices[:, ax]]
-        return out
+        return _basis_values((_hermite_table(pts[:, ax] / self.sigma, self.degree)
+                              for ax in range(self.dim)), self.multi_indices)
 
     def project_nodal(self, values: np.ndarray) -> np.ndarray:
         """L^2_mu projection of nodal values onto the basis (exact for degree <= N)."""

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 import hermflow
 from hermflow.cli import main
-from hermflow.config import ConfigError, load_config
+from hermflow import config
+from hermflow.config import ConfigError, RunConfig, load_config
 
 
 def write_config(path, body):
@@ -78,6 +80,12 @@ class TestConfigParsing:
     def test_missing_config_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/run.cfg")
+
+    def test_schema_keys_are_the_config_fields(self):
+        # one schema entry per RunConfig field, so each key is read one way
+        fields = [f.name for f in dataclasses.fields(RunConfig) if f.name != "raw"]
+        keys = [config._RENAMED.get(key, key) for keys in config._SCHEMA.values() for key in keys]
+        assert sorted(keys) == sorted(fields)
 
     @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
     def test_unreadable_config_exits_3(self, tmp_path, capsys, kind):
@@ -150,11 +158,12 @@ class TestSimulateCommand:
         ("seed = 42", "seed = -1", ()),
         ("seed = 42", "seed = 42", ("--seed", "-3")),
         ("nu = 0.5", "nu = 1e300", ()),
+        ("family = steady", "family = tilted\n    alpha = 800", ()),
     ], ids=["r0", "lambda", "dim", "quad_order", "t_final", "file_coeffs", "file_u_coeffs",
             "file_no_u", "file_not_npz", "file_q_nan", "file_u_inf", "file_non_numeric",
             "file_npy", "file_truncated",
             "n_samples", "a_nan", "dt_nan", "t_final_inf", "decay_inf", "seed_negative",
-            "seed_override_negative", "nu_square_overflows"])
+            "seed_override_negative", "nu_square_overflows", "tilt_too_steep"])
     def test_out_of_range_value_exits_3(self, tmp_path, capsys, old, new, args):
         # values the solver's own constructors reject are config errors
         np.savez(tmp_path / "short.npz", q_coeffs=np.ones(5), u_coeffs=np.zeros((1, 13)))

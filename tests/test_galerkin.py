@@ -118,7 +118,7 @@ class TestMassOperator:
         mat = np.eye(frame_1d.n_basis)
         mat[2, 3] = mat[3, 2] = np.nan
         with pytest.raises(SOLVER_FAILURES):
-            MassOperator(frame_1d, mat).solve(np.ones((1, frame_1d.n_basis)))
+            MassOperator(mat).solve(np.ones((1, frame_1d.n_basis)))
 
     def test_inf_rhs_is_a_solver_failure(self, frame_1d):
         rhs = np.ones((1, frame_1d.n_basis))
@@ -130,7 +130,7 @@ class TestMassOperator:
         diag = np.ones(frame_1d.n_basis)
         diag[2] = -1.0
         with pytest.raises(PositivityError, match=r"\b3-th leading minor"):
-            MassOperator(frame_1d, np.diag(diag)).solve(np.ones((1, frame_1d.n_basis)))
+            MassOperator(np.diag(diag)).solve(np.ones((1, frame_1d.n_basis)))
 
 
 PROPERTY_FRAMES = {

@@ -95,6 +95,51 @@ class TestFrame:
             frame_1d.weights[0] = 2.0
 
 
+def ladder_oracle(frame):
+    """Per-axis d/dx and x-multiplication matrices, set entry by entry from
+    the ladder relations of the orthonormal Hermite basis."""
+    index_of = {tuple(alpha): i for i, alpha in enumerate(frame.multi_indices)}
+    diff, coord = [], []
+    for axis in range(frame.dim):
+        d = np.zeros((frame.n_basis, frame.n_basis))
+        x = np.zeros((frame.n_basis, frame.n_basis))
+        for col, alpha in enumerate(frame.multi_indices):
+            k = alpha[axis]
+            if k >= 1:
+                beta = alpha.copy()
+                beta[axis] = k - 1
+                d[index_of[tuple(beta)], col] = math.sqrt(k) / frame.sigma
+                x[index_of[tuple(beta)], col] = frame.sigma * math.sqrt(k)
+            beta = alpha.copy()
+            beta[axis] = k + 1
+            row = index_of.get(tuple(beta))
+            if row is not None:
+                x[row, col] = frame.sigma * math.sqrt(k + 1)
+        diff.append(d)
+        coord.append(x)
+    return diff, coord
+
+
+class TestLadderOperators:
+    @pytest.mark.parametrize("dim, degree", [(1, 0), (1, 1), (1, 24), (2, 0), (2, 1), (2, 5),
+                                             (2, 20)])
+    @pytest.mark.parametrize("sigma", [1.0, 0.8, 0.2348, 1.7])
+    def test_bits_match_entrywise_construction(self, dim, degree, sigma):
+        # .tobytes() also tells -0.0 from 0.0
+        frame = GaussianFrame(sigma, dim, degree)
+        diff, coord = ladder_oracle(frame)
+        for ax in range(dim):
+            assert frame.diff_mats[ax].tobytes() == diff[ax].tobytes()
+            assert frame.coord_mats[ax].tobytes() == coord[ax].tobytes()
+            divm = diff[ax] - coord[ax] / sigma**2
+            assert frame.divm_mats[ax].tobytes() == divm.tobytes()
+
+    def test_basis_eval_at_nodes_is_vandermonde(self, frame_1d, frame_2d):
+        # not bitwise: the nodes are sigma * y, and (sigma * y) / sigma != y
+        for frame in (frame_1d, frame_2d):
+            assert rel_err(frame.basis_eval(frame.nodes), frame.V) <= 1e-13
+
+
 class TestTransforms:
     def test_constant(self, frame_1d):
         f = transform(frame_1d, np.ones(frame_1d.n_nodes))
