@@ -11,7 +11,7 @@ Artifacts land in the configured output directory:
 
 Exit codes: 0 success with all audits passing, 1 completed with an audit
 violation, 2 solver failure (fixed point or positivity), 3 configuration
-error.
+or command-line error.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def _model_params(cfg: RunConfig) -> ModelParams:
 
 
 def _make_frame(cfg: RunConfig) -> GaussianFrame:
-    return build_frame(cfg.a, cfg.kappa, cfg.lam, cfg.dim, cfg.degree, cfg.quad_order)
+    return build_frame(cfg.a, cfg.kappa, cfg.lam, cfg.dim, cfg.degree)
 
 
 def _read_state_file(path: str, frame: GaussianFrame):
@@ -103,7 +103,11 @@ def _initial_state(cfg: RunConfig, frame: GaussianFrame):
         raise ConfigError("initial data has non-finite coefficients")
     if cfg.u_scale and cfg.family in ("steady", "tilted"):
         # linear boost u = u_scale * x, projected with the q0 weight
-        u0 = project_initial_velocity(q0, cfg.u_scale * frame.nodes.T.copy())
+        with np.errstate(over="ignore"):
+            boost = cfg.u_scale * frame.nodes.T.copy()
+        if not np.isfinite(boost).all():
+            raise ConfigError(f"[initial] u_scale = {cfg.u_scale!r} overflows u_scale * x")
+        u0 = project_initial_velocity(q0, boost)
     if float(np.min(q0.nodal[frame.trusted])) <= 0.0:
         # data without a two-sided positive bound enter through the
         # cutoff-convolve-normalize pipeline first
@@ -270,7 +274,7 @@ def rescaled_run(cfg: RunConfig) -> int:
     if cfg.record_every != 1:
         raise ConfigError("rescaled mode records every step; [time] record_every must be 1")
     with _config_values():
-        frame = GaussianFrame(1.0, cfg.dim, cfg.degree, cfg.quad_order)
+        frame = GaussianFrame(1.0, cfg.dim, cfg.degree)
         params = _model_params(cfg)
         require_unregularized(params)
         q0, u0 = _initial_state(cfg, frame)
@@ -278,8 +282,8 @@ def rescaled_run(cfg: RunConfig) -> int:
         if n_steps < 2:
             # the centered differences of the balance audit need three states
             raise ConfigError("rescaled mode needs at least 2 steps: [time] t_final >= 2 dt")
-    # tau at every half step: taus[2k] starts step k, taus[2k + 1] is its midpoint
-    taus = tau_solve(cfg.a, cfg.kappa, cfg.nu, cfg.t_final, cfg.dt / 2.0)
+        # tau at every half step: taus[2k] starts step k, taus[2k + 1] is its midpoint
+        taus = tau_solve(cfg.a, cfg.kappa, cfg.nu, cfg.t_final, cfg.dt / 2.0)
     state = SimState(q0, u0)
     energies, remainders, rows = [], [], []
     for k in range(n_steps + 1):
@@ -321,7 +325,11 @@ def main(argv=None) -> int:
         p.add_argument("config", help="path to the run configuration file")
         p.add_argument("--output-dir", default=None, help="override [run] output_dir")
         p.add_argument("--seed", type=int, default=None, help="override [run] seed")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage message; only --help exits with 0
+        return 3 if exc.code else 0
     try:
         cfg = load_config(args.config)
         if cfg.mode is not None and cfg.mode != args.command:

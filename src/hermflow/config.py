@@ -2,7 +2,8 @@
 
 Flat INI-style sections, parsed with no silent fallbacks: unknown sections
 or keys are errors, as are missing required keys, so a typo can never be
-absorbed into a default.  See README for the full key reference.
+absorbed into a default.  Values are literal: ``%`` has no special
+meaning.  See README for the full key reference.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ class RunConfig:
     delta1: float
     dim: int
     degree: int
-    quad_order: int | None
     family: str
     alpha: float
     amplitude: float
@@ -80,7 +80,7 @@ _SCHEMA = {
     "model": {"a": (float, _REQUIRED), "kappa": (float, _REQUIRED), "nu": (float, _REQUIRED),
               "lambda": (float, _REQUIRED), "r0": (float, 0.0), "r1": (float, 0.0),
               "r4": (float, 0.0), "delta1": (float, 0.0)},
-    "frame": {"dim": (int, _REQUIRED), "degree": (int, _REQUIRED), "quad_order": (int, None)},
+    "frame": {"dim": (int, _REQUIRED), "degree": (int, _REQUIRED)},
     "initial": {"family": (str, _REQUIRED), "alpha": (float, 0.0), "amplitude": (float, 0.2),
                 "decay": (float, 0.5), "path": (str, None), "u_scale": (float, 0.0)},
     "time": {"dt": (float, _REQUIRED), "t_final": (float, _REQUIRED), "record_every": (int, 1)},
@@ -118,7 +118,7 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)

@@ -51,10 +51,8 @@ class DiagnosticsRecord:
     mass: float
     e_reg: float
     d_reg: float
-    r_reg: float
     e_bd: float
     d_bd: float
-    r_bd: float
     d_bd_reg: float
     r_bd_reg: float
     i2: float
@@ -78,13 +76,13 @@ class DiagnosticsRecord:
 
 
 def _energy_from_bundle(b: StateBundle, params: ModelParams):
-    """Relative energy, its dissipation and the diffusion remainder.
+    """Relative energy and its dissipation.
 
     E collects kinetic, capillary-Fisher and entropic parts plus the quartic
     drag moment r4/4 I4; D the full dissipation including the
-    delta1-weighted terms; R the non-negative remainder r4 d1 (d+2) I2 /
-    sigma^2 that the energy balance produces and the dissipation absorbs up
-    to an explicit linear-in-time allowance.
+    delta1-weighted terms.  The balance also produces the non-negative
+    remainder r4 d1 (d+2) I2 / sigma^2, which the dissipation absorbs up to
+    the explicit linear-in-time allowance of :func:`energy_inequality_audit`.
     """
     sig2 = b.frame.sigma**2
     e_val = (
@@ -99,8 +97,7 @@ def _energy_from_bundle(b: StateBundle, params: ModelParams):
         + params.r1 * b.cubic
         + params.r4 * params.delta1 / (4.0 * sig2) * b.i4
     )
-    r_val = params.r4 * params.delta1 * (b.frame.dim + 2) / sig2 * b.i2
-    return e_val, d_val, r_val
+    return e_val, d_val
 
 
 def _bd_entropy_value(b: StateBundle, params: ModelParams) -> float:
@@ -122,8 +119,8 @@ def _bd_entropy_value(b: StateBundle, params: ModelParams) -> float:
 def bd_entropy_regularized(q: ScalarField, u: VectorField, params: ModelParams):
     """Dissipation/remainder pair of the diffusion-regularized BD balance.
 
-    With delta1 = 0 this reduces to the plain drag-system pair that
-    :func:`record` reports as (D_BD, R_BD).  The balance
+    With delta1 = 0 this reduces to the plain drag-system pair (D_BD, R_BD),
+    whose D_BD :func:`record` reports.  The balance
     d/dt E_BD + D_BD_reg = R_BD_reg holds along exact trajectories, so its
     integrated residual is the BD audit quantity.
     """
@@ -274,8 +271,8 @@ def record(state: SimState, params: ModelParams) -> DiagnosticsRecord:
     q, u = state.q, state.u
     frame = q.frame
     b = StateBundle(q, u)
-    e_reg, d_reg, r_reg = _energy_from_bundle(b, params)
-    (d_bd, r_bd), (d_bd_reg, r_bd_reg) = _bd_balance(b, params, (0.0, params.delta1))
+    e_reg, d_reg = _energy_from_bundle(b, params)
+    (d_bd, _), (d_bd_reg, r_bd_reg) = _bd_balance(b, params, (0.0, params.delta1))
     _, _, _, _, hmid, hfin = _hessian_lemma_from_bundle(b)
     sqrt_q = ScalarField(frame, nodal=np.sqrt(b.q_safe))
     x_dot_u = np.einsum("in,in->n", frame.nodes.T, b.un)
@@ -284,10 +281,8 @@ def record(state: SimState, params: ModelParams) -> DiagnosticsRecord:
         mass=b.mass,
         e_reg=e_reg,
         d_reg=d_reg,
-        r_reg=r_reg,
         e_bd=_bd_entropy_value(b, params),
         d_bd=d_bd,
-        r_bd=r_bd,
         d_bd_reg=d_bd_reg,
         r_bd_reg=r_bd_reg,
         i2=b.i2,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .calculus import ModelParams
@@ -26,6 +27,8 @@ def step_count(dt: float, t_final: float) -> int:
     """Number of steps of size dt that end exactly at t_final."""
     if dt <= 0.0 or t_final <= 0.0:
         raise InvalidParameterError("dt and t_final must be positive")
+    if not math.isfinite(t_final / dt):
+        raise InvalidParameterError(f"t_final / dt = {t_final!r} / {dt!r} overflows")
     n_steps = int(round(t_final / dt))
     if abs(n_steps * dt - t_final) > 1e-9 * t_final:
         raise InvalidParameterError(f"t_final={t_final} is not a multiple of dt={dt}")

@@ -122,34 +122,28 @@ class GaussianFrame:
     """Quadrature rule, basis tables and operator matrices for one measure.
 
     Immutable after construction; shared freely between fields.  ``degree``
-    truncates by *total* degree in d = 2.  ``quad_order`` is the number of
-    Gauss-Hermite points per axis and must be at least ``2*degree + 4`` so
-    that every bilinear form of degree-N fields, with one dealiased product
-    inside, is integrated exactly.
+    truncates by *total* degree in d = 2.  ``quad_order``, the number of
+    Gauss-Hermite points per axis, is ``2*degree + 4``: every bilinear form
+    of degree-N fields, with one dealiased product inside, is integrated
+    exactly.
     """
 
-    def __init__(self, sigma: float, dim: int, degree: int, quad_order: int | None = None):
+    def __init__(self, sigma: float, dim: int, degree: int):
         if sigma <= 0.0:
             raise InvalidParameterError(f"sigma must be positive, got {sigma}")
         if dim not in (1, 2):
             raise InvalidParameterError(f"dim must be 1 or 2, got {dim}")
         if degree < 0:
             raise InvalidParameterError(f"degree must be non-negative, got {degree}")
-        if quad_order is None:
-            quad_order = 2 * degree + 4
-        if quad_order < 2 * degree + 4:
-            raise InvalidParameterError(
-                f"quad_order={quad_order} too small; need >= 2*degree + 4 = {2 * degree + 4}"
-            )
         self.sigma = float(sigma)
         self.dim = int(dim)
         self.degree = int(degree)
-        self.quad_order = int(quad_order)
+        self.quad_order = quad_order = 2 * self.degree + 4
 
         # per-axis rule for the normalized Gaussian of variance sigma^2
         y, v = hermite_e.hermegauss(quad_order)
         self.nodes_1d = self.sigma * y
-        self.weights_1d = v / math.sqrt(2.0 * math.pi)
+        weights_1d = v / math.sqrt(2.0 * math.pi)
 
         self.multi_indices = _multi_indices(dim, degree)
         self.total_degree = self.multi_indices.sum(axis=1)
@@ -159,34 +153,31 @@ class GaussianFrame:
         # tensor grid: the per-axis index of every node, first axis slowest
         grid = [g.ravel() for g in np.meshgrid(*[np.arange(quad_order)] * dim, indexing="ij")]
         self.nodes = np.column_stack([self.nodes_1d[g] for g in grid])
-        self.weights = math.prod(self.weights_1d[g] for g in grid)
+        self.weights = math.prod(weights_1d[g] for g in grid)
         self.V = _basis_values((table[g] for g in grid), self.multi_indices)
         self.n_nodes = self.nodes.shape[0]
 
-        # ladder relations d/dx He_k = sqrt(k) He_{k-1} / sigma and
-        # x He_k = sigma (sqrt(k+1) He_{k+1} + sqrt(k) He_{k-1}): with L the
+        # div_m along each axis, D - X / sigma^2 with the degree-(N+1) part
+        # dropped, from the ladder relations d/dx He_k = sqrt(k) He_{k-1} / sigma
+        # and x He_k = sigma (sqrt(k+1) He_{k+1} + sqrt(k) He_{k-1}): with L the
         # lowering matrix, sqrt(k) at (alpha - e_ax, alpha), D = L / sigma and
         # X = sigma (L + L^T), written on L's entries and their mirrors only (the
-        # two never overlap), so a large frame's zero pages stay untouched.
-        # Basis positions sit on a (degree+2)^dim grid holding -1 past the
-        # truncation, where a degree lowered below 0 (index -1) also lands.
+        # two never overlap).  Basis positions sit on a (degree+2)^dim grid
+        # holding -1 past the truncation, where a degree lowered below 0 lands.
         position = np.full((degree + 2,) * dim, -1)
         position[tuple(self.multi_indices.T)] = np.arange(self.n_basis)
-        ops = []
-        for ax in range(dim):
+        self.divm_mats = np.zeros((dim, self.n_basis, self.n_basis))
+        for ax, divm in enumerate(self.divm_mats):
             lowered = position[tuple((self.multi_indices - np.eye(dim, dtype=np.int64)[ax]).T)]
             cols = np.flatnonzero(lowered >= 0)
             rows, root_k = lowered[cols], np.sqrt(self.multi_indices[cols, ax])
-            diff, coord = np.zeros((2, self.n_basis, self.n_basis))
-            diff[rows, cols] = root_k / self.sigma
-            coord[rows, cols] = coord[cols, rows] = self.sigma * root_k
-            # div_m applied axis-wise: D - X / sigma^2 (degree-(N+1) part dropped)
-            ops.append((diff, coord, diff - coord / self.sigma**2))
-        self.diff_mats, self.coord_mats, self.divm_mats = zip(*ops)
+            coord = self.sigma * root_k / self.sigma**2
+            divm[rows, cols] = root_k / self.sigma - coord
+            divm[cols, rows] = -coord
         # 1D tables of the basis and of its first three derivatives: T, T D,
-        # T D^2, T D^3 for the 1D derivative matrix D (in d = 1, D is
-        # diff_mats[0] and T is V, whose memory layout picks the BLAS kernel
-        # and so the last bit of every 1D synthesis)
+        # T D^2, T D^3 for the 1D derivative matrix D = L / sigma (in d = 1,
+        # T is V, whose memory layout picks the BLAS kernel and so the last
+        # bit of every 1D synthesis)
         d1 = np.diag(np.sqrt(np.arange(1.0, degree + 1)) / self.sigma, k=1)
         base = self.V if dim == 1 else table
         self._tables = (base, table @ d1, table @ (d1 @ d1), table @ (d1 @ d1 @ d1))
@@ -283,7 +274,6 @@ class GaussianFrame:
             self.sigma == other.sigma
             and self.dim == other.dim
             and self.degree == other.degree
-            and self.quad_order == other.quad_order
         )
 
     def __repr__(self):
@@ -293,8 +283,7 @@ class GaussianFrame:
         )
 
 
-def build_frame(a: float, kappa: float, lam: float, dim: int, degree: int,
-                quad_order: int | None = None) -> GaussianFrame:
+def build_frame(a: float, kappa: float, lam: float, dim: int, degree: int) -> GaussianFrame:
     """Frame whose Gaussian scale balances pressure, capillarity and confinement.
 
     ``sigma`` solves a/sigma^2 + kappa^2/sigma^4 = lam; the residual of that
@@ -304,7 +293,7 @@ def build_frame(a: float, kappa: float, lam: float, dim: int, degree: int,
     residual = abs(a / sigma**2 + (kappa / sigma**2) ** 2 - lam)
     if residual > 1e-12 * max(abs(lam), 1.0):
         raise InvalidParameterError(f"sigma equation residual {residual:.3e} too large")
-    return GaussianFrame(sigma, dim, degree, quad_order)
+    return GaussianFrame(sigma, dim, degree)
 
 
 class ScalarField:
@@ -406,7 +395,7 @@ def transform(frame: GaussianFrame, nodal_values: np.ndarray) -> ScalarField:
 def multiply(f: ScalarField, g: ScalarField) -> ScalarField:
     """Dealiased product: nodal multiplication, then exact projection to degree N.
 
-    The quadrature rule oversamples (quad_order >= 2N + 4 per axis), so the
+    The quadrature rule oversamples (2N + 4 points per axis), so the
     projection integrals of the degree-2N product are exact; this is the
     padded-grid de-aliasing realized through the frame's own rule.
     """

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -56,6 +57,31 @@ def mode(frame: GaussianFrame, index: int, amplitude: float = 1.0) -> ScalarFiel
     coeffs = np.zeros(frame.n_basis)
     coeffs[index] = amplitude
     return ScalarField(frame, coeffs=coeffs)
+
+
+def ladder_oracle(frame):
+    """Per-axis d/dx and x-multiplication matrices, set entry by entry from
+    the ladder relations of the orthonormal Hermite basis."""
+    index_of = {tuple(alpha): i for i, alpha in enumerate(frame.multi_indices)}
+    diff, coord = [], []
+    for axis in range(frame.dim):
+        d = np.zeros((frame.n_basis, frame.n_basis))
+        x = np.zeros((frame.n_basis, frame.n_basis))
+        for col, alpha in enumerate(frame.multi_indices):
+            k = alpha[axis]
+            if k >= 1:
+                beta = alpha.copy()
+                beta[axis] = k - 1
+                d[index_of[tuple(beta)], col] = math.sqrt(k) / frame.sigma
+                x[index_of[tuple(beta)], col] = frame.sigma * math.sqrt(k)
+            beta = alpha.copy()
+            beta[axis] = k + 1
+            row = index_of.get(tuple(beta))
+            if row is not None:
+                x[row, col] = frame.sigma * math.sqrt(k + 1)
+        diff.append(d)
+        coord.append(x)
+    return diff, coord
 
 
 def zero_velocity(frame: GaussianFrame) -> VectorField:

@@ -159,11 +159,14 @@ class TestSimulateCommand:
         ("seed = 42", "seed = 42", ("--seed", "-3")),
         ("nu = 0.5", "nu = 1e300", ()),
         ("family = steady", "family = tilted\n    alpha = 800", ()),
+        ("t_final = 0.02", "t_final = 1e308", ()),
+        ("family = steady", "family = steady\n    u_scale = 1e308", ()),
     ], ids=["r0", "lambda", "dim", "quad_order", "t_final", "file_coeffs", "file_u_coeffs",
             "file_no_u", "file_not_npz", "file_q_nan", "file_u_inf", "file_non_numeric",
             "file_npy", "file_truncated",
             "n_samples", "a_nan", "dt_nan", "t_final_inf", "decay_inf", "seed_negative",
-            "seed_override_negative", "nu_square_overflows", "tilt_too_steep"])
+            "seed_override_negative", "nu_square_overflows", "tilt_too_steep",
+            "step_count_overflows", "boost_overflows"])
     def test_out_of_range_value_exits_3(self, tmp_path, capsys, old, new, args):
         # values the solver's own constructors reject are config errors
         np.savez(tmp_path / "short.npz", q_coeffs=np.ones(5), u_coeffs=np.zeros((1, 13)))
@@ -180,7 +183,19 @@ class TestSimulateCommand:
         code = main(["simulate", write_config(tmp_path / "a.cfg", body),
                      "--output-dir", str(tmp_path / "out"), *args])
         assert code == 3
-        assert capsys.readouterr().err.startswith("config error:")
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        if "quad_order" in new:  # the rule size follows from the degree
+            assert "unknown key [frame] quad_order" in err
+
+    def test_percent_in_values_is_literal(self, tmp_path):
+        # '%' has no special meaning: no interpolation and no syntax error
+        out = tmp_path / "out%dir" / "%(seed)s"
+        cfg = write_config(tmp_path / "a.cfg",
+                           STEADY.replace("seed = 42", f"seed = 42\n    output_dir = {out}"))
+        assert load_config(cfg).raw["run"]["output_dir"] == str(out)
+        assert main(["simulate", cfg]) == 0
+        assert (out / "trajectory.csv").exists()
 
     def test_positivity_failure_at_setup_exits_2(self, tmp_path, capsys):
         # the boost is projected with a tilt that dips below zero at degree 4
@@ -317,6 +332,30 @@ class TestRescaledCommand:
                      "--output-dir", str(tmp_path / "out")])
         assert code == 3
         assert capsys.readouterr().err.startswith("config error:")
+
+    def test_subnormal_dt_exits_3(self, tmp_path, capsys):
+        # two whole steps, but the half step of the dilation solve rounds to 0
+        body = (self.BODY.replace("dt = 1e-3", "dt = 5e-324")
+                .replace("t_final = 0.04", "t_final = 1e-323"))
+        code = main(["rescaled", write_config(tmp_path / "a.cfg", body),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["simulate"], 3),
+    (["simulate", "{cfg}", "--seed", "abc"], 3),
+    (["simulate_all", "{cfg}"], 3),
+    (["simulate", "{cfg}", "--steps", "5"], 3),
+    (["--help"], 0),
+], ids=["no_config", "seed_not_int", "unknown_command", "unknown_option", "help"])
+def test_command_line_exit_codes(tmp_path, capsys, argv, code):
+    # a malformed command line is an input error, not a solver failure (2)
+    cfg = write_config(tmp_path / "a.cfg", STEADY)
+    assert main([arg.format(cfg=cfg) for arg in argv]) == code
+    out = capsys.readouterr()
+    assert "usage: hermflow" in (out.err if code else out.out)
 
 
 # one small run per mode, every float key the fuzzer may change spelled out

@@ -70,7 +70,7 @@ def energy_lebesgue(q, u, params):
 class TestEnergy:
     def test_equilibrium_is_zero(self, frame_1d):
         rec = diagnose(unit_field(frame_1d), VectorField.zero(frame_1d), base_params())
-        assert abs(rec.e_reg) < 1e-13 and abs(rec.d_reg) < 1e-13 and abs(rec.r_reg) < 1e-13
+        assert abs(rec.e_reg) < 1e-13 and abs(rec.d_reg) < 1e-13
 
     def test_quartic_moment_share(self, frame_1d):
         # (1, 0) with r4 = 0.5 in d = 1, sigma = 1: E = (0.5/4) * 3
@@ -85,17 +85,11 @@ class TestEnergy:
         rec = diagnose(q, VectorField.zero(frame_1d_fine), base_params())
         assert rec.e_reg == pytest.approx((1.0 + 1.0) * alpha**2 / 2.0, rel=1e-9)
 
-    def test_remainder_value(self, frame_1d):
-        params = base_params(r4=0.25, delta1=0.5)
-        rec = diagnose(unit_field(frame_1d), VectorField.zero(frame_1d), params)
-        # R = r4 d1 (d+2) I2 / sigma^2 with I2(1) = d
-        assert rec.r_reg == pytest.approx(0.25 * 0.5 * 3.0 * 1.0, rel=1e-12)
-
 
 class TestBDEntropy:
     def test_equilibrium(self, frame_1d):
         rec = diagnose(unit_field(frame_1d), VectorField.zero(frame_1d), base_params())
-        assert abs(rec.e_bd) < 1e-13 and abs(rec.d_bd) < 1e-13 and abs(rec.r_bd) < 1e-13
+        assert abs(rec.e_bd) < 1e-13 and abs(rec.d_bd) < 1e-13
 
     def test_friction_entropy_share(self, frame_1d):
         # 2 nu r0 int (q - ln q) at q = 1 equals 2 * 0.5 * 0.1
@@ -205,8 +199,8 @@ class TestSecondMomentEquation:
             t = k * dt
             decay = math.exp(-t)
             recs.append(DiagnosticsRecord(
-                t=t, mass=1.0, e_reg=0.0, d_reg=0.0, r_reg=0.0, e_bd=0.0, d_bd=0.0,
-                r_bd=0.0, d_bd_reg=0.0, r_bd_reg=0.0, i2=1.0 + decay, i2_tilde=decay,
+                t=t, mass=1.0, e_reg=0.0, d_reg=0.0, e_bd=0.0, d_bd=0.0,
+                d_bd_reg=0.0, r_bd_reg=0.0, i2=1.0 + decay, i2_tilde=decay,
                 i4=0.0, mx=(0.0,), mu=(0.0,), min_q=1.0, max_q=1.0, lsi_margin=0.0,
                 hess_margin_mid=0.0, hess_margin_final=0.0, poincare_q=0.0,
                 poincare_korn_u=0.0, ke2=sigma**2 / 2.0 * gain * decay, fisher=0.0,

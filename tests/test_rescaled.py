@@ -22,7 +22,7 @@ from hermflow.rescaled import (
     tau_rhs,
     tau_solve,
 )
-from hermflow.diagnostics import record
+from hermflow.diagnostics import bd_entropy_regularized, record
 from hermflow.sampling import random_density, random_velocity, tilted_density
 
 from conftest import unit_field
@@ -141,7 +141,8 @@ class TestRescaledEnergies:
     def test_unit_dilation_matches_confined_record(self, dim, degree, rng):
         # on the unit frame (lam = a + kappa^2, so sigma = 1) at tau = 1,
         # tau' = 0 and without drags or delta1 the dilated energies are the
-        # confined ones: both read the same state integrals
+        # confined ones: both read the same state integrals.  With delta1 = 0
+        # the regularized BD pair is the plain one, so its second entry is R_BD
         frame = GaussianFrame(1.0, dim, degree)
         params = drag_free()
         unit = TauState(1.0, 0.0, 0.0)
@@ -151,6 +152,7 @@ class TestRescaledEnergies:
             rec = record(make_initial_state(q, u), params)
             pairs = list(zip(rescaled_energy(q, u, unit, params),
                              (rec.e_reg, rec.d_reg, rec.e_bd, rec.d_bd)))
-            pairs.append((rescaled_bd_remainder(q, u, unit, params), rec.r_bd))
+            pairs.append((rescaled_bd_remainder(q, u, unit, params),
+                          bd_entropy_regularized(q, u, params)[1]))
             for dilated, confined in pairs:
                 assert abs(dilated - confined) <= 1e-13 * max(1.0, abs(confined))
