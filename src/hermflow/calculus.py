@@ -162,12 +162,10 @@ class StateBundle:
 
     def __init__(self, q: ScalarField, u: VectorField | None = None):
         self.frame = q.frame
+        self.quad = q.frame.quad
         self.q = q
         self.u = VectorField.zero(q.frame) if u is None else u
         self.qn = require_positive(q)
-
-    def quad(self, vals) -> float:
-        return self.frame.quad(vals)
 
     @_cached
     def mask(self) -> np.ndarray:

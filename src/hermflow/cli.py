@@ -282,6 +282,9 @@ def rescaled_run(cfg: RunConfig) -> int:
         if n_steps < 2:
             # the centered differences of the balance audit need three states
             raise ConfigError("rescaled mode needs at least 2 steps: [time] t_final >= 2 dt")
+        if cfg.dt / 2.0 == 0.0:
+            raise ConfigError(f"[time] dt = {cfg.dt!r}: its half step rounds to 0, "
+                              "and the dilation is solved at half steps")
         # tau at every half step: taus[2k] starts step k, taus[2k + 1] is its midpoint
         taus = tau_solve(cfg.a, cfg.kappa, cfg.nu, cfg.t_final, cfg.dt / 2.0)
     state = SimState(q0, u0)

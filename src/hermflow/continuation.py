@@ -159,29 +159,18 @@ def drag_schedule(n: int, q0_n: ScalarField, base: ModelParams) -> ModelParams:
 
 
 def _sweep_fields(state: SimState):
-    """Nodal sqrt(q), grad sqrt(q) (zero off the trusted nodes) and sqrt(q) u
-    of one state: what the Cauchy increments compare."""
+    """Nodal sqrt(q), grad sqrt(q) and sqrt(q) u of one state, each zero off
+    the trusted nodes: what the Cauchy increments compare."""
     frame = state.frame
     mask = frame.trusted.astype(float)
     s = np.sqrt(np.clip(state.q.nodal, 0.0, None))
     grad_s = gradient_nodal(state.q) * mask / (2.0 * np.clip(s, 1e-150, None))
-    return s, grad_s, s * state.u.nodal
+    return (mask * s)[None], grad_s, s * state.u.nodal * mask
 
 
-def _sqrtq_h1_distance(frame: GaussianFrame, a, b) -> float:
-    """Weighted H^1 distance of the square roots over trusted nodes."""
-    (sa, ga, _), (sb, gb, _) = a, b
-    mask = frame.trusted.astype(float)
-    val = frame.quad(mask * (sa - sb) ** 2) + frame.quad(
-        np.einsum("in,in->n", ga - gb, ga - gb)
-    )
-    return math.sqrt(max(val, 0.0))
-
-
-def _momentum_l2_distance(frame: GaussianFrame, a, b) -> float:
-    (_, _, ja), (_, _, jb) = a, b
-    diff = (ja - jb) * frame.trusted.astype(float)
-    return math.sqrt(max(frame.quad(np.einsum("in,in->n", diff, diff)), 0.0))
+def _sq_distance(frame: GaussianFrame, a: np.ndarray, b: np.ndarray) -> float:
+    """Squared weighted L^2 distance of two (rows, n_nodes) nodal arrays."""
+    return frame.quad(np.einsum("in,in->n", a - b, a - b))
 
 
 def schedule_indices(n_list) -> list[int]:
@@ -230,8 +219,9 @@ def vanishing_drag_sweep(frame: GaussianFrame, base_params: ModelParams,
 
     increments = []
     for (na, fa), (nb, fb) in zip(runs, runs[1:]):
-        dq = max(_sqrtq_h1_distance(frame, a, b) for a, b in zip(fa, fb))
-        dj = max(_momentum_l2_distance(frame, a, b) for a, b in zip(fa, fb))
+        dq = max(math.sqrt(_sq_distance(frame, sa, sb) + _sq_distance(frame, ga, gb))
+                 for (sa, ga, _), (sb, gb, _) in zip(fa, fb))
+        dj = max(math.sqrt(_sq_distance(frame, ja, jb)) for (_, _, ja), (_, _, jb) in zip(fa, fb))
         increments.append({"pair": (na, nb), "sqrtq_h1": dq, "momentum_l2": dj})
     report["increments"] = increments
 

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .calculus import ModelParams
 from .diagnostics import DiagnosticsRecord, record
 from .errors import InvalidParameterError
-from .fokker_planck import PositivityEnvelope, divm_sup, envelope_check, envelope_update
+from .fokker_planck import PositivityEnvelope, envelope_check, envelope_update
 from .galerkin import SimState, coupled_step, make_initial_state
 from .spectral import GaussianFrame, ScalarField, VectorField
 
@@ -46,18 +46,18 @@ def simulate(frame: GaussianFrame, params: ModelParams, q0: ScalarField,
     """
     n_steps = step_count(dt, t_final)
     state = make_initial_state(q0, u0)
-    env = replace(PositivityEnvelope.from_initial_density(q0), last_sup=divm_sup(u0))
     records = [record(state, params)]
+    env = PositivityEnvelope.start(records[0].min_q, records[0].max_q, u0)
     states = [state] if keep_states else []
-    envelope_ok = envelope_check(state.q, env)
+    envelope_ok = True  # the initial range [min_q, max_q] lies inside the envelope it starts
     for step in range(n_steps):
         state = coupled_step(state, params, dt)
         env = envelope_update(env, state.u, dt)
         if (step + 1) % record_every == 0 or step + 1 == n_steps:
-            records.append(record(state, params))
-            envelope_ok = envelope_ok and envelope_check(state.q, env)
+            rec = record(state, params)
+            records.append(rec)
+            envelope_ok = envelope_ok and envelope_check(rec.min_q, rec.max_q, env)
             if keep_states:
-                # kept for their fields; the mass operator only serves the next step
-                states.append(replace(state, mass=None))
+                states.append(state)
     return SimulationResult(records=records, final_state=state,
                             envelope_ok=envelope_ok, states=states)

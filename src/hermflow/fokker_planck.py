@@ -85,12 +85,11 @@ class PositivityEnvelope:
         return math.exp(self.accumulated) / self.c0
 
     @classmethod
-    def from_initial_density(cls, q: ScalarField) -> "PositivityEnvelope":
-        qn = q.nodal[q.frame.trusted]
-        lo, hi = float(np.min(qn)), float(np.max(qn))
+    def start(cls, lo: float, hi: float, u: VectorField) -> "PositivityEnvelope":
+        """The envelope of an initial state whose trusted density range is [lo, hi]."""
         if lo <= 0.0:
             raise InvalidParameterError(f"initial density not strictly positive (min {lo:.3e})")
-        return cls(c0=min(lo, 1.0 / hi))
+        return cls(c0=min(lo, 1.0 / hi), last_sup=divm_sup(u))
 
 
 def _ou_decay(frame: GaussianFrame, delta1: float, s: float) -> np.ndarray:
@@ -169,7 +168,6 @@ def envelope_update(env: PositivityEnvelope, u: VectorField, dt: float) -> Posit
     )
 
 
-def envelope_check(q: ScalarField, env: PositivityEnvelope) -> bool:
-    """True when the density range over trusted nodes respects the envelope up to ENVELOPE_TOL."""
-    qn = q.nodal[q.frame.trusted]
-    return bool(np.min(qn) >= env.lower - ENVELOPE_TOL and np.max(qn) <= env.upper + ENVELOPE_TOL)
+def envelope_check(lo: float, hi: float, env: PositivityEnvelope) -> bool:
+    """True when the density range [lo, hi] respects the envelope up to ENVELOPE_TOL."""
+    return lo >= env.lower - ENVELOPE_TOL and hi <= env.upper + ENVELOPE_TOL

@@ -60,14 +60,16 @@ MAX_SWEEPS = 25
 class SimState:
     """Relative density, velocity and time.
 
-    ``mass`` is the mass operator of ``q`` when the step that produced the
-    state has already assembled it, so the next step need not repeat that.
+    ``momentum`` holds the (dim, n_basis) coefficients of int q u.phi of this
+    exact (q, u), set by the step that produced the state so the next step
+    need not assemble the mass operator of q again.  A state built by hand,
+    or by ``dataclasses.replace`` of ``q`` or ``u``, must leave it ``None``.
     """
 
     q: ScalarField
     u: VectorField
     t: float = 0.0
-    mass: MassOperator | None = field(default=None, compare=False, repr=False)
+    momentum: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def frame(self) -> GaussianFrame:
@@ -84,7 +86,7 @@ class MassOperator:
     The full velocity-space operator is block diagonal with this same block
     for every component, so only one (n_basis x n_basis) matrix is stored.
     Its lower Cholesky factor is formed by LAPACK on the first solve and
-    kept; ``matrix`` itself stays intact for :meth:`apply`.
+    kept; ``matrix`` itself stays intact for the momentum of the step's state.
     """
 
     __slots__ = ("matrix", "_factor")
@@ -116,9 +118,6 @@ class MassOperator:
             raise StepFailureError("momentum right-hand side has non-finite entries; reduce dt")
         x, _ = dpotrs(self._factor, rhs.T, lower=1)
         return x.T
-
-    def apply(self, coeffs: np.ndarray) -> np.ndarray:
-        return coeffs @ self.matrix.T
 
 
 def assemble_mass(q: ScalarField) -> MassOperator:
@@ -216,10 +215,10 @@ def coupled_step(state: SimState, params: ModelParams, dt: float,
     """Advance density and velocity together by one joint fixed point.
 
     Density update and midpoint force assembly repeat until the velocity
-    iterates settle below ``PICARD_TOL`` in the coefficient norm; the mass
-    matrix carries the momentum from the previous state so the update
-    discretizes d/dt(M[q]u) directly.  The state carries the mass operator
-    of its q, which the following step reuses.
+    iterates settle below ``PICARD_TOL`` in the coefficient norm; the update
+    discretizes d/dt(M[q]u) directly, starting from the momentum M[q]u of
+    the previous state.  The new state carries its own momentum, which the
+    following step starts from.
 
     ``coeffs`` overrides the :func:`momentum_rhs` coefficients (none for the
     confined system); its ``transport_coef`` also scales the velocity that
@@ -230,9 +229,10 @@ def coupled_step(state: SimState, params: ModelParams, dt: float,
     coeffs = coeffs or {}
     frame = state.frame
     q_prev, u_prev = state.q, state.u
-    mass_prev = assemble_mass(q_prev) if state.mass is None else state.mass
     c_prev = u_prev.coeffs
-    momentum_prev = mass_prev.apply(c_prev)
+    momentum_prev = state.momentum
+    if momentum_prev is None:
+        momentum_prev = c_prev @ assemble_mass(q_prev).matrix.T
     advection = 0.5 * coeffs.get("transport_coef", 1.0)
 
     # the velocity iterate is a coefficient array; fields are built only for
@@ -265,4 +265,5 @@ def coupled_step(state: SimState, params: ModelParams, dt: float,
     drift = abs(float(q_new.coeffs[0]) - float(q_prev.coeffs[0]))
     if drift > 1e-10:
         raise InternalConsistencyError(f"mass drifted by {drift:.3e} over one step")
-    return SimState(q_new, VectorField(frame, coeffs=c_iter), state.t + dt, mass_new)
+    return SimState(q_new, VectorField(frame, coeffs=c_iter), state.t + dt,
+                    c_iter @ mass_new.matrix.T)

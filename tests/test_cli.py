@@ -340,7 +340,9 @@ class TestRescaledCommand:
         code = main(["rescaled", write_config(tmp_path / "a.cfg", body),
                      "--output-dir", str(tmp_path / "out")])
         assert code == 3
-        assert capsys.readouterr().err.startswith("config error:")
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "[time] dt" in err and "half step" in err
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -15,7 +15,7 @@ from hermflow import (
     ou_semigroup,
 )
 from hermflow.calculus import div_m
-from hermflow.fokker_planck import FP_SWEEPS, divm_sup
+from hermflow.fokker_planck import ENVELOPE_TOL, FP_SWEEPS, divm_sup
 from hermflow.sampling import random_density, random_field, random_velocity
 from hermflow.spectral import multiply
 
@@ -47,11 +47,27 @@ class TestEnvelope:
             env = envelope_update(env, u, 0.1)
         assert env.lower == 0.25 and env.upper == 4.0
 
-    def test_check(self, frame_1d):
+    def test_check(self):
+        # each bound holds exactly ENVELOPE_TOL past it and fails one ulp further out
         env = PositivityEnvelope(c0=0.5)
-        assert envelope_check(unit_field(frame_1d), env)
-        spike = ScalarField(frame_1d, coeffs=4.0 * np.eye(frame_1d.n_basis)[0])
-        assert not envelope_check(spike, env)
+        lo, hi = env.lower - ENVELOPE_TOL, env.upper + ENVELOPE_TOL
+        assert envelope_check(1.0, 1.0, env)
+        assert envelope_check(lo, hi, env)
+        assert not envelope_check(np.nextafter(lo, -np.inf), 1.0, env)
+        assert not envelope_check(1.0, np.nextafter(hi, np.inf), env)
+
+    @pytest.mark.parametrize("lo, hi, c0", [(0.5, 0.8, 0.5), (0.7, 2.5, 0.4)],
+                             ids=["inside_one", "straddles_one"])
+    def test_start(self, frame_1d, rng, lo, hi, c0):
+        u = random_velocity(frame_1d, rng, decay=0.3, amplitude=0.1)
+        env = PositivityEnvelope.start(lo, hi, u)
+        assert env.c0 == c0 == min(lo, 1.0 / hi)
+        assert env.accumulated == 0.0
+        assert env.last_sup == divm_sup(u)
+
+    def test_start_needs_positive_density(self, frame_1d):
+        with pytest.raises(InvalidParameterError):
+            PositivityEnvelope.start(0.0, 2.0, VectorField.zero(frame_1d))
 
     def test_invalid(self):
         with pytest.raises(InvalidParameterError):

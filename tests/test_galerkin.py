@@ -26,6 +26,7 @@ from hermflow import (
 )
 from hermflow import calculus, spectral
 from hermflow.diagnostics import record
+from hermflow.driver import simulate
 from hermflow.errors import SOLVER_FAILURES
 from hermflow.galerkin import MAX_SWEEPS, PICARD_TOL
 from hermflow.rescaled import TauState, tau_coeffs
@@ -262,7 +263,7 @@ class TestCoupledStep:
          ("frame_1d", "dilated"), ("frame_2d", "dilated")],
         ids=["frame_1d", "frame_2d", "frame_1d-dilated", "frame_2d-dilated"])
     def test_carried_mass_operator_is_exact(self, frame_name, system, request, rng):
-        # a state carries the mass operator of its q; rebuilding it gives the same step
+        # a state carries the momentum of its (q, u); rebuilding it gives the same step
         frame = request.getfixturevalue(frame_name)
         if system == "confined":
             params = ModelParams(a=1.0, kappa=1.0, nu=0.5, lam=2.0, r0=0.1, delta1=0.3)
@@ -273,9 +274,9 @@ class TestCoupledStep:
         state = make_initial_state(random_density(frame, rng, decay=0.3),
                                    random_velocity(frame, rng, decay=0.3, amplitude=0.1))
         state = coupled_step(state, params, 1e-3, coeffs)
-        assert state.mass is not None
+        assert state.momentum is not None
         carried = coupled_step(state, params, 1e-3, coeffs)
-        rebuilt = coupled_step(dataclasses.replace(state, mass=None), params, 1e-3, coeffs)
+        rebuilt = coupled_step(dataclasses.replace(state, momentum=None), params, 1e-3, coeffs)
         assert np.array_equal(carried.q.coeffs, rebuilt.q.coeffs)
         assert np.array_equal(carried.u.coeffs, rebuilt.u.coeffs)
 
@@ -324,8 +325,9 @@ def object_path_step(state, params, dt, coeffs=None):
     coeffs = coeffs or {}
     frame = state.frame
     q_prev, u_prev = state.q, state.u
-    mass_prev = assemble_mass(q_prev) if state.mass is None else state.mass
-    momentum_prev = mass_prev.apply(u_prev.coeffs)
+    momentum_prev = state.momentum
+    if momentum_prev is None:
+        momentum_prev = u_prev.coeffs @ assemble_mass(q_prev).matrix.T
     advection = 0.5 * coeffs.get("transport_coef", 1.0)
     u_iter = u_prev
     for _ in range(MAX_SWEEPS):
@@ -340,7 +342,7 @@ def object_path_step(state, params, dt, coeffs=None):
         u_iter = u_next
         if math.sqrt(delta @ delta) < PICARD_TOL:
             break
-    return SimState(q_new, u_iter, state.t + dt, mass_new)
+    return SimState(q_new, u_iter, state.t + dt, u_iter.coeffs @ mass_new.matrix.T)
 
 
 def counted(monkeypatch, real):
@@ -361,7 +363,7 @@ class TestArraySweep:
     @pytest.mark.parametrize("frame_name", ["frame_1d", "frame_2d"])
     @pytest.mark.parametrize("system", ["drag_free", "regularized", "dilated", "nodal_velocity"])
     def test_bits_match_object_path(self, frame_name, system, request, rng):
-        # three steps against the field-arithmetic loop: q, u and the carried mass
+        # three steps against the field-arithmetic loop: q, u and the carried momentum
         frame = request.getfixturevalue(frame_name)
         params, coeffs = drag_free(), None
         if system == "regularized":
@@ -381,7 +383,7 @@ class TestArraySweep:
             assert np.array_equal(ours.q.coeffs, ref.q.coeffs)
             assert np.array_equal(ours.u.coeffs, ref.u.coeffs)
             assert np.array_equal(ours.u.nodal, ref.u.nodal)
-            assert np.array_equal(ours.mass.matrix, ref.mass.matrix)
+            assert np.array_equal(ours.momentum, ref.momentum)
 
     @pytest.mark.parametrize("frame_name", ["frame_1d", "frame_2d"])
     def test_drag_free_step_skips_field_products(self, frame_name, request, rng, monkeypatch):
@@ -397,6 +399,22 @@ class TestArraySweep:
         for arr in (out.u.coeffs, out.u.nodal):
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("frame_name", ["frame_1d", "frame_2d"])
+def test_kept_states_carry_their_momentum(frame_name, request, rng):
+    # each kept state's momentum is M[q]u of that very state, and only the
+    # initial state, built by hand, carries none
+    frame = request.getfixturevalue(frame_name)
+    params = ModelParams(a=1.0, kappa=1.0, nu=0.5, lam=2.0, r0=0.1, delta1=0.3)
+    q0 = random_density(frame, rng, decay=0.3)
+    u0 = random_velocity(frame, rng, decay=0.3, amplitude=0.1)
+    result = simulate(frame, params, q0, u0, dt=1e-3, t_final=4e-3, record_every=2,
+                      keep_states=True)
+    assert len(result.states) == 3 and result.states[0].momentum is None
+    for state in result.states[1:]:
+        expected = state.u.coeffs @ assemble_mass(state.q).matrix.T
+        assert np.array_equal(state.momentum, expected)
 
 
 class TestPlanarStepping:
