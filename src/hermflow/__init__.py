@@ -7,8 +7,8 @@ values, without arithmetic: sums and scalings are formed on their arrays;
 a ``VectorField`` is a ``ScalarField`` with ``(dim, ·)`` rows, and
 ``derivatives`` gives every nodal derivative of either),
 ``calculus`` (twisted operators, capillarity identities and
-``StateBundle``, the nodal quantities of one state that forces and
-diagnostics share), ``fokker_planck`` (semigroup
+``StateBundle``, the nodal quantities of one state, or of a stack of
+states, that forces and diagnostics share), ``fokker_planck`` (semigroup
 density updates and positivity envelopes), ``galerkin`` (mass operator,
 weak forces and ``coupled_step``, the joint fixed-point step of both
 systems), ``diagnostics`` (energies, entropies, moments, inequality
@@ -16,7 +16,7 @@ audits), ``continuation`` (mollified data and vanishing-drag sweeps),
 ``rescaled`` (self-similar variables for the unconfined flow: the
 ``coupled_step`` coefficients at a dilation and the dilated balances),
 ``driver`` (the confined march loop, which also tracks the positivity
-envelope) and ``cli`` (run orchestration, including the dilated march).
+envelope and records its states a chunk at a time) and ``cli`` (run orchestration, including the dilated march).
 
 Frames and fields are immutable values (a field's ``coeffs`` and ``nodal``
 are read-only arrays: writing into them raises); every public operation is

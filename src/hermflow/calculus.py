@@ -50,6 +50,7 @@ __all__ = [
     "gradient_nodal",
     "hessian_nodal",
     "require_positive",
+    "scalar_pow",
 ]
 
 #: floor for ln / sqrt / division on relative densities
@@ -100,36 +101,75 @@ class ModelParams:
         return any(getattr(self, name) != 0.0 for name in _REGULARIZERS)
 
 
-def require_positive(q: ScalarField) -> np.ndarray:
+def _stacked(fields, attr: str) -> np.ndarray:
+    """The ``attr`` array of one field, or those of a sequence of fields
+    stacked along a new leading axis."""
+    if isinstance(fields, ScalarField):
+        return getattr(fields, attr)
+    return np.stack([getattr(f, attr) for f in fields])
+
+
+def require_positive(q) -> np.ndarray:
     """Raw nodal values of q, floor-checked where the check is meaningful.
 
-    Positivity is asserted on the frame's trusted nodes and a breach raises
-    with the offending node attached; far-tail nodes carry no meaningful
-    pointwise information and are exempt.  Divisions by q must go through
-    the masked reciprocals of :class:`StateBundle`, never through the raw
-    values.
+    ``q`` is one field, or a sequence of fields on one frame whose values
+    are returned stacked along a leading axis.  Positivity is asserted on
+    the frame's trusted nodes and a breach raises with the offending node
+    attached; for a sequence the first breaching field raises, with the
+    node and value it raises with alone.  Far-tail nodes carry no
+    meaningful pointwise information and are exempt.  Divisions by q must
+    go through the masked reciprocals of :class:`StateBundle`, never
+    through the raw values.
     """
-    qn = q.nodal
-    trusted = q.frame.trusted
-    inner = np.where(trusted, qn, np.inf)
-    i = int(np.argmin(inner))
-    if not inner[i] >= POSITIVITY_FLOOR:  # argmin finds a NaN first, and NaN fails here
-        raise PositivityError(
-            f"density {qn[i]:.3e} below floor {POSITIVITY_FLOOR:.1e} at node {q.frame.nodes[i]}",
-            node=q.frame.nodes[i],
-            value=float(qn[i]),
-        )
+    frame = q.frame if isinstance(q, ScalarField) else q[0].frame
+    qn = _stacked(q, "nodal")
+    inner = np.where(frame.trusted, qn, np.inf)
+    # the minimum over every state is NaN if any value is, and NaN fails here
+    if not inner.min() >= POSITIVITY_FLOOR:
+        for row, values in zip(inner.reshape(-1, frame.n_nodes), qn.reshape(-1, frame.n_nodes)):
+            i = int(np.argmin(row))  # argmin finds a NaN first
+            if not row[i] >= POSITIVITY_FLOOR:
+                raise PositivityError(
+                    f"density {values[i]:.3e} below floor {POSITIVITY_FLOOR:.1e} "
+                    f"at node {frame.nodes[i]}",
+                    node=frame.nodes[i],
+                    value=float(values[i]),
+                )
     return qn
 
 
-def gradient_nodal(f: ScalarField) -> np.ndarray:
-    """Exact nodal gradient, shape rows + (dim, n_nodes); du[i, k] = d_k u_i for a velocity."""
-    return f.derivatives(1)
+def _derivatives(f, order: int) -> np.ndarray:
+    if isinstance(f, ScalarField):
+        return f.derivatives(order)
+    return f[0].frame.derivatives(_stacked(f, "coeffs"), order)
 
 
-def hessian_nodal(f: ScalarField) -> np.ndarray:
-    """Exact nodal Hessian, shape rows + (dim, dim, n_nodes)."""
-    return f.derivatives(2)
+def gradient_nodal(f) -> np.ndarray:
+    """Exact nodal gradient, shape rows + (dim, n_nodes); du[i, k] = d_k u_i for a velocity.
+
+    ``f`` is one field, or a sequence of fields on one frame, stacked along
+    a leading axis.
+    """
+    return _derivatives(f, 1)
+
+
+def hessian_nodal(f) -> np.ndarray:
+    """Exact nodal Hessian, shape rows + (dim, dim, n_nodes), of one field or
+    of a sequence of fields stacked along a leading axis."""
+    return _derivatives(f, 2)
+
+
+def scalar_pow(x, p: float):
+    """x ** p by Python's float power, one value at a time, for a float or an array.
+
+    numpy's vectorized power can differ from the C library's in the last
+    bit, even for p = 2, so a quantity formed over a stack of states goes
+    through this to equal, bit for bit, the same quantity of each state
+    alone.
+    """
+    if np.ndim(x) == 0:
+        return float(x) ** p
+    return np.array([v**p for v in np.ravel(x).tolist()]).reshape(np.shape(x))
 
 
 class _cached:
@@ -149,23 +189,38 @@ class _cached:
 
 
 class StateBundle:
-    """Nodal quantities and integrals of one (q, u) pair, each formed on first use and then kept.
+    """Nodal quantities and integrals of one (q, u) pair or of a stack of them,
+    each formed on first use and then kept.
 
     The weak forces, every diagnostic and the dilated energies read a state's
     derivatives and integrals from here, so each is defined once and formed
-    at most once per state.  Positivity of q is checked on construction.
+    at most once per state.  ``q`` and ``u`` are one field each, or
+    equal-length sequences of fields on one frame: a sequence stacks its
+    states along a leading axis of every array and every integral, and each
+    state's entries equal, bit for bit, those of its own one-state bundle
+    (every product runs row by row, see :meth:`GaussianFrame.derivatives`).
+    Positivity of q is checked on construction (:func:`require_positive`).
     Rational quantities (anything divided by a power of q) vanish on the
     frame's untrusted tail nodes; polynomial ones keep raw values so their
     quadrature sums stay exact.  Without a velocity the bundle describes
     (q, 0).
     """
 
-    def __init__(self, q: ScalarField, u: VectorField | None = None):
-        self.frame = q.frame
-        self.quad = q.frame.quad
-        self.q = q
-        self.u = VectorField.zero(q.frame) if u is None else u
+    def __init__(self, q, u=None):
+        self.frame = frame = q.frame if isinstance(q, ScalarField) else q[0].frame
+        if u is None:
+            zero = VectorField.zero(frame)
+            u = zero if isinstance(q, ScalarField) else [zero] * len(q)
+        self._q, self._u = q, u
         self.qn = require_positive(q)
+
+    # Every array carries the state axes first and the nodes last, so a
+    # per-node array meets a tensor as values[..., None, None, :].
+
+    def quad(self, values: np.ndarray):
+        """Quadrature integral against the normalized Gaussian measure along
+        the last (node) axis: one number per state."""
+        return np.vecdot(values, self.frame.weights)
 
     @_cached
     def mask(self) -> np.ndarray:
@@ -197,22 +252,23 @@ class StateBundle:
 
     @_cached
     def gq(self) -> np.ndarray:
-        return gradient_nodal(self.q)
+        return gradient_nodal(self._q)
 
     @_cached
     def hq(self) -> np.ndarray:
-        return hessian_nodal(self.q)
+        return hessian_nodal(self._q)
 
     @_cached
     def fisher_integrand(self) -> np.ndarray:
         """|grad q|^2 / q."""
-        return np.einsum("in,in->n", self.gq, self.gq) * self.inv_q
+        return np.einsum("...in,...in->...n", self.gq, self.gq) * self.inv_q
 
     @_cached
     def glog(self) -> np.ndarray:
         """sqrt(q) D^2(ln q), through the square-root form."""
-        outer = np.einsum("in,jn->ijn", self.gq, self.gq)
-        return self.hq * self.inv_sq - outer * self.inv_q * self.inv_sq
+        outer = np.einsum("...in,...jn->...ijn", self.gq, self.gq)
+        inv_q, inv_sq = self.inv_q[..., None, None, :], self.inv_sq[..., None, None, :]
+        return self.hq * inv_sq - outer * inv_q * inv_sq
 
     @_cached
     def stress(self) -> np.ndarray:
@@ -221,102 +277,105 @@ class StateBundle:
         The Hessian part stays raw (exact quadrature against polynomial
         test functions); only the rational part is masked.
         """
-        return 0.5 * self.hq - 0.5 * np.einsum("in,jn->ijn", self.gq, self.gq) * self.inv_q
+        outer = np.einsum("...in,...jn->...ijn", self.gq, self.gq)
+        return 0.5 * self.hq - 0.5 * outer * self.inv_q[..., None, None, :]
 
     @_cached
     def un(self) -> np.ndarray:
-        return self.u.nodal
+        return _stacked(self._u, "nodal")
 
     @_cached
     def raw2(self) -> np.ndarray:
-        return np.einsum("in,in->n", self.un, self.un)
+        return np.einsum("...in,...in->...n", self.un, self.un)
 
     @_cached
     def u_gq(self) -> np.ndarray:
         """u . grad q."""
-        return np.einsum("in,in->n", self.un, self.gq)
+        return np.einsum("...in,...in->...n", self.un, self.gq)
 
     @_cached
     def s2(self) -> np.ndarray:
         """|u|^2 projected back to degree N before entering quartic forms."""
-        s2c = np.zeros(self.frame.n_basis)
-        for row in self.un:
-            s2c += self.frame.project_nodal(row * row)
-        return self.frame._synthesize(s2c)
+        frame = self.frame
+        s2c = np.zeros(self.qn.shape[:-1] + (frame.n_basis,))
+        for ax in range(frame.dim):
+            row = self.un[..., ax, :]
+            s2c += frame.project_nodal(row * row)
+        return frame.derivatives(s2c, 0)
 
     @_cached
     def du(self) -> np.ndarray:
-        return gradient_nodal(self.u)
+        return gradient_nodal(self._u)
 
     @_cached
     def dsym(self) -> np.ndarray:
-        return 0.5 * (self.du + self.du.transpose(1, 0, 2))
+        return 0.5 * (self.du + self.du.swapaxes(-3, -2))
 
     @_cached
     def askew(self) -> np.ndarray:
-        return 0.5 * (self.du - self.du.transpose(1, 0, 2))
+        return 0.5 * (self.du - self.du.swapaxes(-3, -2))
 
     # Integrals against mu_m; moments are scaled by sigma^2 per power of |x|^2.
 
     @_cached
-    def mass(self) -> float:
+    def mass(self):
         return self.quad(self.qn)
 
     @_cached
-    def i2(self) -> float:
+    def i2(self):
         """int q |x|^2 / sigma^2."""
         return self.quad(self.qn * self.frame.radius_sq) / self.frame.sigma**2
 
     @_cached
-    def i4(self) -> float:
+    def i4(self):
         """int q |x|^4 / sigma^4."""
         sig2 = self.frame.sigma**2
         return self.quad(self.qn * self.frame.radius_sq**2) / sig2**2
 
     @_cached
-    def ke(self) -> float:
+    def ke(self):
         """int q |u|^2."""
         return self.quad(self.qn * self.raw2)
 
     @_cached
-    def u2(self) -> float:
+    def u2(self):
         """int |u|^2, the linear-drag integral."""
         return self.quad(self.raw2)
 
     @_cached
-    def cubic(self) -> float:
+    def cubic(self):
         """int q |u|^2 |u|^2 with the first |u|^2 dealiased, the cubic-drag integral."""
         return self.quad(self.qn * self.s2 * self.raw2)
 
     @_cached
-    def fisher(self) -> float:
+    def fisher(self):
         """int |grad q|^2 / q."""
         return self.quad(self.fisher_integrand)
 
     @_cached
-    def entropy(self) -> float:
+    def entropy(self):
         """int q ln q over the trusted nodes."""
         return self.quad(self.qlnq)
 
     @_cached
-    def cross(self) -> float:
+    def cross(self):
         """int u . grad q."""
         return self.quad(self.u_gq)
 
     @_cached
-    def glog2(self) -> float:
+    def glog2(self):
         """int |sqrt(q) D^2(ln q)|^2."""
-        return self.quad(np.einsum("ijn,ijn->n", self.glog, self.glog))
+        return self.quad(np.einsum("...ijn,...ijn->...n", self.glog, self.glog))
 
     @_cached
-    def dsym2(self) -> float:
+    def dsym2(self):
         """int q |D(u)|^2."""
-        return self.quad(self.qn * np.einsum("ijn,ijn->n", self.dsym, self.dsym))
+        return self.quad(self.qn * np.einsum("...ijn,...ijn->...n", self.dsym, self.dsym))
 
     @_cached
-    def askew2(self) -> float:
+    def askew2(self):
         """int q |A(u)|^2."""
-        return self.quad(self.qn * np.einsum("ijn,ijn->n", self.askew, self.askew))
+        return self.quad(self.qn * np.einsum("...ijn,...ijn->...n", self.askew, self.askew))
 
 
 def div_m(v: VectorField) -> ScalarField:

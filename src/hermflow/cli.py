@@ -29,7 +29,7 @@ from . import diagnostics
 from .calculus import ModelParams, StateBundle, bohm_residual, korteweg_consistency
 from .config import RunConfig, check_seed, load_config
 from .continuation import mollify_initial_data, schedule_indices, vanishing_drag_sweep
-from .driver import simulate, step_count
+from .driver import in_record_chunks, simulate, step_count
 from .errors import SOLVER_FAILURES, ConfigError, DimensionError, InvalidParameterError
 from .galerkin import SimState, coupled_step, project_initial_velocity
 from .rescaled import (
@@ -287,16 +287,28 @@ def rescaled_run(cfg: RunConfig) -> int:
                               "and the dilation is solved at half steps")
         # tau at every half step: taus[2k] starts step k, taus[2k + 1] is its midpoint
         taus = tau_solve(cfg.a, cfg.kappa, cfg.nu, cfg.t_final, cfg.dt / 2.0)
-    state = SimState(q0, u0)
     energies, remainders, rows = [], [], []
-    for k in range(n_steps + 1):
-        tau = taus[2 * k]
-        *energy, remainder = rescaled_balance(StateBundle(state.q, state.u), tau, params)
-        energies.append(energy)
-        remainders.append(remainder)
-        rows.append((tau.t, tau.tau, tau.tau_dot, float(state.q.coeffs[0]), *energy, remainder))
-        if k < n_steps:
+
+    def march():
+        state = SimState(q0, u0)
+        yield state, taus[0]
+        for k in range(n_steps):
             state = coupled_step(state, params, cfg.dt, tau_coeffs(params, taus[2 * k + 1]))
+            yield state, taus[2 * k + 2]
+
+    def balance(pending):
+        states, dilations = zip(*pending)
+        b = StateBundle([s.q for s in states], [s.u for s in states])
+        values = rescaled_balance(b, np.array([d.tau for d in dilations]),
+                                  np.array([d.tau_dot for d in dilations]), params)
+        for state, tau, (*energy, remainder) in zip(states, dilations,
+                                                     np.column_stack(values).tolist()):
+            energies.append(energy)
+            remainders.append(remainder)
+            rows.append((tau.t, tau.tau, tau.tau_dot, float(state.q.coeffs[0]),
+                         *energy, remainder))
+
+    in_record_chunks(frame, march(), balance)
     _write_csv(out / "trajectory.csv", ["t", "tau", "tau_dot", "mass", "E_tau", "D_tau",
                                         "E_BD_tau", "D_BD_tau", "bd_remainder"], rows)
     residual = combined_identity_residual(energies, cfg.dt, remainders)

@@ -20,11 +20,11 @@ Sign conventions: every inequality is reported as a *margin*
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .calculus import ModelParams, StateBundle, gradient_nodal
+from .calculus import ModelParams, StateBundle, gradient_nodal, scalar_pow
 from .errors import InvalidParameterError
 from .galerkin import SimState
 from .spectral import GaussianFrame, ScalarField, VectorField
@@ -73,6 +73,9 @@ class DiagnosticsRecord:
     cross_qu: float
     drag0_x: float
     drag1_x: float
+
+
+_RECORD_FIELDS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 def _energy_from_bundle(b: StateBundle, params: ModelParams):
@@ -135,10 +138,11 @@ def _bd_balance(b: StateBundle, params: ModelParams, d1s):
     sig2 = b.frame.sigma**2
     nu = params.nu
     # q D^2(ln q) without the sqrt weight; rational part masked
-    qhlog = b.hq * b.mask - np.einsum("in,jn->ijn", b.gq, b.gq) * b.inv_q
+    outer = np.einsum("...in,...jn->...ijn", b.gq, b.gq)
+    qhlog = b.hq * b.mask - outer * b.inv_q[..., None, None, :]
     gradlog = b.quad(b.fisher_integrand * b.inv_q)  # |grad ln q|^2, unweighted
-    dsym_qhlog = b.quad(np.einsum("ikn,ikn->n", b.dsym, qhlog))
-    du_gq_glog = b.quad(np.einsum("ikn,kn,in->n", b.du, b.gq, b.gq) * b.inv_q)
+    dsym_qhlog = b.quad(np.einsum("...ikn,...ikn->...n", b.dsym, qhlog))
+    du_gq_glog = b.quad(np.einsum("...ikn,...kn,...in->...n", b.du, b.gq, b.gq) * b.inv_q)
     s2_ugq = b.quad(b.s2 * b.u_gq)
     out = []
     for d1 in d1s:
@@ -183,8 +187,10 @@ def lsi_margins(q: ScalarField):
 
 
 def _lsi_from_bundle(b: StateBundle, mass_tol: float):
-    if abs(b.mass - 1.0) > mass_tol:
-        raise InvalidParameterError(f"log-Sobolev check needs unit mass, got {b.mass:.12f}")
+    mass = np.ravel(b.mass)
+    off = np.flatnonzero(np.abs(mass - 1.0) > mass_tol)
+    if off.size:  # the first state off unit mass
+        raise InvalidParameterError(f"log-Sobolev check needs unit mass, got {mass[off[0]]:.12f}")
     dirichlet = 0.25 * b.fisher
     sig2 = b.frame.sigma**2
     return 2.0 * sig2 * dirichlet - b.entropy, (2.0 / sig2) * dirichlet - b.entropy
@@ -205,16 +211,18 @@ def check_hessian_lemma(q: ScalarField):
 def _hessian_lemma_from_bundle(b: StateBundle):
     frame = b.frame
     gq, inv_q, inv_sq = b.gq, b.inv_q, b.inv_sq
-    hess_sqrt = 0.5 * b.hq * inv_sq - 0.25 * np.einsum("in,jn->ijn", gq, gq) * inv_q * inv_sq
-    a_val = b.quad(np.einsum("ijn,ijn->n", hess_sqrt, hess_sqrt))
-    grad2 = np.einsum("in,in->n", gq, gq)
+    outer = np.einsum("...in,...jn->...ijn", gq, gq)
+    inv_q2, inv_sq2 = inv_q[..., None, None, :], inv_sq[..., None, None, :]
+    hess_sqrt = 0.5 * b.hq * inv_sq2 - 0.25 * outer * inv_q2 * inv_sq2
+    a_val = b.quad(np.einsum("...ijn,...ijn->...n", hess_sqrt, hess_sqrt))
+    grad2 = np.einsum("...in,...in->...n", gq, gq)
     b_val = b.quad(grad2**2 * inv_q**3 / 16.0)
     d_val = 0.25 * b.glog2
     i4 = b.i4
     margin_mid = (
         d_val
-        + math.sqrt(3.0 * b_val * d_val)
-        + i4**0.25 * b_val**0.75 / frame.sigma
+        + np.sqrt(3.0 * b_val * d_val)
+        + scalar_pow(i4, 0.25) * scalar_pow(b_val, 0.75) / frame.sigma
         - (a_val + b_val)
     )
     margin_final = 4.0 * d_val + 0.75 * i4 / frame.sigma**4 - (a_val + 0.5 * b_val)
@@ -224,21 +232,23 @@ def _hessian_lemma_from_bundle(b: StateBundle):
 _ZERO_RATIO_TOL = 1e-13
 
 
-def _ratio(lhs: float, rhs: float) -> float:
-    """lhs / rhs, with a vanishing rhs giving 0 when lhs vanishes too and inf otherwise."""
-    if rhs < _ZERO_RATIO_TOL:
-        return 0.0 if lhs < _ZERO_RATIO_TOL else math.inf
-    return lhs / rhs
+def _ratio(lhs, rhs):
+    """lhs / rhs per state, with a vanishing rhs giving 0 when lhs vanishes too and inf otherwise."""
+    small = rhs < _ZERO_RATIO_TOL
+    return np.where(small, np.where(lhs < _ZERO_RATIO_TOL, 0.0, math.inf),
+                    lhs / np.where(small, 1.0, rhs))
 
 
 def poincare_ratio(f: ScalarField) -> float:
     """Empirical strong-Poincare ratio |sqrt(1+|x|^2)(f - mean)| / |grad f|."""
-    frame = f.frame
-    fn = f.nodal
-    mean = frame.quad(fn)
-    lhs = math.sqrt(frame.quad((1.0 + frame.radius_sq) * (fn - mean) ** 2))
-    gf = gradient_nodal(f)
-    return _ratio(lhs, math.sqrt(frame.quad(np.einsum("in,in->n", gf, gf))))
+    return float(_poincare_ratio(f.frame, f.nodal, gradient_nodal(f)))
+
+
+def _poincare_ratio(frame: GaussianFrame, fn: np.ndarray, gf: np.ndarray):
+    w = frame.weights
+    mean = np.vecdot(fn, w)
+    lhs = np.sqrt(np.vecdot((1.0 + frame.radius_sq) * (fn - mean[..., None]) ** 2, w))
+    return _ratio(lhs, np.sqrt(np.vecdot(np.einsum("...in,...in->...n", gf, gf), w)))
 
 
 def poincare_korn_ratio(u: VectorField) -> float:
@@ -248,61 +258,73 @@ def poincare_korn_ratio(u: VectorField) -> float:
     constants give 0 by convention (both sides vanish).
     """
     du = gradient_nodal(u)
-    return _korn_ratio(u.frame, u.nodal, 0.5 * (du + du.transpose(1, 0, 2)))
+    return float(_korn_ratio(u.frame, u.nodal, 0.5 * (du + du.transpose(1, 0, 2))))
 
 
-def _korn_ratio(frame: GaussianFrame, un: np.ndarray, dsym: np.ndarray) -> float:
-    mean = np.array([frame.quad(un[i]) for i in range(frame.dim)])
-    centered = un - mean[:, None]
+def _korn_ratio(frame: GaussianFrame, un: np.ndarray, dsym: np.ndarray):
+    w = frame.weights
+    centered = un - np.vecdot(un, w)[..., None]
     if frame.dim == 2:
         # remove the weighted L^2_mu projection onto the infinitesimal rotations
         rot = np.stack([-frame.nodes[:, 1], frame.nodes[:, 0]])
-        num = frame.quad(np.einsum("in,in->n", un, rot))
+        num = np.vecdot(np.einsum("...in,in->...n", un, rot), w)
         den = frame.quad(np.einsum("in,in->n", rot, rot))
-        centered = centered - (num / den) * rot
-    lhs = math.sqrt(
-        frame.quad((1.0 + frame.radius_sq) * np.einsum("in,in->n", centered, centered))
+        centered = centered - (num / den)[..., None, None] * rot
+    lhs = np.sqrt(
+        np.vecdot((1.0 + frame.radius_sq) * np.einsum("...in,...in->...n", centered, centered), w)
     )
-    return _ratio(lhs, math.sqrt(frame.quad(np.einsum("ijn,ijn->n", dsym, dsym))))
+    return _ratio(lhs, np.sqrt(np.vecdot(np.einsum("...ijn,...ijn->...n", dsym, dsym), w)))
 
 
-def record(state: SimState, params: ModelParams) -> DiagnosticsRecord:
-    """Full diagnostics of one state."""
-    q, u = state.q, state.u
-    frame = q.frame
-    b = StateBundle(q, u)
+def record(states: list[SimState], params: ModelParams) -> list[DiagnosticsRecord]:
+    """Full diagnostics of each state of a sequence, from one stacked bundle.
+
+    Every record equals, field for field and bit for bit, the record of its
+    state alone.  The checks run over the whole sequence: a positivity
+    breach raises for the first breaching state, before any mass error of
+    the log-Sobolev check.
+    """
+    frame = states[0].frame
+    b = StateBundle([s.q for s in states], [s.u for s in states])
     e_reg, d_reg = _energy_from_bundle(b, params)
     (d_bd, _), (d_bd_reg, r_bd_reg) = _bd_balance(b, params, (0.0, params.delta1))
     _, _, _, _, hmid, hfin = _hessian_lemma_from_bundle(b)
-    sqrt_q = ScalarField(frame, nodal=np.sqrt(b.q_safe))
-    x_dot_u = np.einsum("in,in->n", frame.nodes.T, b.un)
-    return DiagnosticsRecord(
-        t=float(state.t),
-        mass=b.mass,
-        e_reg=e_reg,
-        d_reg=d_reg,
-        e_bd=_bd_entropy_value(b, params),
-        d_bd=d_bd,
-        d_bd_reg=d_bd_reg,
-        r_bd_reg=r_bd_reg,
-        i2=b.i2,
-        i2_tilde=b.i2 - frame.dim,
-        i4=b.i4,
-        mx=tuple(float(v) for v in frame.nodes.T @ (frame.weights * b.qn)),
-        mu=tuple(b.quad(b.qn * b.un[i]) for i in range(frame.dim)),
-        min_q=float(np.min(b.qn[frame.trusted])),
-        max_q=float(np.max(b.qn[frame.trusted])),
-        lsi_margin=_lsi_from_bundle(b, 1e-6)[0],
-        hess_margin_mid=hmid,
-        hess_margin_final=hfin,
-        poincare_q=poincare_ratio(sqrt_q),
-        poincare_korn_u=_korn_ratio(frame, b.un, b.dsym),
-        ke2=b.ke,
-        fisher=b.fisher,
-        cross_qu=b.cross,
-        drag0_x=b.quad(x_dot_u),
-        drag1_x=b.quad(b.qn * b.s2 * x_dot_u),
-    )
+    sqrt_q = np.sqrt(b.q_safe)
+    w = frame.weights
+    x_dot_u = np.einsum("in,...in->...n", frame.nodes.T, b.un)
+    trusted_q = b.qn[:, frame.trusted]
+    columns = {
+        "t": [float(s.t) for s in states],
+        "mass": b.mass,
+        "e_reg": e_reg,
+        "d_reg": d_reg,
+        "e_bd": _bd_entropy_value(b, params),
+        "d_bd": d_bd,
+        "d_bd_reg": d_bd_reg,
+        "r_bd_reg": r_bd_reg,
+        "i2": b.i2,
+        "i2_tilde": b.i2 - frame.dim,
+        "i4": b.i4,
+        "mx": np.matmul(frame.nodes.T, (w * b.qn)[..., None])[..., 0],
+        "mu": b.quad(b.qn[:, None, :] * b.un),
+        "min_q": np.min(trusted_q, axis=-1),
+        "max_q": np.max(trusted_q, axis=-1),
+        "lsi_margin": _lsi_from_bundle(b, 1e-6)[0],
+        "hess_margin_mid": hmid,
+        "hess_margin_final": hfin,
+        "poincare_q": _poincare_ratio(
+            frame, sqrt_q, frame.derivatives(frame.project_nodal(sqrt_q), 1)),
+        "poincare_korn_u": _korn_ratio(frame, b.un, b.dsym),
+        "ke2": b.ke,
+        "fisher": b.fisher,
+        "cross_qu": b.cross,
+        "drag0_x": b.quad(x_dot_u),
+        "drag1_x": b.quad(b.qn * b.s2 * x_dot_u),
+    }
+    # Python floats per state, a tuple of them for the two vector moments
+    values = {name: np.asarray(v).tolist() for name, v in columns.items()}
+    values["mx"], values["mu"] = ([tuple(v) for v in values[name]] for name in ("mx", "mu"))
+    return [DiagnosticsRecord(*row) for row in zip(*(values[name] for name in _RECORD_FIELDS))]
 
 
 def _fd4(values: np.ndarray, dt: float):

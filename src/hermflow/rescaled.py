@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import ModelParams, StateBundle
+from .calculus import ModelParams, StateBundle, scalar_pow
 from .driver import step_count
 from .errors import InvalidParameterError, StepFailureError
 from .galerkin import SimState, coupled_step
@@ -129,8 +129,11 @@ def rescaled_step(q: ScalarField, u: VectorField, tau_mid: TauState,
     return state.q, state.u
 
 
-def rescaled_balance(b: StateBundle, tau_state: TauState, params: ModelParams):
+def rescaled_balance(b: StateBundle, tau, tau_dot, params: ModelParams):
     r"""(E, D, E_BD, D_BD, R) of the dilated system at the state of bundle b.
+
+    ``tau`` and ``tau_dot`` are the dilation and its rate at that state:
+    floats for a one-state bundle, one entry per state for a stacked one.
 
     The effective velocity W = U + 2 nu grad(ln Q) carries the entropy.  The
     effective-velocity equation picks up a source :math:`(2\nu/\tau^2)\,QU`
@@ -146,35 +149,35 @@ def rescaled_balance(b: StateBundle, tau_state: TauState, params: ModelParams):
 
     :func:`combined_identity_residual` audits it with or without R.
     """
-    tau, tdot = tau_state.tau, tau_state.tau_dot
+    tau2, tau3, tau4 = (scalar_pow(tau, p) for p in (2, 3, 4))
     nu, kappa_sq = params.nu, params.kappa**2
     kinetic_block = b.ke + kappa_sq * b.fisher
     # q|W|^2 with W = U + 2 nu grad(ln Q), expanded to keep polynomials raw
     ke_w = b.ke + 4.0 * nu * b.cross + 4.0 * nu**2 * b.fisher
 
-    e_val = 0.5 / tau**2 * kinetic_block + params.a * b.entropy
-    d_val = tdot / tau**3 * kinetic_block + 2.0 * nu / tau**4 * b.dsym2
-    e_bd = 0.5 / tau**2 * (ke_w + kappa_sq * b.fisher) + params.a * b.entropy
+    e_val = 0.5 / tau2 * kinetic_block + params.a * b.entropy
+    d_val = tau_dot / tau3 * kinetic_block + 2.0 * nu / tau4 * b.dsym2
+    e_bd = 0.5 / tau2 * (ke_w + kappa_sq * b.fisher) + params.a * b.entropy
     d_bd = (
-        tdot / tau**3 * kinetic_block
-        + 2.0 * nu / tau**4 * b.askew2
-        + 2.0 * nu * kappa_sq / tau**4 * b.glog2
-        + 2.0 * nu * (params.a / tau**2 + kappa_sq / tau**4) * b.fisher
+        tau_dot / tau3 * kinetic_block
+        + 2.0 * nu / tau4 * b.askew2
+        + 2.0 * nu * kappa_sq / tau4 * b.glog2
+        + 2.0 * nu * (params.a / tau2 + kappa_sq / tau4) * b.fisher
     )
-    remainder = 2.0 * nu / tau**4 * (b.ke + 2.0 * nu * b.cross)
+    remainder = 2.0 * nu / tau4 * (b.ke + 2.0 * nu * b.cross)
     return e_val, d_val, e_bd, d_bd, remainder
 
 
 def rescaled_energy(q: ScalarField, u: VectorField, tau_state: TauState,
                     params: ModelParams):
     """(E, D, E_BD, D_BD) of :func:`rescaled_balance` at (q, u)."""
-    return rescaled_balance(StateBundle(q, u), tau_state, params)[:4]
+    return rescaled_balance(StateBundle(q, u), tau_state.tau, tau_state.tau_dot, params)[:4]
 
 
 def rescaled_bd_remainder(q: ScalarField, u: VectorField, tau_state: TauState,
                           params: ModelParams) -> float:
     """Twist remainder R of :func:`rescaled_balance` at (q, u)."""
-    return rescaled_balance(StateBundle(q, u), tau_state, params)[4]
+    return rescaled_balance(StateBundle(q, u), tau_state.tau, tau_state.tau_dot, params)[4]
 
 
 def combined_identity_residual(energies, dt: float, remainders=None) -> float:

@@ -97,18 +97,6 @@ def _basis_values(tables, multi_indices: np.ndarray) -> np.ndarray:
     return math.prod(map(lambda t, m: t[:, m], tables, multi_indices.T))
 
 
-def _by_row(fn, values: np.ndarray, width: int) -> np.ndarray:
-    """``fn`` of each row of ``values``, one call per row, as a read-only array."""
-    if values.ndim == 1:
-        out = fn(values)
-    else:
-        out = np.empty(values.shape[:-1] + (width,))
-        for i, row in enumerate(values):
-            out[i] = fn(row)
-    out.setflags(write=False)
-    return out
-
-
 def _axis_sets(dim: int, order: int) -> tuple:
     """((axes, positions), ...): each sorted tuple of ``order`` axes, with the
     flat positions in a (dim,) * order block whose indices are its permutations."""
@@ -245,6 +233,31 @@ class GaussianFrame:
         pairs = self._pair_table
         return (pairs.T @ (grid @ pairs)).take(self._gram_index)
 
+    def derivatives(self, coeffs: np.ndarray, order: int) -> np.ndarray:
+        """Exact nodal derivatives of each row of ``coeffs``, shape
+        coeffs.shape[:-1] + (dim,) * order + (n_nodes,).
+
+        Entry [..., a_1, ..., a_order, :] is d/dx_a_1 ... d/dx_a_order of the
+        row, for order <= 3; order 0 is the synthesis.  Any leading shape is
+        accepted, and every row is synthesized on its own, so a row of a
+        stack equals that row alone bit for bit.  Derivatives commute, so in
+        d = 2 each distinct set of axes is synthesized once per row and
+        copied to its permutations.
+        """
+        n = self.n_nodes
+        shape = coeffs.shape[:-1] + (self.dim,) * order + (n,)
+        if self.dim == 1:
+            # a single axis set: one matrix-vector product with a 1D table per row
+            return np.matmul(self._tables[order], coeffs[..., None])[..., 0].reshape(shape)
+        rows = coeffs.reshape(-1, self.n_basis)
+        out = np.empty((rows.shape[0], self.dim**order, n))
+        for block, row in zip(out, rows):
+            for axes, positions in self._axis_sets[order]:
+                values = self._synthesize(row, axes)
+                for pos in positions:
+                    block[pos] = values
+        return out.reshape(shape)
+
     def basis_eval(self, points: np.ndarray) -> np.ndarray:
         """Vandermonde matrix of the basis at arbitrary points, shape (m, n_basis)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -254,13 +267,18 @@ class GaussianFrame:
                               for ax in range(self.dim)), self.multi_indices)
 
     def project_nodal(self, values: np.ndarray) -> np.ndarray:
-        """L^2_mu projection of nodal values onto the basis (exact for degree <= N)."""
+        """L^2_mu projection of nodal values onto the basis (exact for degree <= N).
+
+        Leading axes of ``values`` are kept: each row is projected by its
+        own matrix-vector product, so it equals its projection alone bit
+        for bit.
+        """
         values = np.asarray(values, dtype=float)
-        if values.shape != (self.n_nodes,):
+        if values.shape[-1:] != (self.n_nodes,):
             raise DimensionError(
                 f"expected {self.n_nodes} nodal values (= quad_order^dim), got {values.shape}"
             )
-        return self.V.T @ (self.weights * values)
+        return np.matmul(self.V.T, (self.weights * values)[..., None])[..., 0]
 
     def quad(self, nodal_values: np.ndarray) -> float:
         """Quadrature integral against the normalized Gaussian measure."""
@@ -334,36 +352,24 @@ class ScalarField:
     @property
     def coeffs(self) -> np.ndarray:
         if self._coeffs is None:
-            self._coeffs = _by_row(self.frame.project_nodal, self._nodal, self.frame.n_basis)
+            self._coeffs = self.frame.project_nodal(self._nodal)
+            self._coeffs.setflags(write=False)
         return self._coeffs
 
     @property
     def nodal(self) -> np.ndarray:
         if self._nodal is None:
-            self._nodal = _by_row(self.frame._synthesize, self._coeffs, self.frame.n_nodes)
+            self._nodal = self.frame.derivatives(self._coeffs, 0)
+            self._nodal.setflags(write=False)
         return self._nodal
 
     def derivatives(self, order: int) -> np.ndarray:
         """Exact nodal derivatives of each row, shape rows + (dim,) * order + (n_nodes,).
 
         Entry [..., a_1, ..., a_order, :] is d/dx_a_1 ... d/dx_a_order of the
-        row, for order <= 3.  Derivatives commute, so each distinct set of
-        axes is synthesized once per row and copied to its permutations.
+        row, for order <= 3 (see :meth:`GaussianFrame.derivatives`).
         """
-        frame, coeffs = self.frame, self.coeffs
-        n = frame.n_nodes
-        shape = coeffs.shape[:-1] + (frame.dim,) * order + (n,)
-        if frame.dim == 1:
-            # a single row and a single axis set: one product with a 1D table
-            return (frame._tables[order] @ coeffs.ravel()).reshape(shape)
-        rows = coeffs.reshape(-1, frame.n_basis)
-        out = np.empty((rows.shape[0], frame.dim**order, n))
-        for block, row in zip(out, rows):
-            for axes, positions in frame._axis_sets[order]:
-                values = frame._synthesize(row, axes)
-                for pos in positions:
-                    block[pos] = values
-        return out.reshape(shape)
+        return self.frame.derivatives(self.coeffs, order)
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         """Values of each row at arbitrary points, shape rows + (m,)."""

@@ -37,7 +37,7 @@ def base_params(**kw):
 
 
 def diagnose(q, u, params):
-    return record(make_initial_state(q, u), params)
+    return record([make_initial_state(q, u)], params)[0]
 
 
 def minimal_energy(params, sigma, dim):
@@ -250,7 +250,7 @@ class TestEnergyBridge:
 class TestRecordSerialization:
     def test_csv_round(self, frame_1d):
         state = make_initial_state(unit_field(frame_1d), VectorField.zero(frame_1d))
-        rec = record(state, base_params())
+        rec = record([state], base_params())[0]
         header = csv_header(1)
         row = csv_row(rec)
         assert len(header) == len(row)

@@ -254,7 +254,7 @@ class TestCoupledStep:
         dt = math.pi / 4.0 / 400
         for _ in range(400):
             state = coupled_step(state, params, dt)
-        mx = record(state, params).mx[0]
+        mx = record([state], params)[0].mx[0]
         assert abs(mx) < 0.01 * x0
 
     @pytest.mark.parametrize(
@@ -428,7 +428,7 @@ class TestPlanarStepping:
         dt = 2e-3
         for k in range(150):
             state = coupled_step(state, params, dt)
-            records.append((state.t, record(state, params).mx))
+            records.append((state.t, record([state], params)[0].mx))
         t = np.array([r[0] for r in records])
         mx = np.array([r[1] for r in records])
         exact = x0[None, :] * np.cos(2.0 * t)[:, None]

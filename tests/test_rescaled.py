@@ -149,7 +149,7 @@ class TestRescaledEnergies:
         for _ in range(3):
             q = random_density(frame, rng)
             u = random_velocity(frame, rng, amplitude=0.5)
-            rec = record(make_initial_state(q, u), params)
+            rec = record([make_initial_state(q, u)], params)[0]
             pairs = list(zip(rescaled_energy(q, u, unit, params),
                              (rec.e_reg, rec.d_reg, rec.e_bd, rec.d_bd)))
             pairs.append((rescaled_bd_remainder(q, u, unit, params),
