@@ -131,10 +131,12 @@ def fp_step(q: ScalarField, u: VectorField, delta1: float, dt: float) -> ScalarF
             qn = q.nodal
         else:
             qn = frame._synthesize(0.5 * (c0 + c_new))
-        # div_m(q u), each flux component dealiased: projected from its nodal product
+        # div_m(q u), each flux component dealiased: its nodal product tested
+        # against the basis by the sum-factorized adjoint (no dense V in d = 2)
         divm_qu = np.zeros(frame.n_basis)
         for ax in range(frame.dim):
-            divm_qu += frame.divm_mats[ax] @ frame.project_nodal(qn * un[ax])
+            flux = frame._synthesize_adjoint(frame.weights * (qn * un[ax]))
+            divm_qu += frame.divm_mats[ax] @ flux
         c_next = free - step * divm_qu
         delta = c_next - c_new
         increment = math.sqrt(delta @ delta)

@@ -25,9 +25,12 @@ The basis and the quadrature are tensor products, so in d = 2 every
 synthesis (coefficients to nodal values of a field or of its derivatives),
 its transpose (nodal values tested against the basis) and the mass-matrix
 assembly contract one axis at a time against the 1D tables (sum
-factorization).  The nodes-to-coefficients projection stays one dense
-(basis size times node count) product.  In d = 1 every transform is a
-plain dense product.
+factorization).  The density step tests its flux rows against the basis
+through that transpose as well.  The nodes-to-coefficients projection
+(:meth:`GaussianFrame.project_nodal`) stays one dense (basis size times
+node count) product, for the projections that form a state: initial
+data, fields built from nodal values and the dealiased ``|u|^2``.  In
+d = 1 every transform is a plain dense product.
 """
 
 from __future__ import annotations

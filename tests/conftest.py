@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hermflow import GaussianFrame, ScalarField, VectorField, build_frame, div_m, multiply
+from hermflow import GaussianFrame, ScalarField, VectorField, build_frame, div_m
 from hermflow.fokker_planck import FP_SWEEPS
 
 
@@ -89,11 +89,12 @@ def zero_velocity(frame: GaussianFrame) -> VectorField:
 
 
 def flux_field(q: ScalarField, u: VectorField) -> VectorField:
-    """q u with each component the dealiased product multiply(q, u_i) of q
-    and that component's nodal values."""
+    """q u with each component the dealiased product of q and that
+    component's nodal values, tested against the basis by the frame's
+    sum-factorized adjoint (the dense multiply(q, u_i) up to round-off)."""
     frame = q.frame
     return VectorField(frame, coeffs=np.stack(
-        [multiply(q, ScalarField(frame, nodal=row)).coeffs for row in u.nodal]))
+        [frame._synthesize_adjoint(frame.weights * (q.nodal * row)) for row in u.nodal]))
 
 
 def object_path_fp_step(q: ScalarField, u: VectorField, delta1: float, dt: float) -> ScalarField:

@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hermflow
+from hermflow import ScalarField, cli, config
 from hermflow.cli import main
-from hermflow import config
 from hermflow.config import ConfigError, RunConfig, load_config
+from hermflow.sampling import tilted_density
 
 
 def write_config(path, body):
@@ -187,6 +188,30 @@ class TestSimulateCommand:
         assert err.startswith("config error:")
         if "quad_order" in new:  # the rule size follows from the degree
             assert "unknown key [frame] quad_order" in err
+
+    def test_state_file_off_unit_mass_exits_3(self, tmp_path, capsys):
+        # a positive state at half mass is not mollified, so nothing normalizes it
+        frame = hermflow.build_frame(a=1.0, kappa=1.0, lam=2.0, dim=1, degree=12)
+        np.savez(tmp_path / "half.npz", q_coeffs=0.5 * tilted_density(frame, 0.3).coeffs,
+                 u_coeffs=np.zeros((1, 13)))
+        body = STEADY.replace("family = steady", f"family = file\n    path = {tmp_path}/half.npz")
+        code = main(["simulate", write_config(tmp_path / "a.cfg", body),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "unit mass, got 0.500000000000" in err
+
+    def test_mollified_state_file_is_normalized(self, tmp_path):
+        # a state that dips below zero is mollified, which restores unit mass
+        coeffs = np.zeros(13)
+        coeffs[[0, 2]] = 0.5, 1.0  # 0.5 + He_2 / sqrt(2) < 0 near the origin
+        np.savez(tmp_path / "dip.npz", q_coeffs=coeffs, u_coeffs=np.zeros((1, 13)))
+        body = STEADY.replace("family = steady", f"family = file\n    path = {tmp_path}/dip.npz")
+        cfg = load_config(write_config(tmp_path / "a.cfg", body))
+        frame = cli._make_frame(cfg)
+        q0, _ = cli._initial_state(cfg, frame)
+        assert np.min(ScalarField(frame, coeffs=coeffs).nodal) < 0.0
+        assert abs(q0.coeffs[0] - 1.0) <= 1e-6
 
     def test_percent_in_values_is_literal(self, tmp_path):
         # '%' has no special meaning: no interpolation and no syntax error

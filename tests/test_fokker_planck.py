@@ -14,10 +14,11 @@ from hermflow import (
     fp_step,
     ou_semigroup,
 )
+from hermflow import spectral
 from hermflow.calculus import div_m
 from hermflow.fokker_planck import ENVELOPE_TOL, FP_SWEEPS, divm_sup
 from hermflow.sampling import random_density, random_field, random_velocity
-from hermflow.spectral import multiply
+from hermflow.spectral import build_frame, multiply
 
 from conftest import flux_field, object_path_fp_step, unit_field
 
@@ -205,6 +206,45 @@ class TestTransportStep:
     def test_rejects_bad_dt(self, frame_1d):
         with pytest.raises(InvalidParameterError):
             fp_step(unit_field(frame_1d), VectorField.zero(frame_1d), 0.1, 0.0)
+
+    @pytest.mark.parametrize("frame_name", ["frame_1d", "frame_2d"])
+    def test_flux_never_projected_densely(self, frame_name, request, rng, monkeypatch):
+        # the flux rows are tested through the sum-factorized adjoint: a
+        # density step makes no dense nodes-to-coefficients projection
+        frame = request.getfixturevalue(frame_name)
+        q = random_density(frame, rng)
+        u = VectorField(frame, coeffs=0.3 * random_velocity(frame, rng).coeffs)
+        calls = []
+        real = spectral.GaussianFrame.project_nodal
+        monkeypatch.setattr(spectral.GaussianFrame, "project_nodal",
+                            lambda fr, values: calls.append(1) or real(fr, values))
+        fp_step(q, u, 0.4, 2e-3)
+        assert len(calls) == 0
+
+
+class TestFluxOracle:
+    """The flux rows of ``flux_field`` (the adjoint form fp_step uses) against
+    the dense dealiased product ``multiply(q, u_i)``."""
+
+    @staticmethod
+    def rows(frame, rng):
+        q = random_density(frame, rng)
+        u = VectorField(frame, coeffs=0.3 * random_velocity(frame, rng).coeffs)
+        dense = np.stack([multiply(q, ScalarField(frame, nodal=row)).coeffs for row in u.nodal])
+        return flux_field(q, u).coeffs, dense
+
+    def test_equals_dense_product_in_1d(self, frame_1d, frame_1d_fine, rng):
+        # in d = 1 the adjoint is the same V^T product as the projection
+        for frame in (frame_1d, frame_1d_fine):
+            adjoint, dense = self.rows(frame, rng)
+            assert np.array_equal(adjoint, dense)
+
+    @pytest.mark.parametrize("degree", [10, 20, 32])
+    def test_matches_dense_product_in_2d(self, degree, rng):
+        # the two sum the same exact quadrature in different orders
+        frame = build_frame(a=1.0, kappa=1.0, lam=2.0, dim=2, degree=degree)
+        adjoint, dense = self.rows(frame, rng)
+        assert np.max(np.abs(adjoint - dense)) <= 1e-14 * np.max(np.abs(dense))
 
 
 class TestEnvelopeAlongRun:
