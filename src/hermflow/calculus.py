@@ -242,9 +242,14 @@ class StateBundle:
         return self.mask / self.q_safe
 
     @_cached
+    def sqrt_q(self) -> np.ndarray:
+        """sqrt(q) on the floored values, so never 0."""
+        return np.sqrt(self.q_safe)
+
+    @_cached
     def inv_sq(self) -> np.ndarray:
         """1/sqrt(q) on trusted nodes, 0 elsewhere."""
-        return self.mask / np.sqrt(self.q_safe)
+        return self.mask / self.sqrt_q
 
     @_cached
     def qlnq(self) -> np.ndarray:
@@ -259,6 +264,11 @@ class StateBundle:
         return hessian_nodal(self._q)
 
     @_cached
+    def outer_q(self) -> np.ndarray:
+        """grad q (x) grad q / q on trusted nodes, 0 elsewhere."""
+        return np.einsum("...in,...jn->...ijn", self.gq, self.gq) * self.inv_q[..., None, None, :]
+
+    @_cached
     def fisher_integrand(self) -> np.ndarray:
         """|grad q|^2 / q."""
         return np.einsum("...in,...in->...n", self.gq, self.gq) * self.inv_q
@@ -266,9 +276,8 @@ class StateBundle:
     @_cached
     def glog(self) -> np.ndarray:
         """sqrt(q) D^2(ln q), through the square-root form."""
-        outer = np.einsum("...in,...jn->...ijn", self.gq, self.gq)
-        inv_q, inv_sq = self.inv_q[..., None, None, :], self.inv_sq[..., None, None, :]
-        return self.hq * inv_sq - outer * inv_q * inv_sq
+        inv_sq = self.inv_sq[..., None, None, :]
+        return self.hq * inv_sq - self.outer_q * inv_sq
 
     @_cached
     def stress(self) -> np.ndarray:
@@ -277,8 +286,7 @@ class StateBundle:
         The Hessian part stays raw (exact quadrature against polynomial
         test functions); only the rational part is masked.
         """
-        outer = np.einsum("...in,...jn->...ijn", self.gq, self.gq)
-        return 0.5 * self.hq - 0.5 * outer * self.inv_q[..., None, None, :]
+        return 0.5 * self.hq - 0.5 * self.outer_q
 
     @_cached
     def un(self) -> np.ndarray:
@@ -452,7 +460,7 @@ def bohm_residual(q: ScalarField) -> float:
     x = frame.nodes.T
 
     # --- left side via P = projection of sqrt(q) ------------------------
-    p_field = transform(frame, np.sqrt(b.q_safe))
+    p_field = transform(frame, b.sqrt_q)
     pn = p_field.nodal
     if np.min(np.abs(pn[frame.trusted])) < POSITIVITY_FLOOR:
         raise PositivityError("projected square root vanishes at a trusted node")

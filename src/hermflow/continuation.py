@@ -39,11 +39,10 @@ from dataclasses import replace
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from .calculus import ModelParams, gradient_nodal
+from .calculus import ModelParams, StateBundle
 from .diagnostics import energy_inequality_audit
 from .driver import simulate
 from .errors import SOLVER_FAILURES, InvalidParameterError
-from .galerkin import SimState
 from .spectral import GaussianFrame, ScalarField, VectorField
 
 __all__ = [
@@ -69,6 +68,11 @@ def _bump(frame_dim: int, y: np.ndarray) -> np.ndarray:
     vals = np.where(r2 < 1.0, (1.0 - r2) ** 3, 0.0)
     const = 35.0 / 32.0 if frame_dim == 1 else 4.0 / math.pi
     return const * vals
+
+
+def _grid(axis: np.ndarray, d: int) -> np.ndarray:
+    """The points of the d-fold product of a 1D axis, shape (len(axis),) * d + (d,)."""
+    return np.stack(np.meshgrid(*[axis] * d, indexing="ij"), -1)
 
 
 def _convolve_same(g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -111,12 +115,7 @@ def mollify_initial_data(q0: ScalarField, u0: VectorField,
     axis = np.linspace(lo, hi, npts)
     step = axis[1] - axis[0]
 
-    if d == 1:
-        grid_pts = axis[:, None]
-    else:
-        gx, gy = np.meshgrid(axis, axis, indexing="ij")
-        grid_pts = np.column_stack([gx.ravel(), gy.ravel()])
-
+    grid_pts = _grid(axis, d).reshape(-1, d)
     sq0 = np.sqrt(np.clip(q0.eval(grid_pts), 0.0, None))
     chi = _plateau_cutoff(np.sqrt(np.sum(grid_pts**2, axis=1)) / n)
     g = (sq0 * chi + 1.0 / n).reshape((npts,) * d)
@@ -125,12 +124,7 @@ def mollify_initial_data(q0: ScalarField, u0: VectorField,
     # the convolution preserves constants exactly
     m = int(math.ceil(1.0 / (n * step)))
     ky = np.arange(-m, m + 1) * step
-    if d == 1:
-        kernel = _bump(d, (n * ky)[:, None]) * n
-    else:
-        kx, kyy = np.meshgrid(ky, ky, indexing="ij")
-        kernel = _bump(d, n * np.stack([kx, kyy], axis=-1)) * n**d
-    kernel = kernel * step**d
+    kernel = _bump(d, n * _grid(ky, d)) * n**d * step**d
     kernel = kernel / kernel.sum()
     smooth = _convolve_same(g, kernel)
 
@@ -158,19 +152,18 @@ def drag_schedule(n: int, q0_n: ScalarField, base: ModelParams) -> ModelParams:
                    r4=1.0 / (n + i4**2), delta1=1.0 / n)
 
 
-def _sweep_fields(state: SimState):
-    """Nodal sqrt(q), grad sqrt(q) and sqrt(q) u of one state, each zero off
-    the trusted nodes: what the Cauchy increments compare."""
-    frame = state.frame
-    mask = frame.trusted.astype(float)
-    s = np.sqrt(np.clip(state.q.nodal, 0.0, None))
-    grad_s = gradient_nodal(state.q) * mask / (2.0 * np.clip(s, 1e-150, None))
-    return (mask * s)[None], grad_s, s * state.u.nodal * mask
+def _sweep_fields(b: StateBundle):
+    """Nodal sqrt(q), grad sqrt(q) and sqrt(q) u of each state of a stacked
+    bundle, each zero off the trusted nodes: what the Cauchy increments
+    compare."""
+    s, mask = b.sqrt_q[:, None, :], b.mask
+    return s * mask, b.gq * mask / (2.0 * s), s * b.un * mask
 
 
-def _sq_distance(frame: GaussianFrame, a: np.ndarray, b: np.ndarray) -> float:
-    """Squared weighted L^2 distance of two (rows, n_nodes) nodal arrays."""
-    return frame.quad(np.einsum("in,in->n", a - b, a - b))
+def _sq_distance(frame: GaussianFrame, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared weighted L^2 distance of two stacks of (rows, n_nodes) nodal
+    arrays, one per state."""
+    return np.vecdot(np.einsum("...in,...in->...n", a - b, a - b), frame.weights)
 
 
 def schedule_indices(n_list) -> list[int]:
@@ -196,7 +189,7 @@ def vanishing_drag_sweep(frame: GaussianFrame, base_params: ModelParams,
     failure index and whatever completed.  Any other error propagates.
     """
     n_list = schedule_indices(n_list)
-    runs = []  # (n, the _sweep_fields of every kept state)
+    runs = []  # (n, the _sweep_fields of the kept states)
     report: dict = {"n_list": n_list, "schedules": [], "audits": [], "failed_at": None}
     for n in n_list:
         q0n, u0n = mollify_initial_data(q0, u0, n)
@@ -212,17 +205,17 @@ def vanishing_drag_sweep(frame: GaussianFrame, base_params: ModelParams,
             report["failed_at"] = n
             report["failure"] = f"{type(exc).__name__}: {exc}"
             break
-        runs.append((n, [_sweep_fields(state) for state in result.states]))
+        states = result.states
+        runs.append((n, _sweep_fields(StateBundle([s.q for s in states], [s.u for s in states]))))
         report["audits"].append(
             energy_inequality_audit(result.records, params, frame.sigma, frame.dim)
         )
 
     increments = []
-    for (na, fa), (nb, fb) in zip(runs, runs[1:]):
-        dq = max(math.sqrt(_sq_distance(frame, sa, sb) + _sq_distance(frame, ga, gb))
-                 for (sa, ga, _), (sb, gb, _) in zip(fa, fb))
-        dj = max(math.sqrt(_sq_distance(frame, ja, jb)) for (_, _, ja), (_, _, jb) in zip(fa, fb))
-        increments.append({"pair": (na, nb), "sqrtq_h1": dq, "momentum_l2": dj})
+    for (na, (sa, ga, ja)), (nb, (sb, gb, jb)) in zip(runs, runs[1:]):
+        dq = np.max(np.sqrt(_sq_distance(frame, sa, sb) + _sq_distance(frame, ga, gb)))
+        dj = np.max(np.sqrt(_sq_distance(frame, ja, jb)))
+        increments.append({"pair": (na, nb), "sqrtq_h1": float(dq), "momentum_l2": float(dj)})
     report["increments"] = increments
 
     tail = [inc for inc in increments if inc["pair"][0] >= burn_in]

@@ -138,8 +138,7 @@ def _bd_balance(b: StateBundle, params: ModelParams, d1s):
     sig2 = b.frame.sigma**2
     nu = params.nu
     # q D^2(ln q) without the sqrt weight; rational part masked
-    outer = np.einsum("...in,...jn->...ijn", b.gq, b.gq)
-    qhlog = b.hq * b.mask - outer * b.inv_q[..., None, None, :]
+    qhlog = b.hq * b.mask - b.outer_q
     gradlog = b.quad(b.fisher_integrand * b.inv_q)  # |grad ln q|^2, unweighted
     dsym_qhlog = b.quad(np.einsum("...ikn,...ikn->...n", b.dsym, qhlog))
     du_gq_glog = b.quad(np.einsum("...ikn,...kn,...in->...n", b.du, b.gq, b.gq) * b.inv_q)
@@ -210,10 +209,8 @@ def check_hessian_lemma(q: ScalarField):
 
 def _hessian_lemma_from_bundle(b: StateBundle):
     frame = b.frame
-    gq, inv_q, inv_sq = b.gq, b.inv_q, b.inv_sq
-    outer = np.einsum("...in,...jn->...ijn", gq, gq)
-    inv_q2, inv_sq2 = inv_q[..., None, None, :], inv_sq[..., None, None, :]
-    hess_sqrt = 0.5 * b.hq * inv_sq2 - 0.25 * outer * inv_q2 * inv_sq2
+    gq, inv_q, inv_sq = b.gq, b.inv_q, b.inv_sq[..., None, None, :]
+    hess_sqrt = 0.5 * b.hq * inv_sq - 0.25 * b.outer_q * inv_sq
     a_val = b.quad(np.einsum("...ijn,...ijn->...n", hess_sqrt, hess_sqrt))
     grad2 = np.einsum("...in,...in->...n", gq, gq)
     b_val = b.quad(grad2**2 * inv_q**3 / 16.0)
@@ -289,7 +286,6 @@ def record(states: list[SimState], params: ModelParams) -> list[DiagnosticsRecor
     e_reg, d_reg = _energy_from_bundle(b, params)
     (d_bd, _), (d_bd_reg, r_bd_reg) = _bd_balance(b, params, (0.0, params.delta1))
     _, _, _, _, hmid, hfin = _hessian_lemma_from_bundle(b)
-    sqrt_q = np.sqrt(b.q_safe)
     w = frame.weights
     x_dot_u = np.einsum("in,...in->...n", frame.nodes.T, b.un)
     trusted_q = b.qn[:, frame.trusted]
@@ -313,7 +309,7 @@ def record(states: list[SimState], params: ModelParams) -> list[DiagnosticsRecor
         "hess_margin_mid": hmid,
         "hess_margin_final": hfin,
         "poincare_q": _poincare_ratio(
-            frame, sqrt_q, frame.derivatives(frame.project_nodal(sqrt_q), 1)),
+            frame, b.sqrt_q, frame.derivatives(frame.project_nodal(b.sqrt_q), 1)),
         "poincare_korn_u": _korn_ratio(frame, b.un, b.dsym),
         "ke2": b.ke,
         "fisher": b.fisher,
@@ -418,28 +414,29 @@ def energy_inequality_audit(records, params: ModelParams, sigma: float, dim: int
     }
 
 
+#: trajectory.csv columns in order, record field -> header; a vector
+#: moment takes one column per axis, its header suffixed with the axis
+_CSV_COLUMNS = {
+    "t": "t", "mass": "mass", "e_reg": "E_reg", "d_reg": "D_reg", "e_bd": "E_BD",
+    "d_bd": "D_BD", "i2": "I2", "i2_tilde": "I2_tilde", "i4": "I4", "mx": "Mx", "mu": "Mu",
+    "min_q": "min_q", "max_q": "max_q", "lsi_margin": "lsi_margin",
+    "hess_margin_mid": "hess_margin_mid", "hess_margin_final": "hess_margin_final",
+    "poincare_q": "poincare_q", "poincare_korn_u": "poincare_korn_u",
+}
+_VECTOR_FIELDS = ("mx", "mu")
+
+
 def csv_header(dim: int) -> list[str]:
     """Fixed column order of one trajectory row."""
-    cols = ["t", "mass", "E_reg", "D_reg", "E_BD", "D_BD", "I2", "I2_tilde", "I4"]
-    cols += [f"Mx_{i}" for i in range(dim)]
-    cols += [f"Mu_{i}" for i in range(dim)]
-    cols += [
-        "min_q",
-        "max_q",
-        "lsi_margin",
-        "hess_margin_mid",
-        "hess_margin_final",
-        "poincare_q",
-        "poincare_korn_u",
-    ]
+    cols = []
+    for name, head in _CSV_COLUMNS.items():
+        cols += [f"{head}_{i}" for i in range(dim)] if name in _VECTOR_FIELDS else [head]
     return cols
 
 
 def csv_row(rec: DiagnosticsRecord) -> list[float]:
-    vals = [rec.t, rec.mass, rec.e_reg, rec.d_reg, rec.e_bd, rec.d_bd, rec.i2,
-            rec.i2_tilde, rec.i4]
-    vals += list(rec.mx)
-    vals += list(rec.mu)
-    vals += [rec.min_q, rec.max_q, rec.lsi_margin, rec.hess_margin_mid,
-             rec.hess_margin_final, rec.poincare_q, rec.poincare_korn_u]
+    vals = []
+    for name in _CSV_COLUMNS:
+        value = getattr(rec, name)
+        vals += list(value) if name in _VECTOR_FIELDS else [value]
     return vals

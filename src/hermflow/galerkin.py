@@ -85,15 +85,15 @@ class MassOperator:
 
     The full velocity-space operator is block diagonal with this same block
     for every component, so only one (n_basis x n_basis) matrix is stored.
-    Its lower Cholesky factor is formed by LAPACK on the first solve and
-    kept; ``matrix`` itself stays intact for the momentum of the step's state.
+    Every caller solves an operator once, so its lower Cholesky factor is
+    formed by LAPACK inside :meth:`solve` and not kept; ``matrix`` itself
+    stays intact for the momentum of the step's state.
     """
 
-    __slots__ = ("matrix", "_factor")
+    __slots__ = ("matrix",)
 
     def __init__(self, matrix: np.ndarray):
         self.matrix = matrix
-        self._factor = None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve per velocity component; rhs has shape (dim, n_basis).
@@ -102,21 +102,19 @@ class MassOperator:
         matrix that is not positive definite means the density is
         under-resolved at the tails.
         """
-        if self._factor is None:
-            if not np.isfinite(self.matrix).all():
-                raise StepFailureError("mass operator has non-finite entries; reduce dt")
-            factor, info = dpotrf(self.matrix, lower=1, clean=0)
-            if info > 0:
-                raise PositivityError(
-                    "mass operator not positive definite; the density is "
-                    f"under-resolved at the tails ({info}-th leading minor "
-                    "of the array is not positive definite)"
-                )
-            self._factor = factor
+        if not np.isfinite(self.matrix).all():
+            raise StepFailureError("mass operator has non-finite entries; reduce dt")
+        factor, info = dpotrf(self.matrix, lower=1, clean=0)
+        if info > 0:
+            raise PositivityError(
+                "mass operator not positive definite; the density is "
+                f"under-resolved at the tails ({info}-th leading minor "
+                "of the array is not positive definite)"
+            )
         rhs = np.asarray(rhs)
         if not np.isfinite(rhs).all():
             raise StepFailureError("momentum right-hand side has non-finite entries; reduce dt")
-        x, _ = dpotrs(self._factor, rhs.T, lower=1)
+        x, _ = dpotrs(factor, rhs.T, lower=1)
         return x.T
 
 

@@ -16,6 +16,7 @@ import hermflow
 from hermflow import ScalarField, cli, config
 from hermflow.cli import main
 from hermflow.config import ConfigError, RunConfig, load_config
+from hermflow.errors import StepFailureError
 from hermflow.sampling import tilted_density
 
 
@@ -162,12 +163,21 @@ class TestSimulateCommand:
         ("family = steady", "family = tilted\n    alpha = 800", ()),
         ("t_final = 0.02", "t_final = 1e308", ()),
         ("family = steady", "family = steady\n    u_scale = 1e308", ()),
+        ("dt = 1e-3", "dt = 1e-3\n    record_every = 0", ()),
+        ("mode = simulate", "mode = simulation", ()),
+        ("family = steady", "family = gaussian", ()),
+        ("family = steady", "family = file", ()),
+        ("seed = 42", "seed = 42\n    save_state = maybe", ()),
+        ("seed = 42", "seed = 42\n    n_list = a b", ()),
+        ("seed = 42", "seed = 42\n    n_list =", ()),
     ], ids=["r0", "lambda", "dim", "quad_order", "t_final", "file_coeffs", "file_u_coeffs",
             "file_no_u", "file_not_npz", "file_q_nan", "file_u_inf", "file_non_numeric",
             "file_npy", "file_truncated",
             "n_samples", "a_nan", "dt_nan", "t_final_inf", "decay_inf", "seed_negative",
             "seed_override_negative", "nu_square_overflows", "tilt_too_steep",
-            "step_count_overflows", "boost_overflows"])
+            "step_count_overflows", "boost_overflows", "record_every_zero", "mode_unknown",
+            "family_unknown", "file_without_path", "save_state_not_bool", "n_list_not_int",
+            "n_list_empty"])
     def test_out_of_range_value_exits_3(self, tmp_path, capsys, old, new, args):
         # values the solver's own constructors reject are config errors
         np.savez(tmp_path / "short.npz", q_coeffs=np.ones(5), u_coeffs=np.zeros((1, 13)))
@@ -221,6 +231,17 @@ class TestSimulateCommand:
         assert load_config(cfg).raw["run"]["output_dir"] == str(out)
         assert main(["simulate", cfg]) == 0
         assert (out / "trajectory.csv").exists()
+
+    def test_picard_stall_exits_2(self, tmp_path, capsys, monkeypatch):
+        # one velocity sweep cannot settle the first step of a moving state
+        monkeypatch.setattr(hermflow.galerkin, "MAX_SWEEPS", 1)
+        body = STEADY.replace("family = steady", "family = tilted\n    alpha = 0.3")
+        code = main(["simulate", write_config(tmp_path / "a.cfg", body),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: velocity fixed point did not settle")
+        assert "at t=0;" in err
 
     def test_positivity_failure_at_setup_exits_2(self, tmp_path, capsys):
         # the boost is projected with a tilt that dips below zero at degree 4
@@ -305,6 +326,27 @@ class TestSweepCommand:
         report = json.loads((tmp_path / "out" / "sweep_report.json").read_text())
         assert report["failed_at"] is None
         assert len(report["increments"]) == 1
+
+    def test_failing_member_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the second member (r1 = 1/8) stalls on its first step
+        step = hermflow.driver.coupled_step
+
+        def stalling_step(state, params, dt, *args):
+            if params.r1 == 1.0 / 8.0:
+                raise StepFailureError(f"stalled at t={state.t:.6g}")
+            return step(state, params, dt, *args)
+
+        monkeypatch.setattr(hermflow.driver, "coupled_step", stalling_step)
+        code = main(["sweep", write_config(tmp_path / "a.cfg", self.BODY),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "sweep member n=8 failed: StepFailureError: stalled at t=0\n"
+        report = json.loads((tmp_path / "out" / "sweep_report.json").read_text())
+        assert report["failed_at"] == 8
+        assert report["failure"] == "StepFailureError: stalled at t=0"
+        assert [s["n"] for s in report["schedules"]] == [4, 8]
+        assert len(report["audits"]) == 1 and report["increments"] == []
 
     @pytest.mark.parametrize("key", ["r0", "r1", "r4", "delta1"])
     def test_regularizer_in_config_exits_3(self, tmp_path, capsys, key):

@@ -10,7 +10,8 @@ from hermflow.continuation import (
     mollify_initial_data,
     vanishing_drag_sweep,
 )
-from hermflow.sampling import random_density, tilted_density
+from hermflow.calculus import gradient_nodal
+from hermflow.sampling import random_density, random_velocity, tilted_density
 
 from conftest import unit_field
 
@@ -162,3 +163,30 @@ class TestVanishingDragSweep:
             vanishing_drag_sweep(tight_frame, params, unit_field(tight_frame),
                                  VectorField.zero(tight_frame), [8, 4], dt=1e-3,
                                  t_final=0.01)
+
+
+class TestStackedSweepFields:
+    @staticmethod
+    def per_state_fields(q, u):
+        # the sweep's former per-state formula, kept as the oracle
+        mask = q.frame.trusted.astype(float)
+        s = np.sqrt(np.clip(q.nodal, 0.0, None))
+        grad_s = gradient_nodal(q) * mask / (2.0 * np.clip(s, 1e-150, None))
+        return (mask * s)[None], grad_s, s * u.nodal * mask
+
+    @pytest.mark.parametrize("frame_name", ["frame_1d", "frame_2d", "tight_frame"])
+    def test_fields_match_per_state_formula(self, frame_name, request, rng):
+        frame = request.getfixturevalue(frame_name)
+        qs = [random_density(frame, rng, decay=0.4) for _ in range(3)]
+        us = [random_velocity(frame, rng, decay=0.4) for _ in range(3)]
+        stacked = hermflow.continuation._sweep_fields(StateBundle(qs, us))
+        for k, (q, u) in enumerate(zip(qs, us)):
+            for got, want in zip(stacked, self.per_state_fields(q, u)):
+                assert got[k].shape == want.shape
+                assert np.array_equal(got[k], want)
+
+    def test_distances_match_per_state_quadrature(self, frame_2d, rng):
+        a, b = (rng.standard_normal((4, 2, frame_2d.n_nodes)) for _ in range(2))
+        got = hermflow.continuation._sq_distance(frame_2d, a, b)
+        want = [frame_2d.quad(np.einsum("in,in->n", x - y, x - y)) for x, y in zip(a, b)]
+        assert got.tolist() == want

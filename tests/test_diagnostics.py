@@ -258,6 +258,21 @@ class TestRecordSerialization:
         assert rec.mass == pytest.approx(1.0, abs=1e-13)
         assert rec.e_bd >= -1e-12
 
+    def test_csv_columns_in_2d(self, frame_2d, rng):
+        # the vector moments take one column per axis, between I4 and min_q
+        state = make_initial_state(random_density(frame_2d, rng), VectorField.zero(frame_2d))
+        rec = record([state], base_params())[0]
+        header = csv_header(2)
+        assert header == [
+            "t", "mass", "E_reg", "D_reg", "E_BD", "D_BD", "I2", "I2_tilde", "I4",
+            "Mx_0", "Mx_1", "Mu_0", "Mu_1", "min_q", "max_q", "lsi_margin",
+            "hess_margin_mid", "hess_margin_final", "poincare_q", "poincare_korn_u",
+        ]
+        row = dict(zip(header, csv_row(rec)))
+        assert (row["Mx_0"], row["Mx_1"]) == rec.mx and (row["Mu_0"], row["Mu_1"]) == rec.mu
+        assert (row["I4"], row["min_q"], row["poincare_korn_u"]) == (rec.i4, rec.min_q,
+                                                                      rec.poincare_korn_u)
+
 
 class TestRecordMatchesStandalone:
     def test_equal_floats(self, frame_1d, frame_2d, rng):

@@ -24,7 +24,7 @@ from hermflow import (
     momentum_rhs,
     project_initial_velocity,
 )
-from hermflow import calculus, spectral
+from hermflow import calculus, galerkin, spectral
 from hermflow.diagnostics import record
 from hermflow.driver import simulate
 from hermflow.errors import SOLVER_FAILURES
@@ -111,7 +111,7 @@ class TestMassOperator:
         factor = cho_factor(m.matrix, lower=True)
         before = m.matrix.copy()
         assert np.array_equal(m.solve(rhs), cho_solve(factor, rhs.T).T)
-        # the kept factor serves the next solve, and apply still reads the matrix
+        # a second solve factors again to the same bits and leaves the matrix intact
         assert np.array_equal(m.solve(2.0 * rhs), cho_solve(factor, 2.0 * rhs.T).T)
         assert np.array_equal(m.matrix, before)
 
@@ -313,6 +313,14 @@ class TestCoupledStep:
         with pytest.raises((StepFailureError, Exception)):
             for _ in range(50):
                 state = coupled_step(state, drag_free(), 0.5)
+
+    def test_picard_stall_names_the_time(self, frame_1d, monkeypatch):
+        # one sweep cannot settle a moving state, so the step reports a stall
+        monkeypatch.setattr(galerkin, "MAX_SWEEPS", 1)
+        q0 = tilted_density(frame_1d, 0.25)
+        u0 = project_initial_velocity(q0, 0.15 * frame_1d.nodes.T.copy())
+        with pytest.raises(StepFailureError, match=r"in 1 sweeps at t=0\.375; reduce dt"):
+            coupled_step(SimState(q0, u0, t=0.375), drag_free(), 1e-3)
 
 
 def object_path_step(state, params, dt, coeffs=None):
