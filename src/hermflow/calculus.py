@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, PositivityError
-from .spectral import ScalarField, VectorField, transform
+from .spectral import ScalarField, VectorField, _matvec, transform
 
 __all__ = [
     "ModelParams",
@@ -112,11 +112,12 @@ def _stacked(fields, attr: str) -> np.ndarray:
 def require_positive(q) -> np.ndarray:
     """Raw nodal values of q, floor-checked where the check is meaningful.
 
-    ``q`` is one field, or a sequence of fields on one frame whose values
-    are returned stacked along a leading axis.  Positivity is asserted on
-    the frame's trusted nodes and a breach raises with the offending node
-    attached; for a sequence the first breaching field raises, with the
-    node and value it raises with alone.  Far-tail nodes carry no
+    ``q`` is one field, or a stacked field or a sequence of fields on one
+    frame, whose values are returned stacked along a leading axis.
+    Positivity is asserted on the frame's trusted nodes and a breach raises
+    with the offending node attached; for a stack the first breaching
+    member raises, with the node and value it raises with alone, and the
+    error names that member.  Far-tail nodes carry no
     meaningful pointwise information and are exempt.  Divisions by q must
     go through the masked reciprocals of :class:`StateBundle`, never
     through the raw values.
@@ -126,7 +127,8 @@ def require_positive(q) -> np.ndarray:
     inner = np.where(frame.trusted, qn, np.inf)
     # the minimum over every state is NaN if any value is, and NaN fails here
     if not inner.min() >= POSITIVITY_FLOOR:
-        for row, values in zip(inner.reshape(-1, frame.n_nodes), qn.reshape(-1, frame.n_nodes)):
+        rows = zip(inner.reshape(-1, frame.n_nodes), qn.reshape(-1, frame.n_nodes))
+        for member, (row, values) in enumerate(rows):
             i = int(np.argmin(row))  # argmin finds a NaN first
             if not row[i] >= POSITIVITY_FLOOR:
                 raise PositivityError(
@@ -134,6 +136,7 @@ def require_positive(q) -> np.ndarray:
                     f"at node {frame.nodes[i]}",
                     node=frame.nodes[i],
                     value=float(values[i]),
+                    member=member if qn.ndim > 1 else None,
                 )
     return qn
 
@@ -224,7 +227,7 @@ class StateBundle:
 
     @_cached
     def mask(self) -> np.ndarray:
-        return self.frame.trusted.astype(float)
+        return self.frame._trusted_mask
 
     @_cached
     def q_safe(self) -> np.ndarray:
@@ -394,9 +397,9 @@ def div_m(v: VectorField) -> ScalarField:
     div_m maps into mean-zero fields.
     """
     frame = v.frame
-    coeffs = np.zeros(frame.n_basis)
+    coeffs = np.zeros(v.coeffs.shape[:-2] + (frame.n_basis,))
     for ax in range(frame.dim):
-        coeffs += frame.divm_mats[ax] @ v.coeffs[ax]
+        coeffs += _matvec(frame.divm_mats[ax], v.coeffs[..., ax, :])
     return ScalarField(frame, coeffs=coeffs)
 
 

@@ -25,10 +25,11 @@ moments blow up:
     r_{0,n} = \frac{1}{n + (\int (q^0_n - \ln q^0_n)\,{\rm d}\mu_m)^2}, \qquad
     r_{4,n} = \frac{1}{n + I_4(q^0_n)^2}.
 
-``vanishing_drag_sweep`` runs the full solver per schedule index and
-reports Cauchy increments of the square-root density (weighted H^1) and
-momentum (weighted L^2) between consecutive runs; the increments should
-decay once past a burn-in index.
+``vanishing_drag_sweep`` mollifies and schedules the data of every index,
+marches all members together as one stack of states, and reports Cauchy
+increments of the square-root density (weighted H^1) and momentum
+(weighted L^2) between consecutive members; the increments should decay
+once past a burn-in index.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from scipy.interpolate import RegularGridInterpolator
 
 from .calculus import ModelParams, StateBundle
 from .diagnostics import energy_inequality_audit
-from .driver import simulate
-from .errors import SOLVER_FAILURES, InvalidParameterError
+from .driver import march
+from .errors import InvalidParameterError
 from .spectral import GaussianFrame, ScalarField, VectorField
 
 __all__ = [
@@ -182,34 +183,37 @@ def vanishing_drag_sweep(frame: GaussianFrame, base_params: ModelParams,
                          burn_in: int = 8) -> dict:
     """Run the solver once per schedule index and compare consecutive runs.
 
-    Returns a report with per-run schedules and audits plus the Cauchy
-    increments sup_t ||sqrt(q_n) - sqrt(q_m)||_{H^1_mu} and
+    Every member is mollified and scheduled first; then all of them march
+    together (:func:`~hermflow.driver.march`).  Returns a report with
+    per-run schedules and audits plus the Cauchy increments
+    sup_t ||sqrt(q_n) - sqrt(q_m)||_{H^1_mu} and
     sup_t ||sqrt(q_n) u_n - sqrt(q_m) u_m||_{L^2_mu} for consecutive (n, m).
-    A member's solver failure does not raise: the report carries the
-    failure index and whatever completed.  Any other error propagates.
+    A member's solver failure does not raise: the report carries the first
+    failing index and the members before it, as running them one after
+    another would.  Any other error propagates.
     """
     n_list = schedule_indices(n_list)
-    runs = []  # (n, the _sweep_fields of the kept states)
-    report: dict = {"n_list": n_list, "schedules": [], "audits": [], "failed_at": None}
-    for n in n_list:
-        q0n, u0n = mollify_initial_data(q0, u0, n)
-        params = drag_schedule(n, q0n, base_params)
-        report["schedules"].append(
-            {"n": n, "r0": params.r0, "r1": params.r1, "r4": params.r4,
-             "delta1": params.delta1}
-        )
-        try:
-            result = simulate(frame, params, q0n, u0n, dt=dt, t_final=t_final,
-                              record_every=record_every, keep_states=True)
-        except SOLVER_FAILURES as exc:  # member failure: partial report
-            report["failed_at"] = n
-            report["failure"] = f"{type(exc).__name__}: {exc}"
-            break
-        states = result.states
-        runs.append((n, _sweep_fields(StateBundle([s.q for s in states], [s.u for s in states]))))
-        report["audits"].append(
-            energy_inequality_audit(result.records, params, frame.sigma, frame.dim)
-        )
+    mollified = [mollify_initial_data(q0, u0, n) for n in n_list]
+    params = [drag_schedule(n, q0n, base_params) for n, (q0n, _) in zip(n_list, mollified)]
+    results, failure = march(frame, params, [q for q, _ in mollified],
+                             [u for _, u in mollified], dt, t_final,
+                             record_every=record_every, keep_states=True)
+    ran = len(results) if failure is None else len(results) + 1
+    report: dict = {
+        "n_list": n_list,
+        "schedules": [{"n": n, "r0": p.r0, "r1": p.r1, "r4": p.r4, "delta1": p.delta1}
+                      for n, p in zip(n_list[:ran], params)],
+        "audits": [energy_inequality_audit(result.records, p, frame.sigma, frame.dim)
+                   for result, p in zip(results, params)],
+        "failed_at": None,
+    }
+    if failure is not None:  # member failure: partial report
+        report["failed_at"] = n_list[len(results)]
+        report["failure"] = f"{type(failure).__name__}: {failure}"
+    # (n, the _sweep_fields of the kept states) per completed member
+    runs = [(n, _sweep_fields(StateBundle([s.q for s in result.states],
+                                          [s.u for s in result.states])))
+            for n, result in zip(n_list, results)]
 
     increments = []
     for (na, (sa, ga, ja)), (nb, (sb, gb, jb)) in zip(runs, runs[1:]):

@@ -9,7 +9,16 @@ class DimensionError(ValueError):
     """Array shapes do not match the frame they are used with."""
 
 
-class PositivityError(RuntimeError):
+class _SolverFailure(RuntimeError):
+    """A numerical breakdown of a step.  ``member`` is the index of the
+    failing state when a stack of states was stepped, else None."""
+
+    def __init__(self, message, member=None):
+        super().__init__(message)
+        self.member = member
+
+
+class PositivityError(_SolverFailure):
     """A relative density dropped below the positivity floor.
 
     Strict positivity is guaranteed for the exact Galerkin dynamics, so a
@@ -17,13 +26,13 @@ class PositivityError(RuntimeError):
     raises instead of clamping silently.
     """
 
-    def __init__(self, message, node=None, value=None):
-        super().__init__(message)
+    def __init__(self, message, node=None, value=None, member=None):
+        super().__init__(message, member)
         self.node = node
         self.value = value
 
 
-class StepFailureError(RuntimeError):
+class StepFailureError(_SolverFailure):
     """A fixed-point iteration inside a time step failed to contract.
 
     The contraction constant scales with the step size, so the standard
@@ -31,7 +40,7 @@ class StepFailureError(RuntimeError):
     """
 
 
-class InternalConsistencyError(RuntimeError):
+class InternalConsistencyError(_SolverFailure):
     """A quantity the scheme conserves by construction drifted."""
 
 

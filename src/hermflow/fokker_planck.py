@@ -40,7 +40,7 @@ import numpy as np
 
 from .calculus import div_m
 from .errors import InvalidParameterError, InternalConsistencyError, StepFailureError
-from .spectral import GaussianFrame, ScalarField, VectorField
+from .spectral import GaussianFrame, ScalarField, VectorField, _floats, _matvec, _row_norms
 
 __all__ = [
     "PositivityEnvelope",
@@ -104,24 +104,31 @@ def ou_semigroup(q: ScalarField, s: float, delta1: float) -> ScalarField:
     return ScalarField(q.frame, coeffs=q.coeffs * _ou_decay(q.frame, delta1, s))
 
 
-def fp_step(q: ScalarField, u: VectorField, delta1: float, dt: float) -> ScalarField:
+def fp_step(q: ScalarField, u: VectorField, delta1, dt: float) -> ScalarField:
     """One exponential-midpoint Duhamel step with the velocity frozen.
 
     Picard-iterates the endpoint value ``FP_SWEEPS`` times; the midpoint density
     is the average of the endpoints, which keeps the step second order.  A
     growing iteration increment means the fixed-point map stopped
     contracting, which is reported as a step failure (reduce dt).
+
+    ``q`` and ``u`` may be stacks of members (see :class:`ScalarField`),
+    with ``delta1`` one value or one per member; each member's result, and
+    the error a failing member raises, equal those of the member alone.
     """
     if dt <= 0.0:
         raise InvalidParameterError(f"dt must be positive, got {dt}")
     frame = q.frame
     c0 = q.coeffs
     un = u.nodal
-    if delta1 == 0.0:
+    # delta1 is a float, or an array of one per member
+    if not (np.count_nonzero(delta1) if isinstance(delta1, np.ndarray) else delta1):
         # both decay tables would be all ones: the same values without them
         free, step = c0, dt
     else:
-        free, step = _ou_decay(frame, delta1, dt) * c0, dt * _ou_decay(frame, delta1, 0.5 * dt)
+        # one rate, or a (members, 1) column that meets the stack row by row
+        rate = np.asarray(delta1, dtype=float)[..., None]
+        free, step = _ou_decay(frame, rate, dt) * c0, dt * _ou_decay(frame, rate, 0.5 * dt)
 
     c_new = free
     prev_increment = None
@@ -133,36 +140,53 @@ def fp_step(q: ScalarField, u: VectorField, delta1: float, dt: float) -> ScalarF
             qn = frame._synthesize(0.5 * (c0 + c_new))
         # div_m(q u), each flux component dealiased: its nodal product tested
         # against the basis by the sum-factorized adjoint (no dense V in d = 2)
-        divm_qu = np.zeros(frame.n_basis)
+        divm_qu = np.zeros(c0.shape)
         for ax in range(frame.dim):
-            flux = frame._synthesize_adjoint(frame.weights * (qn * un[ax]))
-            divm_qu += frame.divm_mats[ax] @ flux
+            flux = frame._synthesize_adjoint(frame.weights * (qn * un[..., ax, :]))
+            divm_qu += _matvec(frame.divm_mats[ax], flux)
         c_next = free - step * divm_qu
-        delta = c_next - c_new
-        increment = math.sqrt(delta @ delta)
-        if prev_increment is not None and prev_increment > 1e-14:
-            if increment > prev_increment:
-                raise StepFailureError(
-                    f"density fixed point not contracting (increments "
-                    f"{prev_increment:.3e} -> {increment:.3e}); reduce dt"
-                )
+        increment = _row_norms(c_next - c_new)
+        if prev_increment is not None:
+            for i, (prev, now) in enumerate(zip(prev_increment, increment)):
+                if prev > 1e-14 and now > prev:
+                    raise StepFailureError(
+                        f"density fixed point not contracting (increments "
+                        f"{prev:.3e} -> {now:.3e}); reduce dt",
+                        member=i if c0.ndim > 1 else None)
         prev_increment = increment
         c_new = c_next
 
-    drift = abs(c_new[0] - c0[0])
-    if drift > 1e-13 * max(abs(c0[0]), 1.0):
-        raise InternalConsistencyError(f"mass drifted by {drift:.3e} in one density step")
+    # each member's zero-index coefficient, before and after, as floats
+    for i, (old, new) in enumerate(zip(_floats(c0[..., 0]), _floats(c_new[..., 0]))):
+        drift = abs(new - old)
+        if drift > 1e-13 * max(abs(old), 1.0):
+            raise InternalConsistencyError(f"mass drifted by {drift:.3e} in one density step",
+                                           member=i if c0.ndim > 1 else None)
     return ScalarField(frame, coeffs=c_new)
 
 
-def divm_sup(u: VectorField) -> float:
-    """Sup norm of div_m(u) over the trusted quadrature nodes."""
-    return float(np.max(np.abs(div_m(u).nodal[u.frame.trusted])))
+def divm_sup(u: VectorField):
+    """Sup norm of div_m(u) over the trusted quadrature nodes: a float, or
+    one per member of a stacked u."""
+    values = div_m(u).nodal
+    if values.ndim == 1:
+        return float(np.max(np.abs(values[u.frame.trusted])))
+    return np.max(np.abs(values[:, u.frame.trusted]), axis=-1)
 
 
-def envelope_update(env: PositivityEnvelope, u: VectorField, dt: float) -> PositivityEnvelope:
-    """Trapezoidal accumulation of the envelope integral over one step."""
+def envelope_update(env, u: VectorField, dt: float):
+    """Trapezoidal accumulation of the envelope integral over one step.
+
+    ``env`` is one envelope, or a list of one per member of a stacked ``u``.
+    """
     sup_new = divm_sup(u)
+    if isinstance(env, PositivityEnvelope):
+        return _accumulate(env, sup_new, dt)
+    sups = [sup_new] if isinstance(sup_new, float) else sup_new.tolist()
+    return [_accumulate(e, s, dt) for e, s in zip(env, sups)]
+
+
+def _accumulate(env: PositivityEnvelope, sup_new: float, dt: float) -> PositivityEnvelope:
     return replace(
         env,
         accumulated=env.accumulated + 0.5 * dt * (env.last_sup + sup_new),

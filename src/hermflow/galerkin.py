@@ -24,7 +24,6 @@ solve repeats until successive iterates agree to ``PICARD_TOL``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,13 +31,14 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .calculus import ModelParams, StateBundle, require_positive
 from .errors import (
+    SOLVER_FAILURES,
     InternalConsistencyError,
     InvalidParameterError,
     PositivityError,
     StepFailureError,
 )
 from .fokker_planck import fp_step
-from .spectral import GaussianFrame, ScalarField, VectorField
+from .spectral import GaussianFrame, ScalarField, VectorField, _floats, _row_norms
 
 __all__ = [
     "SimState",
@@ -48,6 +48,8 @@ __all__ = [
     "momentum_rhs",
     "coupled_step",
     "make_initial_state",
+    "stack_states",
+    "member_states",
 ]
 
 #: velocity fixed point: coefficient-norm increment that ends the sweeps,
@@ -58,12 +60,15 @@ MAX_SWEEPS = 25
 
 @dataclass(frozen=True)
 class SimState:
-    """Relative density, velocity and time.
+    """Relative density, velocity and time: of one state, or of a stack of
+    states at one time whose fields carry a leading member axis
+    (:func:`stack_states`).
 
     ``momentum`` holds the (dim, n_basis) coefficients of int q u.phi of this
-    exact (q, u), set by the step that produced the state so the next step
-    need not assemble the mass operator of q again.  A state built by hand,
-    or by ``dataclasses.replace`` of ``q`` or ``u``, must leave it ``None``.
+    exact (q, u), one row per member of a stack, set by the step that
+    produced the state so the next step need not assemble the mass
+    operator of q again.  A state built by hand, or by
+    ``dataclasses.replace`` of ``q`` or ``u``, must leave it ``None``.
     """
 
     q: ScalarField
@@ -75,19 +80,44 @@ class SimState:
     def frame(self) -> GaussianFrame:
         return self.q.frame
 
+    @property
+    def stacked(self) -> bool:
+        return self.q.coeffs.ndim > 1
+
 
 def make_initial_state(q0: ScalarField, u0: VectorField) -> SimState:
     return SimState(q0, u0)
 
 
+def stack_states(states) -> SimState:
+    """One state of a sequence of states at one time: the only state itself,
+    or their stack."""
+    if len(states) == 1:
+        return states[0]
+    momenta = [s.momentum for s in states]
+    return SimState(ScalarField.stack([s.q for s in states]),
+                    VectorField.stack([s.u for s in states]), states[0].t,
+                    None if any(m is None for m in momenta) else np.stack(momenta))
+
+
+def member_states(state: SimState) -> list[SimState]:
+    """The states of a stack, or [state] for one state."""
+    if not state.stacked:
+        return [state]
+    momentum = state.momentum
+    return [SimState(state.q.take(i), state.u.take(i), state.t,
+                     None if momentum is None else momentum[i])
+            for i in range(state.q.coeffs.shape[0])]
+
+
 class MassOperator:
-    """Density-weighted Gram matrix of the scalar basis.
+    """Density-weighted Gram matrix of the scalar basis, one per member of a stack.
 
     The full velocity-space operator is block diagonal with this same block
-    for every component, so only one (n_basis x n_basis) matrix is stored.
-    Every caller solves an operator once, so its lower Cholesky factor is
-    formed by LAPACK inside :meth:`solve` and not kept; ``matrix`` itself
-    stays intact for the momentum of the step's state.
+    for every component, so only one (n_basis x n_basis) matrix is stored
+    per state.  Every caller solves an operator once, so its lower Cholesky
+    factor is formed by LAPACK inside :meth:`solve` and not kept; ``matrix``
+    itself stays intact for the momentum of the step's state.
     """
 
     __slots__ = ("matrix",)
@@ -96,30 +126,45 @@ class MassOperator:
         self.matrix = matrix
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve per velocity component; rhs has shape (dim, n_basis).
+        """Solve per velocity component; rhs has shape (dim, n_basis), with
+        the leading member axis of a stacked operator.
 
         A non-finite matrix or right-hand side means the step blew up; a
         matrix that is not positive definite means the density is
-        under-resolved at the tails.
+        under-resolved at the tails.  Each member is factored and solved by
+        LAPACK on its own, and a failing member raises the error it raises
+        alone, naming the member.
         """
-        if not np.isfinite(self.matrix).all():
-            raise StepFailureError("mass operator has non-finite entries; reduce dt")
-        factor, info = dpotrf(self.matrix, lower=1, clean=0)
-        if info > 0:
-            raise PositivityError(
-                "mass operator not positive definite; the density is "
-                f"under-resolved at the tails ({info}-th leading minor "
-                "of the array is not positive definite)"
-            )
-        rhs = np.asarray(rhs)
-        if not np.isfinite(rhs).all():
-            raise StepFailureError("momentum right-hand side has non-finite entries; reduce dt")
-        x, _ = dpotrs(factor, rhs.T, lower=1)
-        return x.T
+        matrix, rhs = self.matrix, np.asarray(rhs)
+        if not np.isfinite(matrix).all():
+            member = None
+            if matrix.ndim == 3:
+                member = int(np.argmin(np.isfinite(matrix).all(axis=(1, 2))))
+            raise StepFailureError("mass operator has non-finite entries; reduce dt",
+                                   member=member)
+        if matrix.ndim == 2:
+            return _cholesky_solve(matrix, rhs, None)
+        return np.stack([_cholesky_solve(m, r, i) for i, (m, r) in enumerate(zip(matrix, rhs))])
+
+
+def _cholesky_solve(matrix: np.ndarray, rhs: np.ndarray, member) -> np.ndarray:
+    """One member's solve by LAPACK (the calls cho_factor and cho_solve make)."""
+    factor, info = dpotrf(matrix, lower=1, clean=0)
+    if info > 0:
+        raise PositivityError(
+            "mass operator not positive definite; the density is "
+            f"under-resolved at the tails ({info}-th leading minor "
+            "of the array is not positive definite)", member=member)
+    if not np.isfinite(rhs).all():
+        raise StepFailureError("momentum right-hand side has non-finite entries; reduce dt",
+                               member=member)
+    x, _ = dpotrs(factor, rhs.T, lower=1)
+    return x.T
 
 
 def assemble_mass(q: ScalarField) -> MassOperator:
-    """Gram matrix of the basis weighted by q, by plain (exact) quadrature.
+    """Gram matrix of the basis weighted by q, by plain (exact) quadrature,
+    one per member of a stacked q.
 
     Positive definite whenever q stays positive at the quadrature nodes;
     the top basis modes carry most of their weighted mass near their
@@ -142,12 +187,25 @@ def project_initial_velocity(q0: ScalarField, u0_nodal: np.ndarray) -> VectorFie
     u0_nodal = np.asarray(u0_nodal, dtype=float).reshape(frame.dim, frame.n_nodes)
     require_positive(q0)
     mass = assemble_mass(q0)
-    wq = frame.weights * q0.nodal
-    rhs = np.stack([frame._synthesize_adjoint(wq * u0_nodal[i]) for i in range(frame.dim)])
+    rhs = frame._synthesize_adjoint(frame.weights * q0.nodal * u0_nodal)
     return VectorField(frame, coeffs=mass.solve(rhs))
 
 
-def momentum_rhs(q: ScalarField, u: VectorField, params: ModelParams, *,
+def _coefficients(params, sig2: float):
+    """(nu, kappa^2, lam sigma^2, r0, r1, delta1, r4 / sigma^4) and the
+    regularized flags: floats and one flag for one ModelParams, or for a
+    sequence (members, 1) columns, which meet a stack's (members, n)
+    arrays row by row, and one flag per member."""
+    members = [params] if isinstance(params, ModelParams) else params
+    rows = [(p.nu, p.kappa**2, p.lam * sig2, p.r0, p.r1, p.delta1, p.r4 / sig2**2)
+            for p in members]
+    flags = [p.regularized for p in members]
+    if isinstance(params, ModelParams):
+        return rows[0], flags
+    return tuple(np.array(rows).T[:, :, None]), flags
+
+
+def momentum_rhs(q: ScalarField, u: VectorField, params, *,
                  pressure_coef: float | None = None,
                  transport_coef: float = 1.0,
                  nu: float | None = None,
@@ -169,46 +227,60 @@ def momentum_rhs(q: ScalarField, u: VectorField, params: ModelParams, *,
     needs, are formed only when ``params.regularized``; otherwise the point
     force is the pressure alone.  The keyword overrides let a rescaled
     system reuse the assembly with time-dependent coefficients.
+
+    ``q`` and ``u`` may be stacks of members, with ``params`` one
+    ModelParams or one per member; the forces then carry the member axis,
+    and each member's equal, bit for bit, its forces alone.
     """
     frame = q.frame
     d = frame.dim
     sig2 = frame.sigma**2
-    nu = params.nu if nu is None else nu
-    kappa_sq = params.kappa**2 if kappa_sq is None else kappa_sq
-    pressure = params.lam * sig2 if pressure_coef is None else pressure_coef
+    (nu_p, kappa_sq_p, pressure_p, r0, r1, delta1, r4), regularized = _coefficients(params, sig2)
+    nu = nu_p if nu is None else nu
+    kappa_sq = kappa_sq_p if kappa_sq is None else kappa_sq
+    pressure = pressure_p if pressure_coef is None else pressure_coef
 
     b = StateBundle(q, u)
-    qn, un, du, gq = b.qn, b.un, b.du, b.gq
+    qn, un, gq = b.qn, b.un, b.gq
     w = frame.weights
     x = frame.nodes.T
     rsq = frame.radius_sq
-    regularized = params.regularized
+    # the products every stress component starts from (a unit transport
+    # coefficient leaves q as it is, bit for bit)
+    transport_q = qn if transport_coef == 1.0 else transport_coef * qn
+    viscous_q = 2.0 * nu * qn
+    capillary = 2.0 * kappa_sq
 
-    out = np.empty((d, frame.n_basis))
+    drags = any(regularized)
+    out = np.empty(un.shape[:-1] + (frame.n_basis,))
     for i in range(d):
-        if regularized:
-            point = (
-                -params.r0 * un[i]
-                - params.delta1 * np.einsum("kn,kn->n", du[i], gq)
-                - params.r1 * qn * b.s2 * un[i]
-                - pressure * gq[i]
-                - (params.r4 / sig2**2) * qn * rsq * x[i]
+        u_i = un[..., i, :]
+        point = -pressure * gq[..., i, :]
+        if drags:
+            drag = (
+                -r0 * u_i
+                - delta1 * np.einsum("...kn,...kn->...n", b.du[..., i, :, :], gq)
+                - r1 * qn * b.s2 * u_i
+                - pressure * gq[..., i, :]
+                - r4 * qn * rsq * x[i]
             )
-        else:
-            point = -pressure * gq[i]
+            if not all(regularized):
+                point = np.where(np.array(regularized)[:, None], drag, point)
+            else:
+                point = drag
         vec = frame._synthesize_adjoint(w * point)
         for k in range(d):
             grad_part = (
-                transport_coef * qn * un[i] * un[k]
-                - 2.0 * nu * qn * b.dsym[i, k]
-                - 2.0 * kappa_sq * b.stress[i, k]
+                transport_q * u_i * un[..., k, :]
+                - viscous_q * b.dsym[..., i, k, :]
+                - capillary * b.stress[..., i, k, :]
             )
             vec += frame._synthesize_adjoint(w * grad_part, (k,))
-        out[i] = vec
+        out[..., i, :] = vec
     return out
 
 
-def coupled_step(state: SimState, params: ModelParams, dt: float,
+def coupled_step(state: SimState, params, dt: float,
                  coeffs: dict | None = None) -> SimState:
     """Advance density and velocity together by one joint fixed point.
 
@@ -218,6 +290,14 @@ def coupled_step(state: SimState, params: ModelParams, dt: float,
     the previous state.  The new state carries its own momentum, which the
     following step starts from.
 
+    ``state`` is one state or a stack (:func:`stack_states`), and
+    ``params`` one ModelParams or one per member; one state runs the same
+    sweeps without the member axis.  The members sweep together, one numpy
+    operation per stacked quantity; each member stops at the sweep where
+    its own increment settles and is not swept again, so every member's
+    new state equals, bit for bit, its step alone.  A failing member raises
+    the error it raises alone, with ``member`` naming it.
+
     ``coeffs`` overrides the :func:`momentum_rhs` coefficients (none for the
     confined system); its ``transport_coef`` also scales the velocity that
     advects the density.
@@ -226,42 +306,83 @@ def coupled_step(state: SimState, params: ModelParams, dt: float,
         raise InvalidParameterError(f"dt must be positive, got {dt}")
     coeffs = coeffs or {}
     frame = state.frame
-    q_prev, u_prev = state.q, state.u
-    c_prev = u_prev.coeffs
+    stacked = state.stacked
+    if not stacked and not isinstance(params, ModelParams):
+        (params,) = params
+    q_start, u_prev = state.q, state.u
     momentum_prev = state.momentum
+    q_prev, c_prev = q_start, u_prev.coeffs
     if momentum_prev is None:
-        momentum_prev = c_prev @ assemble_mass(q_prev).matrix.T
+        momentum_prev = np.matmul(c_prev, assemble_mass(q_prev).matrix.mT)
+    delta1 = (params.delta1 if isinstance(params, ModelParams)
+              else np.array([p.delta1 for p in params]))
     advection = 0.5 * coeffs.get("transport_coef", 1.0)
 
-    # the velocity iterate is a coefficient array; fields are built only for
-    # the density step and the force assembly
+    # the velocity iterates are coefficient arrays; fields are built only for
+    # the density step and the force assembly.  ``active`` lists the members
+    # still swept once one has settled; until then every array is the full
+    # stack, and no member is gathered or copied.
+    active = None
+    settled = None  # the settled members' (q coeffs, q nodal, u coeffs, mass matrix)
     c_iter = c_prev
-    for _ in range(MAX_SWEEPS):
-        if c_iter is c_prev and u_prev._synthesized:
-            # first sweep: the average of u_prev with itself is u_prev, bit for bit
-            u_mid = u_prev
+    try:
+        for _ in range(MAX_SWEEPS):
+            if c_iter is c_prev and u_prev._synthesized:
+                # first sweep: the average of u_prev with itself is u_prev, bit for bit
+                u_mid = u_prev
+            else:
+                u_mid = VectorField(frame, coeffs=0.5 * (c_prev + c_iter))
+            u_adv = (u_mid if advection == 0.5
+                     else VectorField(frame, coeffs=advection * (c_prev + c_iter)))
+            q_new = fp_step(q_prev, u_adv, delta1, dt)
+            q_mid = ScalarField(frame, coeffs=0.5 * (q_prev.coeffs + q_new.coeffs))
+            force = momentum_rhs(q_mid, u_mid, params, **coeffs)
+            mass_new = assemble_mass(q_new)
+            c_next = mass_new.solve(momentum_prev + dt * force)
+            delta = c_next - c_iter
+            done = [diff < PICARD_TOL for diff in
+                    _row_norms(delta.reshape(len(delta), -1) if stacked else delta.ravel())]
+            if active is None and all(done):
+                break
+            if any(done):
+                # set the settled members' results aside in full-stack arrays
+                done = np.array(done)
+                members = np.arange(len(done)) if active is None else active
+                results = (q_new.coeffs, q_new.nodal, c_next, mass_new.matrix)
+                if settled is None:
+                    settled = [np.empty((len(q_start.coeffs),) + a.shape[1:]) for a in results]
+                for out, a in zip(settled, results):
+                    out[members[done]] = a[done]
+                if done.all():
+                    break
+                keep = np.flatnonzero(~done)
+                active = members[keep]
+                q_prev, c_prev = q_prev.take(keep), c_prev[keep]
+                momentum_prev = momentum_prev[keep]
+                if not isinstance(params, ModelParams):
+                    params, delta1 = [params[i] for i in keep], delta1[keep]
+                c_next = c_next[keep]
+            c_iter = c_next
         else:
-            u_mid = VectorField(frame, coeffs=0.5 * (c_prev + c_iter))
-        u_adv = (u_mid if advection == 0.5
-                 else VectorField(frame, coeffs=advection * (c_prev + c_iter)))
-        q_new = fp_step(q_prev, u_adv, params.delta1, dt)
-        q_mid = ScalarField(frame, coeffs=0.5 * (q_prev.coeffs + q_new.coeffs))
-        force = momentum_rhs(q_mid, u_mid, params, **coeffs)
-        mass_new = assemble_mass(q_new)
-        c_next = mass_new.solve(momentum_prev + dt * force)
-        delta = (c_next - c_iter).ravel()
-        diff = math.sqrt(delta @ delta)
-        c_iter = c_next
-        if diff < PICARD_TOL:
-            break
-    else:
-        raise StepFailureError(
-            f"velocity fixed point did not settle below {PICARD_TOL:.1e} "
-            f"in {MAX_SWEEPS} sweeps at t={state.t:.6g}; reduce dt"
-        )
+            raise StepFailureError(
+                f"velocity fixed point did not settle below {PICARD_TOL:.1e} "
+                f"in {MAX_SWEEPS} sweeps at t={state.t:.6g}; reduce dt",
+                member=0 if stacked else None)
+    except SOLVER_FAILURES as exc:
+        if active is not None:  # name the member's place in the stack given
+            exc.member = int(active[exc.member])
+        raise
 
-    drift = abs(float(q_new.coeffs[0]) - float(q_prev.coeffs[0]))
-    if drift > 1e-10:
-        raise InternalConsistencyError(f"mass drifted by {drift:.3e} over one step")
-    return SimState(q_new, VectorField(frame, coeffs=c_iter), state.t + dt,
-                    c_iter @ mass_new.matrix.T)
+    if settled is None:
+        c_new, matrix = c_next, mass_new.matrix
+    else:
+        qc, qn, c_new, matrix = settled
+        q_new = ScalarField._formed(frame, qc, qn, synthesized=True)
+    masses = zip(_floats(q_start.coeffs[..., 0]), _floats(q_new.coeffs[..., 0]))
+    for i, (old, new) in enumerate(masses):
+        drift = abs(new - old)
+        if drift > 1e-10:
+            raise InternalConsistencyError(f"mass drifted by {drift:.3e} over one step",
+                                           member=i if stacked else None)
+    return SimState(q_new, VectorField(frame, coeffs=c_new), state.t + dt,
+                    np.matmul(c_new, matrix.mT))

@@ -176,16 +176,17 @@ class GaussianFrame:
         # (dim,) * order block that name it
         self._axis_sets = tuple(_axis_sets(dim, order) for order in range(len(self._tables)))
         # read in d = 2 only (d = 1 multiplies by V): synthesis fills a
-        # (degree+1)^2 grid of coefficients; mass assembly uses products of
-        # two 1D basis values, one column per unordered degree pair (a, b),
-        # and the flat position of each Gram entry in their product table
-        self._grid_index = tuple(self.multi_indices.T)
+        # (degree+1)^2 grid of coefficients, behind any leading stack axes;
+        # mass assembly uses products of two 1D basis values, one column per
+        # unordered degree pair (a, b), and the flat position of each Gram
+        # entry in their product table
+        self._grid_index = (..., *self.multi_indices.T)
         a, b = np.triu_indices(degree + 1)
         pair = np.empty((degree + 1, degree + 1), dtype=np.int64)
         pair[a, b] = pair[b, a] = np.arange(a.size)
         self._pair_table = table[:, a] * table[:, b]
         self._gram_index = np.ravel_multi_index(
-            tuple(pair[m[:, None], m[None, :]] for m in self._grid_index), (a.size,) * dim)
+            tuple(pair[m[:, None], m[None, :]] for m in self.multi_indices.T), (a.size,) * dim)
 
         self.radius_sq = np.sum(self.nodes**2, axis=1)
         # Hermite polynomials grow super-exponentially past the oscillatory
@@ -194,33 +195,44 @@ class GaussianFrame:
         # exactly (weights below round-off of any total), but positivity and
         # sup-norm checks only make sense on the trusted complement.
         self.trusted = np.max(np.abs(self.V), axis=1) <= TRUST_LIMIT
+        self._trusted_mask = self.trusted.astype(float)  # 1.0 on trusted nodes, else 0.0
         for arr in (self.nodes, self.weights, self.V, self.multi_indices, self.trusted,
-                    *self._tables):
+                    self._trusted_mask, *self._tables):
             arr.flags.writeable = False
 
+    # The transforms below act on each row of any leading (stack) axes: every
+    # row meets the tables in its own BLAS product, so a row of a stack
+    # equals that row alone bit for bit.
+
     def _synthesize(self, coeffs: np.ndarray, axes: tuple = ()) -> np.ndarray:
-        """Nodal values of d/dx_axes[0] d/dx_axes[1] ... of the field with these coefficients.
+        """Nodal values of d/dx_axes[0] d/dx_axes[1] ... of the field with these
+        coefficients, for each row of ``coeffs``.
 
         In d = 2 the coefficients fill a (degree+1)^2 grid C and the values
         are T_a C T_b^T, with T_a the 1D table of the a-th derivative.
         """
         tables = self._tables
         if self.dim == 1:
-            return tables[len(axes)] @ coeffs
-        grid = np.zeros((self.degree + 1, self.degree + 1))
+            return _matvec(tables[len(axes)], coeffs)
+        lead = coeffs.shape[:-1]
+        grid = np.zeros(lead + (self.degree + 1, self.degree + 1))
         grid[self._grid_index] = coeffs
-        return (tables[axes.count(0)] @ grid @ tables[axes.count(1)].T).ravel()
+        values = np.matmul(np.matmul(tables[axes.count(0)], grid), tables[axes.count(1)].T)
+        return values.reshape(lead + (self.n_nodes,))
 
     def _synthesize_adjoint(self, values: np.ndarray, axes: tuple = ()) -> np.ndarray:
-        """Transpose of :meth:`_synthesize`: sum_n values[n] d_axes Phi_alpha(x_n) for every alpha."""
+        """Transpose of :meth:`_synthesize`: sum_n values[n] d_axes Phi_alpha(x_n)
+        for every alpha, for each row of ``values``."""
         tables = self._tables
         if self.dim == 1:
-            return tables[len(axes)].T @ values
-        grid = values.reshape(self.quad_order, self.quad_order)
-        return (tables[axes.count(0)].T @ grid @ tables[axes.count(1)])[self._grid_index]
+            return _matvec(tables[len(axes)].T, values)
+        grid = values.reshape(values.shape[:-1] + (self.quad_order, self.quad_order))
+        out = np.matmul(np.matmul(tables[axes.count(0)].T, grid), tables[axes.count(1)])
+        return out[self._grid_index]
 
     def _weighted_gram(self, node_weights: np.ndarray) -> np.ndarray:
-        """sum_n w_n Phi_alpha(x_n) Phi_beta(x_n) for every pair of basis functions.
+        """sum_n w_n Phi_alpha(x_n) Phi_beta(x_n) for every pair of basis
+        functions, one matrix per row of ``node_weights``.
 
         The result is exactly symmetric in both dimensions.  In d = 2 the
         sum over the grid runs one axis at a time on products of two 1D
@@ -230,11 +242,13 @@ class GaussianFrame:
         symmetrized.
         """
         if self.dim == 1:
-            mat = self.V.T @ (node_weights[:, None] * self.V)
-            return 0.5 * (mat + mat.T)
-        grid = node_weights.reshape(self.quad_order, self.quad_order)
+            mat = np.matmul(self.V.T, node_weights[..., None] * self.V)
+            return 0.5 * (mat + mat.mT)
+        lead = node_weights.shape[:-1]
+        grid = node_weights.reshape(lead + (self.quad_order, self.quad_order))
         pairs = self._pair_table
-        return (pairs.T @ (grid @ pairs)).take(self._gram_index)
+        sums = np.matmul(pairs.T, np.matmul(grid, pairs))
+        return sums.reshape(lead + (-1,)).take(self._gram_index, axis=-1)
 
     def derivatives(self, coeffs: np.ndarray, order: int) -> np.ndarray:
         """Exact nodal derivatives of each row of ``coeffs``, shape
@@ -244,21 +258,18 @@ class GaussianFrame:
         row, for order <= 3; order 0 is the synthesis.  Any leading shape is
         accepted, and every row is synthesized on its own, so a row of a
         stack equals that row alone bit for bit.  Derivatives commute, so in
-        d = 2 each distinct set of axes is synthesized once per row and
-        copied to its permutations.
+        d = 2 each distinct set of axes is synthesized once and copied to
+        its permutations.
         """
-        n = self.n_nodes
-        shape = coeffs.shape[:-1] + (self.dim,) * order + (n,)
+        shape = coeffs.shape[:-1] + (self.dim,) * order + (self.n_nodes,)
         if self.dim == 1:
             # a single axis set: one matrix-vector product with a 1D table per row
-            return np.matmul(self._tables[order], coeffs[..., None])[..., 0].reshape(shape)
-        rows = coeffs.reshape(-1, self.n_basis)
-        out = np.empty((rows.shape[0], self.dim**order, n))
-        for block, row in zip(out, rows):
-            for axes, positions in self._axis_sets[order]:
-                values = self._synthesize(row, axes)
-                for pos in positions:
-                    block[pos] = values
+            return _matvec(self._tables[order], coeffs).reshape(shape)
+        out = np.empty(coeffs.shape[:-1] + (self.dim**order, self.n_nodes))
+        for axes, positions in self._axis_sets[order]:
+            values = self._synthesize(coeffs, axes)
+            for pos in positions:
+                out[..., pos, :] = values
         return out.reshape(shape)
 
     def basis_eval(self, points: np.ndarray) -> np.ndarray:
@@ -281,7 +292,7 @@ class GaussianFrame:
             raise DimensionError(
                 f"expected {self.n_nodes} nodal values (= quad_order^dim), got {values.shape}"
             )
-        return np.matmul(self.V.T, (self.weights * values)[..., None])[..., 0]
+        return _matvec(self.V.T, self.weights * values)
 
     def quad(self, nodal_values: np.ndarray) -> float:
         """Quadrature integral against the normalized Gaussian measure."""
@@ -327,6 +338,11 @@ class ScalarField:
     coefficients.  For data of degree <= N the two round-trip to round-off.
     Both arrays are read-only; the array given to the constructor is kept
     as a read-only view, so the caller's own array stays writable.
+
+    Leading axes before the field's own shape stack several states'
+    fields, one member per leading index (:meth:`stack`, :meth:`take`).
+    Every transform runs row by row, so each member's arrays equal, bit
+    for bit, those of the member's field alone.
     """
 
     __slots__ = ("frame", "_coeffs", "_nodal", "_synthesized")
@@ -339,18 +355,55 @@ class ScalarField:
         self.frame = frame
         # the nodal values are (or will be) the synthesis of the coefficients
         self._synthesized = nodal is None
-        # the given array (any array of that many numbers) as a read-only
-        # view of shape (width,), or (dim, width) for a vector field
+        # the given array as a read-only view: (..., width), or
+        # (..., dim, width) for a vector field, or any array of exactly
+        # that many numbers for one field
         values = np.asarray(nodal if coeffs is None else coeffs, dtype=float)
         width, what = ((frame.n_nodes, "nodal values") if coeffs is None
                        else (frame.n_basis, "coefficients"))
         shape = (frame.dim, width) if self._vector else (width,)
-        try:
-            view = values.view() if values.shape == shape else values.reshape(shape)
-        except ValueError:
-            raise DimensionError(f"expected {shape} {what}, got shape {values.shape}") from None
+        if values.shape != shape and values.shape[-len(shape):] != shape:
+            try:
+                values = values.reshape(shape)
+            except ValueError:
+                raise DimensionError(
+                    f"expected {shape} {what}, got shape {values.shape}") from None
+        view = values.view()
         view.setflags(write=False)
         self._coeffs, self._nodal = (None, view) if coeffs is None else (view, None)
+
+    @classmethod
+    def _formed(cls, frame: GaussianFrame, coeffs, nodal, synthesized: bool):
+        """A field from arrays already formed (either may be None), kept
+        read-only as they are; ``synthesized`` says whether ``nodal`` is
+        (or will be) the synthesis of ``coeffs``."""
+        field = cls.__new__(cls)
+        field.frame, field._synthesized = frame, synthesized
+        for arr in (coeffs, nodal):
+            if arr is not None:
+                arr.setflags(write=False)
+        field._coeffs, field._nodal = coeffs, nodal
+        return field
+
+    @classmethod
+    def stack(cls, fields):
+        """The fields of a sequence stacked along a new leading member axis.
+
+        The nodal values are stacked as given when any field keeps nodal
+        values that are not its synthesis; otherwise they are synthesized
+        for the whole stack on first use.
+        """
+        synthesized = all(f._synthesized for f in fields)
+        nodal = None if synthesized else np.stack([f.nodal for f in fields])
+        return cls._formed(fields[0].frame, np.stack([f.coeffs for f in fields]), nodal,
+                           synthesized)
+
+    def take(self, index):
+        """The members of a stacked field at ``index`` of its member axis
+        (an integer gives one member's field), with the arrays formed so far."""
+        return type(self)._formed(
+            self.frame, None if self._coeffs is None else self._coeffs[index],
+            None if self._nodal is None else self._nodal[index], self._synthesized)
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -383,9 +436,10 @@ class VectorField(ScalarField):
     """dim scalar rows on one frame, the velocity space Phi_beta e_i.
 
     ``coeffs`` is one (dim, n_basis) array and ``nodal`` one (dim, n_nodes)
-    array; any array of that many numbers is accepted, as a state file
-    stores it.  Each row is formed on its own, so it equals a
-    :class:`ScalarField`'s array for that row bit for bit.
+    array, each with the leading member axes of a stack; for one field any
+    array of that many numbers is accepted, as a state file stores it.  Each
+    row is formed on its own, so it equals a :class:`ScalarField`'s array
+    for that row bit for bit.
     """
 
     __slots__ = ()
@@ -394,6 +448,29 @@ class VectorField(ScalarField):
     @classmethod
     def zero(cls, frame: GaussianFrame) -> "VectorField":
         return cls(frame, coeffs=np.zeros((frame.dim, frame.n_basis)))
+
+
+def _matvec(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``matrix @ row`` for each row (last axis) of ``rows``, each by its own
+    BLAS product, so a row of a stack gets the bits of that row alone."""
+    if rows.ndim == 1:
+        return matrix @ rows
+    return np.matmul(matrix, rows[..., None])[..., 0]
+
+
+def _row_norms(rows: np.ndarray) -> list[float]:
+    """Euclidean norm of each row (last axis) of ``rows``, as floats; each
+    row by its own BLAS dot, so a row of a stack gets the bits of
+    ``row @ row`` alone."""
+    if rows.ndim == 1:
+        return [math.sqrt(rows @ rows)]
+    return np.sqrt(np.matmul(rows[..., None, :], rows[..., :, None])[..., 0, 0]).tolist()
+
+
+def _floats(values: np.ndarray) -> list[float]:
+    """The entries of an array as floats, one for a 0-d array."""
+    values = values.tolist()
+    return values if isinstance(values, list) else [values]
 
 
 def transform(frame: GaussianFrame, nodal_values: np.ndarray) -> ScalarField:

@@ -328,12 +328,15 @@ class TestSweepCommand:
         assert len(report["increments"]) == 1
 
     def test_failing_member_exits_2(self, tmp_path, capsys, monkeypatch):
-        # the second member (r1 = 1/8) stalls on its first step
+        # the second member (r1 = 1/8) stalls on its first step; the members
+        # step as one stack, so the stand-in names it by its place there
         step = hermflow.driver.coupled_step
 
         def stalling_step(state, params, dt, *args):
-            if params.r1 == 1.0 / 8.0:
-                raise StepFailureError(f"stalled at t={state.t:.6g}")
+            rates = [p.r1 for p in params]
+            if 1.0 / 8.0 in rates:
+                raise StepFailureError(f"stalled at t={state.t:.6g}",
+                                       member=rates.index(1.0 / 8.0))
             return step(state, params, dt, *args)
 
         monkeypatch.setattr(hermflow.driver, "coupled_step", stalling_step)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,20 @@ from hermflow import InvalidParameterError, ModelParams, StateBundle, VectorFiel
 from scipy.signal import fftconvolve
 
 import hermflow.continuation
+import hermflow.driver
+from hermflow import galerkin
 from hermflow.continuation import (
     drag_schedule,
     mollify_initial_data,
+    schedule_indices,
     vanishing_drag_sweep,
 )
 from hermflow.calculus import gradient_nodal
+from hermflow.diagnostics import energy_inequality_audit
+from hermflow.driver import simulate
+from hermflow.errors import SOLVER_FAILURES, StepFailureError
+from hermflow.galerkin import SimState, member_states, stack_states
+from hermflow.spectral import transform
 from hermflow.sampling import random_density, random_velocity, tilted_density
 
 from conftest import unit_field
@@ -190,3 +200,176 @@ class TestStackedSweepFields:
         got = hermflow.continuation._sq_distance(frame_2d, a, b)
         want = [frame_2d.quad(np.einsum("in,in->n", x - y, x - y)) for x, y in zip(a, b)]
         assert got.tolist() == want
+
+
+def sequential_sweep(frame, base, q0, u0, n_list, dt, t_final, record_every=1):
+    """The sweep with its members marched one after another, each by
+    ``simulate``: the oracle of the stacked march."""
+    n_list = schedule_indices(n_list)
+    runs = []
+    report = {"n_list": n_list, "schedules": [], "audits": [], "failed_at": None}
+    for n in n_list:
+        q0n, u0n = mollify_initial_data(q0, u0, n)
+        params = drag_schedule(n, q0n, base)
+        report["schedules"].append({"n": n, "r0": params.r0, "r1": params.r1,
+                                    "r4": params.r4, "delta1": params.delta1})
+        try:
+            result = simulate(frame, params, q0n, u0n, dt=dt, t_final=t_final,
+                              record_every=record_every, keep_states=True)
+        except SOLVER_FAILURES as exc:
+            report["failed_at"] = n
+            report["failure"] = f"{type(exc).__name__}: {exc}"
+            break
+        states = result.states
+        runs.append((n, hermflow.continuation._sweep_fields(
+            StateBundle([s.q for s in states], [s.u for s in states]))))
+        report["audits"].append(
+            energy_inequality_audit(result.records, params, frame.sigma, frame.dim))
+    distance = hermflow.continuation._sq_distance
+    report["increments"] = [
+        {"pair": (na, nb),
+         "sqrtq_h1": float(np.max(np.sqrt(distance(frame, sa, sb) + distance(frame, ga, gb)))),
+         "momentum_l2": float(np.max(np.sqrt(distance(frame, ja, jb))))}
+        for (na, (sa, ga, ja)), (nb, (sb, gb, jb)) in zip(runs, runs[1:])]
+    return report
+
+
+REPORT_KEYS = ("failed_at", "failure", "schedules", "audits", "increments")
+
+
+def report_json(report):
+    """The compared part of a report as ``sweep_report.json`` writes it."""
+    return json.dumps({key: report.get(key) for key in REPORT_KEYS}, indent=2, sort_keys=True)
+
+
+def member_of(params, n):
+    """The place of schedule index n in a step's params, or None."""
+    rates = [p.r1 for p in params]
+    return rates.index(1.0 / n) if 1.0 / n in rates else None
+
+
+def failing_at(n, t_fail):
+    """``coupled_step`` with member n failing from time t_fail on."""
+    real = galerkin.coupled_step
+
+    def step(state, params, dt, coeffs=None):
+        member = member_of(params, n)
+        if member is not None and state.t >= t_fail:
+            raise StepFailureError(f"member {n} fails at t={state.t:.6g}", member=member)
+        return real(state, params, dt, coeffs)
+
+    return step
+
+
+def breaching_at(frame, n, k):
+    """``coupled_step`` whose member n reaches a density below the floor at
+    step k and fails at the step after."""
+    real = galerkin.coupled_step
+
+    def step(state, params, dt, coeffs=None):
+        member = member_of(params, n)
+        steps_done = round(state.t / dt)
+        if member is not None and steps_done == k:
+            raise StepFailureError("the step after the breach", member=member)
+        new = real(state, params, dt, coeffs)
+        if member is not None and steps_done == k - 1:
+            members = member_states(new)
+            bad = transform(frame, 0.1 + 0.2 * frame.nodes[:, 0])
+            members[member] = SimState(bad, members[member].u, new.t)
+            new = stack_states(members)
+        return new
+
+    return step
+
+
+def lower_sweep_cap(t_from, cap):
+    """``coupled_step`` with at most ``cap`` Picard sweeps from time t_from on."""
+    real = galerkin.coupled_step
+
+    def step(state, params, dt, coeffs=None):
+        galerkin.MAX_SWEEPS = cap if state.t >= t_from - 1e-12 else 25
+        return real(state, params, dt, coeffs)
+
+    return step
+
+
+class TestStackedSweepReport:
+    """The members march together; the report equals, in every field, that of
+    marching them one after another."""
+
+    N_LIST = [4, 8, 16]
+
+    def run_both(self, tight_frame, monkeypatch, step=None, t_final=0.02, record_every=1):
+        params = ModelParams(a=1.0, kappa=0.5, nu=0.5, lam=100.0)
+        q0 = tilted_density(tight_frame, 0.8)
+        u0 = VectorField.zero(tight_frame)
+        monkeypatch.setattr(galerkin, "MAX_SWEEPS", galerkin.MAX_SWEEPS)
+        if step is not None:
+            monkeypatch.setattr(hermflow.driver, "coupled_step", step)
+        stacked = vanishing_drag_sweep(tight_frame, params, q0, u0, self.N_LIST, dt=2e-3,
+                                       t_final=t_final, record_every=record_every)
+        oracle = sequential_sweep(tight_frame, params, q0, u0, self.N_LIST, dt=2e-3,
+                                  t_final=t_final, record_every=record_every)
+        assert report_json(stacked) == report_json(oracle)
+        return stacked
+
+    def test_completed_sweep(self, tight_frame, monkeypatch):
+        report = self.run_both(tight_frame, monkeypatch, record_every=3)
+        assert report["failed_at"] is None and len(report["increments"]) == 2
+
+    @pytest.mark.parametrize("n, t_fail", [(4, 0.006), (8, 0.01), (16, 0.0)],
+                             ids=["first", "middle", "last"])
+    def test_member_failure(self, tight_frame, monkeypatch, n, t_fail):
+        report = self.run_both(tight_frame, monkeypatch, failing_at(n, t_fail - 1e-12))
+        assert report["failed_at"] == n
+        assert report["failure"].startswith(f"StepFailureError: member {n} fails")
+        assert len(report["audits"]) == self.N_LIST.index(n)
+
+    def test_later_failure_of_an_earlier_member_wins(self, tight_frame, monkeypatch):
+        # member 16 fails first in time, member 8 later: marching them one
+        # after another reaches member 8's failure first
+        monkeypatch.setattr(galerkin, "coupled_step", failing_at(8, 0.01 - 1e-12))
+        report = self.run_both(tight_frame, monkeypatch, failing_at(16, 0.0))
+        assert report["failed_at"] == 8 and len(report["audits"]) == 1
+
+    def test_picard_stall(self, tight_frame, monkeypatch):
+        # from t = 0.02 on six sweeps are allowed, fewer than the smallest
+        # index needs there
+        report = self.run_both(tight_frame, monkeypatch, lower_sweep_cap(0.02, 6), t_final=0.04)
+        assert report["failed_at"] == 4
+        assert "did not settle below 1.0e-10 in 6 sweeps at t=0.02" in report["failure"]
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_record_breach_wins_over_the_step_failure(self, tight_frame, monkeypatch, n):
+        report = self.run_both(tight_frame, monkeypatch, breaching_at(tight_frame, n, 4))
+        assert report["failed_at"] == n
+        assert report["failure"].startswith("PositivityError: density")
+
+
+def test_momentum_calls_follow_the_slowest_member(tight_frame, monkeypatch):
+    # the members sweep as one stack: a step assembles the forces once per
+    # sweep of its slowest member, not once per sweep of every member
+    params = ModelParams(a=1.0, kappa=0.5, nu=0.5, lam=100.0)
+    q0 = tilted_density(tight_frame, 0.8)
+    u0 = VectorField.zero(tight_frame)
+    n_list, dt, n_steps = [4, 8, 16, 32], 2e-3, 25
+    calls = []
+    real = galerkin.momentum_rhs
+    monkeypatch.setattr(galerkin, "momentum_rhs",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    sweeps = []  # per member, the sweeps of each step alone
+    for n in n_list:
+        q0n, u0n = mollify_initial_data(q0, u0, n)
+        p, state, counts = drag_schedule(n, q0n, params), SimState(q0n, u0n), []
+        for _ in range(n_steps):
+            before = len(calls)
+            state = galerkin.coupled_step(state, p, dt)
+            counts.append(len(calls) - before)
+        sweeps.append(counts)
+    slowest = sum(max(step) for step in zip(*sweeps))
+    assert slowest < sum(map(sum, sweeps))
+    del calls[:]
+    report = vanishing_drag_sweep(tight_frame, params, q0, u0, n_list, dt=dt,
+                                  t_final=n_steps * dt, record_every=5)
+    assert report["failed_at"] is None
+    assert len(calls) == slowest

@@ -28,7 +28,7 @@ from hermflow import calculus, galerkin, spectral
 from hermflow.diagnostics import record
 from hermflow.driver import simulate
 from hermflow.errors import SOLVER_FAILURES
-from hermflow.galerkin import MAX_SWEEPS, PICARD_TOL
+from hermflow.galerkin import MAX_SWEEPS, PICARD_TOL, member_states, stack_states
 from hermflow.rescaled import TauState, tau_coeffs
 from hermflow.sampling import random_density, random_field, random_velocity, tilted_density
 from hermflow.spectral import build_frame, transform
@@ -310,7 +310,7 @@ class TestCoupledStep:
         q0 = random_density(frame_1d, rng)
         u0 = project_initial_velocity(q0, 2.0 * frame_1d.nodes.T.copy())
         state = make_initial_state(q0, u0)
-        with pytest.raises((StepFailureError, Exception)):
+        with pytest.raises(SOLVER_FAILURES):
             for _ in range(50):
                 state = coupled_step(state, drag_free(), 0.5)
 
@@ -444,3 +444,90 @@ class TestPlanarStepping:
         assert rel < 1e-4
         assert abs(state.q.coeffs[0] - 1.0) < 1e-12
 
+
+
+def stack_members(frame, rng):
+    """Four states with their params: a drag-free member among regularized
+    ones, a member built from nodal values, and velocities of different
+    sizes, so that the members settle at different sweeps."""
+    base = {"a": 1.0, "kappa": 1.0, "nu": 0.5, "lam": 2.0}
+    params = [ModelParams(**base, r0=0.1, r1=0.2, r4=0.05, delta1=0.3),
+              ModelParams(**base),
+              ModelParams(**base, r1=0.05, delta1=0.1),
+              ModelParams(**base, r0=0.2)]
+    states = []
+    for k, amplitude in enumerate((0.0, 0.05, 0.2, 0.1)):
+        q = random_density(frame, rng, decay=0.3)
+        u = random_velocity(frame, rng, decay=0.3, amplitude=amplitude)
+        if k == 2:
+            # built from nodal values, which stay verbatim: the synthesis of
+            # their projection differs from them in the last bits
+            q, u = ScalarField(frame, nodal=q.nodal), VectorField(frame, nodal=u.nodal)
+            assert not np.array_equal(q.nodal, frame.derivatives(q.coeffs, 0))
+        states.append(SimState(q, u))
+    return states, params
+
+
+class TestStackedStep:
+    @pytest.mark.parametrize("frame_name", ["frame_1d", "frame_2d"])
+    def test_members_equal_their_steps_alone(self, frame_name, request, rng, monkeypatch):
+        # three stacked steps against each member stepped alone, bit for bit
+        frame = request.getfixturevalue(frame_name)
+        states, params = stack_members(frame, rng)
+        sweeps = counted(monkeypatch, galerkin.momentum_rhs)
+        stack = stack_states(states)
+        settled_apart = False
+        for _ in range(3):
+            stack = coupled_step(stack, params, 1e-3)
+            counts = []
+            for k, (state, p) in enumerate(zip(states, params)):
+                before = len(sweeps)
+                states[k] = coupled_step(state, p, 1e-3)
+                counts.append(len(sweeps) - before)
+            settled_apart = settled_apart or len(set(counts)) > 1
+            for ours, alone in zip(member_states(stack), states):
+                assert ours.t == alone.t
+                assert np.array_equal(ours.q.coeffs, alone.q.coeffs)
+                assert np.array_equal(ours.q.nodal, alone.q.nodal)
+                assert np.array_equal(ours.u.coeffs, alone.u.coeffs)
+                assert np.array_equal(ours.momentum, alone.momentum)
+        # the members settled at different sweeps, so the settled ones were set aside
+        assert settled_apart
+
+    def test_dilated_coefficients_apply_to_every_member(self, frame_1d, rng):
+        coeffs = tau_coeffs(drag_free(), TauState(1.7, 0.3, 0.0))
+        states = [make_initial_state(random_density(frame_1d, rng, decay=0.3),
+                                     random_velocity(frame_1d, rng, decay=0.3, amplitude=a))
+                  for a in (0.05, 0.1)]
+        stack = coupled_step(stack_states(states), [drag_free()] * 2, 1e-3, coeffs)
+        for ours, state in zip(member_states(stack), states):
+            alone = coupled_step(state, drag_free(), 1e-3, coeffs)
+            assert np.array_equal(ours.u.coeffs, alone.u.coeffs)
+            assert np.array_equal(ours.q.coeffs, alone.q.coeffs)
+
+    def test_stall_names_the_member(self, frame_1d, monkeypatch):
+        # the resting members settle at the first sweep; the moving one stalls
+        # after it, and the error names its place in the stack
+        monkeypatch.setattr(galerkin, "MAX_SWEEPS", 2)
+        rest = make_initial_state(unit_field(frame_1d), VectorField.zero(frame_1d))
+        q0 = tilted_density(frame_1d, 0.25)
+        moving = SimState(q0, project_initial_velocity(q0, 0.15 * frame_1d.nodes.T.copy()))
+        with pytest.raises(StepFailureError) as alone:
+            coupled_step(moving, drag_free(), 1e-3)
+        with pytest.raises(StepFailureError) as stacked:
+            coupled_step(stack_states([rest, moving, rest]), [drag_free()] * 3, 1e-3)
+        assert str(stacked.value) == str(alone.value)
+        assert stacked.value.member == 1 and alone.value.member is None
+
+    def test_positivity_breach_names_the_member(self, frame_1d, rng):
+        # a density below the floor fails in the force assembly with the
+        # error of that member alone
+        x = frame_1d.nodes[:, 0]
+        bad = SimState(transform(frame_1d, 0.1 + 0.2 * x), VectorField.zero(frame_1d))
+        good = make_initial_state(random_density(frame_1d, rng), VectorField.zero(frame_1d))
+        with pytest.raises(PositivityError) as alone:
+            coupled_step(bad, drag_free(), 1e-3)
+        with pytest.raises(PositivityError) as stacked:
+            coupled_step(stack_states([good, good, bad]), drag_free(), 1e-3)
+        assert str(stacked.value) == str(alone.value)
+        assert stacked.value.member == 2
