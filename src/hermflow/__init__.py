@@ -16,7 +16,14 @@ audits), ``continuation`` (mollified data and vanishing-drag sweeps),
 ``rescaled`` (self-similar variables for the unconfined flow: the
 ``coupled_step`` coefficients at a dilation and the dilated balances),
 ``driver`` (the confined march loop, which also tracks the positivity
-envelope and records its states a chunk at a time) and ``cli`` (run orchestration, including the dilated march).
+envelope and records its states a chunk at a time) and ``cli`` (run
+orchestration, including the dilated march).
+
+Several states are stacked one way only: as one field whose leading axes
+are the members (``ScalarField.stack``), which every layer from
+``StateBundle`` to ``coupled_step`` takes in place of one field.  A lone
+state is simply member 0: a solver failure names the failing member in
+``member``, 0 for one state.
 
 Frames and fields are immutable values (a field's ``coeffs`` and ``nodal``
 are read-only arrays: writing into them raises); every public operation is

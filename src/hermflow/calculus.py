@@ -101,32 +101,22 @@ class ModelParams:
         return any(getattr(self, name) != 0.0 for name in _REGULARIZERS)
 
 
-def _stacked(fields, attr: str) -> np.ndarray:
-    """The ``attr`` array of one field, or those of a sequence of fields
-    stacked along a new leading axis."""
-    if isinstance(fields, ScalarField):
-        return getattr(fields, attr)
-    return np.stack([getattr(f, attr) for f in fields])
-
-
-def require_positive(q) -> np.ndarray:
+def require_positive(q: ScalarField) -> np.ndarray:
     """Raw nodal values of q, floor-checked where the check is meaningful.
 
-    ``q`` is one field, or a stacked field or a sequence of fields on one
-    frame, whose values are returned stacked along a leading axis.
+    ``q`` is one field, or a stack whose leading axes are its members.
     Positivity is asserted on the frame's trusted nodes and a breach raises
-    with the offending node attached; for a stack the first breaching
-    member raises, with the node and value it raises with alone, and the
-    error names that member.  Far-tail nodes carry no
-    meaningful pointwise information and are exempt.  Divisions by q must
-    go through the masked reciprocals of :class:`StateBundle`, never
-    through the raw values.
+    with the offending node attached; the first breaching member raises,
+    with the node and value it raises with alone, and the error names that
+    member (0 for one field).  Far-tail nodes carry no meaningful pointwise
+    information and are exempt.  Divisions by q must go through the masked
+    reciprocals of :class:`StateBundle`, never through the raw values.
     """
-    frame = q.frame if isinstance(q, ScalarField) else q[0].frame
-    qn = _stacked(q, "nodal")
-    inner = np.where(frame.trusted, qn, np.inf)
-    # the minimum over every state is NaN if any value is, and NaN fails here
-    if not inner.min() >= POSITIVITY_FLOOR:
+    frame, qn = q.frame, q.nodal
+    # the minimum over every member is NaN if any value is, and NaN fails here
+    if not np.minimum.reduce(qn, axis=None, where=frame.trusted,
+                             initial=np.inf) >= POSITIVITY_FLOOR:
+        inner = np.where(frame.trusted, qn, np.inf)
         rows = zip(inner.reshape(-1, frame.n_nodes), qn.reshape(-1, frame.n_nodes))
         for member, (row, values) in enumerate(rows):
             i = int(np.argmin(row))  # argmin finds a NaN first
@@ -136,30 +126,19 @@ def require_positive(q) -> np.ndarray:
                     f"at node {frame.nodes[i]}",
                     node=frame.nodes[i],
                     value=float(values[i]),
-                    member=member if qn.ndim > 1 else None,
+                    member=member,
                 )
     return qn
 
 
-def _derivatives(f, order: int) -> np.ndarray:
-    if isinstance(f, ScalarField):
-        return f.derivatives(order)
-    return f[0].frame.derivatives(_stacked(f, "coeffs"), order)
+def gradient_nodal(f: ScalarField) -> np.ndarray:
+    """Exact nodal gradient, shape rows + (dim, n_nodes); du[i, k] = d_k u_i for a velocity."""
+    return f.derivatives(1)
 
 
-def gradient_nodal(f) -> np.ndarray:
-    """Exact nodal gradient, shape rows + (dim, n_nodes); du[i, k] = d_k u_i for a velocity.
-
-    ``f`` is one field, or a sequence of fields on one frame, stacked along
-    a leading axis.
-    """
-    return _derivatives(f, 1)
-
-
-def hessian_nodal(f) -> np.ndarray:
-    """Exact nodal Hessian, shape rows + (dim, dim, n_nodes), of one field or
-    of a sequence of fields stacked along a leading axis."""
-    return _derivatives(f, 2)
+def hessian_nodal(f: ScalarField) -> np.ndarray:
+    """Exact nodal Hessian, shape rows + (dim, dim, n_nodes)."""
+    return f.derivatives(2)
 
 
 def scalar_pow(x, p: float):
@@ -197,11 +176,11 @@ class StateBundle:
 
     The weak forces, every diagnostic and the dilated energies read a state's
     derivatives and integrals from here, so each is defined once and formed
-    at most once per state.  ``q`` and ``u`` are one field each, or
-    equal-length sequences of fields on one frame: a sequence stacks its
-    states along a leading axis of every array and every integral, and each
-    state's entries equal, bit for bit, those of its own one-state bundle
-    (every product runs row by row, see :meth:`GaussianFrame.derivatives`).
+    at most once per state.  ``q`` and ``u`` are one field each, or stacks
+    of the same members (:meth:`ScalarField.stack`): the members' axes lead
+    every array and every integral, and each member's entries equal, bit for
+    bit, those of its own one-state bundle (every product runs row by row,
+    see :meth:`GaussianFrame.derivatives`).
     Positivity of q is checked on construction (:func:`require_positive`).
     Rational quantities (anything divided by a power of q) vanish on the
     frame's untrusted tail nodes; polynomial ones keep raw values so their
@@ -209,13 +188,13 @@ class StateBundle:
     (q, 0).
     """
 
-    def __init__(self, q, u=None):
-        self.frame = frame = q.frame if isinstance(q, ScalarField) else q[0].frame
-        if u is None:
-            zero = VectorField.zero(frame)
-            u = zero if isinstance(q, ScalarField) else [zero] * len(q)
-        self._q, self._u = q, u
+    def __init__(self, q: ScalarField, u: VectorField | None = None):
+        self.frame = frame = q.frame
         self.qn = require_positive(q)
+        if u is None:  # zero, with the member axes of q's nodal values
+            members = self.qn.shape[:-1]
+            u = VectorField(frame, coeffs=np.zeros(members + (frame.dim, frame.n_basis)))
+        self._q, self._u = q, u
 
     # Every array carries the state axes first and the nodes last, so a
     # per-node array meets a tensor as values[..., None, None, :].
@@ -293,7 +272,7 @@ class StateBundle:
 
     @_cached
     def un(self) -> np.ndarray:
-        return _stacked(self._u, "nodal")
+        return self._u.nodal
 
     @_cached
     def raw2(self) -> np.ndarray:

@@ -302,7 +302,8 @@ def rescaled_run(cfg: RunConfig) -> int:
 
     def balance(pending):
         states, dilations = zip(*pending)
-        b = StateBundle([s.q for s in states], [s.u for s in states])
+        b = StateBundle(ScalarField.stack([s.q for s in states]),
+                        VectorField.stack([s.u for s in states]))
         values = rescaled_balance(b, np.array([d.tau for d in dilations]),
                                   np.array([d.tau_dot for d in dilations]), params)
         for state, tau, (*energy, remainder) in zip(states, dilations,

@@ -211,8 +211,8 @@ def vanishing_drag_sweep(frame: GaussianFrame, base_params: ModelParams,
         report["failed_at"] = n_list[len(results)]
         report["failure"] = f"{type(failure).__name__}: {failure}"
     # (n, the _sweep_fields of the kept states) per completed member
-    runs = [(n, _sweep_fields(StateBundle([s.q for s in result.states],
-                                          [s.u for s in result.states])))
+    runs = [(n, _sweep_fields(StateBundle(ScalarField.stack([s.q for s in result.states]),
+                                          VectorField.stack([s.u for s in result.states]))))
             for n, result in zip(n_list, results)]
 
     increments = []

@@ -40,6 +40,8 @@ __all__ = [
     "poincare_ratio",
     "poincare_korn_ratio",
     "energy_inequality_audit",
+    "csv_header",
+    "csv_row",
 ]
 
 
@@ -282,7 +284,8 @@ def record(states: list[SimState], params: ModelParams) -> list[DiagnosticsRecor
     the log-Sobolev check.
     """
     frame = states[0].frame
-    b = StateBundle([s.q for s in states], [s.u for s in states])
+    b = StateBundle(ScalarField.stack([s.q for s in states]),
+                    VectorField.stack([s.u for s in states]))
     e_reg, d_reg = _energy_from_bundle(b, params)
     (d_bd, _), (d_bd_reg, r_bd_reg) = _bd_balance(b, params, (0.0, params.delta1))
     _, _, _, _, hmid, hfin = _hessian_lemma_from_bundle(b)

@@ -151,7 +151,7 @@ def march(frame: GaussianFrame, params, q0, u0, dt: float, t_final: float,
         try:
             new = coupled_step(state, [run.params for run in runs], dt)
         except SOLVER_FAILURES as exc:
-            end(exc.member or 0, exc)
+            end(exc.member, exc)
             continue  # the same step again, for the members before the failing one
         state, step = new, step + 1
         envs = envelope_update(envs, state.u, dt)
@@ -172,8 +172,8 @@ def march(frame: GaussianFrame, params, q0, u0, dt: float, t_final: float,
 
 
 def simulate(frame: GaussianFrame, params: ModelParams, q0: ScalarField,
-             u0: VectorField, dt: float, t_final: float, record_every: int = 1,
-             keep_states: bool = False) -> SimulationResult:
+             u0: VectorField, dt: float, t_final: float,
+             record_every: int = 1) -> SimulationResult:
     """March the coupled system to t_final, recording diagnostics on a cadence.
 
     The one-member case of :func:`march`.  The positivity envelope is
@@ -183,8 +183,7 @@ def simulate(frame: GaussianFrame, params: ModelParams, q0: ScalarField,
     propagate to the caller, the earliest first; an envelope violation
     only clears ``envelope_ok``.
     """
-    results, failure = march(frame, [params], [q0], [u0], dt, t_final, record_every,
-                             keep_states)
+    results, failure = march(frame, [params], [q0], [u0], dt, t_final, record_every)
     if failure is not None:
         raise failure
     return results[0]

@@ -11,9 +11,9 @@ class DimensionError(ValueError):
 
 class _SolverFailure(RuntimeError):
     """A numerical breakdown of a step.  ``member`` is the index of the
-    failing state when a stack of states was stepped, else None."""
+    failing state in the stack of states stepped; one state is member 0."""
 
-    def __init__(self, message, member=None):
+    def __init__(self, message, member=0):
         super().__init__(message)
         self.member = member
 
@@ -26,7 +26,7 @@ class PositivityError(_SolverFailure):
     raises instead of clamping silently.
     """
 
-    def __init__(self, message, node=None, value=None, member=None):
+    def __init__(self, message, node=None, value=None, member=0):
         super().__init__(message, member)
         self.node = node
         self.value = value

@@ -40,7 +40,7 @@ import numpy as np
 
 from .calculus import div_m
 from .errors import InvalidParameterError, InternalConsistencyError, StepFailureError
-from .spectral import GaussianFrame, ScalarField, VectorField, _floats, _matvec, _row_norms
+from .spectral import GaussianFrame, ScalarField, VectorField, _matvec, _row_norms
 
 __all__ = [
     "PositivityEnvelope",
@@ -89,7 +89,8 @@ class PositivityEnvelope:
         """The envelope of an initial state whose trusted density range is [lo, hi]."""
         if lo <= 0.0:
             raise InvalidParameterError(f"initial density not strictly positive (min {lo:.3e})")
-        return cls(c0=min(lo, 1.0 / hi), last_sup=divm_sup(u))
+        (sup,) = divm_sup(u)
+        return cls(c0=min(lo, 1.0 / hi), last_sup=sup)
 
 
 def _ou_decay(frame: GaussianFrame, delta1: float, s: float) -> np.ndarray:
@@ -151,47 +152,34 @@ def fp_step(q: ScalarField, u: VectorField, delta1, dt: float) -> ScalarField:
                 if prev > 1e-14 and now > prev:
                     raise StepFailureError(
                         f"density fixed point not contracting (increments "
-                        f"{prev:.3e} -> {now:.3e}); reduce dt",
-                        member=i if c0.ndim > 1 else None)
+                        f"{prev:.3e} -> {now:.3e}); reduce dt", member=i)
         prev_increment = increment
         c_new = c_next
 
     # each member's zero-index coefficient, before and after, as floats
-    for i, (old, new) in enumerate(zip(_floats(c0[..., 0]), _floats(c_new[..., 0]))):
+    masses = zip(*(np.ravel(c[..., 0]).tolist() for c in (c0, c_new)))
+    for i, (old, new) in enumerate(masses):
         drift = abs(new - old)
         if drift > 1e-13 * max(abs(old), 1.0):
             raise InternalConsistencyError(f"mass drifted by {drift:.3e} in one density step",
-                                           member=i if c0.ndim > 1 else None)
+                                           member=i)
     return ScalarField(frame, coeffs=c_new)
 
 
-def divm_sup(u: VectorField):
-    """Sup norm of div_m(u) over the trusted quadrature nodes: a float, or
-    one per member of a stacked u."""
+def divm_sup(u: VectorField) -> list[float]:
+    """Sup norm of div_m(u) over the trusted quadrature nodes, one per
+    member row of u (one value for one field)."""
     values = div_m(u).nodal
-    if values.ndim == 1:
-        return float(np.max(np.abs(values[u.frame.trusted])))
-    return np.max(np.abs(values[:, u.frame.trusted]), axis=-1)
+    return np.ravel(np.max(np.abs(values[..., u.frame.trusted]), axis=-1)).tolist()
 
 
-def envelope_update(env, u: VectorField, dt: float):
-    """Trapezoidal accumulation of the envelope integral over one step.
-
-    ``env`` is one envelope, or a list of one per member of a stacked ``u``.
-    """
-    sup_new = divm_sup(u)
-    if isinstance(env, PositivityEnvelope):
-        return _accumulate(env, sup_new, dt)
-    sups = [sup_new] if isinstance(sup_new, float) else sup_new.tolist()
-    return [_accumulate(e, s, dt) for e, s in zip(env, sups)]
-
-
-def _accumulate(env: PositivityEnvelope, sup_new: float, dt: float) -> PositivityEnvelope:
-    return replace(
-        env,
-        accumulated=env.accumulated + 0.5 * dt * (env.last_sup + sup_new),
-        last_sup=sup_new,
-    )
+def envelope_update(envs: list[PositivityEnvelope], u: VectorField,
+                    dt: float) -> list[PositivityEnvelope]:
+    """Trapezoidal accumulation of the envelope integrals over one step,
+    one envelope per member row of ``u``."""
+    return [replace(env, accumulated=env.accumulated + 0.5 * dt * (env.last_sup + sup),
+                    last_sup=sup)
+            for env, sup in zip(envs, divm_sup(u))]
 
 
 def envelope_check(lo: float, hi: float, env: PositivityEnvelope) -> bool:

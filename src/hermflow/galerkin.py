@@ -38,7 +38,7 @@ from .errors import (
     StepFailureError,
 )
 from .fokker_planck import fp_step
-from .spectral import GaussianFrame, ScalarField, VectorField, _floats, _row_norms
+from .spectral import GaussianFrame, ScalarField, VectorField, _row_norms
 
 __all__ = [
     "SimState",
@@ -136,18 +136,16 @@ class MassOperator:
         alone, naming the member.
         """
         matrix, rhs = self.matrix, np.asarray(rhs)
-        if not np.isfinite(matrix).all():
-            member = None
-            if matrix.ndim == 3:
-                member = int(np.argmin(np.isfinite(matrix).all(axis=(1, 2))))
+        finite = np.isfinite(matrix).all(axis=(-2, -1))
+        if not finite.all():
             raise StepFailureError("mass operator has non-finite entries; reduce dt",
-                                   member=member)
+                                   member=int(np.argmin(finite)))
         if matrix.ndim == 2:
-            return _cholesky_solve(matrix, rhs, None)
+            return _cholesky_solve(matrix, rhs)
         return np.stack([_cholesky_solve(m, r, i) for i, (m, r) in enumerate(zip(matrix, rhs))])
 
 
-def _cholesky_solve(matrix: np.ndarray, rhs: np.ndarray, member) -> np.ndarray:
+def _cholesky_solve(matrix: np.ndarray, rhs: np.ndarray, member: int = 0) -> np.ndarray:
     """One member's solve by LAPACK (the calls cho_factor and cho_solve make)."""
     factor, info = dpotrf(matrix, lower=1, clean=0)
     if info > 0:
@@ -306,8 +304,7 @@ def coupled_step(state: SimState, params, dt: float,
         raise InvalidParameterError(f"dt must be positive, got {dt}")
     coeffs = coeffs or {}
     frame = state.frame
-    stacked = state.stacked
-    if not stacked and not isinstance(params, ModelParams):
+    if not state.stacked and not isinstance(params, ModelParams):
         (params,) = params
     q_start, u_prev = state.q, state.u
     momentum_prev = state.momentum
@@ -340,8 +337,9 @@ def coupled_step(state: SimState, params, dt: float,
             mass_new = assemble_mass(q_new)
             c_next = mass_new.solve(momentum_prev + dt * force)
             delta = c_next - c_iter
-            done = [diff < PICARD_TOL for diff in
-                    _row_norms(delta.reshape(len(delta), -1) if stacked else delta.ravel())]
+            # one flat row per member (a flat vector for one state)
+            rows = delta.reshape(delta.shape[:-2] + (-1,))
+            done = [diff < PICARD_TOL for diff in _row_norms(rows)]
             if active is None and all(done):
                 break
             if any(done):
@@ -366,8 +364,7 @@ def coupled_step(state: SimState, params, dt: float,
         else:
             raise StepFailureError(
                 f"velocity fixed point did not settle below {PICARD_TOL:.1e} "
-                f"in {MAX_SWEEPS} sweeps at t={state.t:.6g}; reduce dt",
-                member=0 if stacked else None)
+                f"in {MAX_SWEEPS} sweeps at t={state.t:.6g}; reduce dt")
     except SOLVER_FAILURES as exc:
         if active is not None:  # name the member's place in the stack given
             exc.member = int(active[exc.member])
@@ -378,11 +375,10 @@ def coupled_step(state: SimState, params, dt: float,
     else:
         qc, qn, c_new, matrix = settled
         q_new = ScalarField._formed(frame, qc, qn, synthesized=True)
-    masses = zip(_floats(q_start.coeffs[..., 0]), _floats(q_new.coeffs[..., 0]))
+    masses = zip(*(np.ravel(f.coeffs[..., 0]).tolist() for f in (q_start, q_new)))
     for i, (old, new) in enumerate(masses):
         drift = abs(new - old)
         if drift > 1e-10:
-            raise InternalConsistencyError(f"mass drifted by {drift:.3e} over one step",
-                                           member=i if stacked else None)
+            raise InternalConsistencyError(f"mass drifted by {drift:.3e} over one step", member=i)
     return SimState(q_new, VectorField(frame, coeffs=c_new), state.t + dt,
                     np.matmul(c_new, matrix.mT))

@@ -389,14 +389,15 @@ class ScalarField:
     def stack(cls, fields):
         """The fields of a sequence stacked along a new leading member axis.
 
-        The nodal values are stacked as given when any field keeps nodal
-        values that are not its synthesis; otherwise they are synthesized
-        for the whole stack on first use.
+        The coefficients are stacked, and so are the nodal values when any
+        field has formed them (the others forming theirs), so no array a
+        field has formed is formed again; otherwise the nodal values are
+        synthesized for the whole stack on first use.
         """
-        synthesized = all(f._synthesized for f in fields)
-        nodal = None if synthesized else np.stack([f.nodal for f in fields])
+        nodal = (None if all(f._nodal is None for f in fields)
+                 else np.stack([f.nodal for f in fields]))
         return cls._formed(fields[0].frame, np.stack([f.coeffs for f in fields]), nodal,
-                           synthesized)
+                           all(f._synthesized for f in fields))
 
     def take(self, index):
         """The members of a stacked field at ``index`` of its member axis
@@ -465,12 +466,6 @@ def _row_norms(rows: np.ndarray) -> list[float]:
     if rows.ndim == 1:
         return [math.sqrt(rows @ rows)]
     return np.sqrt(np.matmul(rows[..., None, :], rows[..., :, None])[..., 0, 0]).tolist()
-
-
-def _floats(values: np.ndarray) -> list[float]:
-    """The entries of an array as floats, one for a 0-d array."""
-    values = values.tolist()
-    return values if isinstance(values, list) else [values]
 
 
 def transform(frame: GaussianFrame, nodal_values: np.ndarray) -> ScalarField:

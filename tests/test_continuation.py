@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from hermflow import InvalidParameterError, ModelParams, StateBundle, VectorField, build_frame
+from hermflow import (InvalidParameterError, ModelParams, ScalarField, StateBundle, VectorField,
+                     build_frame)
 from scipy.signal import fftconvolve
 
 import hermflow.continuation
@@ -17,8 +18,8 @@ from hermflow.continuation import (
 )
 from hermflow.calculus import gradient_nodal
 from hermflow.diagnostics import energy_inequality_audit
-from hermflow.driver import simulate
-from hermflow.errors import SOLVER_FAILURES, StepFailureError
+from hermflow.driver import march
+from hermflow.errors import StepFailureError
 from hermflow.galerkin import SimState, member_states, stack_states
 from hermflow.spectral import transform
 from hermflow.sampling import random_density, random_velocity, tilted_density
@@ -189,7 +190,8 @@ class TestStackedSweepFields:
         frame = request.getfixturevalue(frame_name)
         qs = [random_density(frame, rng, decay=0.4) for _ in range(3)]
         us = [random_velocity(frame, rng, decay=0.4) for _ in range(3)]
-        stacked = hermflow.continuation._sweep_fields(StateBundle(qs, us))
+        stacked = hermflow.continuation._sweep_fields(
+            StateBundle(ScalarField.stack(qs), VectorField.stack(us)))
         for k, (q, u) in enumerate(zip(qs, us)):
             for got, want in zip(stacked, self.per_state_fields(q, u)):
                 assert got[k].shape == want.shape
@@ -203,8 +205,8 @@ class TestStackedSweepFields:
 
 
 def sequential_sweep(frame, base, q0, u0, n_list, dt, t_final, record_every=1):
-    """The sweep with its members marched one after another, each by
-    ``simulate``: the oracle of the stacked march."""
+    """The sweep with its members marched one after another, each by a
+    one-member ``march``: the oracle of the stacked march."""
     n_list = schedule_indices(n_list)
     runs = []
     report = {"n_list": n_list, "schedules": [], "audits": [], "failed_at": None}
@@ -213,16 +215,17 @@ def sequential_sweep(frame, base, q0, u0, n_list, dt, t_final, record_every=1):
         params = drag_schedule(n, q0n, base)
         report["schedules"].append({"n": n, "r0": params.r0, "r1": params.r1,
                                     "r4": params.r4, "delta1": params.delta1})
-        try:
-            result = simulate(frame, params, q0n, u0n, dt=dt, t_final=t_final,
-                              record_every=record_every, keep_states=True)
-        except SOLVER_FAILURES as exc:
+        results, failure = march(frame, [params], [q0n], [u0n], dt, t_final,
+                                 record_every=record_every, keep_states=True)
+        if failure is not None:
             report["failed_at"] = n
-            report["failure"] = f"{type(exc).__name__}: {exc}"
+            report["failure"] = f"{type(failure).__name__}: {failure}"
             break
+        (result,) = results
         states = result.states
         runs.append((n, hermflow.continuation._sweep_fields(
-            StateBundle([s.q for s in states], [s.u for s in states]))))
+            StateBundle(ScalarField.stack([s.q for s in states]),
+                        VectorField.stack([s.u for s in states])))))
         report["audits"].append(
             energy_inequality_audit(result.records, params, frame.sigma, frame.dim))
     distance = hermflow.continuation._sq_distance

@@ -32,11 +32,11 @@ class TestEnvelope:
         # constant sup m over [0, t]: bounds c0 e^{-mt}, e^{mt}/c0
         x = frame_1d.nodes[:, 0]
         u = VectorField(frame_1d, nodal=0.1 * x)
-        m = divm_sup(u)
+        (m,) = divm_sup(u)
         env = PositivityEnvelope(c0=0.5, last_sup=m)
         t, dt = 0.0, 0.05
         for _ in range(20):
-            env = envelope_update(env, u, dt)
+            (env,) = envelope_update([env], u, dt)
             t += dt
         assert env.lower == pytest.approx(0.5 * math.exp(-m * t), rel=1e-12)
         assert env.upper == pytest.approx(2.0 * math.exp(m * t), rel=1e-12)
@@ -45,8 +45,17 @@ class TestEnvelope:
         u = VectorField.zero(frame_1d)
         env = PositivityEnvelope(c0=0.25)
         for _ in range(5):
-            env = envelope_update(env, u, 0.1)
+            (env,) = envelope_update([env], u, 0.1)
         assert env.lower == 0.25 and env.upper == 4.0
+
+    def test_one_envelope_per_member(self, frame_1d, rng):
+        # a stack's members accumulate as each alone does
+        us = [random_velocity(frame_1d, rng, decay=0.3, amplitude=0.1) for _ in range(3)]
+        envs = [PositivityEnvelope(c0=0.5, last_sup=0.1 * k) for k in range(3)]
+        stack = VectorField.stack(us)
+        assert divm_sup(stack) == [s for u in us for s in divm_sup(u)]
+        alone = [e for env, u in zip(envs, us) for e in envelope_update([env], u, 0.05)]
+        assert envelope_update(envs, stack, 0.05) == alone
 
     def test_check(self):
         # each bound holds exactly ENVELOPE_TOL past it and fails one ulp further out
@@ -64,7 +73,7 @@ class TestEnvelope:
         env = PositivityEnvelope.start(lo, hi, u)
         assert env.c0 == c0 == min(lo, 1.0 / hi)
         assert env.accumulated == 0.0
-        assert env.last_sup == divm_sup(u)
+        assert [env.last_sup] == divm_sup(u)
 
     def test_start_needs_positive_density(self, frame_1d):
         with pytest.raises(InvalidParameterError):

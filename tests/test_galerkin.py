@@ -26,7 +26,7 @@ from hermflow import (
 )
 from hermflow import calculus, galerkin, spectral
 from hermflow.diagnostics import record
-from hermflow.driver import simulate
+from hermflow.driver import march
 from hermflow.errors import SOLVER_FAILURES
 from hermflow.galerkin import MAX_SWEEPS, PICARD_TOL, member_states, stack_states
 from hermflow.rescaled import TauState, tau_coeffs
@@ -417,12 +417,34 @@ def test_kept_states_carry_their_momentum(frame_name, request, rng):
     params = ModelParams(a=1.0, kappa=1.0, nu=0.5, lam=2.0, r0=0.1, delta1=0.3)
     q0 = random_density(frame, rng, decay=0.3)
     u0 = random_velocity(frame, rng, decay=0.3, amplitude=0.1)
-    result = simulate(frame, params, q0, u0, dt=1e-3, t_final=4e-3, record_every=2,
-                      keep_states=True)
+    (result,), _ = march(frame, [params], [q0], [u0], dt=1e-3, t_final=4e-3,
+                         record_every=2, keep_states=True)
     assert len(result.states) == 3 and result.states[0].momentum is None
     for state in result.states[1:]:
         expected = state.u.coeffs @ assemble_mass(state.q).matrix.T
         assert np.array_equal(state.momentum, expected)
+
+
+def test_translating_equilibrium_is_second_order():
+    # in the harmonic trap the translated equilibrium is an exact solution of
+    # the unregularized system: q is the tilt alpha0 cos(sqrt(lam) t) and u
+    # the uniform -sqrt(lam) alpha0 sigma^2 sin(sqrt(lam) t); halving dt
+    # twice must cut both errors by four each time
+    params = ModelParams(a=1.0, kappa=1.0, nu=0.5, lam=4.0)
+    frame = build_frame(params.a, params.kappa, params.lam, 1, 24)
+    alpha0, omega, t_final = 0.3123, math.sqrt(params.lam), 0.4
+    errors = []
+    for dt in (4e-3, 2e-3, 1e-3):
+        state = make_initial_state(tilted_density(frame, alpha0), VectorField.zero(frame))
+        for _ in range(round(t_final / dt)):
+            state = coupled_step(state, params, dt)
+        q_exact = tilted_density(frame, alpha0 * math.cos(omega * state.t))
+        u_exact = -omega * alpha0 * frame.sigma**2 * math.sin(omega * state.t)
+        errors.append((frame.norm_l2mu(state.q.nodal - q_exact.nodal),
+                       frame.norm_l2mu(state.u.nodal[0] - u_exact)))
+    for coarse, fine in zip(errors, errors[1:]):
+        for e_coarse, e_fine in zip(coarse, fine):
+            assert math.log2(e_coarse / e_fine) >= 1.9, errors
 
 
 class TestPlanarStepping:
@@ -517,7 +539,7 @@ class TestStackedStep:
         with pytest.raises(StepFailureError) as stacked:
             coupled_step(stack_states([rest, moving, rest]), [drag_free()] * 3, 1e-3)
         assert str(stacked.value) == str(alone.value)
-        assert stacked.value.member == 1 and alone.value.member is None
+        assert stacked.value.member == 1 and alone.value.member == 0
 
     def test_positivity_breach_names_the_member(self, frame_1d, rng):
         # a density below the floor fails in the force assembly with the
@@ -530,4 +552,4 @@ class TestStackedStep:
         with pytest.raises(PositivityError) as stacked:
             coupled_step(stack_states([good, good, bad]), drag_free(), 1e-3)
         assert str(stacked.value) == str(alone.value)
-        assert stacked.value.member == 2
+        assert stacked.value.member == 2 and alone.value.member == 0

@@ -28,7 +28,7 @@ from hermflow.diagnostics import (
     poincare_ratio,
     record,
 )
-from hermflow.driver import in_record_chunks, simulate
+from hermflow.driver import in_record_chunks, march, simulate
 from hermflow.errors import StepFailureError
 from hermflow.galerkin import SimState, coupled_step, project_initial_velocity
 from hermflow.rescaled import TauState, rescaled_balance, rescaled_bd_remainder, rescaled_energy
@@ -88,7 +88,8 @@ class TestStackedKernels:
     def test_bundle_entries_equal_single_bundles(self, frame_name, request, rng):
         frame = request.getfixturevalue(frame_name)
         states = random_states(frame, rng, 4)
-        stack = StateBundle([s.q for s in states], [s.u for s in states])
+        stack = StateBundle(ScalarField.stack([s.q for s in states]),
+                            VectorField.stack([s.u for s in states]))
         for k, s in enumerate(states):
             alone = StateBundle(s.q, s.u)
             for name in ("qn", "gq", "hq", "un", "du", "s2", "glog", "stress", "dsym"):
@@ -107,22 +108,24 @@ class TestRequirePositiveStack:
         with pytest.raises(PositivityError) as alone:
             require_positive(bad)
         with pytest.raises(PositivityError) as stacked:
-            require_positive([good, bad, worse])
+            require_positive(ScalarField.stack([good, bad, worse]))
         assert str(stacked.value) == str(alone.value)
         assert np.array_equal(stacked.value.node, alone.value.node)
         assert stacked.value.value == alone.value.value
+        assert stacked.value.member == 1 and alone.value.member == 0
 
     def test_nan_in_a_later_state(self, frame_1d):
         values = np.ones(frame_1d.n_nodes)
         values[frame_1d.n_nodes // 2] = np.nan
         unit = ScalarField(frame_1d, nodal=np.ones(frame_1d.n_nodes))
         with pytest.raises(PositivityError) as err:
-            require_positive([unit, ScalarField(frame_1d, nodal=values)])
+            require_positive(ScalarField.stack([unit, ScalarField(frame_1d, nodal=values)]))
         assert np.isnan(err.value.value)
 
     def test_returns_stacked_values(self, frame_2d, rng):
         qs = [random_density(frame_2d, rng) for _ in range(3)]
-        assert np.array_equal(require_positive(qs), np.stack([q.nodal for q in qs]))
+        stack = ScalarField.stack(qs)
+        assert np.array_equal(require_positive(stack), np.stack([q.nodal for q in qs]))
 
 
 class TestChunkedRecord:
@@ -159,7 +162,8 @@ class TestChunkedRecord:
         states = random_states(frame_1d, rng, 6)
         taus = [TauState(float(rng.uniform(1.0, 3.0)), float(rng.uniform(0.0, 2.0)), 0.0)
                 for _ in states]
-        b = StateBundle([s.q for s in states], [s.u for s in states])
+        b = StateBundle(ScalarField.stack([s.q for s in states]),
+                        VectorField.stack([s.u for s in states]))
         stacked = np.column_stack(rescaled_balance(b, np.array([t.tau for t in taus]),
                                                    np.array([t.tau_dot for t in taus]), DRAG_FREE))
         for row, s, tau in zip(stacked.tolist(), states, taus):
@@ -173,8 +177,8 @@ class TestChunkedRecord:
         monkeypatch.setattr(hermflow.driver, "RECORD_NODES", 3 * frame_1d.n_nodes)
         q0 = tilted_density(frame_1d, 0.3)
         u0 = project_initial_velocity(q0, 0.2 * frame_1d.nodes.T)
-        result = simulate(frame_1d, REGULARIZED, q0, u0, dt=2e-3, t_final=0.034,
-                          record_every=2, keep_states=True)
+        (result,), _ = march(frame_1d, [REGULARIZED], [q0], [u0], dt=2e-3, t_final=0.034,
+                             record_every=2, keep_states=True)
         assert len(result.states) == len(result.records) == 10
         assert result.records == one_by_one(result.states, REGULARIZED)
         assert result.final_state is result.states[-1]

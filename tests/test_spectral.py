@@ -408,6 +408,55 @@ class TestVectorFieldArrays:
                         assert np.array_equal(got[r, pos], frame._synthesize(c, axes)), (order, axes)
 
 
+@pytest.mark.parametrize("frame_name", ["frame_1d", "frame_2d"])
+class TestStack:
+    @staticmethod
+    def counted(monkeypatch):
+        """Count the frame's syntheses and projections from here on."""
+        calls = []
+        for name in ("derivatives", "project_nodal"):
+            original = getattr(GaussianFrame, name)
+
+            def counting(self, *args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(self, *args)
+            monkeypatch.setattr(GaussianFrame, name, counting)
+        return calls
+
+    def test_formed_arrays_are_stacked_as_they_are(self, frame_name, request, monkeypatch):
+        frame = request.getfixturevalue(frame_name)
+        rng = np.random.default_rng(12)
+        x = frame.nodes.T
+        for fields in ([random_field(frame, rng) for _ in range(3)],
+                       [random_velocity(frame, rng) for _ in range(2)]
+                       + [VectorField(frame, nodal=np.sin(x))]):
+            for f in fields:  # every field forms both arrays
+                f.coeffs, f.nodal
+            calls = self.counted(monkeypatch)
+            stack = type(fields[0]).stack(fields)
+            for k, f in enumerate(fields):
+                assert np.array_equal(stack.coeffs[k], f.coeffs)
+                assert np.array_equal(stack.nodal[k], f.nodal)
+            assert calls == []
+            assert stack._synthesized == all(f._synthesized for f in fields)
+            monkeypatch.undo()
+
+    def test_unformed_arrays_are_formed_for_the_stack(self, frame_name, request, monkeypatch):
+        # no field has formed its nodal values: the stack synthesizes once,
+        # and each row equals its field's own synthesis bit for bit
+        frame = request.getfixturevalue(frame_name)
+        rng = np.random.default_rng(13)
+        fields = [random_velocity(frame, rng) for _ in range(3)]
+        calls = self.counted(monkeypatch)
+        stack = VectorField.stack(fields)
+        assert calls == [] and stack._nodal is None
+        nodal = stack.nodal
+        assert calls == ["derivatives"]
+        monkeypatch.undo()
+        for k, f in enumerate(fields):
+            assert np.array_equal(nodal[k], f.nodal)
+
+
 def test_fields_have_no_arithmetic():
     # a field is built from coefficients or nodal values; sums and scalings
     # are formed on the arrays, so each quantity has one way to be formed
