@@ -29,9 +29,9 @@ from . import diagnostics
 from .calculus import ModelParams, StateBundle, bohm_residual, korteweg_consistency
 from .config import RunConfig, check_seed, load_config
 from .continuation import mollify_initial_data, schedule_indices, vanishing_drag_sweep
-from .driver import in_record_chunks, simulate, step_count
+from .driver import march, simulate, step_count
 from .errors import SOLVER_FAILURES, ConfigError, DimensionError, InvalidParameterError
-from .galerkin import SimState, coupled_step, project_initial_velocity
+from .galerkin import project_initial_velocity
 from .rescaled import (
     combined_identity_residual,
     require_unregularized,
@@ -63,13 +63,21 @@ def _model_params(cfg: RunConfig) -> ModelParams:
                        r0=cfg.r0, r1=cfg.r1, r4=cfg.r4, delta1=cfg.delta1)
 
 
-def _make_frame(cfg: RunConfig) -> GaussianFrame:
-    return build_frame(cfg.a, cfg.kappa, cfg.lam, cfg.dim, cfg.degree)
+def _make_frame(cfg: RunConfig, sigma: float | None = None) -> GaussianFrame:
+    """The config's frame, at the model's Gaussian scale unless ``sigma`` is
+    given; a frame too large to allocate is a config error."""
+    try:
+        if sigma is None:
+            return build_frame(cfg.a, cfg.kappa, cfg.lam, cfg.dim, cfg.degree)
+        return GaussianFrame(sigma, cfg.dim, cfg.degree)
+    except MemoryError as exc:
+        raise ConfigError(f"[frame] dim = {cfg.dim}, degree = {cfg.degree}: "
+                          "the frame does not fit in memory") from exc
 
 
 def _read_state_file(path: str, frame: GaussianFrame):
     """(q, u) of an npz snapshot; a file without numeric ``q_coeffs`` and
-    ``u_coeffs`` arrays is a config error."""
+    ``u_coeffs`` arrays of one field each is a config error."""
     try:
         data = np.load(path)
         if not isinstance(data, np.lib.npyio.NpzFile):
@@ -79,7 +87,12 @@ def _read_state_file(path: str, frame: GaussianFrame):
                                   for key in ("q_coeffs", "u_coeffs"))
     except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"cannot read state file {path}: {exc}") from exc
-    return ScalarField(frame, coeffs=q_coeffs), VectorField(frame, coeffs=u_coeffs)
+    n_q, n_u = frame.n_basis, frame.dim * frame.n_basis
+    if (q_coeffs.size, u_coeffs.size) != (n_q, n_u):
+        raise ConfigError(f"state file {path} must hold one state: {n_q} q_coeffs and "
+                          f"{n_u} u_coeffs, got shapes {q_coeffs.shape} and {u_coeffs.shape}")
+    return (ScalarField(frame, coeffs=q_coeffs.ravel()),
+            VectorField(frame, coeffs=u_coeffs.ravel()))
 
 
 def _initial_state(cfg: RunConfig, frame: GaussianFrame):
@@ -278,7 +291,7 @@ def rescaled_run(cfg: RunConfig) -> int:
     if cfg.record_every != 1:
         raise ConfigError("rescaled mode records every step; [time] record_every must be 1")
     with _config_values():
-        frame = GaussianFrame(1.0, cfg.dim, cfg.degree)
+        frame = _make_frame(cfg, sigma=1.0)
         params = _model_params(cfg)
         require_unregularized(params)
         q0, u0 = _initial_state(cfg, frame)
@@ -291,32 +304,28 @@ def rescaled_run(cfg: RunConfig) -> int:
                               "and the dilation is solved at half steps")
         # tau at every half step: taus[2k] starts step k, taus[2k + 1] is its midpoint
         taus = tau_solve(cfg.a, cfg.kappa, cfg.nu, cfg.t_final, cfg.dt / 2.0)
-    energies, remainders, rows = [], [], []
+    dilations = iter(taus[::2])  # taus[2k] belongs to the state after k steps
 
-    def march():
-        state = SimState(q0, u0)
-        yield state, taus[0]
-        for k in range(n_steps):
-            state = coupled_step(state, params, cfg.dt, tau_coeffs(params, taus[2 * k + 1]))
-            yield state, taus[2 * k + 2]
-
-    def balance(pending):
-        states, dilations = zip(*pending)
+    def balance(states, params):
+        """The trajectory rows of a chunk of states, the dilated balance at each."""
+        tau = [next(dilations) for _ in states]
         b = StateBundle(ScalarField.stack([s.q for s in states]),
                         VectorField.stack([s.u for s in states]))
-        values = rescaled_balance(b, np.array([d.tau for d in dilations]),
-                                  np.array([d.tau_dot for d in dilations]), params)
-        for state, tau, (*energy, remainder) in zip(states, dilations,
-                                                     np.column_stack(values).tolist()):
-            energies.append(energy)
-            remainders.append(remainder)
-            rows.append((tau.t, tau.tau, tau.tau_dot, float(state.q.coeffs[0]),
-                         *energy, remainder))
+        values = rescaled_balance(b, np.array([d.tau for d in tau]),
+                                  np.array([d.tau_dot for d in tau]), params)
+        return [(d.t, d.tau, d.tau_dot, float(s.q.coeffs[0]), *row)
+                for s, d, row in zip(states, tau, np.column_stack(values).tolist())]
 
-    in_record_chunks(frame, march(), balance)
+    results, failure = march(frame, [params], [q0], [u0], cfg.dt, cfg.t_final,
+                             schedule=lambda k: tau_coeffs(params, taus[2 * k + 1]),
+                             recorder=balance)
+    if failure is not None:
+        raise failure
+    rows = results[0].records
     _write_csv(out / "trajectory.csv", ["t", "tau", "tau_dot", "mass", "E_tau", "D_tau",
                                         "E_BD_tau", "D_BD_tau", "bd_remainder"], rows)
-    residual = combined_identity_residual(energies, cfg.dt, remainders)
+    energies = [row[4:8] for row in rows]
+    residual = combined_identity_residual(energies, cfg.dt, [row[8] for row in rows])
     naive = combined_identity_residual(energies, cfg.dt)
     mass_err = max(abs(r[3] - 1.0) for r in rows)
     ok = mass_err < 1e-10

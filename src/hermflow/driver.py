@@ -6,14 +6,13 @@ import math
 from dataclasses import dataclass, field
 
 from .calculus import ModelParams
-from .diagnostics import DiagnosticsRecord, record
+from .diagnostics import record
 from .errors import SOLVER_FAILURES, InvalidParameterError
 from .fokker_planck import PositivityEnvelope, envelope_check, envelope_update
 from .galerkin import SimState, coupled_step, make_initial_state, member_states, stack_states
 from .spectral import GaussianFrame, ScalarField, VectorField
 
-__all__ = ["RECORD_NODES", "SimulationResult", "in_record_chunks", "march", "simulate",
-           "step_count"]
+__all__ = ["RECORD_NODES", "SimulationResult", "march", "simulate", "step_count"]
 
 #: states are recorded in stacks of max(1, RECORD_NODES // n_nodes), so one
 #: stacked nodal array holds about RECORD_NODES values per tensor entry
@@ -22,7 +21,7 @@ RECORD_NODES = 4096
 
 @dataclass
 class SimulationResult:
-    records: list[DiagnosticsRecord]
+    records: list
     final_state: SimState
     envelope_ok: bool
     states: list[SimState] = field(default_factory=list)
@@ -40,64 +39,47 @@ def step_count(dt: float, t_final: float) -> int:
     return n_steps
 
 
-def in_record_chunks(frame: GaussianFrame, items, consume) -> None:
-    """Hand the items of an iterable to ``consume`` in order, in lists of at
-    most max(1, RECORD_NODES // frame.n_nodes).
-
-    When producing the next item raises, the items already produced are
-    consumed before the error propagates, so an error that consuming them
-    raises (an earlier state's positivity breach, say) wins, as it would
-    had each item been consumed as soon as it was produced.
-    """
-    size = max(1, RECORD_NODES // frame.n_nodes)
-    pending = []
-    try:
-        for item in items:
-            pending.append(item)
-            if len(pending) == size:
-                chunk, pending = pending, []
-                consume(chunk)
-    finally:
-        # the last partial chunk, or the items produced before an error
-        if pending:
-            consume(pending)
-
-
 @dataclass
 class _Run:
     """One member's run so far: its records, kept states, envelope verdict
     and the (state, envelope) pairs that wait for the next record chunk."""
 
     params: ModelParams
-    records: list[DiagnosticsRecord]
+    records: list
     states: list[SimState]
     envelope_ok: bool = True
     pending: list = field(default_factory=list)
     final_state: SimState | None = None
 
-    def flush(self, keep_states: bool) -> None:
+    def flush(self, recorder, keep_states: bool) -> None:
         """Record the pending states as one chunk."""
         pending, self.pending = self.pending, []
         if not pending:
             return
-        for rec, (kept, env) in zip(record([s for s, _ in pending], self.params), pending):
+        for rec, (kept, env) in zip(recorder([s for s, _ in pending], self.params), pending):
             self.records.append(rec)
-            self.envelope_ok = self.envelope_ok and envelope_check(rec.min_q, rec.max_q, env)
+            if env is not None:
+                self.envelope_ok = self.envelope_ok and envelope_check(rec.min_q, rec.max_q, env)
             if keep_states:
                 self.states.append(kept)
 
 
 def march(frame: GaussianFrame, params, q0, u0, dt: float, t_final: float,
-          record_every: int = 1, keep_states: bool = False):
+          record_every: int = 1, keep_states: bool = False, schedule=None,
+          recorder=None):
     """March several members of the coupled system to t_final together.
 
     Member m starts from (q0[m], u0[m]) and steps with params[m].  All
     members step as one stack (:func:`coupled_step`), so a step costs
     about the sweeps of its slowest member, and every member's states equal,
-    bit for bit, those of its march alone.  Each member tracks its own
-    positivity envelope; its record-cadence states are kept with their
-    envelopes and recorded with its own params, a chunk of at most
-    max(1, RECORD_NODES // n_nodes) at a time.
+    bit for bit, those of its march alone.  Step k takes the coefficients
+    ``schedule(k)``, shared by every member; without a schedule the members
+    march the confined system, and each tracks its own positivity envelope,
+    which bounds that system's density equation only.  A member's
+    record-cadence states are kept with their envelopes and handed with its
+    own params to ``recorder`` (:func:`~hermflow.diagnostics.record` when
+    None), a chunk of at most max(1, RECORD_NODES // n_nodes) at a time;
+    it returns one record per state.
 
     The outcome is what marching the members one after another gives.  A
     member's solver failure ends that member and every later one; the
@@ -110,18 +92,19 @@ def march(frame: GaussianFrame, params, q0, u0, dt: float, t_final: float,
     """
     n_steps = step_count(dt, t_final)
     chunk = max(1, RECORD_NODES // frame.n_nodes)
+    recorder = recorder or record
     starts = [make_initial_state(q, u) for q, u in zip(q0, u0)]
     runs: list[_Run] = []
     failure = None
     for p, start in zip(params, starts):
         try:
-            runs.append(_Run(p, record([start], p), [start] if keep_states else []))
+            runs.append(_Run(p, recorder([start], p), [start] if keep_states else []))
         except SOLVER_FAILURES as exc:
             failure = exc
             break
     # the initial range [min_q, max_q] lies inside the envelope it starts
-    envs = [PositivityEnvelope.start(run.records[0].min_q, run.records[0].max_q, s.u)
-            for run, s in zip(runs, starts)]
+    envs = ([PositivityEnvelope.start(run.records[0].min_q, run.records[0].max_q, s.u)
+             for run, s in zip(runs, starts)] if schedule is None else [None] * len(runs))
     state = stack_states(starts[:len(runs)]) if runs else None
 
     def end(member: int, exc: Exception):
@@ -133,14 +116,14 @@ def march(frame: GaussianFrame, params, q0, u0, dt: float, t_final: float,
         state = stack_states(member_states(state)[:member]) if runs else None
         failure = exc
         try:
-            run.flush(keep_states)
+            run.flush(recorder, keep_states)
         except SOLVER_FAILURES as err:
             failure = err
 
     def flushed(member: int) -> bool:
         """Record ``member``'s pending states; a solver failure there ends it."""
         try:
-            runs[member].flush(keep_states)
+            runs[member].flush(recorder, keep_states)
         except SOLVER_FAILURES as exc:
             end(member, exc)
             return False
@@ -149,12 +132,14 @@ def march(frame: GaussianFrame, params, q0, u0, dt: float, t_final: float,
     step = 0
     while runs and step < n_steps:
         try:
-            new = coupled_step(state, [run.params for run in runs], dt)
+            new = coupled_step(state, [run.params for run in runs], dt,
+                               None if schedule is None else schedule(step))
         except SOLVER_FAILURES as exc:
             end(exc.member, exc)
             continue  # the same step again, for the members before the failing one
         state, step = new, step + 1
-        envs = envelope_update(envs, state.u, dt)
+        if schedule is None:
+            envs = envelope_update(envs, state.u, dt)
         if step % record_every and step != n_steps:
             continue
         for member, (run, kept, env) in enumerate(zip(runs, member_states(state), envs)):

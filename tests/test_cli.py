@@ -152,6 +152,8 @@ class TestSimulateCommand:
         ("family = steady", "family = file\n    path = {tmp}/text.npz", ()),
         ("family = steady", "family = file\n    path = {tmp}/array.npy", ()),
         ("family = steady", "family = file\n    path = {tmp}/truncated.npz", ()),
+        ("family = steady", "family = file\n    path = {tmp}/q_stack.npz", ()),
+        ("family = steady", "family = file\n    path = {tmp}/u_stack.npz", ()),
         ("seed = 42", "seed = 42\n    n_samples = 0", ()),
         ("a = 1.0", "a = nan", ()),
         ("dt = 1e-3", "dt = nan", ()),
@@ -172,7 +174,7 @@ class TestSimulateCommand:
         ("seed = 42", "seed = 42\n    n_list =", ()),
     ], ids=["r0", "lambda", "dim", "quad_order", "t_final", "file_coeffs", "file_u_coeffs",
             "file_no_u", "file_not_npz", "file_q_nan", "file_u_inf", "file_non_numeric",
-            "file_npy", "file_truncated",
+            "file_npy", "file_truncated", "file_q_stack", "file_u_stack",
             "n_samples", "a_nan", "dt_nan", "t_final_inf", "decay_inf", "seed_negative",
             "seed_override_negative", "nu_square_overflows", "tilt_too_steep",
             "step_count_overflows", "boost_overflows", "record_every_zero", "mode_unknown",
@@ -190,6 +192,10 @@ class TestSimulateCommand:
         np.savez(tmp_path / "text.npz", q_coeffs=np.array(["a"] * 13), u_coeffs=np.zeros((1, 13)))
         np.save(tmp_path / "array.npy", np.eye(13)[0])
         (tmp_path / "truncated.npz").write_bytes((tmp_path / "no_u.npz").read_bytes()[:40])
+        # a stack of members where the file holds one state
+        np.savez(tmp_path / "q_stack.npz", q_coeffs=np.tile(np.eye(13)[0], (2, 1)),
+                 u_coeffs=np.zeros((1, 13)))
+        np.savez(tmp_path / "u_stack.npz", q_coeffs=np.eye(13)[0], u_coeffs=np.zeros((3, 1, 13)))
         body = STEADY.replace(old, new.format(tmp=tmp_path))
         code = main(["simulate", write_config(tmp_path / "a.cfg", body),
                      "--output-dir", str(tmp_path / "out"), *args])
@@ -413,6 +419,22 @@ class TestRescaledCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "[time] dt" in err and "half step" in err
+
+
+@pytest.mark.parametrize("mode", ["simulate", "verify", "sweep", "rescaled"])
+def test_frame_too_large_to_allocate_exits_3(tmp_path, capsys, monkeypatch, mode):
+    # 2D degree 3000 would need 806 GiB for the basis values; the frame
+    # constructor is stubbed, so no test allocates anything that large
+    def out_of_memory(self, sigma, dim, degree):
+        raise MemoryError
+
+    monkeypatch.setattr(hermflow.GaussianFrame, "__init__", out_of_memory)
+    body = (STEADY.replace("mode = simulate", f"mode = {mode}").replace("dim = 1", "dim = 2")
+            .replace("degree = 12", "degree = 3000"))
+    code = main([mode, write_config(tmp_path / "a.cfg", body),
+                 "--output-dir", str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("config error: [frame] dim = 2, degree = 3000:")
 
 
 @pytest.mark.parametrize("argv, code", [

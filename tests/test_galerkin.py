@@ -1,6 +1,10 @@
 import dataclasses
+import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -446,6 +450,76 @@ def test_translating_equilibrium_is_second_order():
         for e_coarse, e_fine in zip(coarse, fine):
             assert math.log2(e_coarse / e_fine) >= 1.9, errors
 
+
+
+def breathing_dilation(params, sigma, b, t, h=1e-4):
+    """(tau, tau') at t of tau'' = a/(sigma^2 tau) + kappa^2/(sigma^4 tau^3)
+    - 2 nu tau'/(sigma^2 tau^2) - lam tau from tau(0) = 1, tau'(0) = b, by RK4."""
+    def rhs(tau, p):
+        return (params.a / (sigma**2 * tau) + params.kappa**2 / (sigma**4 * tau**3)
+                - 2.0 * params.nu * p / (sigma**2 * tau**2) - params.lam * tau)
+
+    tau, p = 1.0, b
+    for _ in range(round(t / h)):
+        k1t, k1p = p, rhs(tau, p)
+        k2t, k2p = p + 0.5 * h * k1p, rhs(tau + 0.5 * h * k1t, p + 0.5 * h * k1p)
+        k3t, k3p = p + 0.5 * h * k2p, rhs(tau + 0.5 * h * k2t, p + 0.5 * h * k2p)
+        k4t, k4p = p + h * k3p, rhs(tau + h * k3t, p + h * k3p)
+        tau += h / 6.0 * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
+        p += h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+    return tau, p
+
+
+def breathing_errors(dim, degree, t_final):
+    """(err_q, err_u) of each boost b = 0.1, -0.1 in the L2_mu norm at t_final,
+    per dt = 4e-3, 2e-3, 1e-3, for the breathing solution in the trap.
+
+    q = tau^-d exp(|x|^2 (1 - tau^-2) / (2 sigma^2)), u = (tau'/tau) x is an
+    exact solution of the unregularized system, and family = steady with
+    u_scale = b starts it at tau'(0) = b.  D(u) = (tau'/tau) I, so pressure,
+    viscosity and capillarity all act."""
+    params = ModelParams(a=1.0, kappa=1.0, nu=0.5, lam=4.0)
+    frame = build_frame(params.a, params.kappa, params.lam, dim, degree)
+    boosts = (0.1, -0.1)
+    q0 = ScalarField(frame, coeffs=np.eye(frame.n_basis)[0])
+    u0 = [project_initial_velocity(q0, b * frame.nodes.T) for b in boosts]
+    x = frame.nodes.T
+    rsq = np.sum(x**2, axis=0)
+    exact = []
+    for b in boosts:
+        tau, tau_dot = breathing_dilation(params, frame.sigma, b, t_final)
+        q = tau**-dim * np.exp(rsq * (1.0 - tau**-2) / (2.0 * frame.sigma**2))
+        exact.append((frame.project_nodal(q), frame.project_nodal(tau_dot / tau * x)))
+    errors = []
+    for dt in (4e-3, 2e-3, 1e-3):
+        results, failure = march(frame, [params] * len(boosts), [q0] * len(boosts), u0,
+                                 dt, t_final, record_every=round(t_final / dt))
+        assert failure is None
+        errors.append([(float(np.linalg.norm(r.final_state.q.coeffs - q_ex)),
+                        float(np.linalg.norm(r.final_state.u.coeffs - u_ex)))
+                       for r, (q_ex, u_ex) in zip(results, exact)])
+    return errors
+
+
+@pytest.mark.parametrize("dim, degree, t_final", [(1, 24, 0.4), (2, 20, 0.2)],
+                         ids=["1d", "2d"])
+def test_breathing_gaussian_is_second_order(dim, degree, t_final):
+    # halving dt twice must cut both errors by four each time, for an
+    # expanding and a compressing start.  The march runs in a child process
+    # with one BLAS thread: on a 2-core host, threaded BLAS made the 2D
+    # degree-20 march about ten times slower (28 s against 2.7 s)
+    src = str(Path(spectral.__file__).resolve().parents[1])
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import json, test_galerkin; "
+             f"print(json.dumps(test_galerkin.breathing_errors({dim}, {degree}, {t_final})))")
+    out = subprocess.run([sys.executable, "-c", probe], cwd=Path(__file__).parent, env=env,
+                         capture_output=True, text=True, check=True)
+    errors = json.loads(out.stdout.splitlines()[-1])
+    for coarse, fine in zip(errors, errors[1:]):
+        for pair_coarse, pair_fine in zip(coarse, fine):
+            for e_coarse, e_fine in zip(pair_coarse, pair_fine):
+                assert math.log2(e_coarse / e_fine) >= 1.9, errors
 
 class TestPlanarStepping:
     def test_mean_oscillation_2d(self):

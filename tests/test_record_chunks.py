@@ -1,15 +1,14 @@
 """Diagnostics recorded a chunk of states at a time.
 
 ``diagnostics.record`` evaluates a whole sequence of states from one stacked
-``StateBundle``; ``driver.simulate`` and the ``rescaled`` mode hand it their
-states in chunks of ``max(1, RECORD_NODES // n_nodes)``.  Every record must
+``StateBundle``; ``driver.march`` hands it, or the ``rescaled`` mode's
+dilated balance, the states in chunks of ``max(1, RECORD_NODES // n_nodes)``.  Every record must
 equal the record of its state alone, field for field and bit for bit, and
 an error of an earlier state must still win over the failure of a later
 step.
 """
 
 import math
-import types
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ import hermflow.driver
 from hermflow import ModelParams, PositivityError, ScalarField, StateBundle, VectorField
 from hermflow.calculus import POSITIVITY_FLOOR, require_positive, scalar_pow
 from hermflow.cli import main
+from hermflow.config import load_config
 from hermflow.continuation import mollify_initial_data, vanishing_drag_sweep
 from hermflow.diagnostics import (
     bd_entropy_regularized,
@@ -28,7 +28,7 @@ from hermflow.diagnostics import (
     poincare_ratio,
     record,
 )
-from hermflow.driver import in_record_chunks, march, simulate
+from hermflow.driver import march, simulate
 from hermflow.errors import StepFailureError
 from hermflow.galerkin import SimState, coupled_step, project_initial_velocity
 from hermflow.rescaled import TauState, rescaled_balance, rescaled_bd_remainder, rescaled_energy
@@ -184,41 +184,68 @@ class TestChunkedRecord:
         assert result.final_state is result.states[-1]
 
 
-class TestInRecordChunks:
-    def test_chunk_sizes_follow_the_node_count(self, frame_1d):
-        size = hermflow.driver.RECORD_NODES // frame_1d.n_nodes
-        seen = []
-        in_record_chunks(frame_1d, range(2 * size + 1), lambda chunk: seen.append(list(chunk)))
-        assert [len(c) for c in seen] == [size, size, 1]
-        assert sum(seen, []) == list(range(2 * size + 1))
+def tilted_run(tmp_path):
+    """Path of a config for ten steps of a 1D degree-12 tilt."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[model]\na = 1.0\nkappa = 1.0\nnu = 0.5\nlambda = 2.0\n"
+                   "[frame]\ndim = 1\ndegree = 12\n[initial]\nfamily = tilted\n"
+                   "alpha = 0.2\n[time]\ndt = 1e-3\nt_final = 0.01\n")
+    return str(cfg)
 
-    def test_large_frame_records_one_state_at_a_time(self):
-        # a frame with more nodes than RECORD_NODES (2D degree 40 has 7056)
-        frame = types.SimpleNamespace(n_nodes=hermflow.driver.RECORD_NODES + 1)
-        seen = []
-        in_record_chunks(frame, range(3), lambda chunk: seen.append(list(chunk)))
-        assert seen == [[0], [1], [2]]
 
-    def test_pending_items_are_consumed_before_the_error(self, frame_1d):
-        def produce():
-            yield from range(3)
-            raise StepFailureError("step 4")
+def balance_chunk_sizes(monkeypatch):
+    """The number of states in each chunk the rescaled mode's balance reads."""
+    sizes = []
+    real = hermflow.cli.rescaled_balance
 
-        seen = []
-        with pytest.raises(StepFailureError, match="step 4"):
-            in_record_chunks(frame_1d, produce(), lambda chunk: seen.append(list(chunk)))
-        assert seen == [[0, 1, 2]]
+    def counted(b, tau, tau_dot, params):
+        sizes.append(len(tau))
+        return real(b, tau, tau_dot, params)
 
-    def test_a_consumer_error_wins(self, frame_1d):
-        def produce():
-            yield 0
-            raise StepFailureError("later step")
+    monkeypatch.setattr(hermflow.cli, "rescaled_balance", counted)
+    return sizes
 
-        def consume(chunk):
-            raise PositivityError("earlier state")
 
-        with pytest.raises(PositivityError, match="earlier state") as err:
-            in_record_chunks(frame_1d, produce(), consume)
+class TestRescaledChunks:
+    """The rescaled mode marches through ``driver.march``: the initial state
+    alone, then its steps' states in chunks of max(1, RECORD_NODES // n_nodes)."""
+
+    def rescaled(self, tmp_path):
+        return main(["rescaled", tilted_run(tmp_path), "--output-dir", str(tmp_path / "out")])
+
+    def test_chunk_sizes_follow_the_node_count(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(hermflow.driver, "RECORD_NODES",
+                            3 * hermflow.GaussianFrame(1.0, 1, 12).n_nodes)
+        sizes = balance_chunk_sizes(monkeypatch)
+        assert self.rescaled(tmp_path) == 0
+        assert sizes == [1, 3, 3, 3, 1]
+
+    def test_large_frame_records_one_state_at_a_time(self, tmp_path, monkeypatch):
+        # fewer than n_nodes values per chunk (2D degree 40 has 7056 nodes)
+        monkeypatch.setattr(hermflow.driver, "RECORD_NODES",
+                            hermflow.GaussianFrame(1.0, 1, 12).n_nodes - 1)
+        sizes = balance_chunk_sizes(monkeypatch)
+        assert self.rescaled(tmp_path) == 0
+        assert sizes == [1] * 11
+
+    def test_pending_states_are_recorded_before_the_step_failure(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        def failing(state, params, dt, coeffs=None):
+            if state.t > 2.5e-3:
+                raise StepFailureError("step 4 fails")
+            return coupled_step(state, params, dt, coeffs)
+
+        monkeypatch.setattr(hermflow.driver, "coupled_step", failing)
+        sizes = balance_chunk_sizes(monkeypatch)
+        assert self.rescaled(tmp_path) == 2
+        assert sizes == [1, 3]
+        assert capsys.readouterr().err == "solver failure: step 4 fails\n"
+
+    def test_an_earlier_breach_wins(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(hermflow.driver, "coupled_step", breaching_march(3))
+        with pytest.raises(PositivityError) as err:
+            hermflow.cli.rescaled_run(load_config(tilted_run(tmp_path)))
+        assert str(err.value) == str(breach_error(hermflow.GaussianFrame(1.0, 1, 12)))
         assert isinstance(err.value.__context__, StepFailureError)
 
 
@@ -275,21 +302,15 @@ class TestFailureOrder:
                      VectorField.zero(frame_1d), dt=1e-3, t_final=0.01)
 
     def test_simulate_command_exits_2_with_the_breach(self, tmp_path, monkeypatch, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("[model]\na = 1.0\nkappa = 1.0\nnu = 0.5\nlambda = 2.0\n"
-                       "[frame]\ndim = 1\ndegree = 12\n[initial]\nfamily = tilted\n"
-                       "alpha = 0.2\n[time]\ndt = 1e-3\nt_final = 0.01\n")
+        cfg = tilted_run(tmp_path)
         frame = build_frame(1.0, 1.0, 2.0, 1, 12)
         monkeypatch.setattr(hermflow.driver, "coupled_step", breaching_march(3))
         assert main(["simulate", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"solver failure: {breach_error(frame)}\n"
 
     def test_rescaled_command_exits_2_with_the_breach(self, tmp_path, monkeypatch, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("[model]\na = 1.0\nkappa = 1.0\nnu = 0.5\nlambda = 2.0\n"
-                       "[frame]\ndim = 1\ndegree = 12\n[initial]\nfamily = tilted\n"
-                       "alpha = 0.2\n[time]\ndt = 1e-3\nt_final = 0.01\n")
-        monkeypatch.setattr(hermflow.cli, "coupled_step", breaching_march(3))
+        cfg = tilted_run(tmp_path)
+        monkeypatch.setattr(hermflow.driver, "coupled_step", breaching_march(3))
         assert main(["rescaled", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
         frame = hermflow.GaussianFrame(1.0, 1, 12)
         assert capsys.readouterr().err == f"solver failure: {breach_error(frame)}\n"
