@@ -194,7 +194,7 @@ class StateBundle:
         if u is None:  # zero, with the member axes of q's nodal values
             members = self.qn.shape[:-1]
             u = VectorField(frame, coeffs=np.zeros(members + (frame.dim, frame.n_basis)))
-        self._q, self._u = q, u
+        self.q, self.u = q, u
 
     # Every array carries the state axes first and the nodes last, so a
     # per-node array meets a tensor as values[..., None, None, :].
@@ -239,11 +239,11 @@ class StateBundle:
 
     @_cached
     def gq(self) -> np.ndarray:
-        return gradient_nodal(self._q)
+        return gradient_nodal(self.q)
 
     @_cached
     def hq(self) -> np.ndarray:
-        return hessian_nodal(self._q)
+        return hessian_nodal(self.q)
 
     @_cached
     def outer_q(self) -> np.ndarray:
@@ -272,7 +272,7 @@ class StateBundle:
 
     @_cached
     def un(self) -> np.ndarray:
-        return self._u.nodal
+        return self.u.nodal
 
     @_cached
     def raw2(self) -> np.ndarray:
@@ -295,7 +295,7 @@ class StateBundle:
 
     @_cached
     def du(self) -> np.ndarray:
-        return gradient_nodal(self._u)
+        return gradient_nodal(self.u)
 
     @_cached
     def dsym(self) -> np.ndarray:

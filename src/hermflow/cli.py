@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics
-from .calculus import ModelParams, StateBundle, bohm_residual, korteweg_consistency
+from .calculus import ModelParams, bohm_residual, korteweg_consistency
 from .config import RunConfig, check_seed, load_config
 from .continuation import mollify_initial_data, schedule_indices, vanishing_drag_sweep
 from .driver import march, simulate, step_count
@@ -132,13 +132,24 @@ def _initial_state(cfg: RunConfig, frame: GaussianFrame):
     return q0, u0
 
 
+@contextmanager
+def _writing(path: Path):
+    """Report an artifact that cannot be written as a config error naming its path."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_csv(path: Path, header, rows) -> None:
     lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    with _writing(path):
+        path.write_text("\n".join(lines) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _writing(path):
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def run(cfg: RunConfig) -> int:
@@ -177,9 +188,10 @@ def run(cfg: RunConfig) -> int:
         "verdicts": verdicts,
     }
     if cfg.save_state:
-        np.savez(out / "state.npz", t=result.final_state.t,
-                 q_coeffs=result.final_state.q.coeffs,
-                 u_coeffs=result.final_state.u.coeffs)
+        with _writing(out / "state.npz"):
+            np.savez(out / "state.npz", t=result.final_state.t,
+                     q_coeffs=result.final_state.q.coeffs,
+                     u_coeffs=result.final_state.u.coeffs)
         summary["state_file"] = "state.npz"
     ok = all(verdicts.values())
     summary["exit_code"] = 0 if ok else 1
@@ -198,8 +210,13 @@ def verify(cfg: RunConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     rows = []
     for k in range(cfg.n_samples):
-        q = random_density(frame, rng, decay=cfg.decay, amplitude=cfg.amplitude)
-        u = random_velocity(frame, rng, decay=cfg.decay, amplitude=1.0)
+        # a non-finite sample is reported below, not as a numpy warning
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            q = random_density(frame, rng, decay=cfg.decay, amplitude=cfg.amplitude)
+            u = random_velocity(frame, rng, decay=cfg.decay, amplitude=1.0)
+        if not (np.isfinite(q.coeffs).all() and np.isfinite(u.coeffs).all()):
+            raise ConfigError(f"[initial] amplitude = {cfg.amplitude!r}, decay = {cfg.decay!r}: "
+                              f"sample {k} has non-finite coefficients")
         lsi_main, lsi_alt = diagnostics.lsi_margins(q)
         _, _, _, _, hmid, hfin = diagnostics.check_hessian_lemma(q)
         rows.append({
@@ -306,15 +323,13 @@ def rescaled_run(cfg: RunConfig) -> int:
         taus = tau_solve(cfg.a, cfg.kappa, cfg.nu, cfg.t_final, cfg.dt / 2.0)
     dilations = iter(taus[::2])  # taus[2k] belongs to the state after k steps
 
-    def balance(states, params):
+    def balance(b, times, params):
         """The trajectory rows of a chunk of states, the dilated balance at each."""
-        tau = [next(dilations) for _ in states]
-        b = StateBundle(ScalarField.stack([s.q for s in states]),
-                        VectorField.stack([s.u for s in states]))
+        tau = [next(dilations) for _ in times]
         values = rescaled_balance(b, np.array([d.tau for d in tau]),
                                   np.array([d.tau_dot for d in tau]), params)
-        return [(d.t, d.tau, d.tau_dot, float(s.q.coeffs[0]), *row)
-                for s, d, row in zip(states, tau, np.column_stack(values).tolist())]
+        return [(d.t, d.tau, d.tau_dot, mass, *row) for d, mass, row
+                in zip(tau, b.q.coeffs[:, 0].tolist(), np.column_stack(values).tolist())]
 
     results, failure = march(frame, [params], [q0], [u0], cfg.dt, cfg.t_final,
                              schedule=lambda k: tau_coeffs(params, taus[2 * k + 1]),

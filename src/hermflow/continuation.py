@@ -41,7 +41,7 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 from .calculus import ModelParams, StateBundle
-from .diagnostics import energy_inequality_audit
+from .diagnostics import energy_inequality_audit, record
 from .driver import march
 from .errors import InvalidParameterError
 from .spectral import GaussianFrame, ScalarField, VectorField
@@ -195,9 +195,16 @@ def vanishing_drag_sweep(frame: GaussianFrame, base_params: ModelParams,
     n_list = schedule_indices(n_list)
     mollified = [mollify_initial_data(q0, u0, n) for n in n_list]
     params = [drag_schedule(n, q0n, base_params) for n, (q0n, _) in zip(n_list, mollified)]
+    fields: dict = {}  # params -> the _sweep_fields of each record chunk of that member
+
+    def recorder(b, times, p):
+        records = record(b, times, p)
+        fields.setdefault(p, []).append(_sweep_fields(b))
+        return records
+
     results, failure = march(frame, params, [q for q, _ in mollified],
                              [u for _, u in mollified], dt, t_final,
-                             record_every=record_every, keep_states=True)
+                             record_every=record_every, recorder=recorder)
     ran = len(results) if failure is None else len(results) + 1
     report: dict = {
         "n_list": n_list,
@@ -210,9 +217,8 @@ def vanishing_drag_sweep(frame: GaussianFrame, base_params: ModelParams,
     if failure is not None:  # member failure: partial report
         report["failed_at"] = n_list[len(results)]
         report["failure"] = f"{type(failure).__name__}: {failure}"
-    # (n, the _sweep_fields of the kept states) per completed member
-    runs = [(n, _sweep_fields(StateBundle(ScalarField.stack([s.q for s in result.states]),
-                                          VectorField.stack([s.u for s in result.states]))))
+    # (n, the _sweep_fields of its recorded states) per completed member
+    runs = [(n, [np.concatenate(chunks) for chunks in zip(*fields[result.params])])
             for n, result in zip(n_list, results)]
 
     increments = []

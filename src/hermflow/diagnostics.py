@@ -26,7 +26,6 @@ import numpy as np
 
 from .calculus import ModelParams, StateBundle, gradient_nodal, scalar_pow
 from .errors import InvalidParameterError
-from .galerkin import SimState
 from .spectral import GaussianFrame, ScalarField, VectorField
 
 __all__ = [
@@ -275,17 +274,15 @@ def _korn_ratio(frame: GaussianFrame, un: np.ndarray, dsym: np.ndarray):
     return _ratio(lhs, np.sqrt(np.vecdot(np.einsum("...ijn,...ijn->...n", dsym, dsym), w)))
 
 
-def record(states: list[SimState], params: ModelParams) -> list[DiagnosticsRecord]:
-    """Full diagnostics of each state of a sequence, from one stacked bundle.
+def record(b: StateBundle, times, params: ModelParams) -> list[DiagnosticsRecord]:
+    """Full diagnostics of each state of a stacked bundle, at its time in ``times``.
 
     Every record equals, field for field and bit for bit, the record of its
-    state alone.  The checks run over the whole sequence: a positivity
-    breach raises for the first breaching state, before any mass error of
-    the log-Sobolev check.
+    state alone.  The checks run over the whole stack: the bundle has
+    checked positivity on construction, and a state off unit mass raises
+    for the first such state.
     """
-    frame = states[0].frame
-    b = StateBundle(ScalarField.stack([s.q for s in states]),
-                    VectorField.stack([s.u for s in states]))
+    frame = b.frame
     e_reg, d_reg = _energy_from_bundle(b, params)
     (d_bd, _), (d_bd_reg, r_bd_reg) = _bd_balance(b, params, (0.0, params.delta1))
     _, _, _, _, hmid, hfin = _hessian_lemma_from_bundle(b)
@@ -293,7 +290,7 @@ def record(states: list[SimState], params: ModelParams) -> list[DiagnosticsRecor
     x_dot_u = np.einsum("in,...in->...n", frame.nodes.T, b.un)
     trusted_q = b.qn[:, frame.trusted]
     columns = {
-        "t": [float(s.t) for s in states],
+        "t": [float(t) for t in times],
         "mass": b.mass,
         "e_reg": e_reg,
         "d_reg": d_reg,

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .calculus import ModelParams
+from .calculus import ModelParams, StateBundle
 from .diagnostics import record
 from .errors import SOLVER_FAILURES, InvalidParameterError
 from .fokker_planck import PositivityEnvelope, envelope_check, envelope_update
@@ -21,10 +21,15 @@ RECORD_NODES = 4096
 
 @dataclass
 class SimulationResult:
+    """One member's run: its params, its records, its last recorded state,
+    and its positivity envelope (None without one) with the verdict of its
+    recorded states against it."""
+
+    params: ModelParams
     records: list
     final_state: SimState
-    envelope_ok: bool
-    states: list[SimState] = field(default_factory=list)
+    envelope: PositivityEnvelope | None = None
+    envelope_ok: bool = True
 
 
 def step_count(dt: float, t_final: float) -> int:
@@ -39,34 +44,23 @@ def step_count(dt: float, t_final: float) -> int:
     return n_steps
 
 
-@dataclass
-class _Run:
-    """One member's run so far: its records, kept states, envelope verdict
-    and the (state, envelope) pairs that wait for the next record chunk."""
-
-    params: ModelParams
-    records: list
-    states: list[SimState]
-    envelope_ok: bool = True
-    pending: list = field(default_factory=list)
-    final_state: SimState | None = None
-
-    def flush(self, recorder, keep_states: bool) -> None:
-        """Record the pending states as one chunk."""
-        pending, self.pending = self.pending, []
-        if not pending:
-            return
-        for rec, (kept, env) in zip(recorder([s for s, _ in pending], self.params), pending):
-            self.records.append(rec)
-            if env is not None:
-                self.envelope_ok = self.envelope_ok and envelope_check(rec.min_q, rec.max_q, env)
-            if keep_states:
-                self.states.append(kept)
+def _record_chunk(run: SimulationResult, kept, recorder) -> None:
+    """Record a chunk of ``run``'s (state, envelope) pairs, if any, from one
+    stacked bundle; a None envelope checks nothing."""
+    if not kept:
+        return
+    states = [s for s, _ in kept]
+    bundle = StateBundle(ScalarField.stack([s.q for s in states]),
+                         VectorField.stack([s.u for s in states]))
+    for rec, (_, env) in zip(recorder(bundle, [s.t for s in states], run.params), kept):
+        run.records.append(rec)
+        if env is not None:
+            run.envelope_ok = run.envelope_ok and envelope_check(rec.min_q, rec.max_q, env)
+    run.final_state = states[-1]
 
 
 def march(frame: GaussianFrame, params, q0, u0, dt: float, t_final: float,
-          record_every: int = 1, keep_states: bool = False, schedule=None,
-          recorder=None):
+          record_every: int = 1, schedule=None, recorder=None):
     """March several members of the coupled system to t_final together.
 
     Member m starts from (q0[m], u0[m]) and steps with params[m].  All
@@ -76,10 +70,11 @@ def march(frame: GaussianFrame, params, q0, u0, dt: float, t_final: float,
     ``schedule(k)``, shared by every member; without a schedule the members
     march the confined system, and each tracks its own positivity envelope,
     which bounds that system's density equation only.  A member's
-    record-cadence states are kept with their envelopes and handed with its
-    own params to ``recorder`` (:func:`~hermflow.diagnostics.record` when
-    None), a chunk of at most max(1, RECORD_NODES // n_nodes) at a time;
-    it returns one record per state.
+    record-cadence states are stacked into one :class:`StateBundle` per
+    chunk of at most max(1, RECORD_NODES // n_nodes) states, which
+    ``recorder(bundle, times, params)`` (:func:`~hermflow.diagnostics.record`
+    when None) reads with the member's own params; it returns one record
+    per state.
 
     The outcome is what marching the members one after another gives.  A
     member's solver failure ends that member and every later one; the
@@ -94,66 +89,62 @@ def march(frame: GaussianFrame, params, q0, u0, dt: float, t_final: float,
     chunk = max(1, RECORD_NODES // frame.n_nodes)
     recorder = recorder or record
     starts = [make_initial_state(q, u) for q, u in zip(q0, u0)]
-    runs: list[_Run] = []
+    runs = [SimulationResult(p, [], start) for p, start in zip(params, starts)]
+    state = stack_states(starts) if starts else None
     failure = None
-    for p, start in zip(params, starts):
-        try:
-            runs.append(_Run(p, recorder([start], p), [start] if keep_states else []))
-        except SOLVER_FAILURES as exc:
-            failure = exc
-            break
-    # the initial range [min_q, max_q] lies inside the envelope it starts
-    envs = ([PositivityEnvelope.start(run.records[0].min_q, run.records[0].max_q, s.u)
-             for run, s in zip(runs, starts)] if schedule is None else [None] * len(runs))
-    state = stack_states(starts[:len(runs)]) if runs else None
+    # each member's (state, envelope) per record-cadence step since the last
+    # chunk; the initial states are recorded alone
+    pending = [[(start, None) for start in starts]]
 
     def end(member: int, exc: Exception):
-        """End ``member`` and every later one; its pending states are recorded first."""
-        nonlocal failure, state, envs
-        run = runs[member]
+        """End ``member`` and every later one with failure ``exc``."""
+        nonlocal failure, state
         del runs[member:]
-        envs = envs[:member]
         state = stack_states(member_states(state)[:member]) if runs else None
         failure = exc
-        try:
-            run.flush(recorder, keep_states)
-        except SOLVER_FAILURES as err:
-            failure = err
 
     def flushed(member: int) -> bool:
         """Record ``member``'s pending states; a solver failure there ends it."""
         try:
-            runs[member].flush(recorder, keep_states)
+            _record_chunk(runs[member], [row[member] for row in pending], recorder)
         except SOLVER_FAILURES as exc:
             end(member, exc)
             return False
         return True
 
+    def flush() -> None:
+        """Record the pending states member by member, up to the first failure."""
+        for member in range(len(runs)):
+            if not flushed(member):
+                break
+        pending.clear()
+
+    flush()
+    if schedule is None:  # the initial range [min_q, max_q] lies inside the envelope it starts
+        for run in runs:
+            run.envelope = PositivityEnvelope.start(run.records[0].min_q, run.records[0].max_q,
+                                                    run.final_state.u)
     step = 0
     while runs and step < n_steps:
         try:
             new = coupled_step(state, [run.params for run in runs], dt,
                                None if schedule is None else schedule(step))
         except SOLVER_FAILURES as exc:
-            end(exc.member, exc)
+            if flushed(exc.member):  # its pending states are recorded first
+                end(exc.member, exc)
             continue  # the same step again, for the members before the failing one
         state, step = new, step + 1
         if schedule is None:
-            envs = envelope_update(envs, state.u, dt)
+            for run, env in zip(runs, envelope_update([run.envelope for run in runs],
+                                                      state.u, dt)):
+                run.envelope = env
         if step % record_every and step != n_steps:
             continue
-        for member, (run, kept, env) in enumerate(zip(runs, member_states(state), envs)):
-            run.pending.append((kept, env))
-            run.final_state = kept
-            if len(run.pending) == chunk and not flushed(member):
-                break
-    for member in range(len(runs)):
-        if not flushed(member):
-            break
-    results = [SimulationResult(records=run.records, final_state=run.final_state,
-                                envelope_ok=run.envelope_ok, states=run.states)
-               for run in runs]
-    return results, failure
+        pending.append([(kept, run.envelope) for run, kept in zip(runs, member_states(state))])
+        if len(pending) == chunk:
+            flush()
+    flush()
+    return runs, failure
 
 
 def simulate(frame: GaussianFrame, params: ModelParams, q0: ScalarField,

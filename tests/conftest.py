@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hermflow import GaussianFrame, ScalarField, VectorField, build_frame, div_m
+from hermflow import GaussianFrame, ScalarField, StateBundle, VectorField, build_frame, div_m
+from hermflow.diagnostics import record
 from hermflow.fokker_planck import FP_SWEEPS
 
 
@@ -82,6 +83,14 @@ def ladder_oracle(frame):
         diff.append(d)
         coord.append(x)
     return diff, coord
+
+
+def record_states(states, params):
+    """``diagnostics.record`` of a list of states: stacked into one bundle,
+    as ``driver.march`` stacks a record chunk, at the states' own times."""
+    bundle = StateBundle(ScalarField.stack([s.q for s in states]),
+                         VectorField.stack([s.u for s in states]))
+    return record(bundle, [s.t for s in states], params)
 
 
 def zero_velocity(frame: GaussianFrame) -> VectorField:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +164,8 @@ class TestSimulateCommand:
         ("seed = 42", "seed = 42", ("--seed", "-3")),
         ("nu = 0.5", "nu = 1e300", ()),
         ("family = steady", "family = tilted\n    alpha = 800", ()),
+        ("family = steady", "family = random\n    amplitude = 1e308", ()),
+        ("family = steady", "family = random\n    decay = 1e200", ()),
         ("t_final = 0.02", "t_final = 1e308", ()),
         ("family = steady", "family = steady\n    u_scale = 1e308", ()),
         ("dt = 1e-3", "dt = 1e-3\n    record_every = 0", ()),
@@ -177,6 +180,7 @@ class TestSimulateCommand:
             "file_npy", "file_truncated", "file_q_stack", "file_u_stack",
             "n_samples", "a_nan", "dt_nan", "t_final_inf", "decay_inf", "seed_negative",
             "seed_override_negative", "nu_square_overflows", "tilt_too_steep",
+            "amplitude_overflows", "decay_overflows",
             "step_count_overflows", "boost_overflows", "record_every_zero", "mode_unknown",
             "family_unknown", "file_without_path", "save_state_not_bool", "n_list_not_int",
             "n_list_empty"])
@@ -297,6 +301,21 @@ class TestVerifyCommand:
                      "--output-dir", str(tmp_path / "out")])
         assert code == 3
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("value", ["amplitude = 1e308", "decay = 1e200"])
+    def test_non_finite_sample_exits_3(self, tmp_path, capsys, value):
+        # an overflowing sample scale is the config's, not a solver failure,
+        # and it is reported without numpy warnings
+        body = STEADY.replace("mode = simulate", "mode = verify\n    n_samples = 2")
+        body = body.replace("family = steady", f"family = random\n    {value}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["verify", write_config(tmp_path / "a.cfg", body),
+                         "--output-dir", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [initial] amplitude = ")
+        assert "decay = " in err and "non-finite" in err and err.count("\n") == 1
 
 
 class TestSweepCommand:
@@ -435,6 +454,29 @@ def test_frame_too_large_to_allocate_exits_3(tmp_path, capsys, monkeypatch, mode
                  "--output-dir", str(tmp_path / "out")])
     assert code == 3
     assert capsys.readouterr().err.startswith("config error: [frame] dim = 2, degree = 3000:")
+
+
+@pytest.mark.parametrize("mode, artifact", [
+    ("simulate", "trajectory.csv"), ("simulate", "state.npz"), ("verify", "margins.json"),
+    ("sweep", "sweep_report.json"), ("rescaled", "trajectory.csv"),
+], ids=["simulate", "simulate_state", "verify", "sweep", "rescaled"])
+def test_unwritable_artifact_exits_3(tmp_path, capsys, mode, artifact):
+    # a directory where an artifact goes: the output directory cannot take
+    # it, which is an input error, not an audit violation (1)
+    body = {
+        "simulate": STEADY.replace("seed = 42", "seed = 42\n    save_state = true"),
+        "verify": STEADY.replace("mode = simulate", "mode = verify\n    n_samples = 2")
+                        .replace("family = steady", "family = random"),
+        "sweep": TestSweepCommand.BODY,
+        "rescaled": TestRescaledCommand.BODY,
+    }[mode]
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    code = main([mode, write_config(tmp_path / "a.cfg", body), "--output-dir", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out / artifact}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 @pytest.mark.parametrize("argv, code", [

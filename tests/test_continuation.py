@@ -17,7 +17,7 @@ from hermflow.continuation import (
     vanishing_drag_sweep,
 )
 from hermflow.calculus import gradient_nodal
-from hermflow.diagnostics import energy_inequality_audit
+from hermflow.diagnostics import energy_inequality_audit, record
 from hermflow.driver import march
 from hermflow.errors import StepFailureError
 from hermflow.galerkin import SimState, member_states, stack_states
@@ -215,17 +215,20 @@ def sequential_sweep(frame, base, q0, u0, n_list, dt, t_final, record_every=1):
         params = drag_schedule(n, q0n, base)
         report["schedules"].append({"n": n, "r0": params.r0, "r1": params.r1,
                                     "r4": params.r4, "delta1": params.delta1})
+        fields = []
+
+        def recorder(b, times, p):
+            fields.append(hermflow.continuation._sweep_fields(b))
+            return record(b, times, p)
+
         results, failure = march(frame, [params], [q0n], [u0n], dt, t_final,
-                                 record_every=record_every, keep_states=True)
+                                 record_every=record_every, recorder=recorder)
         if failure is not None:
             report["failed_at"] = n
             report["failure"] = f"{type(failure).__name__}: {failure}"
             break
         (result,) = results
-        states = result.states
-        runs.append((n, hermflow.continuation._sweep_fields(
-            StateBundle(ScalarField.stack([s.q for s in states]),
-                        VectorField.stack([s.u for s in states])))))
+        runs.append((n, [np.concatenate(chunks) for chunks in zip(*fields)]))
         report["audits"].append(
             energy_inequality_audit(result.records, params, frame.sigma, frame.dim))
     distance = hermflow.continuation._sq_distance

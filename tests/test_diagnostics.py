@@ -21,13 +21,12 @@ from hermflow.diagnostics import (
     csv_header,
     csv_row,
     lsi_margins,
-    record,
 )
 from hermflow.galerkin import make_initial_state
 from hermflow.sampling import random_density, random_velocity, tilted_density
 from hermflow.spectral import transform
 
-from conftest import unit_field
+from conftest import record_states, unit_field
 
 
 def base_params(**kw):
@@ -37,7 +36,7 @@ def base_params(**kw):
 
 
 def diagnose(q, u, params):
-    return record([make_initial_state(q, u)], params)[0]
+    return record_states([make_initial_state(q, u)], params)[0]
 
 
 def minimal_energy(params, sigma, dim):
@@ -250,7 +249,7 @@ class TestEnergyBridge:
 class TestRecordSerialization:
     def test_csv_round(self, frame_1d):
         state = make_initial_state(unit_field(frame_1d), VectorField.zero(frame_1d))
-        rec = record([state], base_params())[0]
+        rec = record_states([state], base_params())[0]
         header = csv_header(1)
         row = csv_row(rec)
         assert len(header) == len(row)
@@ -261,7 +260,7 @@ class TestRecordSerialization:
     def test_csv_columns_in_2d(self, frame_2d, rng):
         # the vector moments take one column per axis, between I4 and min_q
         state = make_initial_state(random_density(frame_2d, rng), VectorField.zero(frame_2d))
-        rec = record([state], base_params())[0]
+        rec = record_states([state], base_params())[0]
         header = csv_header(2)
         assert header == [
             "t", "mass", "E_reg", "D_reg", "E_BD", "D_BD", "I2", "I2_tilde", "I4",

@@ -268,3 +268,23 @@ class TestEnvelopeAlongRun:
         params = ModelParams(a=1.0, kappa=1.0, nu=0.5, lam=2.0, delta1=0.2)
         result = simulate(frame_1d, params, q0, u0, dt=1e-3, t_final=0.1)
         assert result.envelope_ok
+
+    def test_result_carries_its_params_and_envelope(self, frame_1d):
+        # the returned envelope is envelope_update folded over the velocity
+        # of every step, from the envelope of the initial density range
+        from hermflow import ModelParams, coupled_step, make_initial_state, project_initial_velocity
+        from hermflow.driver import march
+
+        q0 = unit_field(frame_1d)
+        u0 = project_initial_velocity(q0, 0.2 * frame_1d.nodes.T.copy())
+        params = ModelParams(a=1.0, kappa=1.0, nu=0.5, lam=2.0, delta1=0.2)
+        (result,), failure = march(frame_1d, [params], [q0], [u0], dt=1e-3, t_final=0.01,
+                                   record_every=5)
+        assert failure is None and result.params is params
+        trusted = q0.nodal[frame_1d.trusted]
+        env = PositivityEnvelope.start(float(trusted.min()), float(trusted.max()), u0)
+        state = make_initial_state(q0, u0)
+        for _ in range(10):
+            state = coupled_step(state, params, 1e-3)
+            (env,) = envelope_update([env], state.u, 1e-3)
+        assert result.envelope == env

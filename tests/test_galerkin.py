@@ -29,7 +29,6 @@ from hermflow import (
     project_initial_velocity,
 )
 from hermflow import calculus, galerkin, spectral
-from hermflow.diagnostics import record
 from hermflow.driver import march
 from hermflow.errors import SOLVER_FAILURES
 from hermflow.galerkin import MAX_SWEEPS, PICARD_TOL, member_states, stack_states
@@ -37,7 +36,7 @@ from hermflow.rescaled import TauState, tau_coeffs
 from hermflow.sampling import random_density, random_field, random_velocity, tilted_density
 from hermflow.spectral import build_frame, transform
 
-from conftest import ladder_oracle, object_path_fp_step, unit_field
+from conftest import ladder_oracle, object_path_fp_step, record_states, unit_field
 
 
 def drag_free(lam=2.0):
@@ -258,7 +257,7 @@ class TestCoupledStep:
         dt = math.pi / 4.0 / 400
         for _ in range(400):
             state = coupled_step(state, params, dt)
-        mx = record([state], params)[0].mx[0]
+        mx = record_states([state], params)[0].mx[0]
         assert abs(mx) < 0.01 * x0
 
     @pytest.mark.parametrize(
@@ -415,18 +414,23 @@ class TestArraySweep:
 
 @pytest.mark.parametrize("frame_name", ["frame_1d", "frame_2d"])
 def test_kept_states_carry_their_momentum(frame_name, request, rng):
-    # each kept state's momentum is M[q]u of that very state, and only the
-    # initial state, built by hand, carries none
+    # each stepped state's momentum is M[q]u of that very state, and so is
+    # that of the final state a march returns; only the initial state, built
+    # by hand, carries none
     frame = request.getfixturevalue(frame_name)
     params = ModelParams(a=1.0, kappa=1.0, nu=0.5, lam=2.0, r0=0.1, delta1=0.3)
     q0 = random_density(frame, rng, decay=0.3)
     u0 = random_velocity(frame, rng, decay=0.3, amplitude=0.1)
-    (result,), _ = march(frame, [params], [q0], [u0], dt=1e-3, t_final=4e-3,
-                         record_every=2, keep_states=True)
-    assert len(result.states) == 3 and result.states[0].momentum is None
-    for state in result.states[1:]:
+    state = make_initial_state(q0, u0)
+    assert state.momentum is None
+    for _ in range(4):
+        state = coupled_step(state, params, 1e-3)
         expected = state.u.coeffs @ assemble_mass(state.q).matrix.T
         assert np.array_equal(state.momentum, expected)
+    (result,), _ = march(frame, [params], [q0], [u0], dt=1e-3, t_final=4e-3, record_every=2)
+    final = result.final_state
+    assert np.array_equal(final.q.coeffs, state.q.coeffs)
+    assert np.array_equal(final.momentum, final.u.coeffs @ assemble_mass(final.q).matrix.T)
 
 
 def test_translating_equilibrium_is_second_order():
@@ -532,7 +536,7 @@ class TestPlanarStepping:
         dt = 2e-3
         for k in range(150):
             state = coupled_step(state, params, dt)
-            records.append((state.t, record([state], params)[0].mx))
+            records.append((state.t, record_states([state], params)[0].mx))
         t = np.array([r[0] for r in records])
         mx = np.array([r[1] for r in records])
         exact = x0[None, :] * np.cos(2.0 * t)[:, None]

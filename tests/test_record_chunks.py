@@ -26,7 +26,6 @@ from hermflow.diagnostics import (
     lsi_margins,
     poincare_korn_ratio,
     poincare_ratio,
-    record,
 )
 from hermflow.driver import march, simulate
 from hermflow.errors import StepFailureError
@@ -34,6 +33,8 @@ from hermflow.galerkin import SimState, coupled_step, project_initial_velocity
 from hermflow.rescaled import TauState, rescaled_balance, rescaled_bd_remainder, rescaled_energy
 from hermflow.sampling import random_density, random_velocity, tilted_density
 from hermflow.spectral import build_frame, transform
+
+from conftest import record_states
 
 DRAG_FREE = ModelParams(a=1.0, kappa=1.0, nu=0.5, lam=2.0)
 REGULARIZED = ModelParams(a=1.0, kappa=1.0, nu=0.5, lam=2.0, r0=0.1, r1=0.2, r4=0.05,
@@ -55,12 +56,12 @@ def random_states(frame, rng, count):
 
 
 def one_by_one(states, params):
-    return [record([s], params)[0] for s in states]
+    return [record_states([s], params)[0] for s in states]
 
 
 def chunked(states, params, size):
     return [rec for i in range(0, len(states), size)
-            for rec in record(states[i:i + size], params)]
+            for rec in record_states(states[i:i + size], params)]
 
 
 class TestStackedKernels:
@@ -146,7 +147,7 @@ class TestChunkedRecord:
         # every integral is a plain number: a stacked record must match them
         frame = request.getfixturevalue(frame_name)
         states = random_states(frame, rng, 8)
-        for rec, s in zip(record(states, params), states):
+        for rec, s in zip(record_states(states, params), states):
             assert rec.lsi_margin == lsi_margins(s.q)[0]
             a, b, d, i4, mid, fin = check_hessian_lemma(s.q)
             assert (rec.hess_margin_mid, rec.hess_margin_final) == (mid, fin)
@@ -178,10 +179,17 @@ class TestChunkedRecord:
         q0 = tilted_density(frame_1d, 0.3)
         u0 = project_initial_velocity(q0, 0.2 * frame_1d.nodes.T)
         (result,), _ = march(frame_1d, [REGULARIZED], [q0], [u0], dt=2e-3, t_final=0.034,
-                             record_every=2, keep_states=True)
-        assert len(result.states) == len(result.records) == 10
-        assert result.records == one_by_one(result.states, REGULARIZED)
-        assert result.final_state is result.states[-1]
+                             record_every=2)
+        state = SimState(q0, u0)
+        states = [state]
+        for step in range(1, 18):
+            state = coupled_step(state, REGULARIZED, 2e-3)
+            if step % 2 == 0 or step == 17:
+                states.append(state)
+        assert len(states) == len(result.records) == 10
+        assert result.records == one_by_one(states, REGULARIZED)
+        assert np.array_equal(result.final_state.q.coeffs, state.q.coeffs)
+        assert np.array_equal(result.final_state.u.coeffs, state.u.coeffs)
 
 
 def tilted_run(tmp_path):
@@ -271,7 +279,7 @@ def breach_error(frame):
     """The error the breaching state raises when it is recorded alone."""
     bad = transform(frame, 0.1 + 0.2 * frame.nodes[:, 0])
     with pytest.raises(PositivityError) as err:
-        record([SimState(bad, VectorField.zero(frame))], DRAG_FREE)
+        record_states([SimState(bad, VectorField.zero(frame))], DRAG_FREE)
     return err.value
 
 

@@ -22,10 +22,10 @@ from hermflow.rescaled import (
     tau_rhs,
     tau_solve,
 )
-from hermflow.diagnostics import bd_entropy_regularized, record
+from hermflow.diagnostics import bd_entropy_regularized
 from hermflow.sampling import random_density, random_velocity, tilted_density
 
-from conftest import unit_field
+from conftest import record_states, unit_field
 
 
 @pytest.fixture(scope="module")
@@ -149,7 +149,7 @@ class TestRescaledEnergies:
         for _ in range(3):
             q = random_density(frame, rng)
             u = random_velocity(frame, rng, amplitude=0.5)
-            rec = record([make_initial_state(q, u)], params)[0]
+            rec = record_states([make_initial_state(q, u)], params)[0]
             pairs = list(zip(rescaled_energy(q, u, unit, params),
                              (rec.e_reg, rec.d_reg, rec.e_bd, rec.d_bd)))
             pairs.append((rescaled_bd_remainder(q, u, unit, params),
