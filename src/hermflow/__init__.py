@@ -14,7 +14,7 @@ weak forces and ``coupled_step``, the joint fixed-point step of both
 systems), ``diagnostics`` (energies, entropies, moments, inequality
 audits), ``continuation`` (mollified data and vanishing-drag sweeps),
 ``rescaled`` (self-similar variables for the unconfined flow: the
-``coupled_step`` coefficients at a dilation and the dilated balances),
+``coupled_step`` coefficient table at a dilation and the dilated balances),
 ``driver`` (the confined march loop, which also tracks the positivity
 envelope and records its states a chunk at a time) and ``cli`` (run
 orchestration, including the dilated march).

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import zipfile
 from contextlib import contextmanager
@@ -40,7 +41,7 @@ from .rescaled import (
     tau_solve,
 )
 from .sampling import random_density, random_velocity, tilted_density
-from .spectral import GaussianFrame, ScalarField, VectorField, build_frame
+from .spectral import GaussianFrame, ScalarField, VectorField, build_frame, sigma_from_coefficients
 
 MARGIN_TOL = -1e-8
 
@@ -65,7 +66,17 @@ def _model_params(cfg: RunConfig) -> ModelParams:
 
 def _make_frame(cfg: RunConfig, sigma: float | None = None) -> GaussianFrame:
     """The config's frame, at the model's Gaussian scale unless ``sigma`` is
-    given; a frame too large to allocate is a config error."""
+    given; a model scale whose sigma^4 is not a finite float, or a frame too
+    large to allocate, is a config error."""
+    if sigma is None:
+        scale = sigma_from_coefficients(cfg.a, cfg.kappa, cfg.lam)
+        try:
+            finite = math.isfinite(scale**4)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigError(f"[model] lambda = {cfg.lam!r}: the Gaussian scale sigma = "
+                              f"{scale!r} has a sigma^4 beyond the float range")
     try:
         if sigma is None:
             return build_frame(cfg.a, cfg.kappa, cfg.lam, cfg.dim, cfg.degree)
@@ -207,6 +218,13 @@ def verify(cfg: RunConfig) -> int:
     with _config_values():
         frame = _make_frame(cfg)
         _model_params(cfg)  # rejects what the other modes reject, e.g. an overflowing square
+    # the tilt check's density, under the errstate of the initial data: a
+    # tilt too steep for the frame is 0/0 at unit mass
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        tilt = tilted_density(frame, 0.4)
+    if not np.isfinite(tilt.coeffs).all():
+        raise ConfigError(f"[model] lambda = {cfg.lam!r}: the tilt check's density "
+                          "has non-finite coefficients")
     rng = np.random.default_rng(cfg.seed)
     rows = []
     for k in range(cfg.n_samples):
@@ -230,7 +248,6 @@ def verify(cfg: RunConfig) -> int:
             "korteweg_mismatch": korteweg_consistency(q),
             "bohm_residual": bohm_residual(q),
         })
-    tilt = tilted_density(frame, 0.4)
     tilt_margin = diagnostics.check_log_sobolev(tilt)
 
     def col(name):

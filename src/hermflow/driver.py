@@ -66,10 +66,10 @@ def march(frame: GaussianFrame, params, q0, u0, dt: float, t_final: float,
     Member m starts from (q0[m], u0[m]) and steps with params[m].  All
     members step as one stack (:func:`coupled_step`), so a step costs
     about the sweeps of its slowest member, and every member's states equal,
-    bit for bit, those of its march alone.  Step k takes the coefficients
-    ``schedule(k)``, shared by every member; without a schedule the members
-    march the confined system, and each tracks its own positivity envelope,
-    which bounds that system's density equation only.  A member's
+    bit for bit, those of its march alone.  Step k takes the coefficient
+    table ``schedule(k)``, shared by every member; without a schedule the
+    members march the confined system, and each tracks its own positivity
+    envelope, which bounds that system's density equation only.  A member's
     record-cadence states are stacked into one :class:`StateBundle` per
     chunk of at most max(1, RECORD_NODES // n_nodes) states, which
     ``recorder(bundle, times, params)`` (:func:`~hermflow.diagnostics.record`

@@ -114,22 +114,19 @@ def fp_step(q: ScalarField, u: VectorField, delta1, dt: float) -> ScalarField:
     contracting, which is reported as a step failure (reduce dt).
 
     ``q`` and ``u`` may be stacks of members (see :class:`ScalarField`),
-    with ``delta1`` one value or one per member; each member's result, and
-    the error a failing member raises, equal those of the member alone.
+    with ``delta1`` a float or a (members, 1) column; each member's result,
+    and the error a failing member raises, equal those of the member alone.
     """
     if dt <= 0.0:
         raise InvalidParameterError(f"dt must be positive, got {dt}")
     frame = q.frame
     c0 = q.coeffs
     un = u.nodal
-    # delta1 is a float, or an array of one per member
     if not (np.count_nonzero(delta1) if isinstance(delta1, np.ndarray) else delta1):
         # both decay tables would be all ones: the same values without them
         free, step = c0, dt
     else:
-        # one rate, or a (members, 1) column that meets the stack row by row
-        rate = np.asarray(delta1, dtype=float)[..., None]
-        free, step = _ou_decay(frame, rate, dt) * c0, dt * _ou_decay(frame, rate, 0.5 * dt)
+        free, step = _ou_decay(frame, delta1, dt) * c0, dt * _ou_decay(frame, delta1, 0.5 * dt)
 
     c_new = free
     prev_increment = None

@@ -45,6 +45,7 @@ __all__ = [
     "MassOperator",
     "assemble_mass",
     "project_initial_velocity",
+    "step_coefficients",
     "momentum_rhs",
     "coupled_step",
     "make_initial_state",
@@ -189,55 +190,48 @@ def project_initial_velocity(q0: ScalarField, u0_nodal: np.ndarray) -> VectorFie
     return VectorField(frame, coeffs=mass.solve(rhs))
 
 
-def _coefficients(params, sig2: float):
-    """(nu, kappa^2, lam sigma^2, r0, r1, delta1, r4 / sigma^4) and the
-    regularized flags: floats and one flag for one ModelParams, or for a
-    sequence (members, 1) columns, which meet a stack's (members, n)
-    arrays row by row, and one flag per member."""
+def step_coefficients(params, sigma: float) -> dict:
+    """The confined step's coefficient table on a frame of scale sigma:
+    transport (1.0), nu, kappa^2, lam sigma^2, r0, r1, delta1, r4 / sigma^4
+    as floats for one ModelParams, or for a sequence as (members, 1) columns
+    that meet a stack's (members, n) arrays row by row, with transport one
+    float; and one ``regularized`` flag, set when any member is."""
+    sig2 = sigma**2
     members = [params] if isinstance(params, ModelParams) else params
     rows = [(p.nu, p.kappa**2, p.lam * sig2, p.r0, p.r1, p.delta1, p.r4 / sig2**2)
             for p in members]
-    flags = [p.regularized for p in members]
-    if isinstance(params, ModelParams):
-        return rows[0], flags
-    return tuple(np.array(rows).T[:, :, None]), flags
+    values = rows[0] if isinstance(params, ModelParams) else np.array(rows).T[:, :, None]
+    return {"transport": 1.0,
+            **dict(zip(("nu", "kappa_sq", "pressure", "r0", "r1", "delta1", "r4"), values)),
+            "regularized": any(p.regularized for p in members)}
 
 
-def momentum_rhs(q: ScalarField, u: VectorField, params, *,
-                 pressure_coef: float | None = None,
-                 transport_coef: float = 1.0,
-                 nu: float | None = None,
-                 kappa_sq: float | None = None) -> np.ndarray:
-    """Weak-form force vector, shape (dim, n_basis).
+def momentum_rhs(q: ScalarField, u: VectorField, coeffs: dict) -> np.ndarray:
+    """Weak-form force vector, shape (dim, n_basis), with the coefficients of
+    the table ``coeffs`` (:func:`step_coefficients`, or
+    :func:`~hermflow.rescaled.tau_coeffs` for the dilated system).
 
     Collects, tested against each basis field phi:
 
     * viscosity        -2 nu int q D(u):D(phi)
     * linear drag      -r0  int u . phi
-    * transport        +    int q u.(grad phi) u
+    * transport        +transport int q u.(grad phi) u
     * diffusion        -d1  int (grad u)(grad q) . phi
     * cubic drag       -r1  int q |u|^2 u . phi
-    * capillarity      -2 kappa^2 int [sqrt(q)D^2 sqrt(q) - grad sqrt(q) x grad sqrt(q)] : D(phi)
-    * pressure         -lam sigma^2 int grad q . phi
-    * confinement drag -(r4/sigma^4) int q |x|^2 x . phi
+    * capillarity      -2 kappa_sq int [sqrt(q)D^2 sqrt(q) - grad sqrt(q) x grad sqrt(q)] : D(phi)
+    * pressure         -pressure int grad q . phi
+    * confinement drag -r4 int q |x|^2 x . phi
 
     The drag and diffusion terms, and the dealiased |u|^2 the cubic drag
-    needs, are formed only when ``params.regularized``; otherwise the point
-    force is the pressure alone.  The keyword overrides let a rescaled
-    system reuse the assembly with time-dependent coefficients.
+    needs, are formed only when the table is ``regularized``; otherwise the
+    point force is the pressure alone.
 
-    ``q`` and ``u`` may be stacks of members, with ``params`` one
-    ModelParams or one per member; the forces then carry the member axis,
+    ``q`` and ``u`` may be stacks of members, with the table's coefficients
+    floats or (members, 1) columns; the forces then carry the member axis,
     and each member's equal, bit for bit, its forces alone.
     """
     frame = q.frame
-    d = frame.dim
-    sig2 = frame.sigma**2
-    (nu_p, kappa_sq_p, pressure_p, r0, r1, delta1, r4), regularized = _coefficients(params, sig2)
-    nu = nu_p if nu is None else nu
-    kappa_sq = kappa_sq_p if kappa_sq is None else kappa_sq
-    pressure = pressure_p if pressure_coef is None else pressure_coef
-
+    pressure, r0, r1, delta1, r4 = (coeffs[k] for k in ("pressure", "r0", "r1", "delta1", "r4"))
     b = StateBundle(q, u)
     qn, un, gq = b.qn, b.un, b.gq
     w = frame.weights
@@ -245,29 +239,25 @@ def momentum_rhs(q: ScalarField, u: VectorField, params, *,
     rsq = frame.radius_sq
     # the products every stress component starts from (a unit transport
     # coefficient leaves q as it is, bit for bit)
-    transport_q = qn if transport_coef == 1.0 else transport_coef * qn
-    viscous_q = 2.0 * nu * qn
-    capillary = 2.0 * kappa_sq
+    transport_q = qn if coeffs["transport"] == 1.0 else coeffs["transport"] * qn
+    viscous_q = 2.0 * coeffs["nu"] * qn
+    capillary = 2.0 * coeffs["kappa_sq"]
 
-    drags = any(regularized)
     out = np.empty(un.shape[:-1] + (frame.n_basis,))
-    for i in range(d):
+    for i in range(frame.dim):
         u_i = un[..., i, :]
-        point = -pressure * gq[..., i, :]
-        if drags:
-            drag = (
+        if coeffs["regularized"]:
+            point = (
                 -r0 * u_i
                 - delta1 * np.einsum("...kn,...kn->...n", b.du[..., i, :, :], gq)
                 - r1 * qn * b.s2 * u_i
                 - pressure * gq[..., i, :]
                 - r4 * qn * rsq * x[i]
             )
-            if not all(regularized):
-                point = np.where(np.array(regularized)[:, None], drag, point)
-            else:
-                point = drag
+        else:
+            point = -pressure * gq[..., i, :]
         vec = frame._synthesize_adjoint(w * point)
-        for k in range(d):
+        for k in range(frame.dim):
             grad_part = (
                 transport_q * u_i * un[..., k, :]
                 - viscous_q * b.dsym[..., i, k, :]
@@ -296,24 +286,23 @@ def coupled_step(state: SimState, params, dt: float,
     new state equals, bit for bit, its step alone.  A failing member raises
     the error it raises alone, with ``member`` naming it.
 
-    ``coeffs`` overrides the :func:`momentum_rhs` coefficients (none for the
-    confined system); its ``transport_coef`` also scales the velocity that
-    advects the density.
+    The step reads one coefficient table, formed once: ``coeffs`` (the
+    dilated :func:`~hermflow.rescaled.tau_coeffs`) or, without it,
+    :func:`step_coefficients` of ``params``.  Its ``transport`` also scales
+    the velocity that advects the density, and its ``delta1`` diffuses it.
     """
     if dt <= 0.0:
         raise InvalidParameterError(f"dt must be positive, got {dt}")
-    coeffs = coeffs or {}
     frame = state.frame
     if not state.stacked and not isinstance(params, ModelParams):
         (params,) = params
+    coeffs = coeffs or step_coefficients(params, frame.sigma)
     q_start, u_prev = state.q, state.u
     momentum_prev = state.momentum
     q_prev, c_prev = q_start, u_prev.coeffs
     if momentum_prev is None:
         momentum_prev = np.matmul(c_prev, assemble_mass(q_prev).matrix.mT)
-    delta1 = (params.delta1 if isinstance(params, ModelParams)
-              else np.array([p.delta1 for p in params]))
-    advection = 0.5 * coeffs.get("transport_coef", 1.0)
+    advection = 0.5 * coeffs["transport"]
 
     # the velocity iterates are coefficient arrays; fields are built only for
     # the density step and the force assembly.  ``active`` lists the members
@@ -331,9 +320,9 @@ def coupled_step(state: SimState, params, dt: float,
                 u_mid = VectorField(frame, coeffs=0.5 * (c_prev + c_iter))
             u_adv = (u_mid if advection == 0.5
                      else VectorField(frame, coeffs=advection * (c_prev + c_iter)))
-            q_new = fp_step(q_prev, u_adv, delta1, dt)
+            q_new = fp_step(q_prev, u_adv, coeffs["delta1"], dt)
             q_mid = ScalarField(frame, coeffs=0.5 * (q_prev.coeffs + q_new.coeffs))
-            force = momentum_rhs(q_mid, u_mid, params, **coeffs)
+            force = momentum_rhs(q_mid, u_mid, coeffs)
             mass_new = assemble_mass(q_new)
             c_next = mass_new.solve(momentum_prev + dt * force)
             delta = c_next - c_iter
@@ -357,8 +346,7 @@ def coupled_step(state: SimState, params, dt: float,
                 active = members[keep]
                 q_prev, c_prev = q_prev.take(keep), c_prev[keep]
                 momentum_prev = momentum_prev[keep]
-                if not isinstance(params, ModelParams):
-                    params, delta1 = [params[i] for i in keep], delta1[keep]
+                coeffs = {k: v[keep] if isinstance(v, np.ndarray) else v for k, v in coeffs.items()}
                 c_next = c_next[keep]
             c_iter = c_next
         else:

@@ -38,7 +38,7 @@ import numpy as np
 from .calculus import ModelParams, StateBundle, scalar_pow
 from .driver import step_count
 from .errors import InvalidParameterError, StepFailureError
-from .galerkin import SimState, coupled_step
+from .galerkin import SimState, coupled_step, step_coefficients
 from .spectral import ScalarField, VectorField
 
 __all__ = [
@@ -78,18 +78,22 @@ def tau_solve(a: float, kappa: float, nu: float, t_final: float, dt: float,
               store_every: int = 1) -> list[TauState]:
     """Classical fourth-order Runge-Kutta on (tau, tau_dot) from (1, 0).
 
-    ``t_final`` must be a whole number of steps ``dt``."""
+    ``t_final`` must be a whole number of steps ``dt``.  A stage that
+    overflows or divides by a zero dilation is a step failure."""
     n_steps = step_count(dt, t_final)
     tau, p, t = 1.0, 0.0, 0.0
     out = [TauState(tau, p, t)]
     for step in range(n_steps):
-        k1t, k1p = p, tau_rhs(tau, p, a, kappa, nu)
-        k2t, k2p = p + 0.5 * dt * k1p, tau_rhs(tau + 0.5 * dt * k1t, p + 0.5 * dt * k1p, a, kappa, nu)
-        k3t, k3p = p + 0.5 * dt * k2p, tau_rhs(tau + 0.5 * dt * k2t, p + 0.5 * dt * k2p, a, kappa, nu)
-        k4t, k4p = p + dt * k3p, tau_rhs(tau + dt * k3t, p + dt * k3p, a, kappa, nu)
+        t = (step + 1) * dt
+        try:
+            k1t, k1p = p, tau_rhs(tau, p, a, kappa, nu)
+            k2t, k2p = p + 0.5 * dt * k1p, tau_rhs(tau + 0.5 * dt * k1t, p + 0.5 * dt * k1p, a, kappa, nu)
+            k3t, k3p = p + 0.5 * dt * k2p, tau_rhs(tau + 0.5 * dt * k2t, p + 0.5 * dt * k2p, a, kappa, nu)
+            k4t, k4p = p + dt * k3p, tau_rhs(tau + dt * k3t, p + dt * k3p, a, kappa, nu)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise StepFailureError(f"dilation equation overflowed in the step to t={t:.6g}") from exc
         tau += dt / 6.0 * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
         p += dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        t = (step + 1) * dt
         if tau <= 0.0:
             raise StepFailureError(f"dilation factor became non-positive at t={t:.6g}")
         if (step + 1) % store_every == 0 or step + 1 == n_steps:
@@ -98,16 +102,19 @@ def tau_solve(a: float, kappa: float, nu: float, t_final: float, dt: float,
 
 
 def tau_coeffs(params: ModelParams, tau_state: TauState) -> dict:
-    """The :func:`~hermflow.galerkin.coupled_step` coefficients at one dilation."""
+    """The dilated step's coefficient table: the confined one on the unit frame
+    (:func:`~hermflow.galerkin.step_coefficients`) with nu, kappa^2, the
+    pressure and the transport taken at the dilation."""
     # Writing the quantum stress weakly against D(phi) on the unit frame
     # leaves a kappa^2/tau^2 pressure remnant, the analogue of the
     # kappa^2/sigma^2 share inside lam*sigma^2 for the confined system.
     tau, tau_dot = tau_state.tau, tau_state.tau_dot
     return {
+        **step_coefficients(params, 1.0),
         "nu": params.nu / tau**2,
         "kappa_sq": params.kappa**2 / tau**2,
-        "pressure_coef": params.a - 2.0 * params.nu * tau_dot / tau + params.kappa**2 / tau**2,
-        "transport_coef": 1.0 / tau**2,
+        "pressure": params.a - 2.0 * params.nu * tau_dot / tau + params.kappa**2 / tau**2,
+        "transport": 1.0 / tau**2,
     }
 
 

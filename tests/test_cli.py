@@ -428,6 +428,16 @@ class TestRescaledCommand:
         assert code == 3
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("nu", ["1e60", "1e100"])
+    def test_overflowing_dilation_exits_2(self, tmp_path, capsys, nu):
+        # nu^2 is finite, but the dilation equation overflows in its second half step
+        body = self.BODY.replace("nu = 0.5", f"nu = {nu}")
+        code = main(["rescaled", write_config(tmp_path / "a.cfg", body),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "solver failure: dilation equation overflowed in the step to t=0.001\n"
+
     def test_subnormal_dt_exits_3(self, tmp_path, capsys):
         # two whole steps, but the half step of the dilation solve rounds to 0
         body = (self.BODY.replace("dt = 1e-3", "dt = 5e-324")
@@ -454,6 +464,29 @@ def test_frame_too_large_to_allocate_exits_3(tmp_path, capsys, monkeypatch, mode
                  "--output-dir", str(tmp_path / "out")])
     assert code == 3
     assert capsys.readouterr().err.startswith("config error: [frame] dim = 2, degree = 3000:")
+
+
+WIDE_FRAME_BODIES = {
+    "simulate": STEADY.replace("family = steady", "family = tilted\n    alpha = 0.3"),
+    "verify": (STEADY.replace("mode = simulate", "mode = verify\n    n_samples = 2")
+               .replace("family = steady", "family = random")),
+    "sweep": textwrap.dedent(TestSweepCommand.BODY).replace("lambda = 100.0", "lambda = 2.0"),
+}
+
+
+@pytest.mark.parametrize("lam", ["1e-100", "1e-200", "1e-300"])
+@pytest.mark.parametrize("mode", sorted(WIDE_FRAME_BODIES))
+def test_frame_too_wide_for_floats_exits_3(tmp_path, capsys, mode, lam):
+    # sigma = 1e50, 1e100, 1e150: from lambda = 1e-200 on sigma^4 overflows,
+    # and at 1e-100 every tilt, the verify check's included, is 0/0 at unit mass
+    body = WIDE_FRAME_BODIES[mode].replace("lambda = 2.0", f"lambda = {lam}")
+    code = main([mode, write_config(tmp_path / "a.cfg", body),
+                 "--output-dir", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    if mode == "verify" or lam != "1e-100":
+        assert err.startswith(f"config error: [model] lambda = {lam}:")
 
 
 @pytest.mark.parametrize("mode, artifact", [

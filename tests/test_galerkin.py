@@ -31,7 +31,13 @@ from hermflow import (
 from hermflow import calculus, galerkin, spectral
 from hermflow.driver import march
 from hermflow.errors import SOLVER_FAILURES
-from hermflow.galerkin import MAX_SWEEPS, PICARD_TOL, member_states, stack_states
+from hermflow.galerkin import (
+    MAX_SWEEPS,
+    PICARD_TOL,
+    member_states,
+    stack_states,
+    step_coefficients,
+)
 from hermflow.rescaled import TauState, tau_coeffs
 from hermflow.sampling import random_density, random_field, random_velocity, tilted_density
 from hermflow.spectral import build_frame, transform
@@ -195,7 +201,8 @@ class TestMomentumForces:
         frame = request.getfixturevalue(frame_name)
         q = random_density(frame, rng, decay=0.3)
         u = random_velocity(frame, rng, decay=0.3, amplitude=0.2)
-        assert np.array_equal(momentum_rhs(q, u, params), five_term_force(q, u, params))
+        assert np.array_equal(momentum_rhs(q, u, step_coefficients(params, frame.sigma)),
+                              five_term_force(q, u, params))
 
     @pytest.mark.parametrize("frame_name", ["frame_1d", "frame_2d"])
     def test_dealiased_speed_formed_only_for_regularized_forces(
@@ -209,13 +216,15 @@ class TestMomentumForces:
         real = spectral.GaussianFrame.project_nodal
         monkeypatch.setattr(spectral.GaussianFrame, "project_nodal",
                             lambda fr, values: calls.append(1) or real(fr, values))
-        momentum_rhs(q, u, drag_free())
+        momentum_rhs(q, u, step_coefficients(drag_free(), frame.sigma))
         assert len(calls) == 0
-        momentum_rhs(q, u, ModelParams(a=1.0, kappa=1.0, nu=0.5, lam=2.0, r1=0.2))
+        momentum_rhs(q, u, step_coefficients(ModelParams(a=1.0, kappa=1.0, nu=0.5, lam=2.0, r1=0.2),
+                                             frame.sigma))
         assert len(calls) == frame.dim
 
     def test_equilibrium_rest_state(self, frame_1d):
-        f = momentum_rhs(unit_field(frame_1d), VectorField.zero(frame_1d), drag_free())
+        f = momentum_rhs(unit_field(frame_1d), VectorField.zero(frame_1d),
+                         step_coefficients(drag_free(), frame_1d.sigma))
         assert np.max(np.abs(f)) < 1e-13
 
     def test_confinement_drag_projection(self, frame_1d):
@@ -223,7 +232,8 @@ class TestMomentumForces:
         # as sqrt(6) He_3 + 3 He_1 (sigma = 1), so the degree-1 coefficient
         # is -3 r4 and the degree-3 one is -sqrt(6) r4
         params = ModelParams(a=1.0, kappa=1.0, nu=0.5, lam=2.0, r4=0.25)
-        f = momentum_rhs(unit_field(frame_1d), VectorField.zero(frame_1d), params)
+        f = momentum_rhs(unit_field(frame_1d), VectorField.zero(frame_1d),
+                         step_coefficients(params, frame_1d.sigma))
         assert f[0, 1] == pytest.approx(-3.0 * 0.25, rel=1e-12)
         assert f[0, 3] == pytest.approx(-math.sqrt(6.0) * 0.25, rel=1e-12)
         zeroed = f.copy()
@@ -233,8 +243,10 @@ class TestMomentumForces:
     def test_rest_state_insensitive_to_viscosity(self, frame_1d, rng):
         q = random_density(frame_1d, rng)
         u = VectorField.zero(frame_1d)
-        f1 = momentum_rhs(q, u, ModelParams(a=1.0, kappa=1.0, nu=0.3, lam=2.0))
-        f2 = momentum_rhs(q, u, ModelParams(a=1.0, kappa=1.0, nu=0.9, lam=2.0))
+        f1 = momentum_rhs(q, u, step_coefficients(ModelParams(a=1.0, kappa=1.0, nu=0.3, lam=2.0),
+                                                  frame_1d.sigma))
+        f2 = momentum_rhs(q, u, step_coefficients(ModelParams(a=1.0, kappa=1.0, nu=0.9, lam=2.0),
+                                                  frame_1d.sigma))
         assert np.max(np.abs(f1 - f2)) < 1e-13
 
 
@@ -326,6 +338,25 @@ class TestCoupledStep:
             coupled_step(SimState(q0, u0, t=0.375), drag_free(), 1e-3)
 
 
+@pytest.mark.parametrize("frame_name", ["frame_1d", "frame_2d"])
+def test_unit_dilation_reads_the_confined_table(frame_name, request, rng):
+    # on the sigma = 1 frame (a = kappa = 1, lam = 2) the dilated table at
+    # tau = 1, tau_dot = 0 is the confined one, and a step with either gives
+    # the same bits
+    frame = request.getfixturevalue(frame_name)
+    params = drag_free()
+    confined = step_coefficients(params, frame.sigma)
+    dilated = tau_coeffs(params, TauState(1.0, 0.0, 0.0))
+    assert frame.sigma == 1.0
+    assert dilated == confined
+    state = make_initial_state(random_density(frame, rng, decay=0.3),
+                               random_velocity(frame, rng, decay=0.3, amplitude=0.1))
+    ours = coupled_step(state, params, 1e-3, dilated)
+    ref = coupled_step(state, params, 1e-3)
+    assert np.array_equal(ours.q.coeffs, ref.q.coeffs)
+    assert np.array_equal(ours.u.coeffs, ref.u.coeffs)
+
+
 def object_path_step(state, params, dt, coeffs=None):
     """coupled_step written out through fields built afresh on every sweep.
 
@@ -333,20 +364,20 @@ def object_path_step(state, params, dt, coeffs=None):
     two fields is (a + b) * factor on the coefficients, its nodal values
     synthesized from them, and no field is reused across sweeps.
     """
-    coeffs = coeffs or {}
     frame = state.frame
+    coeffs = coeffs or step_coefficients(params, frame.sigma)
     q_prev, u_prev = state.q, state.u
     momentum_prev = state.momentum
     if momentum_prev is None:
         momentum_prev = u_prev.coeffs @ assemble_mass(q_prev).matrix.T
-    advection = 0.5 * coeffs.get("transport_coef", 1.0)
+    advection = 0.5 * coeffs["transport"]
     u_iter = u_prev
     for _ in range(MAX_SWEEPS):
         u_adv = VectorField(frame, coeffs=(u_prev.coeffs + u_iter.coeffs) * advection)
         q_new = object_path_fp_step(q_prev, u_adv, params.delta1, dt)
         q_mid = ScalarField(frame, coeffs=(q_prev.coeffs + q_new.coeffs) * 0.5)
         u_mid = VectorField(frame, coeffs=(u_prev.coeffs + u_iter.coeffs) * 0.5)
-        force = momentum_rhs(q_mid, u_mid, params, **coeffs)
+        force = momentum_rhs(q_mid, u_mid, coeffs)
         mass_new = assemble_mass(q_new)
         u_next = VectorField(frame, coeffs=mass_new.solve(momentum_prev + dt * force))
         delta = (u_next.coeffs - u_iter.coeffs).ravel()
@@ -604,6 +635,20 @@ class TestStackedStep:
             alone = coupled_step(state, drag_free(), 1e-3, coeffs)
             assert np.array_equal(ours.u.coeffs, alone.u.coeffs)
             assert np.array_equal(ours.q.coeffs, alone.q.coeffs)
+
+    def test_table_is_formed_once_per_step(self, frame_1d, rng, monkeypatch):
+        # the members sweep more than once, and the coefficient table of the
+        # step is formed before the first sweep only; a given table is not formed again
+        states, params = stack_members(frame_1d, rng)
+        dilated = tau_coeffs(drag_free(), TauState(1.7, 0.3, 0.0))
+        tables = counted(monkeypatch, galerkin.step_coefficients)
+        sweeps = counted(monkeypatch, galerkin.momentum_rhs)
+        coupled_step(stack_states(states), params, 1e-3)
+        assert len(tables) == 1 and len(sweeps) >= 2
+        coupled_step(states[2], params[2], 1e-3)
+        assert len(tables) == 2
+        coupled_step(states[1], drag_free(), 1e-3, dilated)
+        assert len(tables) == 2
 
     def test_stall_names_the_member(self, frame_1d, monkeypatch):
         # the resting members settle at the first sweep; the moving one stalls

@@ -7,6 +7,7 @@ from hermflow import (
     GaussianFrame,
     InvalidParameterError,
     ModelParams,
+    StepFailureError,
     VectorField,
     coupled_step,
     make_initial_state,
@@ -55,6 +56,12 @@ class TestDilationFactor:
         assert all(r >= 0.0 for r in rates)
         taus = [s.tau for s in traj]
         assert all(b > a for a, b in zip(taus, taus[1:]))
+
+    @pytest.mark.parametrize("nu", [1e60, 1e100])
+    def test_overflowing_stage_is_a_step_failure(self, nu):
+        # tau'' ~ -2 nu tau' drives tau past the float range within two steps
+        with pytest.raises(StepFailureError, match=r"overflowed in the step to t=0\.002$"):
+            tau_solve(1.0, 1.0, nu, 1.0, 1e-3)
 
     def test_invalid_steps(self):
         with pytest.raises(InvalidParameterError):
