@@ -38,8 +38,6 @@ from .diagnostics import (
     check_log_sobolev,
     energy_inequality_audit,
     i2_ode_residual,
-    poincare_korn_ratio,
-    poincare_ratio,
 )
 from .driver import SimulationResult, simulate
 from .errors import (

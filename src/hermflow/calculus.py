@@ -407,13 +407,12 @@ def _capillarity_rho_form_nodal(b: StateBundle) -> np.ndarray:
 
 def korteweg_consistency(q: ScalarField) -> float:
     """Worst quadrature-L^2_mu distance between the two stress assemblies."""
-    frame = q.frame
-    b = StateBundle(q)
-    s_q = b.stress * b.mask
-    s_rho = _capillarity_rho_form_nodal(b)
-    return max(
-        frame.norm_l2mu(s_q[i, j] - s_rho[i, j]) for i in range(frame.dim) for j in range(frame.dim)
-    )
+    return _korteweg_from_bundle(StateBundle(q))
+
+
+def _korteweg_from_bundle(b: StateBundle) -> float:
+    diff, dim = b.stress * b.mask - _capillarity_rho_form_nodal(b), b.frame.dim
+    return max(b.frame.norm_l2mu(diff[i, j]) for i in range(dim) for j in range(dim))
 
 
 def bohm_residual(q: ScalarField) -> float:
@@ -434,10 +433,13 @@ def bohm_residual(q: ScalarField) -> float:
     truncation error of representing sqrt(q) at degree N; it vanishes to
     round-off whenever sqrt(q) is resolved.
     """
-    frame = q.frame
+    return _bohm_from_bundle(StateBundle(q))
+
+
+def _bohm_from_bundle(b: StateBundle) -> float:
+    frame = b.frame
     d = frame.dim
     sig2 = frame.sigma**2
-    b = StateBundle(q)
     qn, mask = b.qn, b.mask
     x = frame.nodes.T
 
@@ -467,7 +469,7 @@ def bohm_residual(q: ScalarField) -> float:
 
     # --- right side via L = ln rho = ln rho_m + ln q ---------------------
     inv_q, gq, hq = b.inv_q, b.gq, b.hq
-    tq = q.derivatives(3)
+    tq = b.q.derivatives(3)
     grad_l = -x / sig2 * mask + gq * inv_q
     hess_l = (
         -np.eye(d)[:, :, None] / sig2 * mask

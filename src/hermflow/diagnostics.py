@@ -24,7 +24,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .calculus import ModelParams, StateBundle, gradient_nodal, scalar_pow
+from .calculus import (ModelParams, StateBundle, _bohm_from_bundle, _korteweg_from_bundle,
+                       scalar_pow)
 from .errors import InvalidParameterError
 from .spectral import GaussianFrame, ScalarField, VectorField
 
@@ -36,8 +37,7 @@ __all__ = [
     "check_log_sobolev",
     "lsi_margins",
     "check_hessian_lemma",
-    "poincare_ratio",
-    "poincare_korn_ratio",
+    "sample_margins",
     "energy_inequality_audit",
     "csv_header",
     "csv_row",
@@ -237,29 +237,22 @@ def _ratio(lhs, rhs):
                     lhs / np.where(small, 1.0, rhs))
 
 
-def poincare_ratio(f: ScalarField) -> float:
-    """Empirical strong-Poincare ratio |sqrt(1+|x|^2)(f - mean)| / |grad f|."""
-    return float(_poincare_ratio(f.frame, f.nodal, gradient_nodal(f)))
-
-
 def _poincare_ratio(frame: GaussianFrame, fn: np.ndarray, gf: np.ndarray):
+    """Empirical strong-Poincare ratio |sqrt(1+|x|^2)(f - mean)| / |grad f|
+    of nodal values ``fn`` with nodal gradient ``gf``."""
     w = frame.weights
     mean = np.vecdot(fn, w)
     lhs = np.sqrt(np.vecdot((1.0 + frame.radius_sq) * (fn - mean[..., None]) ** 2, w))
     return _ratio(lhs, np.sqrt(np.vecdot(np.einsum("...in,...in->...n", gf, gf), w)))
 
 
-def poincare_korn_ratio(u: VectorField) -> float:
+def _korn_ratio(frame: GaussianFrame, un: np.ndarray, dsym: np.ndarray):
     """Korn-type ratio with mean and infinitesimal rotation removed.
 
-    |sqrt(1+|x|^2)(u - mean - Proj u)| / |D(u)|; rigid rotations and
-    constants give 0 by convention (both sides vanish).
+    |sqrt(1+|x|^2)(u - mean - Proj u)| / |D(u)| of nodal velocity ``un``
+    with symmetric gradient ``dsym``; rigid rotations and constants give 0
+    by convention (both sides vanish).
     """
-    du = gradient_nodal(u)
-    return float(_korn_ratio(u.frame, u.nodal, 0.5 * (du + du.transpose(1, 0, 2))))
-
-
-def _korn_ratio(frame: GaussianFrame, un: np.ndarray, dsym: np.ndarray):
     w = frame.weights
     centered = un - np.vecdot(un, w)[..., None]
     if frame.dim == 2:
@@ -272,6 +265,23 @@ def _korn_ratio(frame: GaussianFrame, un: np.ndarray, dsym: np.ndarray):
         np.vecdot((1.0 + frame.radius_sq) * np.einsum("...in,...in->...n", centered, centered), w)
     )
     return _ratio(lhs, np.sqrt(np.vecdot(np.einsum("...ijn,...ijn->...n", dsym, dsym), w)))
+
+
+def sample_margins(b: StateBundle) -> dict:
+    """One verify row: every inequality margin and stress-identity residual
+    of the one state of bundle ``b``, whose q has unit mass to within 1e-8."""
+    lsi_main, lsi_alt = _lsi_from_bundle(b, 1e-8)
+    _, _, _, _, hmid, hfin = _hessian_lemma_from_bundle(b)
+    return {
+        "lsi_margin": lsi_main,
+        "lsi_margin_alt_constant": lsi_alt,
+        "hess_margin_mid": hmid,
+        "hess_margin_final": hfin,
+        "poincare_q": float(_poincare_ratio(b.frame, b.qn, b.gq)),
+        "poincare_korn_u": float(_korn_ratio(b.frame, b.un, b.dsym)),
+        "korteweg_mismatch": _korteweg_from_bundle(b),
+        "bohm_residual": _bohm_from_bundle(b),
+    }
 
 
 def record(b: StateBundle, times, params: ModelParams) -> list[DiagnosticsRecord]:

@@ -79,7 +79,9 @@ def tau_solve(a: float, kappa: float, nu: float, t_final: float, dt: float,
     """Classical fourth-order Runge-Kutta on (tau, tau_dot) from (1, 0).
 
     ``t_final`` must be a whole number of steps ``dt``.  A stage that
-    overflows or divides by a zero dilation is a step failure."""
+    overflows or divides by a zero dilation is a step failure; so is, once
+    the equation is solved, a stored dilation whose fourth power (read by
+    :func:`rescaled_balance`) is not a finite float."""
     n_steps = step_count(dt, t_final)
     tau, p, t = 1.0, 0.0, 0.0
     out = [TauState(tau, p, t)]
@@ -98,6 +100,14 @@ def tau_solve(a: float, kappa: float, nu: float, t_final: float, dt: float,
             raise StepFailureError(f"dilation factor became non-positive at t={t:.6g}")
         if (step + 1) % store_every == 0 or step + 1 == n_steps:
             out.append(TauState(tau, p, t))
+    for state in out:
+        try:
+            if math.isfinite(state.tau**4):
+                continue
+        except OverflowError:
+            pass
+        raise StepFailureError(f"dilation factor {state.tau:.6g} at t={state.t:.6g} has a "
+                               "fourth power beyond the float range")
     return out
 
 

@@ -302,6 +302,36 @@ class TestVerifyCommand:
         assert code == 3
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_one_bundle_per_sample(self, tmp_path, monkeypatch, dim):
+        # every margin of a sample reads one StateBundle(q, u); the tilt
+        # check forms one more bundle and its gradient
+        counts = {"bundles": 0, 1: 0, 2: 0, 3: 0}
+        bundle_init = hermflow.StateBundle.__init__
+        frame_derivatives = hermflow.GaussianFrame.derivatives
+
+        def counted_init(self, *args, **kwargs):
+            counts["bundles"] += 1
+            bundle_init(self, *args, **kwargs)
+
+        def counted_derivatives(self, coeffs, order):
+            counts[order] = counts.get(order, 0) + 1
+            return frame_derivatives(self, coeffs, order)
+
+        monkeypatch.setattr(hermflow.StateBundle, "__init__", counted_init)
+        monkeypatch.setattr(hermflow.GaussianFrame, "derivatives", counted_derivatives)
+        n = 5
+        body = STEADY.replace("mode = simulate", f"mode = verify\n    n_samples = {n}")
+        body = body.replace("family = steady", "family = random\n    amplitude = 0.4")
+        body = body.replace("dim = 1", f"dim = {dim}").replace("degree = 12", "degree = 8")
+        code = main(["verify", write_config(tmp_path / "a.cfg", body),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 0
+        assert counts["bundles"] == n + 1
+        # per sample: grad q, D u and the Bohm check's grad sqrt(q); Hessians
+        # of q and of sqrt(q); third derivatives of both
+        assert (counts[1], counts[2], counts[3]) == (3 * n + 1, 2 * n, 2 * n)
+
     @pytest.mark.parametrize("value", ["amplitude = 1e308", "decay = 1e200"])
     def test_non_finite_sample_exits_3(self, tmp_path, capsys, value):
         # an overflowing sample scale is the config's, not a solver failure,
@@ -437,6 +467,30 @@ class TestRescaledCommand:
         assert code == 2
         assert capsys.readouterr().err == \
             "solver failure: dilation equation overflowed in the step to t=0.001\n"
+
+    @pytest.mark.parametrize("nu, t", [("1e45", "0.002"), ("1e50", "0.0005"),
+                                       ("1e55", "0.0005")])
+    def test_dilation_past_fourth_power_range_exits_2(self, tmp_path, capsys, nu, t):
+        # the dilation equation is solved without overflow, but the balance
+        # reads tau^4, which is beyond the float range from time t on
+        body = self.BODY.replace("nu = 0.5", f"nu = {nu}")
+        code = main(["rescaled", write_config(tmp_path / "a.cfg", body),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: dilation factor ") and err.count("\n") == 1
+        assert err.endswith(f" at t={t} has a fourth power beyond the float range\n")
+
+    @pytest.mark.parametrize("nu", ["1e20", "1e40"])
+    def test_combined_residual_beyond_audit_slope_exits_1(self, tmp_path, capsys, nu):
+        # the dilated balance is audited at 10 dt, the slope simulate mode uses
+        body = self.BODY.replace("nu = 0.5", f"nu = {nu}")
+        code = main(["rescaled", write_config(tmp_path / "a.cfg", body),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["exit_code"] == 1 and summary["mass_error"] < 1e-10
+        assert summary["combined_identity_residual"] > 10.0 * 1e-3
 
     def test_subnormal_dt_exits_3(self, tmp_path, capsys):
         # two whole steps, but the half step of the dilation solve rounds to 0

@@ -12,15 +12,17 @@ from hermflow import (
     check_hessian_lemma,
     check_log_sobolev,
     i2_ode_residual,
-    poincare_korn_ratio,
-    poincare_ratio,
 )
+from hermflow.calculus import bohm_residual, gradient_nodal, korteweg_consistency
 from hermflow.diagnostics import (
     DiagnosticsRecord,
+    _korn_ratio,
+    _poincare_ratio,
     bd_entropy_regularized,
     csv_header,
     csv_row,
     lsi_margins,
+    sample_margins,
 )
 from hermflow.galerkin import make_initial_state
 from hermflow.sampling import random_density, random_velocity, tilted_density
@@ -169,24 +171,61 @@ class TestHessianLemma:
                 assert mid >= -1e-8 and fin >= -1e-8
 
 
+def poincare_of(f):
+    """The strong-Poincare ratio of a field, from its nodal values and gradient."""
+    return float(_poincare_ratio(f.frame, f.nodal, gradient_nodal(f)))
+
+
+def korn_of(u):
+    """The Korn ratio of a velocity, from its nodal values and symmetric gradient."""
+    du = gradient_nodal(u)
+    return float(_korn_ratio(u.frame, u.nodal, 0.5 * (du + du.transpose(1, 0, 2))))
+
+
 class TestPoincare:
     def test_constant_ratio_zero(self, frame_1d):
-        assert poincare_ratio(unit_field(frame_1d)) == 0.0
+        assert poincare_of(unit_field(frame_1d)) == 0.0
 
     def test_linear_ratio(self, frame_1d):
         # f = x at sigma = 1: LHS^2 = E[(1+x^2) x^2] = 4, RHS^2 = 1
         x = frame_1d.nodes[:, 0]
-        assert poincare_ratio(transform(frame_1d, x)) == pytest.approx(2.0, rel=1e-12)
+        assert poincare_of(transform(frame_1d, x)) == pytest.approx(2.0, rel=1e-12)
 
     def test_rotation_projected_out(self, frame_2d):
         x, y = frame_2d.nodes[:, 0], frame_2d.nodes[:, 1]
         u = VectorField(frame_2d, nodal=[-y, x])
-        assert poincare_korn_ratio(u) == 0.0
+        assert korn_of(u) == 0.0
 
     def test_random_finite(self, frame_2d, rng):
         for _ in range(10):
             u = random_velocity(frame_2d, rng)
-            assert math.isfinite(poincare_korn_ratio(u))
+            assert math.isfinite(korn_of(u))
+
+
+class TestSampleMargins:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("frame_name", ["frame_1d", "frame_2d"])
+    def test_equal_floats_to_per_function_values(self, frame_name, seed, request):
+        # each entry read from the sample's one bundle equals, bit for bit,
+        # its own function's value on its own bundle or gradients
+        frame = request.getfixturevalue(frame_name)
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            q = random_density(frame, rng, decay=0.35, amplitude=0.4)
+            u = random_velocity(frame, rng, decay=0.35, amplitude=1.0)
+            row = sample_margins(StateBundle(q, u))
+            lsi_main, lsi_alt = lsi_margins(q)
+            _, _, _, _, mid, fin = check_hessian_lemma(q)
+            assert row == {
+                "lsi_margin": lsi_main,
+                "lsi_margin_alt_constant": lsi_alt,
+                "hess_margin_mid": mid,
+                "hess_margin_final": fin,
+                "poincare_q": poincare_of(q),
+                "poincare_korn_u": korn_of(u),
+                "korteweg_mismatch": korteweg_consistency(q),
+                "bohm_residual": bohm_residual(q),
+            }
 
 
 class TestSecondMomentEquation:
@@ -286,7 +325,7 @@ class TestRecordMatchesStandalone:
                 assert rec.lsi_margin == lsi_margins(q)[0]
                 _, _, _, _, mid, fin = check_hessian_lemma(q)
                 assert (rec.hess_margin_mid, rec.hess_margin_final) == (mid, fin)
-                assert rec.poincare_korn_u == poincare_korn_ratio(u)
+                assert rec.poincare_korn_u == korn_of(u)
                 assert (rec.d_bd_reg, rec.r_bd_reg) == bd_entropy_regularized(q, u, params)
 
 

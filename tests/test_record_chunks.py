@@ -21,11 +21,11 @@ from hermflow.cli import main
 from hermflow.config import load_config
 from hermflow.continuation import mollify_initial_data, vanishing_drag_sweep
 from hermflow.diagnostics import (
+    _korn_ratio,
+    _poincare_ratio,
     bd_entropy_regularized,
     check_hessian_lemma,
     lsi_margins,
-    poincare_korn_ratio,
-    poincare_ratio,
 )
 from hermflow.driver import march, simulate
 from hermflow.errors import StepFailureError
@@ -154,10 +154,12 @@ class TestChunkedRecord:
             # the fractional powers are Python's, as in a float-only evaluation
             assert mid == d + math.sqrt(3.0 * b * d) + float(i4)**0.25 * float(b)**0.75 \
                 / frame.sigma - (a + b)
-            assert rec.poincare_korn_u == poincare_korn_ratio(s.u)
+            du = s.u.derivatives(1)
+            assert rec.poincare_korn_u == _korn_ratio(frame, s.u.nodal,
+                                                      0.5 * (du + du.transpose(1, 0, 2)))
             assert (rec.d_bd_reg, rec.r_bd_reg) == bd_entropy_regularized(s.q, s.u, params)
             sqrt_q = ScalarField(frame, nodal=np.sqrt(np.maximum(s.q.nodal, POSITIVITY_FLOOR)))
-            assert rec.poincare_q == poincare_ratio(sqrt_q)
+            assert rec.poincare_q == _poincare_ratio(frame, sqrt_q.nodal, sqrt_q.derivatives(1))
 
     def test_stacked_dilated_balance_equals_single(self, frame_1d, rng):
         states = random_states(frame_1d, rng, 6)
