@@ -38,7 +38,8 @@ import math
 from dataclasses import replace
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
+from scipy.sparse import csr_array
+from scipy.sparse.linalg import gcrotmk
 
 from .calculus import ModelParams, StateBundle
 from .diagnostics import energy_inequality_audit, record
@@ -94,6 +95,46 @@ def _convolve_same(g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cubic_spline_at(axis: np.ndarray, values: np.ndarray,
+                     points: np.ndarray) -> np.ndarray:
+    """The not-a-knot tensor cubic spline through ``values`` on the grid
+    ``axis`` x ... x ``axis``, at ``points`` (shape (P, d), inside the grid).
+
+    Built as scipy's ``RegularGridInterpolator(method="cubic")`` builds it,
+    down to the gcrotmk solve at ``atol = 1e-6``, so the two agree bit for bit.
+    """
+    n, d = len(axis), values.ndim
+    knots = np.r_[[axis[0]] * 4, axis[2:-2], [axis[-1]] * 4]
+
+    def basis_rows(x: np.ndarray) -> csr_array:
+        # one row per point: its 4**d non-zero tensor B-splines (de Boor)
+        data, cols = np.ones((len(x), 1)), np.zeros((len(x), 1), dtype=np.intp)
+        for xk in x.T:
+            # knots[ell] <= xk < knots[ell + 1]; the last node joins the last interval
+            ell = np.clip(np.searchsorted(knots, xk, side="right") - 1, 3, n - 1)
+            b = np.tile([1.0, 0.0, 0.0, 0.0], (len(x), 1))
+            for j in range(1, 4):
+                prev = b[:, :j].copy()
+                b[:, 0] = 0.0
+                for i in range(1, j + 1):
+                    right, left = knots[ell + i], knots[ell + i - j]
+                    w = prev[:, i - 1] / (right - left)
+                    b[:, i - 1] += w * (right - xk)
+                    b[:, i] = w * (xk - left)
+            data = (data[:, :, None] * b[:, None, :]).reshape(len(x), -1)
+            cols = (cols[:, :, None] * n + (ell - 3)[:, None, None]
+                    + np.arange(4)).reshape(len(x), -1)
+        indptr = np.arange(0, data.size + 1, data.shape[1])
+        return csr_array((data.ravel(), cols.ravel(), indptr), shape=(len(x), n**d))
+
+    collocation = basis_rows(_grid(axis, d).reshape(-1, d))
+    collocation.eliminate_zeros()
+    coeffs, info = gcrotmk(collocation, values.ravel(), atol=1e-6)
+    if info != 0:
+        raise ValueError(f"cubic spline solve failed: gcrotmk returned info = {info}")
+    return basis_rows(points) @ coeffs
+
+
 def mollify_initial_data(q0: ScalarField, u0: VectorField,
                          n: int) -> tuple[ScalarField, VectorField]:
     """Cutoff, convolve and renormalize one initial state.
@@ -129,8 +170,7 @@ def mollify_initial_data(q0: ScalarField, u0: VectorField,
     kernel = kernel / kernel.sum()
     smooth = _convolve_same(g, kernel)
 
-    interp = RegularGridInterpolator((axis,) * d, smooth, method="cubic")
-    s_nodes = interp(frame.nodes)
+    s_nodes = _cubic_spline_at(axis, smooth, frame.nodes)
 
     norm = math.sqrt(frame.quad(s_nodes**2))
     s_nodes = s_nodes / norm

@@ -612,12 +612,16 @@ def test_fuzzed_config_exits_with_a_contract_code(mode, key, value):
 
 
 def test_cli_import_leaves_out_scipy_signal_and_stats():
-    # together they cost about half a second of start-up on every run
+    # signal and stats together cost about half a second of start-up on every
+    # run; interpolate, with the special, optimize, spatial and fft it pulls in,
+    # another 0.2 s and 20 MB.  The package needs scipy.linalg and scipy.sparse.
     src = str(Path(hermflow.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    absent = ("scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.special",
+              "scipy.optimize", "scipy.spatial", "scipy.fft")
     probe = ("import sys, hermflow.cli; "
-             "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+             f"print(sorted(m for m in {absent!r} if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -103,6 +103,56 @@ class TestConvolution:
         assert np.max(np.abs(got.nodal - ref.nodal)) <= 1e-14 * np.max(np.abs(ref.nodal))
 
 
+class TestCubicSpline:
+    """``_cubic_spline_at`` against the interpolator it replaces, bit for bit."""
+
+    @staticmethod
+    def assert_reference_bits(axis, values, points, got):
+        from scipy.interpolate import RegularGridInterpolator
+        ref = RegularGridInterpolator((axis,) * values.ndim, values, method="cubic")(points)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    @staticmethod
+    def spline_calls(monkeypatch, q0, n_list):
+        """(axis, values, points, result) of every spline call made mollifying q0 at n_list."""
+        calls = []
+        spline = hermflow.continuation._cubic_spline_at
+
+        def recording(axis, values, points):
+            result = spline(axis, values, points)
+            calls.append((axis, values, points, result))
+            return result
+
+        monkeypatch.setattr(hermflow.continuation, "_cubic_spline_at", recording)
+        for n in n_list:
+            mollify_initial_data(q0, VectorField.zero(q0.frame), n)
+        return calls
+
+    @pytest.mark.parametrize("alpha", [1.0, -1.0])
+    def test_sweep_grids(self, tight_frame, monkeypatch, alpha):
+        # the four members of configs/sweep.cfg: dim 1, degree 16, tilt +-1
+        calls = self.spline_calls(monkeypatch, tilted_density(tight_frame, alpha),
+                                  (4, 8, 16, 32))
+        assert len(calls) == 4
+        for call in calls:
+            self.assert_reference_bits(*call)
+
+    def test_2d_grids(self, rng, monkeypatch):
+        frame = build_frame(a=1.0, kappa=0.5, lam=100.0, dim=2, degree=6)
+        calls = self.spline_calls(monkeypatch, random_density(frame, rng), (1, 4, 16))
+        assert len(calls) == 3
+        for axis, values, points, got in calls:
+            assert values.shape == (len(axis),) * 2
+            self.assert_reference_bits(axis, values, points, got)
+
+    def test_solver_failure_raises(self, monkeypatch):
+        axis = np.linspace(-1.0, 1.0, 9)
+        monkeypatch.setattr(hermflow.continuation, "gcrotmk",
+                            lambda A, b, atol: (np.zeros_like(b), 1))
+        with pytest.raises(ValueError, match="info = 1"):
+            hermflow.continuation._cubic_spline_at(axis, axis**2, axis[:, None])
+
+
 class TestDragSchedule:
     BASE = ModelParams(a=1.0, kappa=1.0, nu=0.5, lam=2.0)
 
