@@ -87,17 +87,24 @@ def _make_frame(cfg: RunConfig, sigma: float | None = None) -> GaussianFrame:
 
 
 def _read_state_file(path: str, frame: GaussianFrame):
-    """(q, u) of an npz snapshot; a file without numeric ``q_coeffs`` and
-    ``u_coeffs`` arrays of one field each is a config error."""
+    """(q, u) of an npz snapshot; a file without integer or real ``q_coeffs``
+    and ``u_coeffs`` arrays of one field each is a config error."""
     try:
         data = np.load(path)
         if not isinstance(data, np.lib.npyio.NpzFile):
             raise ConfigError(f"state file {path} is not an npz archive")
         with data:
-            q_coeffs, u_coeffs = (np.asarray(data[key], dtype=float)
-                                  for key in ("q_coeffs", "u_coeffs"))
+            arrays = {key: data[key] for key in ("q_coeffs", "u_coeffs")}
+    except ConfigError:
+        raise
     except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"cannot read state file {path}: {exc}") from exc
+    for key, arr in arrays.items():
+        if arr.dtype.kind not in "iuf":
+            # a complex, boolean or string array would be cast without a word
+            raise ConfigError(f"state file {path}: {key} has dtype {arr.dtype}, "
+                              "not integer or real")
+    q_coeffs, u_coeffs = (np.asarray(arr, dtype=float) for arr in arrays.values())
     n_q, n_u = frame.n_basis, frame.dim * frame.n_basis
     if (q_coeffs.size, u_coeffs.size) != (n_q, n_u):
         raise ConfigError(f"state file {path} must hold one state: {n_q} q_coeffs and "
@@ -122,9 +129,13 @@ def _initial_state(cfg: RunConfig, frame: GaussianFrame):
                 if cfg.u_scale else VectorField.zero(frame)
         else:  # family == "file", existence checked at parse time
             q0, u0 = _read_state_file(cfg.path, frame)
+        finite_nodal = np.isfinite(q0.nodal).all() and np.isfinite(u0.nodal).all()
     if not (np.isfinite(q0.coeffs).all() and np.isfinite(u0.coeffs).all()):
         # e.g. a tilt too steep for the frame (0/0 at unit mass) or a corrupt state file
         raise ConfigError("initial data has non-finite coefficients")
+    if not finite_nodal:
+        # finite coefficients whose sum overflows at a node
+        raise ConfigError("initial data has non-finite nodal values")
     if cfg.u_scale and cfg.family in ("steady", "tilted"):
         # linear boost u = u_scale * x, projected with the q0 weight
         with np.errstate(over="ignore"):

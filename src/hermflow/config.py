@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import field, make_dataclass
 from pathlib import Path
 
 from .errors import ConfigError
@@ -19,38 +19,6 @@ __all__ = ["RunConfig", "check_seed", "load_config"]
 
 _MODES = ("simulate", "verify", "sweep", "rescaled")
 _FAMILIES = ("steady", "tilted", "random", "file")
-
-
-@dataclass
-class RunConfig:
-    """Validated contents of one configuration file."""
-
-    a: float
-    kappa: float
-    nu: float
-    lam: float
-    r0: float
-    r1: float
-    r4: float
-    delta1: float
-    dim: int
-    degree: int
-    family: str
-    alpha: float
-    amplitude: float
-    decay: float
-    path: str | None
-    u_scale: float
-    dt: float
-    t_final: float
-    record_every: int
-    mode: str | None
-    seed: int
-    output_dir: str
-    n_samples: int
-    n_list: tuple
-    save_state: bool
-    raw: dict = field(default_factory=dict)
 
 
 def _parse_bool(raw: str) -> bool:
@@ -74,8 +42,8 @@ def _parse_n_list(raw: str) -> tuple:
 
 _REQUIRED = object()  # default of a key the config must set
 
-# section -> key -> (conversion, default); each key fills the RunConfig field
-# of its name, except ``lambda``, a Python keyword, which fills ``lam``
+# section -> key -> (conversion, default); each key is the RunConfig field of
+# its name, in this order, except ``lambda``, a Python keyword, which is ``lam``
 _SCHEMA = {
     "model": {"a": (float, _REQUIRED), "kappa": (float, _REQUIRED), "nu": (float, _REQUIRED),
               "lambda": (float, _REQUIRED), "r0": (float, 0.0), "r1": (float, 0.0),
@@ -89,6 +57,14 @@ _SCHEMA = {
             "save_state": (_parse_bool, False)},
 }
 _RENAMED = {"lambda": "lam"}
+
+# Python < 3.12 has no module= argument, so the namespace names the module
+RunConfig = make_dataclass(
+    "RunConfig",
+    [*(_RENAMED.get(key, key) for keys in _SCHEMA.values() for key in keys),
+     ("raw", dict, field(default_factory=dict))],
+    namespace={"__module__": __name__, "__doc__": "Validated contents of one configuration file."},
+)
 
 
 def _get(parser, section, key):

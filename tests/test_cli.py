@@ -26,6 +26,11 @@ def write_config(path, body):
     return str(path)
 
 
+def write_overflowing_state(path):
+    # unit mass and finite coefficients, but their sum overflows at the nodes
+    np.savez(path, q_coeffs=np.r_[1.0, np.full(12, 1e308)], u_coeffs=np.zeros(13))
+
+
 STEADY = """
     [model]
     a = 1.0
@@ -155,6 +160,9 @@ class TestSimulateCommand:
         ("family = steady", "family = file\n    path = {tmp}/truncated.npz", ()),
         ("family = steady", "family = file\n    path = {tmp}/q_stack.npz", ()),
         ("family = steady", "family = file\n    path = {tmp}/u_stack.npz", ()),
+        ("family = steady", "family = file\n    path = {tmp}/complex.npz", ()),
+        ("family = steady", "family = file\n    path = {tmp}/bool.npz", ()),
+        ("family = steady", "family = file\n    path = {tmp}/q_overflow.npz", ()),
         ("seed = 42", "seed = 42\n    n_samples = 0", ()),
         ("a = 1.0", "a = nan", ()),
         ("dt = 1e-3", "dt = nan", ()),
@@ -177,7 +185,8 @@ class TestSimulateCommand:
         ("seed = 42", "seed = 42\n    n_list =", ()),
     ], ids=["r0", "lambda", "dim", "quad_order", "t_final", "file_coeffs", "file_u_coeffs",
             "file_no_u", "file_not_npz", "file_q_nan", "file_u_inf", "file_non_numeric",
-            "file_npy", "file_truncated", "file_q_stack", "file_u_stack",
+            "file_npy", "file_truncated", "file_q_stack", "file_u_stack", "file_complex",
+            "file_bool", "file_q_overflow",
             "n_samples", "a_nan", "dt_nan", "t_final_inf", "decay_inf", "seed_negative",
             "seed_override_negative", "nu_square_overflows", "tilt_too_steep",
             "amplitude_overflows", "decay_overflows",
@@ -200,6 +209,11 @@ class TestSimulateCommand:
         np.savez(tmp_path / "q_stack.npz", q_coeffs=np.tile(np.eye(13)[0], (2, 1)),
                  u_coeffs=np.zeros((1, 13)))
         np.savez(tmp_path / "u_stack.npz", q_coeffs=np.eye(13)[0], u_coeffs=np.zeros((3, 1, 13)))
+        # arrays a cast to float would change without a word
+        np.savez(tmp_path / "complex.npz", q_coeffs=np.eye(13)[0] + 0j,
+                 u_coeffs=np.zeros(13) + 1j)
+        np.savez(tmp_path / "bool.npz", q_coeffs=np.eye(13)[0] > 0, u_coeffs=np.zeros(13) > 0)
+        write_overflowing_state(tmp_path / "q_overflow.npz")
         body = STEADY.replace(old, new.format(tmp=tmp_path))
         code = main(["simulate", write_config(tmp_path / "a.cfg", body),
                      "--output-dir", str(tmp_path / "out"), *args])
@@ -208,6 +222,17 @@ class TestSimulateCommand:
         assert err.startswith("config error:")
         if "quad_order" in new:  # the rule size follows from the degree
             assert "unknown key [frame] quad_order" in err
+
+    @pytest.mark.parametrize("mode", ["sweep", "rescaled"])
+    def test_overflowing_state_file_exits_3_in_sweep_and_rescaled(self, tmp_path, capsys, mode):
+        write_overflowing_state(tmp_path / "q_overflow.npz")
+        body = (STEADY.replace("mode = simulate", f"mode = {mode}")
+                .replace("family = steady", f"family = file\n    path = {tmp_path}/q_overflow.npz"))
+        code = main([mode, write_config(tmp_path / "a.cfg", body),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
 
     def test_state_file_off_unit_mass_exits_3(self, tmp_path, capsys):
         # a positive state at half mass is not mollified, so nothing normalizes it
