@@ -48,6 +48,7 @@ from .errors import InvalidParameterError
 from .spectral import GaussianFrame, ScalarField, VectorField
 
 __all__ = [
+    "mollifier_grid",
     "mollify_initial_data",
     "drag_schedule",
     "schedule_indices",
@@ -56,6 +57,10 @@ __all__ = [
 
 #: convolution grid points per quadrature-node spacing
 OVERSAMPLE = 4
+#: the most convolution work, grid points times kernel entries, that one
+#: mollification may take: the shipped configs need at most 2.4e3, and a 2D
+#: mollification just under the bound takes about 1.6 s on one Xeon core
+MAX_MOLLIFIER_WORK = 1e9
 
 
 def _plateau_cutoff(r: np.ndarray) -> np.ndarray:
@@ -135,6 +140,36 @@ def _cubic_spline_at(axis: np.ndarray, values: np.ndarray,
     return basis_rows(points) @ coeffs
 
 
+def mollifier_grid(frame: GaussianFrame, n: int):
+    """The convolution grid of :func:`mollify_initial_data` at index ``n``,
+    sized before anything is allocated.
+
+    Returns ``(lo, hi, npts, step, m)``: each grid axis is
+    ``np.linspace(lo, hi, npts)``, of spacing ``step``, and the kernel has
+    ``2 m + 1`` points per axis.  Both grow like 1/sigma per axis, so tight
+    confinement asks for a large grid; one whose convolution work, grid
+    points times kernel entries, exceeds ``MAX_MOLLIFIER_WORK`` raises.
+    """
+    if n < 1:
+        raise InvalidParameterError(f"mollification index must be >= 1, got {n}")
+    d = frame.dim
+    span = frame.nodes_1d[-1] - frame.nodes_1d[0]
+    h = span / (frame.quad_order - 1) / OVERSAMPLE
+    margin = 1.0 / n + 2.0 * h
+    lo, hi = frame.nodes_1d[0] - margin, frame.nodes_1d[-1] + margin
+    npts = int(math.ceil((hi - lo) / h)) + 1
+    step = (lo + (hi - lo) / (npts - 1)) - lo  # axis[1] - axis[0], as np.linspace forms it
+    # a step below the rounding of lo leaves the axis no two distinct points
+    m = math.ceil(1.0 / (n * step)) if step > 0 else math.inf
+    work = float(npts) ** d * float(2 * m + 1) ** d
+    if work > MAX_MOLLIFIER_WORK:
+        raise InvalidParameterError(
+            f"mollifying at n = {n} needs {npts:.4g} grid points per axis in {d}D and {work:.2g} "
+            f"convolution terms (grid points times kernel entries), above "
+            f"{MAX_MOLLIFIER_WORK:.0e}: the confinement is too tight for the mollifier grid")
+    return lo, hi, npts, step, m
+
+
 def mollify_initial_data(q0: ScalarField, u0: VectorField,
                          n: int) -> tuple[ScalarField, VectorField]:
     """Cutoff, convolve and renormalize one initial state.
@@ -145,17 +180,10 @@ def mollify_initial_data(q0: ScalarField, u0: VectorField,
     The returned density has unit quadrature mass exactly (explicit
     normalization) and a strictly positive nodal floor of order 1/n.
     """
-    if n < 1:
-        raise InvalidParameterError(f"mollification index must be >= 1, got {n}")
     frame = q0.frame
     d = frame.dim
-    span = frame.nodes_1d[-1] - frame.nodes_1d[0]
-    h = span / (frame.quad_order - 1) / OVERSAMPLE
-    margin = 1.0 / n + 2.0 * h
-    lo, hi = frame.nodes_1d[0] - margin, frame.nodes_1d[-1] + margin
-    npts = int(math.ceil((hi - lo) / h)) + 1
+    lo, hi, npts, step, m = mollifier_grid(frame, n)
     axis = np.linspace(lo, hi, npts)
-    step = axis[1] - axis[0]
 
     grid_pts = _grid(axis, d).reshape(-1, d)
     sq0 = np.sqrt(np.clip(q0.eval(grid_pts), 0.0, None))
@@ -164,7 +192,6 @@ def mollify_initial_data(q0: ScalarField, u0: VectorField,
 
     # mollifier sampled on its own support, normalized discretely so that
     # the convolution preserves constants exactly
-    m = int(math.ceil(1.0 / (n * step)))
     ky = np.arange(-m, m + 1) * step
     kernel = _bump(d, n * _grid(ky, d)) * n**d * step**d
     kernel = kernel / kernel.sum()

@@ -20,7 +20,7 @@ Sign conventions: every inequality is reported as a *margin*
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import make_dataclass
 
 import numpy as np
 
@@ -44,39 +44,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DiagnosticsRecord:
-    """All audited functionals of one state at one time."""
+#: Record field -> trajectory.csv header, in record order.  A header ending
+#: in "_*" is a vector moment: a tuple, one column per axis ("*" the axis).
+#: None is an audit-only integral: the regularized BD pair and the terms of
+#: the second-moment equation.
+_COLUMNS = {
+    "t": "t", "mass": "mass", "e_reg": "E_reg", "d_reg": "D_reg", "e_bd": "E_BD",
+    "d_bd": "D_BD", "d_bd_reg": None, "r_bd_reg": None, "i2": "I2", "i2_tilde": "I2_tilde",
+    "i4": "I4", "mx": "Mx_*", "mu": "Mu_*", "min_q": "min_q", "max_q": "max_q",
+    "lsi_margin": "lsi_margin", "hess_margin_mid": "hess_margin_mid",
+    "hess_margin_final": "hess_margin_final", "poincare_q": "poincare_q",
+    "poincare_korn_u": "poincare_korn_u", "ke2": None, "fisher": None, "cross_qu": None,
+    "drag0_x": None, "drag1_x": None,
+}
 
-    t: float
-    mass: float
-    e_reg: float
-    d_reg: float
-    e_bd: float
-    d_bd: float
-    d_bd_reg: float
-    r_bd_reg: float
-    i2: float
-    i2_tilde: float
-    i4: float
-    mx: tuple
-    mu: tuple
-    min_q: float
-    max_q: float
-    lsi_margin: float
-    hess_margin_mid: float
-    hess_margin_final: float
-    poincare_q: float
-    poincare_korn_u: float
-    # auxiliary integrals feeding the second-moment equation audit
-    ke2: float
-    fisher: float
-    cross_qu: float
-    drag0_x: float
-    drag1_x: float
-
-
-_RECORD_FIELDS = tuple(f.name for f in fields(DiagnosticsRecord))
+# Python < 3.12 has no module= argument, so the namespace names the module
+DiagnosticsRecord = make_dataclass(
+    "DiagnosticsRecord",
+    [(name, tuple if (head or "").endswith("*") else float) for name, head in _COLUMNS.items()],
+    frozen=True,
+    namespace={"__module__": __name__,
+               "__doc__": "All audited functionals of one state at one time."},
+)
 
 
 def _energy_from_bundle(b: StateBundle, params: ModelParams):
@@ -327,10 +316,10 @@ def record(b: StateBundle, times, params: ModelParams) -> list[DiagnosticsRecord
         "drag0_x": b.quad(x_dot_u),
         "drag1_x": b.quad(b.qn * b.s2 * x_dot_u),
     }
-    # Python floats per state, a tuple of them for the two vector moments
-    values = {name: np.asarray(v).tolist() for name, v in columns.items()}
-    values["mx"], values["mu"] = ([tuple(v) for v in values[name]] for name in ("mx", "mu"))
-    return [DiagnosticsRecord(*row) for row in zip(*(values[name] for name in _RECORD_FIELDS))]
+    # Python floats per state, a tuple of them for a vector moment
+    arrays = [np.asarray(columns[name]) for name in _COLUMNS]
+    values = [list(map(tuple, a.tolist())) if a.ndim == 2 else a.tolist() for a in arrays]
+    return [DiagnosticsRecord(*row) for row in zip(*values)]
 
 
 def _fd4(values: np.ndarray, dt: float):
@@ -424,29 +413,18 @@ def energy_inequality_audit(records, params: ModelParams, sigma: float, dim: int
     }
 
 
-#: trajectory.csv columns in order, record field -> header; a vector
-#: moment takes one column per axis, its header suffixed with the axis
-_CSV_COLUMNS = {
-    "t": "t", "mass": "mass", "e_reg": "E_reg", "d_reg": "D_reg", "e_bd": "E_BD",
-    "d_bd": "D_BD", "i2": "I2", "i2_tilde": "I2_tilde", "i4": "I4", "mx": "Mx", "mu": "Mu",
-    "min_q": "min_q", "max_q": "max_q", "lsi_margin": "lsi_margin",
-    "hess_margin_mid": "hess_margin_mid", "hess_margin_final": "hess_margin_final",
-    "poincare_q": "poincare_q", "poincare_korn_u": "poincare_korn_u",
-}
-_VECTOR_FIELDS = ("mx", "mu")
-
-
 def csv_header(dim: int) -> list[str]:
     """Fixed column order of one trajectory row."""
     cols = []
-    for name, head in _CSV_COLUMNS.items():
-        cols += [f"{head}_{i}" for i in range(dim)] if name in _VECTOR_FIELDS else [head]
+    for head in filter(None, _COLUMNS.values()):
+        cols += [head.replace("*", str(i)) for i in range(dim)] if head.endswith("*") else [head]
     return cols
 
 
 def csv_row(rec: DiagnosticsRecord) -> list[float]:
     vals = []
-    for name in _CSV_COLUMNS:
-        value = getattr(rec, name)
-        vals += list(value) if name in _VECTOR_FIELDS else [value]
+    for name, head in _COLUMNS.items():
+        if head:
+            value = getattr(rec, name)
+            vals += value if isinstance(value, tuple) else [value]
     return vals

@@ -258,6 +258,23 @@ class TestSimulateCommand:
         assert np.min(ScalarField(frame, coeffs=coeffs).nodal) < 0.0
         assert abs(q0.coeffs[0] - 1.0) <= 1e-6
 
+    @pytest.mark.parametrize("mode", ["simulate", "sweep"])
+    def test_mollifier_grid_too_large_for_state_file_exits_3(self, tmp_path, capsys, mode):
+        # the dipping state is mollified at n = 8 while the initial data are
+        # prepared; at sigma ~ 1e-37 that grid is refused as a config error
+        coeffs = np.zeros(13)
+        coeffs[[0, 2]] = 0.5, 1.0
+        np.savez(tmp_path / "dip.npz", q_coeffs=coeffs, u_coeffs=np.zeros((1, 13)))
+        body = (STEADY.replace("mode = simulate", f"mode = {mode}")
+                .replace("lambda = 2.0", "lambda = 1e150")
+                .replace("family = steady", f"family = file\n    path = {tmp_path}/dip.npz"))
+        code = main([mode, write_config(tmp_path / "a.cfg", body),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: mollifying at n = 8 needs ")
+        assert err.count("\n") == 1
+
     def test_percent_in_values_is_literal(self, tmp_path):
         # '%' has no special meaning: no interpolation and no syntax error
         out = tmp_path / "out%dir" / "%(seed)s"
@@ -357,6 +374,34 @@ class TestVerifyCommand:
         # of q and of sqrt(q); third derivatives of both
         assert (counts[1], counts[2], counts[3]) == (3 * n + 1, 2 * n, 2 * n)
 
+    SUMMARY_KEYS = [
+        "n_samples", "seed", "frame", "min_lsi_margin", "min_lsi_margin_alt_constant",
+        "min_hess_margin_mid", "min_hess_margin_final", "max_poincare_q",
+        "max_poincare_korn_u", "max_korteweg_mismatch", "max_bohm_residual",
+        "tilt_extremizer_lsi_margin", "exit_code",
+    ]
+
+    def test_summary_keys_and_worst_values(self, tmp_path, capsys):
+        # stdout prints the summary in order; each min_/max_ key is the
+        # worst value of its sample column in margins.json
+        body = STEADY.replace("mode = simulate", "mode = verify\n    n_samples = 3")
+        body = body.replace("family = steady", "family = random\n    amplitude = 0.4")
+        body = body.replace("degree = 12", "degree = 8")
+        code = main(["verify", write_config(tmp_path / "a.cfg", body),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == self.SUMMARY_KEYS
+        report = json.loads((tmp_path / "out" / "margins.json").read_text())
+        summary, samples = report["summary"], report["samples"]
+        assert sorted(summary) == sorted(self.SUMMARY_KEYS)
+        columns = []
+        for key in self.SUMMARY_KEYS[3:-2]:
+            worst, column = key.split("_", 1)
+            assert summary[key] == {"min": min, "max": max}[worst](s[column] for s in samples)
+            columns.append(column)
+        assert sorted(samples[0]) == sorted(["sample", *columns])
+
     @pytest.mark.parametrize("value", ["amplitude = 1e308", "decay = 1e200"])
     def test_non_finite_sample_exits_3(self, tmp_path, capsys, value):
         # an overflowing sample scale is the config's, not a solver failure,
@@ -448,6 +493,22 @@ class TestSweepCommand:
                      "--output-dir", str(tmp_path / "out")])
         assert code == 3
         assert capsys.readouterr().err.startswith("config error:")
+
+
+    def test_mollifier_grid_too_large_exits_3(self, tmp_path, capsys):
+        # sigma ~ 1e-37: the grid of the first member would need 7.9e37
+        # points per axis, so the sweep is refused before any member starts
+        body = (textwrap.dedent(self.BODY).replace("kappa = 0.5", "kappa = 1.0")
+                .replace("lambda = 100.0", "lambda = 1e150").replace("degree = 12", "degree = 8")
+                .replace("alpha = 0.8", "alpha = 0.3").replace("dt = 2e-3", "dt = 1e-3")
+                .replace("t_final = 0.05", "t_final = 4e-3").replace("n_list = 4, 8", ""))
+        code = main(["sweep", write_config(tmp_path / "a.cfg", body),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: mollifying at n = 4 needs 7.886e+37 grid points")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out" / "sweep_report.json").exists()
 
 
 class TestRescaledCommand:

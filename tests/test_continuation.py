@@ -79,6 +79,41 @@ class TestMollification:
             mollify_initial_data(unit_field(frame_1d), VectorField.zero(frame_1d), 0)
 
 
+class TestMollifierGrid:
+    @pytest.mark.parametrize("n", [1, 4, 64])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_sizes_the_grid_mollify_builds(self, frame_1d, frame_2d, rng, monkeypatch,
+                                           dim, n):
+        # the axis and the kernel mollify_initial_data samples are the ones sized
+        frame = frame_1d if dim == 1 else frame_2d
+        lo, hi, npts, step, m = hermflow.continuation.mollifier_grid(frame, n)
+        shapes = []
+
+        def recording(g, kernel):
+            shapes.append((g.shape, kernel.shape))
+            return fftconvolve(g, kernel, mode="same")
+
+        monkeypatch.setattr(hermflow.continuation, "_convolve_same", recording)
+        mollify_initial_data(random_density(frame, rng), VectorField.zero(frame), n)
+        assert shapes == [((npts,) * dim, (2 * m + 1,) * dim)]
+        axis = np.linspace(lo, hi, npts)
+        assert axis[1] - axis[0] == step
+
+    def test_tight_2d_grid_rejected_before_mollifying(self, monkeypatch):
+        # sigma ~ 1e-3: 2049 points per axis and a 2001^2 kernel, 1.7e13
+        # convolution terms; nothing is sampled on the grid
+        frame = build_frame(a=1.0, kappa=1.0, lam=1e12, dim=2, degree=4)
+
+        def no_grid(*args):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(hermflow.continuation, "_grid", no_grid)
+        with pytest.raises(InvalidParameterError, match="2049 grid points per axis in 2D"):
+            mollify_initial_data(tilted_density(frame, 0.3), VectorField.zero(frame), 4)
+        with pytest.raises(InvalidParameterError, match="1.7e[+]13 convolution terms"):
+            hermflow.continuation.mollifier_grid(frame, 4)
+
+
 class TestConvolution:
     @pytest.mark.parametrize("shape, side", [((40,), 7), ((23, 31), 5)])
     def test_matches_fftconvolve_same(self, rng, shape, side):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -310,6 +311,38 @@ class TestRecordSerialization:
         assert (row["Mx_0"], row["Mx_1"]) == rec.mx and (row["Mu_0"], row["Mu_1"]) == rec.mu
         assert (row["I4"], row["min_q"], row["poincare_korn_u"]) == (rec.i4, rec.min_q,
                                                                       rec.poincare_korn_u)
+
+
+class TestRecordTable:
+    FIELDS = [
+        "t", "mass", "e_reg", "d_reg", "e_bd", "d_bd", "d_bd_reg", "r_bd_reg", "i2",
+        "i2_tilde", "i4", "mx", "mu", "min_q", "max_q", "lsi_margin", "hess_margin_mid",
+        "hess_margin_final", "poincare_q", "poincare_korn_u", "ke2", "fisher", "cross_qu",
+        "drag0_x", "drag1_x",
+    ]
+
+    def test_fields_in_order(self):
+        fields = dataclasses.fields(DiagnosticsRecord)
+        assert [f.name for f in fields] == self.FIELDS
+        assert [f.name for f in fields if f.type is tuple] == ["mx", "mu"]
+        assert DiagnosticsRecord.__module__ == "hermflow.diagnostics"
+
+    def test_frozen(self, frame_1d):
+        rec = diagnose(unit_field(frame_1d), VectorField.zero(frame_1d), base_params())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.mass = 2.0
+
+    def test_csv_row_reads_the_record(self, frame_2d, rng):
+        # every column is the record field of its header, each axis of a
+        # vector moment in turn; the audit-only integrals have no column
+        rec = diagnose(random_density(frame_2d, rng), VectorField.zero(frame_2d), base_params())
+        audit_only = {"d_bd_reg", "r_bd_reg", "ke2", "fisher", "cross_qu", "drag0_x", "drag1_x"}
+        expected = []
+        for name in self.FIELDS:
+            if name not in audit_only:
+                value = getattr(rec, name)
+                expected += value if isinstance(value, tuple) else [value]
+        assert csv_row(rec) == expected and len(csv_header(2)) == len(expected)
 
 
 class TestRecordMatchesStandalone:

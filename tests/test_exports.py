@@ -1,13 +1,16 @@
 """Each module's ``__all__`` names exactly its public functions and classes.
 
 A public function or class missing from ``__all__`` is hidden from a star
-import and from the documented surface; a name in ``__all__`` that the
+import and from the documented surface, whether a ``class`` statement or a
+call such as ``make_dataclass`` made it; a name in ``__all__`` that the
 module no longer binds is a stale export left behind by a deletion.
 Constants may be exported too, so any other module-level binding may
 appear in ``__all__``; modules without ``__all__`` are not checked.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -56,3 +59,13 @@ def test_all_names_the_public_definitions(path):
     assert len(exported) == len(set(exported)), "a name is listed twice"
     assert sorted(defs - set(exported)) == [], "public definitions missing from __all__"
     assert sorted(set(exported) - bound) == [], "__all__ names what the module does not bind"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_all_names_the_generated_classes(path):
+    # a class built at import time has no class statement for the check above
+    module = importlib.import_module(f"hermflow.{path.stem}")
+    classes = {name for name, value in vars(module).items()
+               if not name.startswith("_") and inspect.isclass(value)
+               and value.__module__ == module.__name__}
+    assert sorted(classes - set(module.__all__)) == [], "public classes missing from __all__"
