@@ -105,7 +105,31 @@ def ou_semigroup(q: ScalarField, s: float, delta1: float) -> ScalarField:
     return ScalarField(q.frame, coeffs=q.coeffs * _ou_decay(q.frame, delta1, s))
 
 
-def fp_step(q: ScalarField, u: VectorField, delta1, dt: float) -> ScalarField:
+def _density_start(q: ScalarField, delta1, dt: float) -> tuple:
+    """What one density step forms from (q, delta1, dt) alone: the decayed
+    start ``free``, the Duhamel step ``step`` and the nodal values of the
+    first iterate's midpoint.  Each array is formed row by row, so a row
+    subset of a stack's start equals the start of those members."""
+    frame, c0 = q.frame, q.coeffs
+    if not (np.count_nonzero(delta1) if isinstance(delta1, np.ndarray) else delta1):
+        # both decay tables would be all ones: the same values without them
+        free, step = c0, dt
+    else:
+        free, step = _ou_decay(frame, delta1, dt) * c0, dt * _ou_decay(frame, delta1, 0.5 * dt)
+    # the first iterate is free; with no decay its midpoint 0.5 * (c0 + c0) is c0 itself
+    first = q.nodal if free is c0 and q._synthesized else frame._synthesize(0.5 * (c0 + free))
+    return free, step, first
+
+
+def _take_start(start: tuple, keep: np.ndarray) -> tuple:
+    """The start of the members ``keep`` of a stack's start; a step formed
+    from a float delta1 has no member axis and serves every member."""
+    free, step, first = start
+    return free[keep], step[keep] if np.ndim(step) == free.ndim else step, first[keep]
+
+
+def fp_step(q: ScalarField, u: VectorField, delta1, dt: float, *,
+            start: tuple | None = None) -> ScalarField:
     """One exponential-midpoint Duhamel step with the velocity frozen.
 
     Picard-iterates the endpoint value ``FP_SWEEPS`` times; the midpoint density
@@ -116,25 +140,21 @@ def fp_step(q: ScalarField, u: VectorField, delta1, dt: float) -> ScalarField:
     ``q`` and ``u`` may be stacks of members (see :class:`ScalarField`),
     with ``delta1`` a float or a (members, 1) column; each member's result,
     and the error a failing member raises, equal those of the member alone.
+    ``start`` is the density start of (q, delta1, dt) when the caller has
+    formed it already, as the joint fixed point does once per step; it is
+    formed here otherwise.
     """
     if dt <= 0.0:
         raise InvalidParameterError(f"dt must be positive, got {dt}")
     frame = q.frame
     c0 = q.coeffs
     un = u.nodal
-    if not (np.count_nonzero(delta1) if isinstance(delta1, np.ndarray) else delta1):
-        # both decay tables would be all ones: the same values without them
-        free, step = c0, dt
-    else:
-        free, step = _ou_decay(frame, delta1, dt) * c0, dt * _ou_decay(frame, delta1, 0.5 * dt)
+    free, step, qn = start if start is not None else _density_start(q, delta1, dt)
 
     c_new = free
     prev_increment = None
-    for _ in range(FP_SWEEPS):
-        if c_new is c0 and q._synthesized:
-            # no diffusion, first sweep: the midpoint 0.5 * (c0 + c0) is c0 itself
-            qn = q.nodal
-        else:
+    for sweep in range(FP_SWEEPS):
+        if sweep:
             qn = frame._synthesize(0.5 * (c0 + c_new))
         # div_m(q u), each flux component dealiased: its nodal product tested
         # against the basis by the sum-factorized adjoint (no dense V in d = 2)
@@ -160,7 +180,7 @@ def fp_step(q: ScalarField, u: VectorField, delta1, dt: float) -> ScalarField:
         if drift > 1e-13 * max(abs(old), 1.0):
             raise InternalConsistencyError(f"mass drifted by {drift:.3e} in one density step",
                                            member=i)
-    return ScalarField(frame, coeffs=c_new)
+    return ScalarField._formed(frame, c_new, None, True)
 
 
 def divm_sup(u: VectorField) -> list[float]:

@@ -37,7 +37,7 @@ from .errors import (
     PositivityError,
     StepFailureError,
 )
-from .fokker_planck import fp_step
+from .fokker_planck import _density_start, _take_start, fp_step
 from .spectral import GaussianFrame, ScalarField, VectorField, _row_norms
 
 __all__ = [
@@ -141,20 +141,28 @@ class MassOperator:
         if not finite.all():
             raise StepFailureError("mass operator has non-finite entries; reduce dt",
                                    member=int(np.argmin(finite)))
+        # one scan of the whole right-hand side; a member's own rows are
+        # scanned, after its factorization, only when that scan fails
+        rhs_finite = np.isfinite(rhs).all()
         if matrix.ndim == 2:
-            return _cholesky_solve(matrix, rhs)
-        return np.stack([_cholesky_solve(m, r, i) for i, (m, r) in enumerate(zip(matrix, rhs))])
+            return _cholesky_solve(matrix, rhs, rhs_finite)
+        out = np.empty(rhs.shape)
+        for i in range(len(matrix)):
+            out[i] = _cholesky_solve(matrix[i], rhs[i], rhs_finite, i)
+        return out
 
 
-def _cholesky_solve(matrix: np.ndarray, rhs: np.ndarray, member: int = 0) -> np.ndarray:
-    """One member's solve by LAPACK (the calls cho_factor and cho_solve make)."""
+def _cholesky_solve(matrix: np.ndarray, rhs: np.ndarray, rhs_finite: bool,
+                    member: int = 0) -> np.ndarray:
+    """One member's solve by LAPACK (the calls cho_factor and cho_solve make);
+    ``rhs_finite`` says the right-hand side is known to be finite."""
     factor, info = dpotrf(matrix, lower=1, clean=0)
     if info > 0:
         raise PositivityError(
             "mass operator not positive definite; the density is "
             f"under-resolved at the tails ({info}-th leading minor "
             "of the array is not positive definite)", member=member)
-    if not np.isfinite(rhs).all():
+    if not (rhs_finite or np.isfinite(rhs).all()):
         raise StepFailureError("momentum right-hand side has non-finite entries; reduce dt",
                                member=member)
     x, _ = dpotrs(factor, rhs.T, lower=1)
@@ -303,6 +311,8 @@ def coupled_step(state: SimState, params, dt: float,
     if momentum_prev is None:
         momentum_prev = np.matmul(c_prev, assemble_mass(q_prev).matrix.mT)
     advection = 0.5 * coeffs["transport"]
+    # the density step's start is fixed by q_prev, delta1 and dt: formed once
+    start = _density_start(q_prev, coeffs["delta1"], dt)
 
     # the velocity iterates are coefficient arrays; fields are built only for
     # the density step and the force assembly.  ``active`` lists the members
@@ -317,11 +327,11 @@ def coupled_step(state: SimState, params, dt: float,
                 # first sweep: the average of u_prev with itself is u_prev, bit for bit
                 u_mid = u_prev
             else:
-                u_mid = VectorField(frame, coeffs=0.5 * (c_prev + c_iter))
+                u_mid = VectorField._formed(frame, 0.5 * (c_prev + c_iter), None, True)
             u_adv = (u_mid if advection == 0.5
-                     else VectorField(frame, coeffs=advection * (c_prev + c_iter)))
-            q_new = fp_step(q_prev, u_adv, coeffs["delta1"], dt)
-            q_mid = ScalarField(frame, coeffs=0.5 * (q_prev.coeffs + q_new.coeffs))
+                     else VectorField._formed(frame, advection * (c_prev + c_iter), None, True))
+            q_new = fp_step(q_prev, u_adv, coeffs["delta1"], dt, start=start)
+            q_mid = ScalarField._formed(frame, 0.5 * (q_prev.coeffs + q_new.coeffs), None, True)
             force = momentum_rhs(q_mid, u_mid, coeffs)
             mass_new = assemble_mass(q_new)
             c_next = mass_new.solve(momentum_prev + dt * force)
@@ -345,6 +355,7 @@ def coupled_step(state: SimState, params, dt: float,
                 keep = np.flatnonzero(~done)
                 active = members[keep]
                 q_prev, c_prev = q_prev.take(keep), c_prev[keep]
+                start = _take_start(start, keep)
                 momentum_prev = momentum_prev[keep]
                 coeffs = {k: v[keep] if isinstance(v, np.ndarray) else v for k, v in coeffs.items()}
                 c_next = c_next[keep]

@@ -28,7 +28,7 @@ from hermflow import (
     momentum_rhs,
     project_initial_velocity,
 )
-from hermflow import calculus, galerkin, spectral
+from hermflow import calculus, fokker_planck, galerkin, spectral
 from hermflow.driver import march
 from hermflow.errors import SOLVER_FAILURES
 from hermflow.galerkin import (
@@ -141,6 +141,37 @@ class TestMassOperator:
         diag[2] = -1.0
         with pytest.raises(PositivityError, match=r"\b3-th leading minor"):
             MassOperator(np.diag(diag)).solve(np.ones((1, frame_1d.n_basis)))
+
+    @pytest.mark.parametrize("case", ["rhs_before_later_minor", "minor_before_own_rhs",
+                                      "nan_matrix_before_any_factor"])
+    def test_stacked_error_precedence(self, frame_1d, case):
+        # a three-member stack raises the error of the first failing member,
+        # its factorization checked before its own right-hand side; a
+        # non-finite matrix anywhere fails before any member is factored
+        n = frame_1d.n_basis
+        matrices = np.stack([np.eye(n)] * 3)
+        rhs = np.ones((3, 1, n))
+        if case == "rhs_before_later_minor":
+            rhs[0, 0, 4] = np.nan
+            matrices[1, 2, 2] = -1.0
+            error, member = StepFailureError, 0
+        elif case == "minor_before_own_rhs":
+            rhs[1, 0, 4] = np.inf
+            matrices[1, 2, 2] = -1.0
+            error, member = PositivityError, 1
+        else:
+            matrices[0, 2, 2] = -1.0
+            matrices[2, 3, 5] = matrices[2, 5, 3] = np.nan
+            error, member = StepFailureError, 2
+        with pytest.raises(error) as failure:
+            MassOperator(matrices).solve(rhs)
+        assert type(failure.value) is error and failure.value.member == member
+        if error is PositivityError:
+            assert "3-th leading minor" in str(failure.value)
+        elif member == 2:
+            assert "mass operator has non-finite entries" in str(failure.value)
+        else:
+            assert "right-hand side has non-finite entries" in str(failure.value)
 
 
 PROPERTY_FRAMES = {
@@ -650,6 +681,19 @@ class TestStackedStep:
         coupled_step(states[1], drag_free(), 1e-3, dilated)
         assert len(tables) == 2
 
+    def test_start_is_formed_once_per_step(self, frame_1d, rng, monkeypatch):
+        # the density step's decay tables are formed before the first sweep
+        # only, two per step however many sweeps run and however the members
+        # settle apart (see test_members_equal_their_steps_alone)
+        states, params = stack_members(frame_1d, rng)
+        decays = counted(monkeypatch, fokker_planck._ou_decay)
+        sweeps = counted(monkeypatch, galerkin.momentum_rhs)
+        stack = stack_states(states)
+        for k in (1, 2):
+            stack = coupled_step(stack, params, 1e-3)
+            assert len(decays) == 2 * k
+        assert len(sweeps) >= 4
+
     def test_stall_names_the_member(self, frame_1d, monkeypatch):
         # the resting members settle at the first sweep; the moving one stalls
         # after it, and the error names its place in the stack
@@ -676,3 +720,55 @@ class TestStackedStep:
             coupled_step(stack_states([good, good, bad]), drag_free(), 1e-3)
         assert str(stacked.value) == str(alone.value)
         assert stacked.value.member == 2 and alone.value.member == 0
+
+
+MEMBER = st.fixed_dictionaries({
+    "delta1": st.one_of(st.just(0.0), st.floats(0.05, 0.3)),
+    "r0": st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
+    "r1": st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
+    "amplitude": st.floats(0.0, 0.2),
+})
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(members=st.lists(MEMBER, min_size=1, max_size=4),
+       nodal_member=st.one_of(st.none(), st.integers(0, 3)),
+       seed=st.integers(0, 2**16))
+def test_random_stacks_equal_their_members_alone(members, nodal_member, seed):
+    # two stacked steps equal each member stepped alone, bit for bit, and
+    # the density step handed its start, whole or for the members still
+    # swept, equals the density step that forms the start itself
+    frame = PROPERTY_FRAMES[1]
+    rng = np.random.default_rng(seed)
+    base = {"a": 1.0, "kappa": 1.0, "nu": 0.5, "lam": 2.0}
+    params, states = [], []
+    for k, m in enumerate(members):
+        params.append(ModelParams(**base, r0=m["r0"], r1=m["r1"], delta1=m["delta1"]))
+        q = random_density(frame, rng, decay=0.3)
+        u = random_velocity(frame, rng, decay=0.3, amplitude=m["amplitude"])
+        if k == nodal_member:
+            # kept verbatim, so its first midpoint is a synthesis, not q.nodal
+            q, u = ScalarField(frame, nodal=q.nodal), VectorField(frame, nodal=u.nodal)
+        states.append(SimState(q, u))
+
+    stack = stack_states(states)
+    delta1 = step_coefficients(params if stack.stacked else params[0], frame.sigma)["delta1"]
+    start = fokker_planck._density_start(stack.q, delta1, 1e-3)
+    alone = fokker_planck.fp_step(stack.q, stack.u, delta1, 1e-3)
+    handed = fokker_planck.fp_step(stack.q, stack.u, delta1, 1e-3, start=start)
+    assert np.array_equal(handed.coeffs, alone.coeffs)
+    if stack.stacked:
+        keep = np.sort(rng.choice(len(members), rng.integers(1, len(members) + 1), replace=False))
+        part = stack.q.take(keep), stack.u.take(keep), delta1[keep]
+        alone = fokker_planck.fp_step(*part, 1e-3)
+        handed = fokker_planck.fp_step(*part, 1e-3, start=fokker_planck._take_start(start, keep))
+        assert np.array_equal(handed.coeffs, alone.coeffs)
+
+    for _ in range(2):
+        stack = coupled_step(stack, params, 1e-3)
+        states = [coupled_step(s, p, 1e-3) for s, p in zip(states, params)]
+        for ours, mine in zip(member_states(stack), states):
+            assert np.array_equal(ours.q.coeffs, mine.q.coeffs)
+            assert np.array_equal(ours.q.nodal, mine.q.nodal)
+            assert np.array_equal(ours.u.coeffs, mine.u.coeffs)
+            assert np.array_equal(ours.momentum, mine.momentum)
