@@ -116,31 +116,27 @@ def _read_state_file(path: str, frame: GaussianFrame):
 
 def _initial_state(cfg: RunConfig, frame: GaussianFrame):
     rng = np.random.default_rng(cfg.seed)
-    # a non-finite result is reported by the check below, not as a numpy warning
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if cfg.family == "steady":
-            q0 = ScalarField(frame, coeffs=np.eye(frame.n_basis)[0])
-            u0 = VectorField.zero(frame)
-        elif cfg.family == "tilted":
-            q0 = tilted_density(frame, cfg.alpha)
-            u0 = VectorField.zero(frame)
-        elif cfg.family == "random":
-            q0 = random_density(frame, rng, decay=cfg.decay, amplitude=cfg.amplitude)
-            u0 = random_velocity(frame, rng, decay=cfg.decay, amplitude=cfg.u_scale) \
-                if cfg.u_scale else VectorField.zero(frame)
-        else:  # family == "file", existence checked at parse time
-            q0, u0 = _read_state_file(cfg.path, frame)
-        finite_nodal = np.isfinite(q0.nodal).all() and np.isfinite(u0.nodal).all()
+    if cfg.family == "steady":
+        q0 = ScalarField(frame, coeffs=np.eye(frame.n_basis)[0])
+        u0 = VectorField.zero(frame)
+    elif cfg.family == "tilted":
+        q0 = tilted_density(frame, cfg.alpha)
+        u0 = VectorField.zero(frame)
+    elif cfg.family == "random":
+        q0 = random_density(frame, rng, decay=cfg.decay, amplitude=cfg.amplitude)
+        u0 = random_velocity(frame, rng, decay=cfg.decay, amplitude=cfg.u_scale) \
+            if cfg.u_scale else VectorField.zero(frame)
+    else:  # family == "file", existence checked at parse time
+        q0, u0 = _read_state_file(cfg.path, frame)
     if not (np.isfinite(q0.coeffs).all() and np.isfinite(u0.coeffs).all()):
         # e.g. a tilt too steep for the frame (0/0 at unit mass) or a corrupt state file
         raise ConfigError("initial data has non-finite coefficients")
-    if not finite_nodal:
+    if not (np.isfinite(q0.nodal).all() and np.isfinite(u0.nodal).all()):
         # finite coefficients whose sum overflows at a node
         raise ConfigError("initial data has non-finite nodal values")
     if cfg.u_scale and cfg.family in ("steady", "tilted"):
         # linear boost u = u_scale * x, projected with the q0 weight
-        with np.errstate(over="ignore"):
-            boost = cfg.u_scale * frame.nodes.T.copy()
+        boost = cfg.u_scale * frame.nodes.T.copy()
         if not np.isfinite(boost).all():
             raise ConfigError(f"[initial] u_scale = {cfg.u_scale!r} overflows u_scale * x")
         u0 = project_initial_velocity(q0, boost)
@@ -230,20 +226,16 @@ def verify(cfg: RunConfig) -> int:
     with _config_values():
         frame = _make_frame(cfg)
         _model_params(cfg)  # rejects what the other modes reject, e.g. an overflowing square
-    # the tilt check's density, under the errstate of the initial data: a
-    # tilt too steep for the frame is 0/0 at unit mass
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        tilt = tilted_density(frame, 0.4)
+    # a tilt too steep for the frame is 0/0 at unit mass
+    tilt = tilted_density(frame, 0.4)
     if not np.isfinite(tilt.coeffs).all():
         raise ConfigError(f"[model] lambda = {cfg.lam!r}: the tilt check's density "
                           "has non-finite coefficients")
     rng = np.random.default_rng(cfg.seed)
     rows = []
     for k in range(cfg.n_samples):
-        # a non-finite sample is reported below, not as a numpy warning
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            q = random_density(frame, rng, decay=cfg.decay, amplitude=cfg.amplitude)
-            u = random_velocity(frame, rng, decay=cfg.decay, amplitude=1.0)
+        q = random_density(frame, rng, decay=cfg.decay, amplitude=cfg.amplitude)
+        u = random_velocity(frame, rng, decay=cfg.decay, amplitude=1.0)
         if not (np.isfinite(q.coeffs).all() and np.isfinite(u.coeffs).all()):
             raise ConfigError(f"[initial] amplitude = {cfg.amplitude!r}, decay = {cfg.decay!r}: "
                               f"sample {k} has non-finite coefficients")
@@ -394,7 +386,9 @@ def main(argv=None) -> int:
             Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory: {exc}") from exc
-        return _DISPATCH[args.command](cfg)
+        # a non-finite value is reported by a check, not as a numpy warning
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return _DISPATCH[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

@@ -258,7 +258,8 @@ def _korn_ratio(frame: GaussianFrame, un: np.ndarray, dsym: np.ndarray):
 
 def sample_margins(b: StateBundle) -> dict:
     """One verify row: every inequality margin and stress-identity residual
-    of the one state of bundle ``b``, whose q has unit mass to within 1e-8."""
+    of the one state of bundle ``b``, whose q has unit mass to within 1e-8;
+    its ``poincare_q`` is the strong-Poincare ratio of q, not of sqrt(q)."""
     lsi_main, lsi_alt = _lsi_from_bundle(b, 1e-8)
     _, _, _, _, hmid, hfin = _hessian_lemma_from_bundle(b)
     return {
@@ -279,7 +280,8 @@ def record(b: StateBundle, times, params: ModelParams) -> list[DiagnosticsRecord
     Every record equals, field for field and bit for bit, the record of its
     state alone.  The checks run over the whole stack: the bundle has
     checked positivity on construction, and a state off unit mass raises
-    for the first such state.
+    for the first such state.  ``poincare_q`` is the strong-Poincare ratio
+    of sqrt(q), with the gradient of sqrt(q)'s degree-N projection.
     """
     frame = b.frame
     e_reg, d_reg = _energy_from_bundle(b, params)

@@ -1,5 +1,8 @@
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hermflow
@@ -29,6 +32,18 @@ def write_config(path, body):
 def write_overflowing_state(path):
     # unit mass and finite coefficients, but their sum overflows at the nodes
     np.savez(path, q_coeffs=np.r_[1.0, np.full(12, 1e308)], u_coeffs=np.zeros(13))
+
+
+def run_main(argv):
+    """main(argv) as a command-line run: its exit code and stderr lines.
+    A warning, which the command line would print to stderr, fails."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [str(w.message) for w in caught] == []
+    return code, err.getvalue().splitlines()
 
 
 STEADY = """
@@ -695,6 +710,139 @@ def test_fuzzed_config_exits_with_a_contract_code(mode, key, value):
         cfg.write_text("\n".join(lines) + "\n")
         code = main([mode, str(cfg), "--output-dir", str(Path(tmp) / "out")])
     assert isinstance(code, int) and 0 <= code <= 3
+
+
+# the exit-code contract over the whole config schema: a run near a valid
+# baseline with a few keys drawn from every value their conversion takes,
+# numbers from the extremes and any magnitude mixed with typical values
+EXTREMES = [0.0, 1.0, -1.0, *(sign * 10.0**p for p in (8, -8, 100, -100, 300, -300)
+                                for sign in (1, -1))]
+TYPICAL = st.one_of(st.sampled_from([1e-3, 0.1, 0.3, 0.5, 2.0, 4.0]), st.floats(1e-3, 4.0))
+MAGNITUDES = st.builds(lambda sign, p: sign * 10.0**p, st.sampled_from([1, -1]),
+                       st.floats(-300, 300))
+SCHEMA_FLOATS = st.one_of(st.sampled_from(EXTREMES), TYPICAL, MAGNITUDES)
+# tiny frames, few samples; an int key not named here is drawn from -1 to 3
+SCHEMA_INTS = {"dim": (1, 2), "degree": (0, 6), "n_samples": (1, 3), "record_every": (0, 9)}
+MAX_STEPS = 8
+
+
+def _schema_value(draw, key, conv, state_file, floats):
+    if conv is float:
+        return repr(draw(floats))
+    if conv is int:
+        return str(draw(st.integers(*SCHEMA_INTS.get(key, (-1, 3)))))
+    if conv is config._parse_bool:
+        return str(draw(st.booleans())).lower()
+    if conv is config._parse_n_list:
+        return ", ".join(map(str, draw(st.lists(st.integers(0, 40), min_size=1, max_size=3))))
+    choices = {"family": config._FAMILIES, "mode": config._MODES, "path": [state_file],
+               "output_dir": ["out"]}[key]  # a new string key needs its values here
+    return draw(st.sampled_from(choices))
+
+
+@st.composite
+def schema_configs(draw, state_file):
+    """{section: {key: value}} drawn key by key from the schema: the required
+    keys, ``path`` and the keys whose defaults make a long run (verify's 200
+    samples, four sweep members) at typical values, up to four keys at any
+    value; ``t_final`` is a multiple of at most 8 steps unless drawn."""
+    keys = [(section, key) for section, entries in config._SCHEMA.items() for key in entries]
+    wild = draw(st.lists(st.sampled_from(keys), max_size=4, unique=True))
+    sections = {section: {} for section in config._SCHEMA}
+    for section, key in keys:
+        conv, default = config._SCHEMA[section][key]
+        if ((section, key) in wild or default is config._REQUIRED
+                or key in ("path", "n_samples", "n_list")):
+            floats = SCHEMA_FLOATS if (section, key) in wild else TYPICAL
+            sections[section][key] = _schema_value(draw, key, conv, state_file, floats)
+    timing = sections["time"]
+    dt = float(timing["dt"])
+    if ("time", "t_final") not in wild:
+        timing["t_final"] = repr(draw(st.integers(1, MAX_STEPS)) * dt)
+    t_final = float(timing["t_final"])
+    if dt > 0.0 and 0.0 < t_final / dt < math.inf:
+        # a longer march is not a tiny run; a t_final off the dt grid stays a config error
+        n = round(t_final / dt)
+        assume(n <= MAX_STEPS or abs(n * dt - t_final) > 1e-9 * t_final)
+    return sections
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data(), mode=st.sampled_from(list(cli._DISPATCH)),
+       q_tail=SCHEMA_FLOATS, u_value=SCHEMA_FLOATS, dtype=st.sampled_from([float, complex]))
+def test_schema_configs_keep_the_exit_code_contract(data, mode, q_tail, u_value, dtype):
+    # one stderr line on 2 and 3, none on 0 and 1; a numpy warning would be a stray line
+    with tempfile.TemporaryDirectory() as tmp:
+        state_file = Path(tmp) / "state.npz"
+        sections = data.draw(schema_configs(str(state_file)))
+        dim, degree = int(sections["frame"]["dim"]), int(sections["frame"]["degree"])
+        n_basis = math.comb(degree + dim, dim)
+        np.savez(state_file, q_coeffs=np.r_[1.0, np.full(n_basis - 1, q_tail)].astype(dtype),
+                 u_coeffs=np.full(dim * n_basis, u_value, dtype=dtype))
+        cfg = Path(tmp) / "schema.cfg"
+        cfg.write_text("".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                               for s, keys in sections.items()))
+        code, err = run_main([mode, str(cfg), "--output-dir", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2, 3)
+    assert len(err) == (1 if code >= 2 else 0), err
+
+
+# a degree-8 tilt, 4 steps of 1e-3, and one verify run: inputs whose runs
+# overflow or divide by zero, with the exit code and the last stderr line
+# they had while numpy's warnings were printed before it
+BLOW_UP = (STEADY.replace("degree = 12", "degree = 8").replace("t_final = 0.02", "t_final = 4e-3")
+           .replace("family = steady", "family = tilted\n    alpha = 0.3")
+           .replace("seed = 42", "seed = 42\n    n_list = 4, 8\n    n_samples = 1"))
+NAN_DENSITY = "density nan below floor 1.0e-10 at node [-7.61904854]"
+
+
+@pytest.mark.parametrize("mode, changes, code, err", [
+    ("simulate", {"lambda = 2.0": "lambda = 1e150"}, 2,
+     ["solver failure: density fixed point not contracting (increments 5.601e+129 -> inf); "
+      "reduce dt"]),
+    ("simulate", {"dt = 1e-3": "dt = 1e300", "t_final = 4e-3": "t_final = 1e300"}, 2,
+     [f"solver failure: {NAN_DENSITY}"]),
+    ("sweep", {"dt = 1e-3": "dt = 1e300", "t_final = 4e-3": "t_final = 1e300"}, 2,
+     ["sweep member n=4 failed: StepFailureError: momentum right-hand side has non-finite "
+      "entries; reduce dt"]),
+    ("simulate", {"family = tilted": "family = file\n    path = {state}"}, 2,
+     [f"solver failure: {NAN_DENSITY}"]),
+    ("sweep", {"family = tilted": "family = file\n    path = {state}"}, 2,
+     [f"sweep member n=4 failed: PositivityError: {NAN_DENSITY}"]),
+    ("rescaled", {"family = tilted": "family = file\n    path = {state}"}, 2,
+     [f"solver failure: {NAN_DENSITY}"]),
+    ("simulate", {"kappa = 1.0": "kappa = 0", "lambda = 2.0": "lambda = 1e300"}, 3,
+     ["config error: lam = 1e+300 too large: its square overflows"]),
+    # velocity coefficients up to 1e300 make the sample's Poincare-Korn ratio
+    # inf / inf: an audit violation, reported as NaN in margins.json alone
+    ("verify", {"a = 1.0": "a = 0.5", "kappa = 1.0": "kappa = 0", "nu = 0.5": "nu = 1e8",
+                "degree = 8": "degree = 3", "family = tilted": "family = random\n    decay = 1e100"},
+     1, []),
+], ids=["lambda_1e150", "dt_1e300", "dt_1e300_sweep", "u_1e200", "u_1e200_sweep",
+        "u_1e200_rescaled", "lambda_square_overflows", "verify_korn_overflows"])
+def test_overflowing_run_keeps_its_exit_code_and_last_line(tmp_path, mode, changes, code, err):
+    # the state file holds the tilt with every velocity coefficient at 1e200
+    frame = hermflow.build_frame(a=1.0, kappa=1.0, lam=2.0, dim=1, degree=8)
+    np.savez(tmp_path / "u_1e200.npz", q_coeffs=tilted_density(frame, 0.3).coeffs,
+             u_coeffs=np.full(9, 1e200))
+    body = BLOW_UP.replace("mode = simulate", f"mode = {mode}")
+    for old, new in changes.items():
+        body = body.replace(old, new.format(state=tmp_path / "u_1e200.npz"))
+    assert run_main([mode, write_config(tmp_path / "a.cfg", body),
+                     "--output-dir", str(tmp_path / "out")]) == (code, err)
+
+
+def test_numpy_warnings_are_off_only_inside_a_run(tmp_path):
+    # the run reports the overflow as a config error; the same library call
+    # outside it keeps numpy's warning
+    write_overflowing_state(tmp_path / "q_overflow.npz")
+    body = STEADY.replace("family = steady", f"family = file\n    path = {tmp_path}/q_overflow.npz")
+    code, err = run_main(["simulate", write_config(tmp_path / "a.cfg", body),
+                          "--output-dir", str(tmp_path / "out")])
+    assert (code, err) == (3, ["config error: initial data has non-finite nodal values"])
+    frame = hermflow.build_frame(a=1.0, kappa=1.0, lam=2.0, dim=1, degree=12)
+    with pytest.warns(RuntimeWarning):
+        ScalarField(frame, coeffs=np.load(tmp_path / "q_overflow.npz")["q_coeffs"]).nodal
 
 
 def test_cli_import_leaves_out_scipy_signal_and_stats():
