@@ -145,8 +145,7 @@ def _initial_state(cfg: RunConfig, frame: GaussianFrame):
         # cutoff-convolve-normalize pipeline first
         q0, u0 = mollify_initial_data(q0, u0, n=8)
     mass = float(q0.coeffs[0])
-    if abs(mass - 1.0) > 1e-6:
-        # the tolerance of the log-Sobolev check every record makes
+    if abs(mass - 1.0) > diagnostics.UNIT_MASS_TOL:
         raise ConfigError(f"initial density must have unit mass, got {mass:.12f}")
     return q0, u0
 

@@ -44,6 +44,10 @@ __all__ = [
 ]
 
 
+#: how far off unit mass a recorded state may be: the log-Sobolev margin of
+#: every record raises beyond it, so the CLI refuses initial data beyond it
+UNIT_MASS_TOL = 1e-6
+
 #: Record field -> trajectory.csv header, in record order.  A header ending
 #: in "_*" is a vector moment: a tuple, one column per axis ("*" the axis).
 #: None is an audit-only integral: the regularized BD pair and the terms of
@@ -279,9 +283,10 @@ def record(b: StateBundle, times, params: ModelParams) -> list[DiagnosticsRecord
 
     Every record equals, field for field and bit for bit, the record of its
     state alone.  The checks run over the whole stack: the bundle has
-    checked positivity on construction, and a state off unit mass raises
-    for the first such state.  ``poincare_q`` is the strong-Poincare ratio
-    of sqrt(q), with the gradient of sqrt(q)'s degree-N projection.
+    checked positivity on construction, and a state more than
+    ``UNIT_MASS_TOL`` off unit mass raises for the first such state.
+    ``poincare_q`` is the strong-Poincare ratio of sqrt(q), with the
+    gradient of sqrt(q)'s degree-N projection.
     """
     frame = b.frame
     e_reg, d_reg = _energy_from_bundle(b, params)
@@ -306,7 +311,7 @@ def record(b: StateBundle, times, params: ModelParams) -> list[DiagnosticsRecord
         "mu": b.quad(b.qn[:, None, :] * b.un),
         "min_q": np.min(trusted_q, axis=-1),
         "max_q": np.max(trusted_q, axis=-1),
-        "lsi_margin": _lsi_from_bundle(b, 1e-6)[0],
+        "lsi_margin": _lsi_from_bundle(b, UNIT_MASS_TOL)[0],
         "hess_margin_mid": hmid,
         "hess_margin_final": hfin,
         "poincare_q": _poincare_ratio(

@@ -108,17 +108,17 @@ def ou_semigroup(q: ScalarField, s: float, delta1: float) -> ScalarField:
 def _density_start(q: ScalarField, delta1, dt: float) -> tuple:
     """What one density step forms from (q, delta1, dt) alone: the decayed
     start ``free``, the Duhamel step ``step`` and the nodal values of the
-    first iterate's midpoint.  Each array is formed row by row, so a row
-    subset of a stack's start equals the start of those members."""
+    first iterate's midpoint, synthesized from its coefficients.  Each array
+    is formed row by row, so a row subset of a stack's start equals the
+    start of those members."""
     frame, c0 = q.frame, q.coeffs
     if not (np.count_nonzero(delta1) if isinstance(delta1, np.ndarray) else delta1):
         # both decay tables would be all ones: the same values without them
         free, step = c0, dt
     else:
         free, step = _ou_decay(frame, delta1, dt) * c0, dt * _ou_decay(frame, delta1, 0.5 * dt)
-    # the first iterate is free; with no decay its midpoint 0.5 * (c0 + c0) is c0 itself
-    first = q.nodal if free is c0 and q._synthesized else frame._synthesize(0.5 * (c0 + free))
-    return free, step, first
+    # the first iterate is free
+    return free, step, frame._synthesize(0.5 * (c0 + free))
 
 
 def _take_start(start: tuple, keep: np.ndarray) -> tuple:
@@ -180,7 +180,7 @@ def fp_step(q: ScalarField, u: VectorField, delta1, dt: float, *,
         if drift > 1e-13 * max(abs(old), 1.0):
             raise InternalConsistencyError(f"mass drifted by {drift:.3e} in one density step",
                                            member=i)
-    return ScalarField._formed(frame, c_new, None, True)
+    return ScalarField._formed(frame, c_new, None)
 
 
 def divm_sup(u: VectorField) -> list[float]:

@@ -245,9 +245,8 @@ def momentum_rhs(q: ScalarField, u: VectorField, coeffs: dict) -> np.ndarray:
     w = frame.weights
     x = frame.nodes.T
     rsq = frame.radius_sq
-    # the products every stress component starts from (a unit transport
-    # coefficient leaves q as it is, bit for bit)
-    transport_q = qn if coeffs["transport"] == 1.0 else coeffs["transport"] * qn
+    # the products every stress component starts from
+    transport_q = coeffs["transport"] * qn
     viscous_q = 2.0 * coeffs["nu"] * qn
     capillary = 2.0 * coeffs["kappa_sq"]
 
@@ -305,33 +304,29 @@ def coupled_step(state: SimState, params, dt: float,
     if not state.stacked and not isinstance(params, ModelParams):
         (params,) = params
     coeffs = coeffs or step_coefficients(params, frame.sigma)
-    q_start, u_prev = state.q, state.u
-    momentum_prev = state.momentum
-    q_prev, c_prev = q_start, u_prev.coeffs
+    q_start, momentum_prev = state.q, state.momentum
+    q_prev, c_prev = q_start, state.u.coeffs
     if momentum_prev is None:
         momentum_prev = np.matmul(c_prev, assemble_mass(q_prev).matrix.mT)
     advection = 0.5 * coeffs["transport"]
     # the density step's start is fixed by q_prev, delta1 and dt: formed once
     start = _density_start(q_prev, coeffs["delta1"], dt)
 
-    # the velocity iterates are coefficient arrays; fields are built only for
-    # the density step and the force assembly.  ``active`` lists the members
-    # still swept once one has settled; until then every array is the full
-    # stack, and no member is gathered or copied.
+    # the velocity iterates are coefficient arrays; fields are formed from
+    # them only for the density step and the force assembly, so every
+    # midpoint is synthesized from its coefficients.  ``active`` lists the
+    # members still swept once one has settled; until then every array is
+    # the full stack, and no member is gathered or copied.
     active = None
     settled = None  # the settled members' (q coeffs, q nodal, u coeffs, mass matrix)
     c_iter = c_prev
     try:
         for _ in range(MAX_SWEEPS):
-            if c_iter is c_prev and u_prev._synthesized:
-                # first sweep: the average of u_prev with itself is u_prev, bit for bit
-                u_mid = u_prev
-            else:
-                u_mid = VectorField._formed(frame, 0.5 * (c_prev + c_iter), None, True)
+            u_mid = VectorField._formed(frame, 0.5 * (c_prev + c_iter), None)
             u_adv = (u_mid if advection == 0.5
-                     else VectorField._formed(frame, advection * (c_prev + c_iter), None, True))
+                     else VectorField._formed(frame, advection * (c_prev + c_iter), None))
             q_new = fp_step(q_prev, u_adv, coeffs["delta1"], dt, start=start)
-            q_mid = ScalarField._formed(frame, 0.5 * (q_prev.coeffs + q_new.coeffs), None, True)
+            q_mid = ScalarField._formed(frame, 0.5 * (q_prev.coeffs + q_new.coeffs), None)
             force = momentum_rhs(q_mid, u_mid, coeffs)
             mass_new = assemble_mass(q_new)
             c_next = mass_new.solve(momentum_prev + dt * force)
@@ -373,7 +368,7 @@ def coupled_step(state: SimState, params, dt: float,
         c_new, matrix = c_next, mass_new.matrix
     else:
         qc, qn, c_new, matrix = settled
-        q_new = ScalarField._formed(frame, qc, qn, synthesized=True)
+        q_new = ScalarField._formed(frame, qc, qn)
     masses = zip(*(np.ravel(f.coeffs[..., 0]).tolist() for f in (q_start, q_new)))
     for i, (old, new) in enumerate(masses):
         drift = abs(new - old)

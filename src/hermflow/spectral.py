@@ -301,13 +301,6 @@ class GaussianFrame:
     def norm_l2mu(self, nodal_values: np.ndarray) -> float:
         return math.sqrt(max(self.quad(np.asarray(nodal_values) ** 2), 0.0))
 
-    def same_as(self, other: "GaussianFrame") -> bool:
-        return self is other or (
-            self.sigma == other.sigma
-            and self.dim == other.dim
-            and self.degree == other.degree
-        )
-
     def __repr__(self):
         return (
             f"GaussianFrame(sigma={self.sigma:.6g}, dim={self.dim}, "
@@ -345,7 +338,7 @@ class ScalarField:
     for bit, those of the member's field alone.
     """
 
-    __slots__ = ("frame", "_coeffs", "_nodal", "_synthesized")
+    __slots__ = ("frame", "_coeffs", "_nodal")
     _vector = False  # a vector field's arrays have one row per axis
 
     def __init__(self, frame: GaussianFrame, coeffs: np.ndarray | None = None,
@@ -353,8 +346,6 @@ class ScalarField:
         if (coeffs is None) == (nodal is None):
             raise ValueError(f"{type(self).__name__} needs either coeffs or nodal values")
         self.frame = frame
-        # the nodal values are (or will be) the synthesis of the coefficients
-        self._synthesized = nodal is None
         # the given array as a read-only view: (..., width), or
         # (..., dim, width) for a vector field, or any array of exactly
         # that many numbers for one field
@@ -373,12 +364,11 @@ class ScalarField:
         self._coeffs, self._nodal = (None, view) if coeffs is None else (view, None)
 
     @classmethod
-    def _formed(cls, frame: GaussianFrame, coeffs, nodal, synthesized: bool):
+    def _formed(cls, frame: GaussianFrame, coeffs, nodal):
         """A field from arrays already formed (either may be None), kept
-        read-only as they are; ``synthesized`` says whether ``nodal`` is
-        (or will be) the synthesis of ``coeffs``."""
+        read-only as they are."""
         field = cls.__new__(cls)
-        field.frame, field._synthesized = frame, synthesized
+        field.frame = frame
         for arr in (coeffs, nodal):
             if arr is not None:
                 arr.setflags(write=False)
@@ -396,15 +386,14 @@ class ScalarField:
         """
         nodal = (None if all(f._nodal is None for f in fields)
                  else np.stack([f.nodal for f in fields]))
-        return cls._formed(fields[0].frame, np.stack([f.coeffs for f in fields]), nodal,
-                           all(f._synthesized for f in fields))
+        return cls._formed(fields[0].frame, np.stack([f.coeffs for f in fields]), nodal)
 
     def take(self, index):
         """The members of a stacked field at ``index`` of its member axis
         (an integer gives one member's field), with the arrays formed so far."""
         return type(self)._formed(
             self.frame, None if self._coeffs is None else self._coeffs[index],
-            None if self._nodal is None else self._nodal[index], self._synthesized)
+            None if self._nodal is None else self._nodal[index])
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -480,6 +469,7 @@ def multiply(f: ScalarField, g: ScalarField) -> ScalarField:
     projection integrals of the degree-2N product are exact; this is the
     padded-grid de-aliasing realized through the frame's own rule.
     """
-    if not f.frame.same_as(g.frame):
+    a, b = f.frame, g.frame
+    if a is not b and (a.sigma, a.dim, a.degree) != (b.sigma, b.dim, b.degree):
         raise DimensionError("fields live on different frames")
     return transform(f.frame, f.nodal * g.nodal)
