@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -57,6 +58,7 @@ __all__ = [
 POSITIVITY_FLOOR = 1e-10
 
 _REGULARIZERS = ("r0", "r1", "r4", "delta1")
+_regularizers = attrgetter(*_REGULARIZERS)
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,7 @@ class ModelParams:
     @property
     def regularized(self) -> bool:
         """True when any drag or the density diffusion is switched on."""
-        return any(getattr(self, name) != 0.0 for name in _REGULARIZERS)
+        return any(_regularizers(self))
 
 
 def require_positive(q: ScalarField) -> np.ndarray:
@@ -133,12 +135,12 @@ def require_positive(q: ScalarField) -> np.ndarray:
 
 def gradient_nodal(f: ScalarField) -> np.ndarray:
     """Exact nodal gradient, shape rows + (dim, n_nodes); du[i, k] = d_k u_i for a velocity."""
-    return f.derivatives(1)
+    return f.frame.derivatives(f.coeffs, 1)
 
 
 def hessian_nodal(f: ScalarField) -> np.ndarray:
     """Exact nodal Hessian, shape rows + (dim, dim, n_nodes)."""
-    return f.derivatives(2)
+    return f.frame.derivatives(f.coeffs, 2)
 
 
 def scalar_pow(x, p: float):
@@ -191,6 +193,7 @@ class StateBundle:
     def __init__(self, q: ScalarField, u: VectorField | None = None):
         self.frame = frame = q.frame
         self.qn = require_positive(q)
+        self.mask = frame._trusted_mask
         if u is None:  # zero, with the member axes of q's nodal values
             members = self.qn.shape[:-1]
             u = VectorField(frame, coeffs=np.zeros(members + (frame.dim, frame.n_basis)))
@@ -203,10 +206,6 @@ class StateBundle:
         """Quadrature integral against the normalized Gaussian measure along
         the last (node) axis: one number per state."""
         return np.vecdot(values, self.frame.weights)
-
-    @_cached
-    def mask(self) -> np.ndarray:
-        return self.frame._trusted_mask
 
     @_cached
     def q_safe(self) -> np.ndarray:
@@ -247,8 +246,16 @@ class StateBundle:
 
     @_cached
     def outer_q(self) -> np.ndarray:
-        """grad q (x) grad q / q on trusted nodes, 0 elsewhere."""
-        return np.einsum("...in,...jn->...ijn", self.gq, self.gq) * self.inv_q[..., None, None, :]
+        """grad q (x) grad q / q on trusted nodes, 0 elsewhere.
+
+        The outer product is broadcast; adding 0.0 turns its -0.0 entries
+        into the +0.0 that the einsum ``...in,...jn->...ijn`` forms, so the
+        two agree bit for bit."""
+        gq = self.gq
+        outer = gq[..., :, None, :] * gq[..., None, :, :]
+        outer += 0.0
+        outer *= self.inv_q[..., None, None, :]
+        return outer
 
     @_cached
     def fisher_integrand(self) -> np.ndarray:
@@ -379,7 +386,7 @@ def div_m(v: VectorField) -> ScalarField:
     coeffs = np.zeros(v.coeffs.shape[:-2] + (frame.n_basis,))
     for ax in range(frame.dim):
         coeffs += _matvec(frame.divm_mats[ax], v.coeffs[..., ax, :])
-    return ScalarField(frame, coeffs=coeffs)
+    return ScalarField._formed(frame, coeffs, None)
 
 
 def _capillarity_rho_form_nodal(b: StateBundle) -> np.ndarray:

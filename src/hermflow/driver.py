@@ -34,8 +34,10 @@ class SimulationResult:
 
 def step_count(dt: float, t_final: float) -> int:
     """Number of steps of size dt that end exactly at t_final."""
-    if dt <= 0.0 or t_final <= 0.0:
+    if not (dt > 0.0 and t_final > 0.0):  # NaN fails here too
         raise InvalidParameterError("dt and t_final must be positive")
+    if dt == math.inf:  # it would fit no step into t_final, silently
+        raise InvalidParameterError("dt must be finite")
     if not math.isfinite(t_final / dt):
         raise InvalidParameterError(f"t_final / dt = {t_final!r} / {dt!r} overflows")
     n_steps = int(round(t_final / dt))

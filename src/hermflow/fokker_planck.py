@@ -142,14 +142,15 @@ def fp_step(q: ScalarField, u: VectorField, delta1, dt: float, *,
     and the error a failing member raises, equal those of the member alone.
     ``start`` is the density start of (q, delta1, dt) when the caller has
     formed it already, as the joint fixed point does once per step; it is
-    formed here otherwise.
+    formed here otherwise.  ``dt`` must be positive and finite.
     """
-    if dt <= 0.0:
-        raise InvalidParameterError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < math.inf:
+        raise InvalidParameterError(f"dt must be positive and finite, got {dt}")
     frame = q.frame
     c0 = q.coeffs
     un = u.nodal
     free, step, qn = start if start is not None else _density_start(q, delta1, dt)
+    weights, divm_mats, adjoint = frame.weights, frame.divm_mats, frame._synthesize_adjoint
 
     c_new = free
     prev_increment = None
@@ -160,8 +161,7 @@ def fp_step(q: ScalarField, u: VectorField, delta1, dt: float, *,
         # against the basis by the sum-factorized adjoint (no dense V in d = 2)
         divm_qu = np.zeros(c0.shape)
         for ax in range(frame.dim):
-            flux = frame._synthesize_adjoint(frame.weights * (qn * un[..., ax, :]))
-            divm_qu += _matvec(frame.divm_mats[ax], flux)
+            divm_qu += _matvec(divm_mats[ax], adjoint(weights * (qn * un[..., ax, :])))
         c_next = free - step * divm_qu
         increment = _row_norms(c_next - c_new)
         if prev_increment is not None:
@@ -174,7 +174,7 @@ def fp_step(q: ScalarField, u: VectorField, delta1, dt: float, *,
         c_new = c_next
 
     # each member's zero-index coefficient, before and after, as floats
-    masses = zip(*(np.ravel(c[..., 0]).tolist() for c in (c0, c_new)))
+    masses = zip(c0[..., 0].reshape(-1).tolist(), c_new[..., 0].reshape(-1).tolist())
     for i, (old, new) in enumerate(masses):
         drift = abs(new - old)
         if drift > 1e-13 * max(abs(old), 1.0):
@@ -187,7 +187,9 @@ def divm_sup(u: VectorField) -> list[float]:
     """Sup norm of div_m(u) over the trusted quadrature nodes, one per
     member row of u (one value for one field)."""
     values = div_m(u).nodal
-    return np.ravel(np.max(np.abs(values[..., u.frame.trusted]), axis=-1)).tolist()
+    # the largest |value| over the trusted nodes, 0.0 below every |value|
+    sups = np.maximum.reduce(np.abs(values), axis=-1, where=u.frame.trusted, initial=0.0)
+    return sups.reshape(-1).tolist()
 
 
 def envelope_update(envs: list[PositivityEnvelope], u: VectorField,

@@ -24,7 +24,9 @@ solve repeats until successive iterates agree to ``PICARD_TOL``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -57,6 +59,8 @@ __all__ = [
 #: and the sweeps allowed before the step is reported as a failure
 PICARD_TOL = 1e-10
 MAX_SWEEPS = 25
+
+_regularized = attrgetter("regularized")
 
 
 @dataclass(frozen=True)
@@ -137,8 +141,10 @@ class MassOperator:
         alone, naming the member.
         """
         matrix, rhs = self.matrix, np.asarray(rhs)
-        finite = np.isfinite(matrix).all(axis=(-2, -1))
-        if not finite.all():
+        # one scan of every member's matrix; the first non-finite member is
+        # looked for only when it fails
+        if not np.isfinite(matrix).all():
+            finite = np.isfinite(matrix).all(axis=(-2, -1))
             raise StepFailureError("mass operator has non-finite entries; reduce dt",
                                    member=int(np.argmin(finite)))
         # one scan of the whole right-hand side; a member's own rows are
@@ -205,13 +211,14 @@ def step_coefficients(params, sigma: float) -> dict:
     that meet a stack's (members, n) arrays row by row, with transport one
     float; and one ``regularized`` flag, set when any member is."""
     sig2 = sigma**2
-    members = [params] if isinstance(params, ModelParams) else params
+    one = isinstance(params, ModelParams)
+    members = (params,) if one else params
     rows = [(p.nu, p.kappa**2, p.lam * sig2, p.r0, p.r1, p.delta1, p.r4 / sig2**2)
             for p in members]
-    values = rows[0] if isinstance(params, ModelParams) else np.array(rows).T[:, :, None]
+    values = rows[0] if one else np.array(rows).T[:, :, None]
     return {"transport": 1.0,
             **dict(zip(("nu", "kappa_sq", "pressure", "r0", "r1", "delta1", "r4"), values)),
-            "regularized": any(p.regularized for p in members)}
+            "regularized": any(map(_regularized, members))}
 
 
 def momentum_rhs(q: ScalarField, u: VectorField, coeffs: dict) -> np.ndarray:
@@ -239,12 +246,13 @@ def momentum_rhs(q: ScalarField, u: VectorField, coeffs: dict) -> np.ndarray:
     and each member's equal, bit for bit, its forces alone.
     """
     frame = q.frame
-    pressure, r0, r1, delta1, r4 = (coeffs[k] for k in ("pressure", "r0", "r1", "delta1", "r4"))
+    regularized, pressure = coeffs["regularized"], coeffs["pressure"]
+    if regularized:
+        r0, r1, delta1, r4 = coeffs["r0"], coeffs["r1"], coeffs["delta1"], coeffs["r4"]
+        x, rsq = frame.nodes.T, frame.radius_sq
     b = StateBundle(q, u)
-    qn, un, gq = b.qn, b.un, b.gq
-    w = frame.weights
-    x = frame.nodes.T
-    rsq = frame.radius_sq
+    qn, un, gq, dsym, stress = b.qn, b.un, b.gq, b.dsym, b.stress
+    w, adjoint = frame.weights, frame._synthesize_adjoint
     # the products every stress component starts from
     transport_q = coeffs["transport"] * qn
     viscous_q = 2.0 * coeffs["nu"] * qn
@@ -253,7 +261,7 @@ def momentum_rhs(q: ScalarField, u: VectorField, coeffs: dict) -> np.ndarray:
     out = np.empty(un.shape[:-1] + (frame.n_basis,))
     for i in range(frame.dim):
         u_i = un[..., i, :]
-        if coeffs["regularized"]:
+        if regularized:
             point = (
                 -r0 * u_i
                 - delta1 * np.einsum("...kn,...kn->...n", b.du[..., i, :, :], gq)
@@ -263,14 +271,14 @@ def momentum_rhs(q: ScalarField, u: VectorField, coeffs: dict) -> np.ndarray:
             )
         else:
             point = -pressure * gq[..., i, :]
-        vec = frame._synthesize_adjoint(w * point)
+        vec = adjoint(w * point)
         for k in range(frame.dim):
             grad_part = (
                 transport_q * u_i * un[..., k, :]
-                - viscous_q * b.dsym[..., i, k, :]
-                - capillary * b.stress[..., i, k, :]
+                - viscous_q * dsym[..., i, k, :]
+                - capillary * stress[..., i, k, :]
             )
-            vec += frame._synthesize_adjoint(w * grad_part, (k,))
+            vec += adjoint(w * grad_part, (k,))
         out[..., i, :] = vec
     return out
 
@@ -297,15 +305,16 @@ def coupled_step(state: SimState, params, dt: float,
     dilated :func:`~hermflow.rescaled.tau_coeffs`) or, without it,
     :func:`step_coefficients` of ``params``.  Its ``transport`` also scales
     the velocity that advects the density, and its ``delta1`` diffuses it.
+    ``dt`` must be positive and finite.
     """
-    if dt <= 0.0:
-        raise InvalidParameterError(f"dt must be positive, got {dt}")
-    frame = state.frame
-    if not state.stacked and not isinstance(params, ModelParams):
+    if not 0.0 < dt < math.inf:
+        raise InvalidParameterError(f"dt must be positive and finite, got {dt}")
+    q_start, c_prev, momentum_prev = state.q, state.u.coeffs, state.momentum
+    frame = q_start.frame
+    if c_prev.ndim == 2 and not isinstance(params, ModelParams):  # one state, its params listed
         (params,) = params
     coeffs = coeffs or step_coefficients(params, frame.sigma)
-    q_start, momentum_prev = state.q, state.momentum
-    q_prev, c_prev = q_start, state.u.coeffs
+    q_prev = q_start
     if momentum_prev is None:
         momentum_prev = np.matmul(c_prev, assemble_mass(q_prev).matrix.mT)
     advection = 0.5 * coeffs["transport"]
@@ -369,10 +378,11 @@ def coupled_step(state: SimState, params, dt: float,
     else:
         qc, qn, c_new, matrix = settled
         q_new = ScalarField._formed(frame, qc, qn)
-    masses = zip(*(np.ravel(f.coeffs[..., 0]).tolist() for f in (q_start, q_new)))
+    masses = zip(q_start.coeffs[..., 0].reshape(-1).tolist(),
+                 q_new.coeffs[..., 0].reshape(-1).tolist())
     for i, (old, new) in enumerate(masses):
         drift = abs(new - old)
         if drift > 1e-10:
             raise InternalConsistencyError(f"mass drifted by {drift:.3e} over one step", member=i)
-    return SimState(q_new, VectorField(frame, coeffs=c_new), state.t + dt,
+    return SimState(q_new, VectorField._formed(frame, c_new, None), state.t + dt,
                     np.matmul(c_new, matrix.mT))

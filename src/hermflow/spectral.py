@@ -199,6 +199,8 @@ class GaussianFrame:
         for arr in (self.nodes, self.weights, self.V, self.multi_indices, self.trusted,
                     self._trusted_mask, *self._tables):
             arr.flags.writeable = False
+        # the tables' transposes, formed once: the same views as ``table.T``
+        self._adjoint_tables = tuple(t.T for t in self._tables)
 
     # The transforms below act on each row of any leading (stack) axes: every
     # row meets the tables in its own BLAS product, so a row of a stack
@@ -211,23 +213,25 @@ class GaussianFrame:
         In d = 2 the coefficients fill a (degree+1)^2 grid C and the values
         are T_a C T_b^T, with T_a the 1D table of the a-th derivative.
         """
-        tables = self._tables
         if self.dim == 1:
-            return _matvec(tables[len(axes)], coeffs)
+            return _matvec(self._tables[len(axes)], coeffs)
         lead = coeffs.shape[:-1]
         grid = np.zeros(lead + (self.degree + 1, self.degree + 1))
         grid[self._grid_index] = coeffs
-        values = np.matmul(np.matmul(tables[axes.count(0)], grid), tables[axes.count(1)].T)
+        values = np.matmul(np.matmul(self._tables[axes.count(0)], grid),
+                           self._adjoint_tables[axes.count(1)])
         return values.reshape(lead + (self.n_nodes,))
 
     def _synthesize_adjoint(self, values: np.ndarray, axes: tuple = ()) -> np.ndarray:
         """Transpose of :meth:`_synthesize`: sum_n values[n] d_axes Phi_alpha(x_n)
         for every alpha, for each row of ``values``."""
-        tables = self._tables
-        if self.dim == 1:
-            return _matvec(tables[len(axes)].T, values)
+        if self.dim == 1:  # _matvec of the transposed table, inlined in this hot path
+            table = self._adjoint_tables[len(axes)]
+            return (table @ values if values.ndim == 1
+                    else np.matmul(table, values[..., None])[..., 0])
         grid = values.reshape(values.shape[:-1] + (self.quad_order, self.quad_order))
-        out = np.matmul(np.matmul(tables[axes.count(0)].T, grid), tables[axes.count(1)])
+        out = np.matmul(np.matmul(self._adjoint_tables[axes.count(0)], grid),
+                        self._tables[axes.count(1)])
         return out[self._grid_index]
 
     def _weighted_gram(self, node_weights: np.ndarray) -> np.ndarray:
@@ -261,16 +265,20 @@ class GaussianFrame:
         d = 2 each distinct set of axes is synthesized once and copied to
         its permutations.
         """
-        shape = coeffs.shape[:-1] + (self.dim,) * order + (self.n_nodes,)
         if self.dim == 1:
-            # a single axis set: one matrix-vector product with a 1D table per row
-            return _matvec(self._tables[order], coeffs).reshape(shape)
+            # a single axis set: _matvec of the order's 1D table, inlined in
+            # this hot path; at order 0 already of the synthesis's shape
+            table = self._tables[order]
+            values = (table @ coeffs if coeffs.ndim == 1
+                      else np.matmul(table, coeffs[..., None])[..., 0])
+            return values.reshape(coeffs.shape[:-1] + (1,) * order + (self.n_nodes,)) \
+                if order else values
         out = np.empty(coeffs.shape[:-1] + (self.dim**order, self.n_nodes))
         for axes, positions in self._axis_sets[order]:
             values = self._synthesize(coeffs, axes)
             for pos in positions:
                 out[..., pos, :] = values
-        return out.reshape(shape)
+        return out.reshape(coeffs.shape[:-1] + (self.dim,) * order + (self.n_nodes,))
 
     def basis_eval(self, points: np.ndarray) -> np.ndarray:
         """Vandermonde matrix of the basis at arbitrary points, shape (m, n_basis)."""
@@ -336,9 +344,13 @@ class ScalarField:
     fields, one member per leading index (:meth:`stack`, :meth:`take`).
     Every transform runs row by row, so each member's arrays equal, bit
     for bit, those of the member's field alone.
+
+    ``coeffs`` is a plain slot, read without a call wherever it is set;
+    only a field built from nodal values reaches :meth:`__getattr__`, once,
+    to project them.
     """
 
-    __slots__ = ("frame", "_coeffs", "_nodal")
+    __slots__ = ("frame", "coeffs", "_nodal")
     _vector = False  # a vector field's arrays have one row per axis
 
     def __init__(self, frame: GaussianFrame, coeffs: np.ndarray | None = None,
@@ -361,18 +373,24 @@ class ScalarField:
                     f"expected {shape} {what}, got shape {values.shape}") from None
         view = values.view()
         view.setflags(write=False)
-        self._coeffs, self._nodal = (None, view) if coeffs is None else (view, None)
+        if coeffs is None:
+            self._nodal = view
+        else:
+            self.coeffs, self._nodal = view, None
 
     @classmethod
     def _formed(cls, frame: GaussianFrame, coeffs, nodal):
         """A field from arrays already formed (either may be None), kept
         read-only as they are."""
         field = cls.__new__(cls)
-        field.frame = frame
-        for arr in (coeffs, nodal):
-            if arr is not None:
-                arr.setflags(write=False)
-        field._coeffs, field._nodal = coeffs, nodal
+        field.frame, field._nodal = frame, nodal
+        # write=False, by position: numpy parses the keyword slower than it
+        # sets the flag, and every sweep forms several fields
+        if coeffs is not None:
+            field.coeffs = coeffs
+            coeffs.setflags(False)
+        if nodal is not None:
+            nodal.setflags(False)
         return field
 
     @classmethod
@@ -391,22 +409,27 @@ class ScalarField:
     def take(self, index):
         """The members of a stacked field at ``index`` of its member axis
         (an integer gives one member's field), with the arrays formed so far."""
-        return type(self)._formed(
-            self.frame, None if self._coeffs is None else self._coeffs[index],
-            None if self._nodal is None else self._nodal[index])
+        try:  # the coefficients only if formed: a plain slot read projects nothing
+            coeffs = object.__getattribute__(self, "coeffs")[index]
+        except AttributeError:
+            coeffs = None
+        return type(self)._formed(self.frame, coeffs,
+                                  None if self._nodal is None else self._nodal[index])
 
-    @property
-    def coeffs(self) -> np.ndarray:
-        if self._coeffs is None:
-            self._coeffs = self.frame.project_nodal(self._nodal)
-            self._coeffs.setflags(write=False)
-        return self._coeffs
+    def __getattr__(self, name):
+        """The coefficients of a field built from nodal values, projected on
+        first use; the only attribute formed here."""
+        if name != "coeffs":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        coeffs = self.coeffs = self.frame.project_nodal(self._nodal)
+        coeffs.setflags(write=False)
+        return coeffs
 
     @property
     def nodal(self) -> np.ndarray:
         if self._nodal is None:
-            self._nodal = self.frame.derivatives(self._coeffs, 0)
-            self._nodal.setflags(write=False)
+            self._nodal = self.frame.derivatives(self.coeffs, 0)
+            self._nodal.setflags(False)
         return self._nodal
 
     def derivatives(self, order: int) -> np.ndarray:

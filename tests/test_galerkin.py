@@ -29,8 +29,8 @@ from hermflow import (
     project_initial_velocity,
 )
 from hermflow import calculus, fokker_planck, galerkin, spectral
-from hermflow.driver import march
-from hermflow.errors import SOLVER_FAILURES
+from hermflow.driver import march, step_count
+from hermflow.errors import SOLVER_FAILURES, InvalidParameterError
 from hermflow.galerkin import (
     MAX_SWEEPS,
     PICARD_TOL,
@@ -367,6 +367,33 @@ class TestCoupledStep:
         u0 = project_initial_velocity(q0, 0.15 * frame_1d.nodes.T.copy())
         with pytest.raises(StepFailureError, match=r"in 1 sweeps at t=0\.375; reduce dt"):
             coupled_step(SimState(q0, u0, t=0.375), drag_free(), 1e-3)
+
+
+BAD_STEPS = [math.nan, math.inf, 0.0, -1.0]
+
+
+@pytest.mark.parametrize("dt", BAD_STEPS, ids=["nan", "inf", "zero", "negative"])
+class TestStepSizeOutsideZeroInf:
+    """A step size must satisfy 0 < dt < inf: NaN passed a ``dt <= 0`` guard,
+    gave an all-NaN density step and then a misleading positivity error."""
+
+    def test_density_step(self, dt, frame_1d):
+        q = random_density(frame_1d, np.random.default_rng(5))
+        with pytest.raises(InvalidParameterError, match="dt must be positive"):
+            fokker_planck.fp_step(q, VectorField.zero(frame_1d), 0.0, dt)
+
+    def test_coupled_step(self, dt, frame_1d):
+        state = make_initial_state(tilted_density(frame_1d, 0.2), VectorField.zero(frame_1d))
+        with pytest.raises(InvalidParameterError, match="dt must be positive"):
+            coupled_step(state, drag_free(), dt)
+
+    def test_step_count(self, dt):
+        message = "dt must be finite" if dt == math.inf else "must be positive"
+        with pytest.raises(InvalidParameterError, match=message):
+            step_count(dt, 1.0)
+        if not dt == math.inf:  # an infinite t_final overflows t_final / dt
+            with pytest.raises(InvalidParameterError, match="must be positive"):
+                step_count(1e-3, dt)
 
 
 @pytest.mark.parametrize("frame_name", ["frame_1d", "frame_2d"])
