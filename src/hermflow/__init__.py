@@ -2,10 +2,12 @@
 Navier-Stokes flow, written against a Gaussian reference measure.
 
 The building blocks, bottom up: ``spectral`` (frames, transforms,
-dealiased products, and one field type built from coefficients or nodal
-values, without arithmetic: sums and scalings are formed on their arrays;
-a ``VectorField`` is a ``ScalarField`` with ``(dim, ·)`` rows, and
-``derivatives`` gives every nodal derivative of either),
+dealiased products, and one field type, whole when built from
+coefficients or from nodal values (which are projected at construction),
+without arithmetic: sums and scalings are formed on their arrays; a
+``VectorField`` is a ``ScalarField`` with ``(dim, ·)`` rows, and
+``frame.derivatives(field.coeffs, order)`` gives every nodal derivative
+of either),
 ``calculus`` (twisted operators, capillarity identities and
 ``StateBundle``, the nodal quantities of one state, or of a stack of
 states, that forces and diagnostics share), ``fokker_planck`` (semigroup

@@ -459,7 +459,7 @@ def _bohm_from_bundle(b: StateBundle) -> float:
     gp = gradient_nodal(p_field)
     hp = hessian_nodal(p_field)
     lap_p = np.trace(hp, axis1=0, axis2=1)
-    tp = p_field.derivatives(3)
+    tp = frame.derivatives(p_field.coeffs, 3)
     grad_lap_p = np.einsum("ijjn->in", tp)
     rsq = frame.radius_sq
     # A := (Delta sqrt(rho)) / rho_m^{1/2} with sqrt(rho) = P rho_m^{1/2}
@@ -476,7 +476,7 @@ def _bohm_from_bundle(b: StateBundle) -> float:
 
     # --- right side via L = ln rho = ln rho_m + ln q ---------------------
     inv_q, gq, hq = b.inv_q, b.gq, b.hq
-    tq = b.q.derivatives(3)
+    tq = frame.derivatives(b.q.coeffs, 3)
     grad_l = -x / sig2 * mask + gq * inv_q
     hess_l = (
         -np.eye(d)[:, :, None] / sig2 * mask

@@ -186,7 +186,7 @@ def mollify_initial_data(q0: ScalarField, u0: VectorField,
     axis = np.linspace(lo, hi, npts)
 
     grid_pts = _grid(axis, d).reshape(-1, d)
-    sq0 = np.sqrt(np.clip(q0.eval(grid_pts), 0.0, None))
+    sq0 = np.sqrt(np.clip(frame.basis_eval(grid_pts) @ q0.coeffs, 0.0, None))
     chi = _plateau_cutoff(np.sqrt(np.sum(grid_pts**2, axis=1)) / n)
     g = (sq0 * chi + 1.0 / n).reshape((npts,) * d)
 

@@ -34,7 +34,7 @@ integral.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -196,8 +196,7 @@ def envelope_update(envs: list[PositivityEnvelope], u: VectorField,
                     dt: float) -> list[PositivityEnvelope]:
     """Trapezoidal accumulation of the envelope integrals over one step,
     one envelope per member row of ``u``."""
-    return [replace(env, accumulated=env.accumulated + 0.5 * dt * (env.last_sup + sup),
-                    last_sup=sup)
+    return [PositivityEnvelope(env.c0, env.accumulated + 0.5 * dt * (env.last_sup + sup), sup)
             for env, sup in zip(envs, divm_sup(u))]
 
 

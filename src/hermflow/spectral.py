@@ -73,9 +73,8 @@ def sigma_from_coefficients(a: float, kappa: float, lam: float) -> float:
 
 def _multi_indices(dim: int, degree: int) -> np.ndarray:
     """All multi-indices with total degree <= degree, ordered by (total, first axis desc)."""
-    if dim == 1:
-        return np.arange(degree + 1, dtype=np.int64)[:, None]
-    idx = [(k - j, j) for k in range(degree + 1) for j in range(k + 1)]
+    idx = [m for m in itertools.product(range(degree + 1), repeat=dim) if sum(m) <= degree]
+    idx.sort(key=lambda m: (sum(m), -m[0]))
     return np.array(idx, dtype=np.int64)
 
 
@@ -332,22 +331,22 @@ def build_frame(a: float, kappa: float, lam: float, dim: int, degree: int) -> Ga
 class ScalarField:
     """One field on a frame: Hermite coefficients and nodal values, each formed from the other.
 
-    Exactly one representation is given; the other is formed on first use.
-    A field built from coefficients evaluates exactly at the nodes; one
-    built from nodal values keeps them verbatim (collocation work with
-    non-polynomial quantities) and exposes their projection as its
-    coefficients.  For data of degree <= N the two round-trip to round-off.
+    A field is whole when it is built: its coefficients are given, or
+    projected at construction from the nodal values it is given.  A field
+    built from coefficients evaluates exactly at the nodes, formed on first
+    use of ``nodal``; one built from nodal values keeps them verbatim
+    (collocation work with non-polynomial quantities) beside their
+    projection.  For data of degree <= N the two round-trip to round-off.
     Both arrays are read-only; the array given to the constructor is kept
     as a read-only view, so the caller's own array stays writable.
+    Derivatives and point values are the frame's:
+    ``frame.derivatives(field.coeffs, order)`` and
+    ``frame.basis_eval(points) @ field.coeffs``.
 
     Leading axes before the field's own shape stack several states'
     fields, one member per leading index (:meth:`stack`, :meth:`take`).
     Every transform runs row by row, so each member's arrays equal, bit
     for bit, those of the member's field alone.
-
-    ``coeffs`` is a plain slot, read without a call wherever it is set;
-    only a field built from nodal values reaches :meth:`__getattr__`, once,
-    to project them.
     """
 
     __slots__ = ("frame", "coeffs", "_nodal")
@@ -374,21 +373,20 @@ class ScalarField:
         view = values.view()
         view.setflags(write=False)
         if coeffs is None:
-            self._nodal = view
+            self.coeffs, self._nodal = frame.project_nodal(view), view
+            self.coeffs.setflags(write=False)
         else:
             self.coeffs, self._nodal = view, None
 
     @classmethod
     def _formed(cls, frame: GaussianFrame, coeffs, nodal):
-        """A field from arrays already formed (either may be None), kept
-        read-only as they are."""
+        """A field from its coefficients and, if formed, its nodal values
+        (else None), kept read-only as they are."""
         field = cls.__new__(cls)
-        field.frame, field._nodal = frame, nodal
+        field.frame, field.coeffs, field._nodal = frame, coeffs, nodal
         # write=False, by position: numpy parses the keyword slower than it
         # sets the flag, and every sweep forms several fields
-        if coeffs is not None:
-            field.coeffs = coeffs
-            coeffs.setflags(False)
+        coeffs.setflags(False)
         if nodal is not None:
             nodal.setflags(False)
         return field
@@ -409,21 +407,8 @@ class ScalarField:
     def take(self, index):
         """The members of a stacked field at ``index`` of its member axis
         (an integer gives one member's field), with the arrays formed so far."""
-        try:  # the coefficients only if formed: a plain slot read projects nothing
-            coeffs = object.__getattribute__(self, "coeffs")[index]
-        except AttributeError:
-            coeffs = None
-        return type(self)._formed(self.frame, coeffs,
+        return type(self)._formed(self.frame, self.coeffs[index],
                                   None if self._nodal is None else self._nodal[index])
-
-    def __getattr__(self, name):
-        """The coefficients of a field built from nodal values, projected on
-        first use; the only attribute formed here."""
-        if name != "coeffs":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        coeffs = self.coeffs = self.frame.project_nodal(self._nodal)
-        coeffs.setflags(write=False)
-        return coeffs
 
     @property
     def nodal(self) -> np.ndarray:
@@ -431,18 +416,6 @@ class ScalarField:
             self._nodal = self.frame.derivatives(self.coeffs, 0)
             self._nodal.setflags(False)
         return self._nodal
-
-    def derivatives(self, order: int) -> np.ndarray:
-        """Exact nodal derivatives of each row, shape rows + (dim,) * order + (n_nodes,).
-
-        Entry [..., a_1, ..., a_order, :] is d/dx_a_1 ... d/dx_a_order of the
-        row, for order <= 3 (see :meth:`GaussianFrame.derivatives`).
-        """
-        return self.frame.derivatives(self.coeffs, order)
-
-    def eval(self, points: np.ndarray) -> np.ndarray:
-        """Values of each row at arbitrary points, shape rows + (m,)."""
-        return (self.frame.basis_eval(points) @ self.coeffs.T).T
 
 
 class VectorField(ScalarField):

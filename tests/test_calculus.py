@@ -54,7 +54,8 @@ class TestTwistedDivergence:
         x = frame_1d.nodes[:, 0]
         v = VectorField(frame_1d, nodal=x)
         out = div_m(v)
-        assert out.eval(np.array([[2.0]]))[0] == pytest.approx(-3.0, abs=1e-11)
+        at_two = frame_1d.basis_eval(np.array([[2.0]])) @ out.coeffs
+        assert at_two[0] == pytest.approx(-3.0, abs=1e-11)
 
     def test_constant_field(self, frame_1d):
         v = VectorField(frame_1d, coeffs=unit_field(frame_1d).coeffs)

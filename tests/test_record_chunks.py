@@ -73,8 +73,7 @@ class TestStackedKernels:
         for order in range(4):
             stacked = frame.derivatives(coeffs, order)
             for k in range(3):
-                assert np.array_equal(stacked[k], VectorField(frame, coeffs=coeffs[k])
-                                      .derivatives(order))
+                assert np.array_equal(stacked[k], frame.derivatives(coeffs[k], order))
         projected = frame.project_nodal(values)
         for k in range(4):
             assert np.array_equal(projected[k], frame.project_nodal(values[k]))
@@ -154,12 +153,13 @@ class TestChunkedRecord:
             # the fractional powers are Python's, as in a float-only evaluation
             assert mid == d + math.sqrt(3.0 * b * d) + float(i4)**0.25 * float(b)**0.75 \
                 / frame.sigma - (a + b)
-            du = s.u.derivatives(1)
+            du = frame.derivatives(s.u.coeffs, 1)
             assert rec.poincare_korn_u == _korn_ratio(frame, s.u.nodal,
                                                       0.5 * (du + du.transpose(1, 0, 2)))
             assert (rec.d_bd_reg, rec.r_bd_reg) == bd_entropy_regularized(s.q, s.u, params)
             sqrt_q = ScalarField(frame, nodal=np.sqrt(np.maximum(s.q.nodal, POSITIVITY_FLOOR)))
-            assert rec.poincare_q == _poincare_ratio(frame, sqrt_q.nodal, sqrt_q.derivatives(1))
+            assert rec.poincare_q == _poincare_ratio(frame, sqrt_q.nodal,
+                                                      frame.derivatives(sqrt_q.coeffs, 1))
 
     def test_stacked_dilated_balance_equals_single(self, frame_1d, rng):
         states = random_states(frame_1d, rng, 6)

@@ -145,8 +145,8 @@ class TestTransforms:
         vals = 1.0 + 0.5 * x - 0.25 * x**3
         f = transform(frame_1d, vals)
         pts = np.linspace(-2.0, 2.0, 7)[:, None]
-        assert np.allclose(f.eval(pts), 1.0 + 0.5 * pts[:, 0] - 0.25 * pts[:, 0] ** 3,
-                           atol=1e-12)
+        assert np.allclose(frame_1d.basis_eval(pts) @ f.coeffs,
+                           1.0 + 0.5 * pts[:, 0] - 0.25 * pts[:, 0] ** 3, atol=1e-12)
 
     def test_shape_mismatch(self, frame_1d):
         with pytest.raises(Exception):
@@ -411,7 +411,7 @@ class TestVectorFieldArrays:
         for f in (random_field(frame, rng), random_velocity(frame, rng)):
             rows = f.coeffs.reshape(-1, frame.n_basis)
             for order in range(4):
-                got = f.derivatives(order)
+                got = frame.derivatives(f.coeffs, order)
                 assert got.shape == f.coeffs.shape[:-1] + (frame.dim,) * order + (frame.n_nodes,)
                 got = got.reshape(len(rows), -1, frame.n_nodes)
                 for r, c in enumerate(rows):
@@ -467,6 +467,30 @@ class TestStack:
         for k, f in enumerate(fields):
             assert np.array_equal(nodal[k], f.nodal)
 
+    def test_fields_from_nodal_values_are_projected_when_built(self, frame_name, request,
+                                                               monkeypatch):
+        # one projection at construction and none on later reads; take and
+        # stack carry the coefficients as they are
+        frame = request.getfixturevalue(frame_name)
+        x = frame.nodes.T
+        for cls, nodal in ((ScalarField, np.stack([np.cos(k * x[0]) for k in range(3)])),
+                           (VectorField, np.stack([np.sin(k * x) for k in range(3)]))):
+            calls = self.counted(monkeypatch)
+            f = cls(frame, nodal=nodal)
+            assert calls == ["project_nodal"]
+            coeffs = f.coeffs
+            assert f.coeffs is coeffs and calls == ["project_nodal"]
+            members = [f.take(k) for k in range(3)]
+            stack = cls.stack(members)
+            assert calls == ["project_nodal"]
+            monkeypatch.undo()
+            assert np.array_equal(coeffs, frame.project_nodal(nodal))
+            with pytest.raises(ValueError):
+                coeffs[..., 0] = 1.0
+            for k, m in enumerate(members):
+                assert np.array_equal(m.coeffs, coeffs[k])
+            assert np.array_equal(stack.coeffs, coeffs)
+
 
 def test_fields_have_no_arithmetic():
     # a field is built from coefficients or nodal values; sums and scalings
@@ -474,3 +498,11 @@ def test_fields_have_no_arithmetic():
     for cls in (ScalarField, VectorField):
         for op in ("__add__", "__sub__", "__mul__", "__rmul__", "__neg__"):
             assert not hasattr(cls, op), (cls.__name__, op)
+
+
+def test_fields_have_no_second_spellings():
+    # derivatives and point values are the frame's, and a field's
+    # coefficients are a plain slot, set when it is built
+    for cls in (ScalarField, VectorField):
+        for name in ("__getattr__", "derivatives", "eval"):
+            assert not hasattr(cls, name), (cls.__name__, name)
