@@ -68,7 +68,6 @@ from .spectral import (
     build_frame,
     multiply,
     sigma_from_coefficients,
-    transform,
 )
 
 __version__ = "0.1.0"

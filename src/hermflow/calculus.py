@@ -39,7 +39,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import InvalidParameterError, PositivityError
-from .spectral import ScalarField, VectorField, _matvec, transform
+from .spectral import ScalarField, VectorField, _matvec
 
 __all__ = [
     "ModelParams",
@@ -181,8 +181,9 @@ class StateBundle:
     at most once per state.  ``q`` and ``u`` are one field each, or stacks
     of the same members (:meth:`ScalarField.stack`): the members' axes lead
     every array and every integral, and each member's entries equal, bit for
-    bit, those of its own one-state bundle (every product runs row by row,
-    see :meth:`GaussianFrame.derivatives`).
+    bit, those of its own one-state bundle (every product and integral runs
+    row by row, see :meth:`GaussianFrame.derivatives` and
+    :meth:`GaussianFrame.quad`).
     Positivity of q is checked on construction (:func:`require_positive`).
     Rational quantities (anything divided by a power of q) vanish on the
     frame's untrusted tail nodes; polynomial ones keep raw values so their
@@ -201,11 +202,6 @@ class StateBundle:
 
     # Every array carries the state axes first and the nodes last, so a
     # per-node array meets a tensor as values[..., None, None, :].
-
-    def quad(self, values: np.ndarray):
-        """Quadrature integral against the normalized Gaussian measure along
-        the last (node) axis: one number per state."""
-        return np.vecdot(values, self.frame.weights)
 
     @_cached
     def q_safe(self) -> np.ndarray:
@@ -316,63 +312,63 @@ class StateBundle:
 
     @_cached
     def mass(self):
-        return self.quad(self.qn)
+        return self.frame.quad(self.qn)
 
     @_cached
     def i2(self):
         """int q |x|^2 / sigma^2."""
-        return self.quad(self.qn * self.frame.radius_sq) / self.frame.sigma**2
+        return self.frame.quad(self.qn * self.frame.radius_sq) / self.frame.sigma**2
 
     @_cached
     def i4(self):
         """int q |x|^4 / sigma^4."""
         sig2 = self.frame.sigma**2
-        return self.quad(self.qn * self.frame.radius_sq**2) / sig2**2
+        return self.frame.quad(self.qn * self.frame.radius_sq**2) / sig2**2
 
     @_cached
     def ke(self):
         """int q |u|^2."""
-        return self.quad(self.qn * self.raw2)
+        return self.frame.quad(self.qn * self.raw2)
 
     @_cached
     def u2(self):
         """int |u|^2, the linear-drag integral."""
-        return self.quad(self.raw2)
+        return self.frame.quad(self.raw2)
 
     @_cached
     def cubic(self):
         """int q |u|^2 |u|^2 with the first |u|^2 dealiased, the cubic-drag integral."""
-        return self.quad(self.qn * self.s2 * self.raw2)
+        return self.frame.quad(self.qn * self.s2 * self.raw2)
 
     @_cached
     def fisher(self):
         """int |grad q|^2 / q."""
-        return self.quad(self.fisher_integrand)
+        return self.frame.quad(self.fisher_integrand)
 
     @_cached
     def entropy(self):
         """int q ln q over the trusted nodes."""
-        return self.quad(self.qlnq)
+        return self.frame.quad(self.qlnq)
 
     @_cached
     def cross(self):
         """int u . grad q."""
-        return self.quad(self.u_gq)
+        return self.frame.quad(self.u_gq)
 
     @_cached
     def glog2(self):
         """int |sqrt(q) D^2(ln q)|^2."""
-        return self.quad(np.einsum("...ijn,...ijn->...n", self.glog, self.glog))
+        return self.frame.quad(np.einsum("...ijn,...ijn->...n", self.glog, self.glog))
 
     @_cached
     def dsym2(self):
         """int q |D(u)|^2."""
-        return self.quad(self.qn * np.einsum("...ijn,...ijn->...n", self.dsym, self.dsym))
+        return self.frame.quad(self.qn * np.einsum("...ijn,...ijn->...n", self.dsym, self.dsym))
 
     @_cached
     def askew2(self):
         """int q |A(u)|^2."""
-        return self.quad(self.qn * np.einsum("...ijn,...ijn->...n", self.askew, self.askew))
+        return self.frame.quad(self.qn * np.einsum("...ijn,...ijn->...n", self.askew, self.askew))
 
 
 def div_m(v: VectorField) -> ScalarField:
@@ -451,15 +447,12 @@ def _bohm_from_bundle(b: StateBundle) -> float:
     x = frame.nodes.T
 
     # --- left side via P = projection of sqrt(q) ------------------------
-    p_field = transform(frame, b.sqrt_q)
-    pn = p_field.nodal
+    p_coeffs = frame.project_nodal(b.sqrt_q)
+    pn, gp, hp, tp = (frame.derivatives(p_coeffs, order) for order in range(4))
     if np.min(np.abs(pn[frame.trusted])) < POSITIVITY_FLOOR:
         raise PositivityError("projected square root vanishes at a trusted node")
     inv_p = mask / np.where(np.abs(pn) > POSITIVITY_FLOOR, pn, POSITIVITY_FLOOR)
-    gp = gradient_nodal(p_field)
-    hp = hessian_nodal(p_field)
     lap_p = np.trace(hp, axis1=0, axis2=1)
-    tp = frame.derivatives(p_field.coeffs, 3)
     grad_lap_p = np.einsum("ijjn->in", tp)
     rsq = frame.radius_sq
     # A := (Delta sqrt(rho)) / rho_m^{1/2} with sqrt(rho) = P rho_m^{1/2}

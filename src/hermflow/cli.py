@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics
-from .calculus import ModelParams, StateBundle
+from .calculus import POSITIVITY_FLOOR, ModelParams, StateBundle
 from .config import RunConfig, check_seed, load_config
 from .continuation import (mollifier_grid, mollify_initial_data, schedule_indices,
                            vanishing_drag_sweep)
@@ -140,9 +140,9 @@ def _initial_state(cfg: RunConfig, frame: GaussianFrame):
         if not np.isfinite(boost).all():
             raise ConfigError(f"[initial] u_scale = {cfg.u_scale!r} overflows u_scale * x")
         u0 = project_initial_velocity(q0, boost)
-    if float(np.min(q0.nodal[frame.trusted])) <= 0.0:
-        # data without a two-sided positive bound enter through the
-        # cutoff-convolve-normalize pipeline first
+    if np.min(q0.nodal[frame.trusted]) < POSITIVITY_FLOOR:
+        # a density below the floor that every step refuses goes through
+        # the cutoff-convolve-normalize pipeline first
         q0, u0 = mollify_initial_data(q0, u0, n=8)
     mass = float(q0.coeffs[0])
     if abs(mass - 1.0) > diagnostics.UNIT_MASS_TOL:
@@ -377,6 +377,8 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"config declares mode={cfg.mode!r} but was launched as {args.command!r}"
             )
+        if cfg.save_state and args.command != "simulate":
+            raise ConfigError(f"[run] save_state = true: {args.command} mode writes no state.npz")
         if args.output_dir is not None:
             cfg.output_dir = args.output_dir
         if args.seed is not None:

@@ -231,7 +231,7 @@ def _sweep_fields(b: StateBundle):
 def _sq_distance(frame: GaussianFrame, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared weighted L^2 distance of two stacks of (rows, n_nodes) nodal
     arrays, one per state."""
-    return np.vecdot(np.einsum("...in,...in->...n", a - b, a - b), frame.weights)
+    return frame.quad(np.einsum("...in,...in->...n", a - b, a - b))
 
 
 def schedule_indices(n_list) -> list[int]:

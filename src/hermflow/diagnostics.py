@@ -108,7 +108,7 @@ def _bd_entropy_value(b: StateBundle, params: ModelParams) -> float:
     return (
         0.5 * (b.ke + 4.0 * nu * b.cross + (4.0 * nu**2 + params.kappa**2) * b.fisher)
         + params.a * b.entropy
-        + 2.0 * nu * params.r0 * (b.mass - b.quad(b.mask * np.log(b.q_safe)))
+        + 2.0 * nu * params.r0 * (b.mass - b.frame.quad(b.mask * np.log(b.q_safe)))
         + 0.25 * params.r4 * b.i4
     )
 
@@ -133,10 +133,10 @@ def _bd_balance(b: StateBundle, params: ModelParams, d1s):
     nu = params.nu
     # q D^2(ln q) without the sqrt weight; rational part masked
     qhlog = b.hq * b.mask - b.outer_q
-    gradlog = b.quad(b.fisher_integrand * b.inv_q)  # |grad ln q|^2, unweighted
-    dsym_qhlog = b.quad(np.einsum("...ikn,...ikn->...n", b.dsym, qhlog))
-    du_gq_glog = b.quad(np.einsum("...ikn,...kn,...in->...n", b.du, b.gq, b.gq) * b.inv_q)
-    s2_ugq = b.quad(b.s2 * b.u_gq)
+    gradlog = b.frame.quad(b.fisher_integrand * b.inv_q)  # |grad ln q|^2, unweighted
+    dsym_qhlog = b.frame.quad(np.einsum("...ikn,...ikn->...n", b.dsym, qhlog))
+    du_gq_glog = b.frame.quad(np.einsum("...ikn,...kn,...in->...n", b.du, b.gq, b.gq) * b.inv_q)
+    s2_ugq = b.frame.quad(b.s2 * b.u_gq)
     out = []
     for d1 in d1s:
         d_bd = (
@@ -205,9 +205,9 @@ def _hessian_lemma_from_bundle(b: StateBundle):
     frame = b.frame
     gq, inv_q, inv_sq = b.gq, b.inv_q, b.inv_sq[..., None, None, :]
     hess_sqrt = 0.5 * b.hq * inv_sq - 0.25 * b.outer_q * inv_sq
-    a_val = b.quad(np.einsum("...ijn,...ijn->...n", hess_sqrt, hess_sqrt))
+    a_val = b.frame.quad(np.einsum("...ijn,...ijn->...n", hess_sqrt, hess_sqrt))
     grad2 = np.einsum("...in,...in->...n", gq, gq)
-    b_val = b.quad(grad2**2 * inv_q**3 / 16.0)
+    b_val = b.frame.quad(grad2**2 * inv_q**3 / 16.0)
     d_val = 0.25 * b.glog2
     i4 = b.i4
     margin_mid = (
@@ -233,10 +233,9 @@ def _ratio(lhs, rhs):
 def _poincare_ratio(frame: GaussianFrame, fn: np.ndarray, gf: np.ndarray):
     """Empirical strong-Poincare ratio |sqrt(1+|x|^2)(f - mean)| / |grad f|
     of nodal values ``fn`` with nodal gradient ``gf``."""
-    w = frame.weights
-    mean = np.vecdot(fn, w)
-    lhs = np.sqrt(np.vecdot((1.0 + frame.radius_sq) * (fn - mean[..., None]) ** 2, w))
-    return _ratio(lhs, np.sqrt(np.vecdot(np.einsum("...in,...in->...n", gf, gf), w)))
+    mean = frame.quad(fn)
+    lhs = np.sqrt(frame.quad((1.0 + frame.radius_sq) * (fn - mean[..., None]) ** 2))
+    return _ratio(lhs, np.sqrt(frame.quad(np.einsum("...in,...in->...n", gf, gf))))
 
 
 def _korn_ratio(frame: GaussianFrame, un: np.ndarray, dsym: np.ndarray):
@@ -246,18 +245,17 @@ def _korn_ratio(frame: GaussianFrame, un: np.ndarray, dsym: np.ndarray):
     with symmetric gradient ``dsym``; rigid rotations and constants give 0
     by convention (both sides vanish).
     """
-    w = frame.weights
-    centered = un - np.vecdot(un, w)[..., None]
+    centered = un - frame.quad(un)[..., None]
     if frame.dim == 2:
         # remove the weighted L^2_mu projection onto the infinitesimal rotations
         rot = np.stack([-frame.nodes[:, 1], frame.nodes[:, 0]])
-        num = np.vecdot(np.einsum("...in,in->...n", un, rot), w)
+        num = frame.quad(np.einsum("...in,in->...n", un, rot))
         den = frame.quad(np.einsum("in,in->n", rot, rot))
         centered = centered - (num / den)[..., None, None] * rot
     lhs = np.sqrt(
-        np.vecdot((1.0 + frame.radius_sq) * np.einsum("...in,...in->...n", centered, centered), w)
+        frame.quad((1.0 + frame.radius_sq) * np.einsum("...in,...in->...n", centered, centered))
     )
-    return _ratio(lhs, np.sqrt(np.vecdot(np.einsum("...ijn,...ijn->...n", dsym, dsym), w)))
+    return _ratio(lhs, np.sqrt(frame.quad(np.einsum("...ijn,...ijn->...n", dsym, dsym))))
 
 
 def sample_margins(b: StateBundle) -> dict:
@@ -292,7 +290,6 @@ def record(b: StateBundle, times, params: ModelParams) -> list[DiagnosticsRecord
     e_reg, d_reg = _energy_from_bundle(b, params)
     (d_bd, _), (d_bd_reg, r_bd_reg) = _bd_balance(b, params, (0.0, params.delta1))
     _, _, _, _, hmid, hfin = _hessian_lemma_from_bundle(b)
-    w = frame.weights
     x_dot_u = np.einsum("in,...in->...n", frame.nodes.T, b.un)
     trusted_q = b.qn[:, frame.trusted]
     columns = {
@@ -307,8 +304,8 @@ def record(b: StateBundle, times, params: ModelParams) -> list[DiagnosticsRecord
         "i2": b.i2,
         "i2_tilde": b.i2 - frame.dim,
         "i4": b.i4,
-        "mx": np.matmul(frame.nodes.T, (w * b.qn)[..., None])[..., 0],
-        "mu": b.quad(b.qn[:, None, :] * b.un),
+        "mx": np.matmul(frame.nodes.T, (frame.weights * b.qn)[..., None])[..., 0],
+        "mu": frame.quad(b.qn[:, None, :] * b.un),
         "min_q": np.min(trusted_q, axis=-1),
         "max_q": np.max(trusted_q, axis=-1),
         "lsi_margin": _lsi_from_bundle(b, UNIT_MASS_TOL)[0],
@@ -320,8 +317,8 @@ def record(b: StateBundle, times, params: ModelParams) -> list[DiagnosticsRecord
         "ke2": b.ke,
         "fisher": b.fisher,
         "cross_qu": b.cross,
-        "drag0_x": b.quad(x_dot_u),
-        "drag1_x": b.quad(b.qn * b.s2 * x_dot_u),
+        "drag0_x": frame.quad(x_dot_u),
+        "drag1_x": frame.quad(b.qn * b.s2 * x_dot_u),
     }
     # Python floats per state, a tuple of them for a vector moment
     arrays = [np.asarray(columns[name]) for name in _COLUMNS]

@@ -40,7 +40,7 @@ from .errors import (
     StepFailureError,
 )
 from .fokker_planck import _density_start, _take_start, fp_step
-from .spectral import GaussianFrame, ScalarField, VectorField, _row_norms
+from .spectral import ScalarField, VectorField, _row_norms
 
 __all__ = [
     "SimState",
@@ -81,14 +81,6 @@ class SimState:
     t: float = 0.0
     momentum: np.ndarray | None = field(default=None, compare=False, repr=False)
 
-    @property
-    def frame(self) -> GaussianFrame:
-        return self.q.frame
-
-    @property
-    def stacked(self) -> bool:
-        return self.q.coeffs.ndim > 1
-
 
 def make_initial_state(q0: ScalarField, u0: VectorField) -> SimState:
     return SimState(q0, u0)
@@ -107,7 +99,7 @@ def stack_states(states) -> SimState:
 
 def member_states(state: SimState) -> list[SimState]:
     """The states of a stack, or [state] for one state."""
-    if not state.stacked:
+    if state.q.coeffs.ndim == 1:
         return [state]
     momentum = state.momentum
     return [SimState(state.q.take(i), state.u.take(i), state.t,

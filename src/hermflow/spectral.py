@@ -49,7 +49,6 @@ __all__ = [
     "VectorField",
     "sigma_from_coefficients",
     "build_frame",
-    "transform",
     "multiply",
     "TRUST_LIMIT",
 ]
@@ -301,9 +300,15 @@ class GaussianFrame:
             )
         return _matvec(self.V.T, self.weights * values)
 
-    def quad(self, nodal_values: np.ndarray) -> float:
-        """Quadrature integral against the normalized Gaussian measure."""
-        return float(self.weights @ nodal_values)
+    def quad(self, nodal_values: np.ndarray):
+        """Quadrature integral against the normalized Gaussian measure along
+        the last (node) axis: one number per row of any leading axes.
+
+        Each row is summed by its own BLAS dot, so a row of a stack equals
+        that row alone bit for bit, and one field's integral equals
+        ``weights @ nodal_values``.
+        """
+        return np.vecdot(nodal_values, self.weights)
 
     def norm_l2mu(self, nodal_values: np.ndarray) -> float:
         return math.sqrt(max(self.quad(np.asarray(nodal_values) ** 2), 0.0))
@@ -453,11 +458,6 @@ def _row_norms(rows: np.ndarray) -> list[float]:
     return np.sqrt(np.matmul(rows[..., None, :], rows[..., :, None])[..., 0, 0]).tolist()
 
 
-def transform(frame: GaussianFrame, nodal_values: np.ndarray) -> ScalarField:
-    """Nodal values -> spectral field (exact interpolation for degree <= N)."""
-    return ScalarField(frame, coeffs=frame.project_nodal(np.asarray(nodal_values, dtype=float)))
-
-
 def multiply(f: ScalarField, g: ScalarField) -> ScalarField:
     """Dealiased product: nodal multiplication, then exact projection to degree N.
 
@@ -468,4 +468,4 @@ def multiply(f: ScalarField, g: ScalarField) -> ScalarField:
     a, b = f.frame, g.frame
     if a is not b and (a.sigma, a.dim, a.degree) != (b.sigma, b.dim, b.degree):
         raise DimensionError("fields live on different frames")
-    return transform(f.frame, f.nodal * g.nodal)
+    return ScalarField(a, coeffs=a.project_nodal(f.nodal * g.nodal))

@@ -17,7 +17,7 @@ from hermflow.calculus import (
     require_positive,
 )
 from hermflow.sampling import random_density, random_field, random_velocity, tilted_density
-from hermflow.spectral import build_frame, transform
+from hermflow.spectral import build_frame
 
 from conftest import unit_field
 
@@ -151,7 +151,8 @@ class TestCapillarityStress:
 
     def test_positivity_violation_carries_node(self, frame_1d):
         x = frame_1d.nodes[:, 0]
-        bad = transform(frame_1d, 0.1 + 0.2 * x)  # negative on trusted nodes
+        # negative on trusted nodes
+        bad = ScalarField(frame_1d, coeffs=frame_1d.project_nodal(0.1 + 0.2 * x))
         with pytest.raises(PositivityError) as err:
             StateBundle(bad)
         assert err.value.node is not None

@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 
 import hermflow
 from hermflow import ScalarField, cli, config
+from hermflow.calculus import POSITIVITY_FLOOR
 from hermflow.cli import main
 from hermflow.config import ConfigError, RunConfig, load_config
+from hermflow.continuation import mollify_initial_data
 from hermflow.errors import StepFailureError
 from hermflow.sampling import tilted_density
 
@@ -272,6 +274,24 @@ class TestSimulateCommand:
         q0, _ = cli._initial_state(cfg, frame)
         assert np.min(ScalarField(frame, coeffs=coeffs).nodal) < 0.0
         assert abs(q0.coeffs[0] - 1.0) <= 1e-6
+
+    def test_state_file_below_the_floor_is_mollified(self, tmp_path):
+        # (x - x0)^2 vanishes at the trusted node x0, where round-off leaves
+        # +1.9e-16: positive, but below the floor every step refuses
+        frame = hermflow.build_frame(a=1.0, kappa=1.0, lam=4.0, dim=1, degree=8)
+        x = frame.nodes[:, 0]
+        coeffs = frame.project_nodal((x - x[11]) ** 2)
+        np.savez(tmp_path / "zero.npz", q_coeffs=coeffs / coeffs[0], u_coeffs=np.zeros(9))
+        body = (STEADY.replace("degree = 12", "degree = 8").replace("lambda = 2.0", "lambda = 4.0")
+                .replace("family = steady", f"family = file\n    path = {tmp_path}/zero.npz"))
+        cfg = load_config(write_config(tmp_path / "a.cfg", body))
+        frame = cli._make_frame(cfg)
+        q, u = cli._read_state_file(cfg.path, frame)
+        assert 0.0 < np.min(q.nodal[frame.trusted]) < POSITIVITY_FLOOR
+        q0, u0 = cli._initial_state(cfg, frame)
+        want_q, want_u = mollify_initial_data(q, u, n=8)
+        assert np.array_equal(q0.coeffs, want_q.coeffs)
+        assert np.array_equal(u0.coeffs, want_u.coeffs)
 
     @pytest.mark.parametrize("mode", ["simulate", "sweep"])
     def test_mollifier_grid_too_large_for_state_file_exits_3(self, tmp_path, capsys, mode):
@@ -665,6 +685,25 @@ def test_unwritable_artifact_exits_3(tmp_path, capsys, mode, artifact):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot write {out / artifact}: ")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("mode", ["verify", "sweep", "rescaled"])
+def test_save_state_outside_simulate_exits_3(tmp_path, capsys, mode):
+    # only simulate writes state.npz; another mode would ignore the key
+    body = {
+        "verify": STEADY.replace("mode = simulate", "mode = verify\n    n_samples = 2")
+                        .replace("family = steady", "family = random"),
+        "sweep": TestSweepCommand.BODY,
+        "rescaled": TestRescaledCommand.BODY,
+    }[mode]
+    cfg = write_config(tmp_path / "a.cfg", body)
+    with open(cfg, "a") as f:  # [run] is the last section of every body
+        f.write("save_state = true\n")
+    out = tmp_path / "out"
+    assert main([mode, cfg, "--output-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"config error: [run] save_state = true: {mode} mode writes no state.npz\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, code", [

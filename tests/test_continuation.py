@@ -21,7 +21,6 @@ from hermflow.diagnostics import energy_inequality_audit, record
 from hermflow.driver import march
 from hermflow.errors import StepFailureError
 from hermflow.galerkin import SimState, member_states, stack_states
-from hermflow.spectral import transform
 from hermflow.sampling import random_density, random_velocity, tilted_density
 
 from conftest import unit_field
@@ -365,7 +364,7 @@ def breaching_at(frame, n, k):
         new = real(state, params, dt, coeffs)
         if member is not None and steps_done == k - 1:
             members = member_states(new)
-            bad = transform(frame, 0.1 + 0.2 * frame.nodes[:, 0])
+            bad = ScalarField(frame, coeffs=frame.project_nodal(0.1 + 0.2 * frame.nodes[:, 0]))
             members[member] = SimState(bad, members[member].u, new.t)
             new = stack_states(members)
         return new

@@ -27,7 +27,6 @@ from hermflow.diagnostics import (
 )
 from hermflow.galerkin import make_initial_state
 from hermflow.sampling import random_density, random_velocity, tilted_density
-from hermflow.spectral import transform
 
 from conftest import record_states, unit_field
 
@@ -62,10 +61,10 @@ def energy_lebesgue(q, u, params):
         + b.qn * frame.radius_sq / sig2**2
     )
     return (
-        0.5 * b.quad(b.qn * b.raw2)
-        + params.a * (b.quad(b.qlnq) + b.quad(b.qn * ln_rho_m))
-        + 0.5 * params.kappa**2 * b.quad(fisher_rho)
-        + 0.5 * params.lam * b.quad(b.qn * frame.radius_sq)
+        0.5 * b.frame.quad(b.qn * b.raw2)
+        + params.a * (b.frame.quad(b.qlnq) + b.frame.quad(b.qn * ln_rho_m))
+        + 0.5 * params.kappa**2 * b.frame.quad(fisher_rho)
+        + 0.5 * params.lam * b.frame.quad(b.qn * frame.radius_sq)
     )
 
 
@@ -190,7 +189,8 @@ class TestPoincare:
     def test_linear_ratio(self, frame_1d):
         # f = x at sigma = 1: LHS^2 = E[(1+x^2) x^2] = 4, RHS^2 = 1
         x = frame_1d.nodes[:, 0]
-        assert poincare_of(transform(frame_1d, x)) == pytest.approx(2.0, rel=1e-12)
+        f = ScalarField(frame_1d, coeffs=frame_1d.project_nodal(x))
+        assert poincare_of(f) == pytest.approx(2.0, rel=1e-12)
 
     def test_rotation_projected_out(self, frame_2d):
         x, y = frame_2d.nodes[:, 0], frame_2d.nodes[:, 1]

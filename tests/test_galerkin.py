@@ -40,7 +40,7 @@ from hermflow.galerkin import (
 )
 from hermflow.rescaled import TauState, tau_coeffs
 from hermflow.sampling import random_density, random_field, random_velocity, tilted_density
-from hermflow.spectral import build_frame, transform
+from hermflow.spectral import build_frame
 
 from conftest import ladder_oracle, object_path_fp_step, record_states, unit_field
 
@@ -90,7 +90,7 @@ class TestMassOperator:
     def test_linear_weight_is_coordinate_matrix(self, frame_1d):
         eps = 0.01
         x = frame_1d.nodes[:, 0]
-        q = transform(frame_1d, 1.0 + eps * x)
+        q = ScalarField(frame_1d, coeffs=frame_1d.project_nodal(1.0 + eps * x))
         m = assemble_mass(q)
         ref = np.eye(frame_1d.n_basis) + eps * ladder_oracle(frame_1d)[1][0]
         assert np.max(np.abs(m.matrix - ref)) < 2e-10
@@ -422,7 +422,7 @@ def object_path_step(state, params, dt, coeffs=None):
     two fields is (a + b) * factor on the coefficients, its nodal values
     synthesized from them, and no field is reused across sweeps.
     """
-    frame = state.frame
+    frame = state.q.frame
     coeffs = coeffs or step_coefficients(params, frame.sigma)
     q_prev, u_prev = state.q, state.u
     momentum_prev = state.momentum
@@ -739,7 +739,8 @@ class TestStackedStep:
         # a density below the floor fails in the force assembly with the
         # error of that member alone
         x = frame_1d.nodes[:, 0]
-        bad = SimState(transform(frame_1d, 0.1 + 0.2 * x), VectorField.zero(frame_1d))
+        bad = SimState(ScalarField(frame_1d, coeffs=frame_1d.project_nodal(0.1 + 0.2 * x)),
+                       VectorField.zero(frame_1d))
         good = make_initial_state(random_density(frame_1d, rng), VectorField.zero(frame_1d))
         with pytest.raises(PositivityError) as alone:
             coupled_step(bad, drag_free(), 1e-3)
@@ -779,12 +780,12 @@ def test_random_stacks_equal_their_members_alone(members, nodal_member, seed):
         states.append(SimState(q, u))
 
     stack = stack_states(states)
-    delta1 = step_coefficients(params if stack.stacked else params[0], frame.sigma)["delta1"]
+    delta1 = step_coefficients(params if stack.q.coeffs.ndim > 1 else params[0], frame.sigma)["delta1"]
     start = fokker_planck._density_start(stack.q, delta1, 1e-3)
     alone = fokker_planck.fp_step(stack.q, stack.u, delta1, 1e-3)
     handed = fokker_planck.fp_step(stack.q, stack.u, delta1, 1e-3, start=start)
     assert np.array_equal(handed.coeffs, alone.coeffs)
-    if stack.stacked:
+    if stack.q.coeffs.ndim > 1:
         keep = np.sort(rng.choice(len(members), rng.integers(1, len(members) + 1), replace=False))
         part = stack.q.take(keep), stack.u.take(keep), delta1[keep]
         alone = fokker_planck.fp_step(*part, 1e-3)

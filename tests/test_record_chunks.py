@@ -32,7 +32,7 @@ from hermflow.errors import StepFailureError
 from hermflow.galerkin import SimState, coupled_step, project_initial_velocity
 from hermflow.rescaled import TauState, rescaled_balance, rescaled_bd_remainder, rescaled_energy
 from hermflow.sampling import random_density, random_velocity, tilted_density
-from hermflow.spectral import build_frame, transform
+from hermflow.spectral import build_frame
 
 from conftest import record_states
 
@@ -102,9 +102,9 @@ class TestStackedKernels:
 class TestRequirePositiveStack:
     def test_first_breaching_state_raises_its_own_error(self, frame_1d):
         x = frame_1d.nodes[:, 0]
-        good = transform(frame_1d, 1.0 + 0.0 * x)
-        worse = transform(frame_1d, 0.1 + 0.3 * x)
-        bad = transform(frame_1d, 0.1 + 0.2 * x)
+        good = ScalarField(frame_1d, coeffs=frame_1d.project_nodal(1.0 + 0.0 * x))
+        worse = ScalarField(frame_1d, coeffs=frame_1d.project_nodal(0.1 + 0.3 * x))
+        bad = ScalarField(frame_1d, coeffs=frame_1d.project_nodal(0.1 + 0.2 * x))
         with pytest.raises(PositivityError) as alone:
             require_positive(bad)
         with pytest.raises(PositivityError) as stacked:
@@ -269,8 +269,8 @@ def breaching_march(k):
         if len(calls) < k:
             return coupled_step(state, params, dt, coeffs)
         if len(calls) == k:
-            frame = state.frame
-            bad = transform(frame, 0.1 + 0.2 * frame.nodes[:, 0])
+            frame = state.q.frame
+            bad = ScalarField(frame, coeffs=frame.project_nodal(0.1 + 0.2 * frame.nodes[:, 0]))
             return SimState(bad, state.u, state.t + dt)
         raise StepFailureError(f"step {len(calls)} fails")
 
@@ -279,7 +279,7 @@ def breaching_march(k):
 
 def breach_error(frame):
     """The error the breaching state raises when it is recorded alone."""
-    bad = transform(frame, 0.1 + 0.2 * frame.nodes[:, 0])
+    bad = ScalarField(frame, coeffs=frame.project_nodal(0.1 + 0.2 * frame.nodes[:, 0]))
     with pytest.raises(PositivityError) as err:
         record_states([SimState(bad, VectorField.zero(frame))], DRAG_FREE)
     return err.value

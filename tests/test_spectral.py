@@ -14,7 +14,6 @@ from hermflow import (
     div_m,
     multiply,
     sigma_from_coefficients,
-    transform,
 )
 from hermflow.calculus import gradient_nodal, hessian_nodal
 from hermflow.sampling import random_field, random_velocity
@@ -111,13 +110,13 @@ class TestLadderOperators:
 
 class TestTransforms:
     def test_constant(self, frame_1d):
-        f = transform(frame_1d, np.ones(frame_1d.n_nodes))
+        f = ScalarField(frame_1d, coeffs=frame_1d.project_nodal(np.ones(frame_1d.n_nodes)))
         assert f.coeffs[0] == pytest.approx(1.0, abs=1e-14)
         assert np.max(np.abs(f.coeffs[1:])) < 1e-13
 
     def test_linear(self, frame_1d):
         x = frame_1d.nodes[:, 0]
-        f = transform(frame_1d, x)
+        f = ScalarField(frame_1d, coeffs=frame_1d.project_nodal(x))
         expected = np.zeros(frame_1d.n_basis)
         expected[1] = frame_1d.sigma
         assert np.allclose(f.coeffs, expected, atol=1e-12)
@@ -125,7 +124,7 @@ class TestTransforms:
     def test_square(self, frame_1d):
         # x^2 at sigma=1: coefficients 1 on degree 0 and sqrt(2) on degree 2
         x = frame_1d.nodes[:, 0]
-        f = transform(frame_1d, x**2)
+        f = ScalarField(frame_1d, coeffs=frame_1d.project_nodal(x**2))
         assert f.coeffs[0] == pytest.approx(1.0, abs=1e-12)
         assert f.coeffs[2] == pytest.approx(math.sqrt(2.0), abs=1e-12)
         assert abs(f.coeffs[1]) < 1e-12
@@ -135,7 +134,7 @@ class TestTransforms:
         # at far-tail nodes amplify coefficient round-off and are excluded
         for frame in (frame_1d, frame_2d):
             f = random_field(frame, rng)
-            back = transform(frame, f.nodal)
+            back = ScalarField(frame, coeffs=frame.project_nodal(f.nodal))
             num = frame.norm_l2mu(back.nodal - f.nodal)
             den = frame.norm_l2mu(f.nodal)
             assert num / den < 1e-12
@@ -143,14 +142,14 @@ class TestTransforms:
     def test_interpolation_exact_on_polynomials(self, frame_1d):
         x = frame_1d.nodes[:, 0]
         vals = 1.0 + 0.5 * x - 0.25 * x**3
-        f = transform(frame_1d, vals)
+        f = ScalarField(frame_1d, coeffs=frame_1d.project_nodal(vals))
         pts = np.linspace(-2.0, 2.0, 7)[:, None]
         assert np.allclose(frame_1d.basis_eval(pts) @ f.coeffs,
                            1.0 + 0.5 * pts[:, 0] - 0.25 * pts[:, 0] ** 3, atol=1e-12)
 
     def test_shape_mismatch(self, frame_1d):
         with pytest.raises(Exception):
-            transform(frame_1d, np.ones(frame_1d.n_nodes + 1))
+            ScalarField(frame_1d, coeffs=frame_1d.project_nodal(np.ones(frame_1d.n_nodes + 1)))
 
 
 class TestIntegrate:
@@ -163,13 +162,12 @@ class TestIntegrate:
 
     def test_second_moment(self, frame_1d):
         x = frame_1d.nodes[:, 0]
-        assert transform(frame_1d, x**2).coeffs[0] == pytest.approx(
-            frame_1d.sigma**2, rel=1e-13
-        )
+        f = ScalarField(frame_1d, coeffs=frame_1d.project_nodal(x**2))
+        assert f.coeffs[0] == pytest.approx(frame_1d.sigma**2, rel=1e-13)
 
     def test_fourth_radial_moment_2d(self, frame_2d):
         # E|Z|^4 = E(z1^2+z2^2)^2 = 2*E z^4 + 2*(E z^2)^2 = d(d+2) sigma^4
-        f = transform(frame_2d, frame_2d.radius_sq**2)
+        f = ScalarField(frame_2d, coeffs=frame_2d.project_nodal(frame_2d.radius_sq**2))
         ref = 2.0 * gaussian_moment(frame_2d.sigma, 4) + 2.0 * gaussian_moment(frame_2d.sigma, 2) ** 2
         assert f.coeffs[0] == pytest.approx(ref, rel=1e-12)
         assert ref == pytest.approx(8.0 * frame_2d.sigma**4, rel=1e-14)
@@ -177,6 +175,19 @@ class TestIntegrate:
     def test_matches_quadrature_sum(self, frame_1d, rng):
         f = random_field(frame_1d, rng)
         assert f.coeffs[0] == pytest.approx(frame_1d.quad(f.nodal), abs=1e-12)
+
+    @pytest.mark.parametrize("dim, degree", [(1, 24), (2, 20)], ids=["1d", "2d"])
+    def test_stack_integrates_row_by_row(self, rng, dim, degree):
+        # one integral per row of the leading axes, each with the bits of
+        # that row's own dot product; one field gives one number
+        frame = build_frame(1.0, 1.0, 2.0, dim, degree)
+        stack = rng.standard_normal((2, 4, frame.n_nodes))
+        integrals = frame.quad(stack)
+        assert integrals.shape == (2, 4)
+        for index in np.ndindex(2, 4):
+            assert integrals[index] == float(frame.weights @ stack[index])
+        one = frame.quad(stack[1, 2])
+        assert np.ndim(one) == 0 and one == float(frame.weights @ stack[1, 2])
 
 
 def ou_apply(f: ScalarField) -> ScalarField:
@@ -197,14 +208,14 @@ class TestOrnsteinUhlenbeck:
 
     def test_linear(self, frame_1d):
         x = frame_1d.nodes[:, 0]
-        f = transform(frame_1d, x)
+        f = ScalarField(frame_1d, coeffs=frame_1d.project_nodal(x))
         out = ou_apply(f)
         assert np.allclose(out.nodal, -x / frame_1d.sigma**2, atol=1e-10)
 
     def test_degree_two_eigenfunction(self, frame_1d):
         sigma = frame_1d.sigma
         x = frame_1d.nodes[:, 0]
-        f = transform(frame_1d, x**2 - sigma**2)
+        f = ScalarField(frame_1d, coeffs=frame_1d.project_nodal(x**2 - sigma**2))
         out = ou_apply(f)
         assert np.allclose(out.coeffs, -(2.0 / sigma**2) * f.coeffs, atol=1e-12)
 
@@ -230,7 +241,7 @@ class TestOrnsteinUhlenbeck:
 class TestDerivativeAndMultiply:
     def test_derivative_of_square(self, frame_1d):
         x = frame_1d.nodes[:, 0]
-        d = gradient_nodal(transform(frame_1d, x**2))[0]
+        d = gradient_nodal(ScalarField(frame_1d, coeffs=frame_1d.project_nodal(x**2)))[0]
         assert frame_1d.norm_l2mu(d - 2.0 * x) < 1e-12
 
     def test_multiply_identity(self, frame_1d, rng):
@@ -240,9 +251,9 @@ class TestDerivativeAndMultiply:
 
     def test_multiply_matches_transform(self, frame_1d):
         x = frame_1d.nodes[:, 0]
-        xf = transform(frame_1d, x)
+        xf = ScalarField(frame_1d, coeffs=frame_1d.project_nodal(x))
         prod = multiply(xf, xf)
-        direct = transform(frame_1d, x**2)
+        direct = ScalarField(frame_1d, coeffs=frame_1d.project_nodal(x**2))
         assert np.allclose(prod.coeffs, direct.coeffs, atol=1e-13)
 
     def test_multiply_commutative_bilinear(self, frame_1d, rng):
